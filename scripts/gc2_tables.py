@@ -6,7 +6,8 @@ Example:
 """
 import argparse
 
-from ribboncoh.gc2 import gc_cohomology, gc_enumerate
+from ribboncoh.complexes import render_table
+from ribboncoh.gc2 import gc_cohomology
 
 
 def main() -> int:
@@ -18,14 +19,7 @@ def main() -> int:
     args = ap.parse_args()
     lo, hi = (int(x) for x in args.e_range.split(".."))
 
-    for e in range(lo, hi + 1):
-        nonzero, zero = gc_enumerate(args.loop_order, e, args.min_valence)
-        print("E=%d: %d nonzero classes, %d zero by symmetry" % (e, len(nonzero), zero))
-    print()
-    rows = gc_cohomology(args.loop_order, args.d, (lo, hi), args.min_valence)
-    print("%6s %5s %5s %5s  %s" % ("degree", "E", "dim", "h", "status"))
-    for r in rows:
-        print("%6d %5d %5d %5d  %s" % (r["degree"], r["edges"], r["dim"], r["h"], r["status"]))
+    print(render_table(gc_cohomology(args.loop_order, args.d, (lo, hi), args.min_valence)), end="")
     return 0
 
 

@@ -201,13 +201,22 @@ class Orientation:
 
     def __post_init__(self):
         if self.parity == EVEN:
-            assert self.edge_order is not None
-            assert self.vertex_order is None and self.edge_dirs is None
+            ok = (
+                self.edge_order is not None
+                and self.vertex_order is None
+                and self.edge_dirs is None
+            )
         else:
-            assert self.edge_order is None
-            assert self.vertex_order is not None
-            assert self.boundary_order is not None
-            assert self.edge_dirs is not None
+            ok = (
+                self.edge_order is None
+                and self.vertex_order is not None
+                and self.boundary_order is not None
+                and self.edge_dirs is not None
+            )
+        if not ok:
+            raise ValueError(
+                "orientation payload does not match parity %d" % self.parity
+            )
 
     def opposite(self) -> "Orientation":
         """Reverse one generator: swap the first two edges (even) or flip
@@ -361,8 +370,3 @@ def class_of(g: RibbonGraph, parity: int) -> OrientedClass:
     """Class of g equipped with its own reference orientation."""
     cls, _ = to_oriented_class(g, reference_orientation(g, parity))
     return cls
-
-
-def clear_caches() -> None:
-    _canon_cache.clear()
-    _zero_cache.clear()

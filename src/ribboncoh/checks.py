@@ -4,15 +4,18 @@ invariants, enumeration oracle agreement, and rank oracle agreement.
 Every suite returns a JSON-able report naming the first violating
 generator, so a failure is actionable and a fault injected by the test
 harness is pinpointed.
+
+The suites run serially.  Their ``jobs`` argument is accepted and ignored:
+the work is pure Python, so under the interpreter lock a thread pool only
+added overhead.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 import random
 
-from .canonical import EVEN, ODD, class_of
+from .canonical import EVEN, ODD
 from .diff import apply_linear, bridge, bridge_terms, delta, delta_terms
 from .enumeration import (
     EnumSpec,
@@ -22,15 +25,6 @@ from .enumeration import (
 )
 from .linalg import SparseIntMatrix, assemble, rank, rank_modp, CERTIFICATION_PRIMES
 from .ribbon import boundaries, genus, is_connected, validate, vertices
-
-
-def parallel_map(fn, items, jobs: int = 1):
-    """Order-preserving map; jobs > 1 uses a thread pool but the merge is
-    by input order either way, so results are scheduling-independent."""
-    if jobs <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
 
 
 @dataclass(frozen=True)
@@ -115,7 +109,7 @@ def identity_suite(
             out.append(_violation("anticommutator", spec, cls, "delta and corner op do not anticommute"))
         return out
 
-    violations = [v for vs in parallel_map(check, gens, jobs) for v in vs]
+    violations = [v for item in gens for v in check(item)]
     return {
         "suite": "identities",
         "bounds": bounds.to_json(),
@@ -178,7 +172,7 @@ def structural_suite(bounds: CheckBounds, jobs: int = 1) -> dict:
                 )
         return out
 
-    violations = [v for vs in parallel_map(check, gens, jobs) for v in vs]
+    violations = [v for item in gens for v in check(item)]
     return {
         "suite": "structural",
         "bounds": bounds.to_json(),
@@ -220,7 +214,7 @@ def oracle_suite(bounds: CheckBounds, jobs: int = 1) -> dict:
             ]
         return []
 
-    violations = [v for vs in parallel_map(check, specs, jobs) for v in vs]
+    violations = [v for spec in specs for v in check(spec)]
     return {
         "suite": "enumeration_oracle",
         "bounds": bounds.to_json(),
@@ -282,7 +276,7 @@ def rank_suite(jobs: int = 1, trials: int = 40, seed: int = 20240901) -> dict:
                 out.append({"suite": "rank_oracle", "detail": "mod-%d rank differs" % p})
         return out
 
-    violations = [v for vs in parallel_map(check, mats, jobs) for v in vs]
+    violations = [v for m in mats for v in check(m)]
     return {
         "suite": "rank_oracle",
         "matrices": len(mats),
@@ -292,6 +286,7 @@ def rank_suite(jobs: int = 1, trials: int = 40, seed: int = 20240901) -> dict:
 
 
 def run_check(bounds: CheckBounds, jobs: int = 1) -> dict:
+    """All four suites; jobs is accepted and ignored, as in every suite."""
     report = {
         "identities": identity_suite(bounds, jobs),
         "structural": structural_suite(bounds, jobs),

@@ -25,10 +25,11 @@ from .complexes import (
 )
 from .enumeration import EnumSpec, enumerate_classes, le2_classes
 from .linalg import DifferentialIdentityError
-from .ribbon import RibbonGraph, to_dot
+from .ribbon import RibbonGraph, check_valid, to_dot
 from .samples import NAMED
 
 PARITIES = {"even": EVEN, "odd": ODD}
+JOBS_HELP = "accepted for compatibility and ignored; the computation is serial"
 
 
 def _parse_erange(text: str) -> tuple[int, int]:
@@ -42,7 +43,7 @@ def _parse_erange(text: str) -> tuple[int, int]:
 def _add_cache_flags(p):
     p.add_argument("--cache-dir", default=None, help="cache directory (default %s or $RIBBONCOH_CACHE_DIR)" % default_cache_dir())
     p.add_argument("--no-cache", action="store_true", help="disable the on-disk cache")
-    p.add_argument("--jobs", type=int, default=1, help="worker threads; results are scheduling-independent")
+    p.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
 
 
 def _cache_from(args) -> Cache:
@@ -72,7 +73,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--e-max-le2", type=int, default=8)
     p.add_argument("--e-max-oracle", type=int, default=4)
     p.add_argument("--parity", choices=("even", "odd", "both"), default="both")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("cohomology", help="build a complex and print its cohomology table")
@@ -218,7 +219,9 @@ def _load_graph(name_or_path: str) -> RibbonGraph:
     if name_or_path in NAMED:
         return NAMED[name_or_path]
     with open(name_or_path) as f:
-        return RibbonGraph.from_json(json.load(f))
+        g = RibbonGraph.from_json(json.load(f))
+    check_valid(g)
+    return g
 
 
 def cmd_export(args) -> int:
@@ -227,7 +230,11 @@ def cmd_export(args) -> int:
         if args.graph is None:
             print("--graph is required for --what graph", file=sys.stderr)
             return 2
-        g = _load_graph(args.graph)
+        try:
+            g = _load_graph(args.graph)
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            print("cannot load graph %s: %s" % (args.graph, exc), file=sys.stderr)
+            return 2
         if args.format == "dot":
             _emit(to_dot(g), args.output)
         else:
@@ -238,7 +245,11 @@ def cmd_export(args) -> int:
     except ValueError as exc:
         print("invalid spec: %s" % exc, file=sys.stderr)
         return 2
-    sl = build(spec, cache=cache)
+    try:
+        sl = build(spec, cache=cache)
+    except DifferentialIdentityError as exc:
+        print("identity failure: %s" % exc, file=sys.stderr)
+        return 1
     if args.what == "basis":
         lines = ["# ribboncoh basis export %s" % spec.content_key()]
         for e in range(spec.e_min, spec.e_max + 1):

@@ -1,6 +1,6 @@
 """Graded complex assembly and certified cohomology tables.
 
-Two complex kinds share the machinery:
+Two ribbon complex kinds share the machinery:
 
 * ``kp``: fixed (genus, boundary count), differential is vertex
   splitting; sectors: full, ge3 (quotient by low-valence graphs), le2
@@ -8,6 +8,9 @@ Two complex kinds share the machinery:
 * ``mw``: fixed genus, all boundary counts aggregated, differential is
   vertex splitting plus corner connecting (delta raises E keeping n,
   the corner move raises E and n together); sectors full and ge3.
+
+The ordinary graph complex of ``gc2`` fills the same ComplexSlice and
+goes through the same ``assemble_differentials`` and ``cohomology``.
 
 Cells are graded by edge count; the cohomological degree of a generator
 is k = -2 g d + E, with only parity(d) entering sign conventions.
@@ -23,12 +26,7 @@ from dataclasses import dataclass, field
 from .canonical import EVEN, ODD, OrientedClass
 from .diff import FormalSum, bridge, delta, project_ge3
 from .enumeration import EnumSpec, enumerate_cell, le2_classes
-from .linalg import (
-    DifferentialIdentityError,
-    SparseIntMatrix,
-    assemble,
-    certified_rank,
-)
+from .linalg import DifferentialIdentityError, assemble, certified_rank
 
 KINDS = ("kp", "mw")
 SECTORS = ("full", "ge3", "le2")
@@ -127,7 +125,7 @@ def _operator(spec: ComplexSpec):
 
 @dataclass
 class ComplexSlice:
-    spec: ComplexSpec
+    spec: ComplexSpec  # or gc2.GCSpec; cohomology() reads e_min, e_max, degree, cells
     bases: dict = field(default_factory=dict)       # e -> [OrientedClass]
     cell_dims: dict = field(default_factory=dict)   # (n, e) -> nonzero count
     zero_counts: dict = field(default_factory=dict) # (n, e) -> zero-class count
@@ -175,10 +173,21 @@ def build(spec: ComplexSpec, cache=None) -> ComplexSlice:
         sl.bases[e] = layer
     for e in (spec.e_min - 1, spec.e_max + 1):
         sl.empty_edge[e] = _layer_provably_empty(spec, e)
-    op = _operator(spec)
+    assemble_differentials(sl, _operator(spec), cache)
+    return sl
+
+
+def assemble_differentials(sl: ComplexSlice, op, cache=None) -> None:
+    """Fill sl.matrices with the matrices of op between consecutive edge
+    layers of sl.bases and verify that consecutive matrices compose to
+    zero.  An optional Cache serves and stores the matrices; it needs a
+    spec with a content_key."""
+    spec = sl.spec
     for e in range(spec.e_min, spec.e_max):
-        key = _matrix_key(spec, e)
-        m = cache.load_matrix(key) if cache is not None else None
+        m = None
+        if cache is not None:
+            key = _matrix_key(spec, e)
+            m = cache.load_matrix(key)
         if m is None or m.rows != len(sl.bases[e + 1]) or m.cols != len(sl.bases[e]):
             m = assemble(sl.bases[e], sl.bases[e + 1], op)
             if cache is not None:
@@ -189,7 +198,6 @@ def build(spec: ComplexSpec, cache=None) -> ComplexSlice:
             raise DifferentialIdentityError(
                 "differential squared is nonzero between E=%d and E=%d" % (e, e + 2)
             )
-    return sl
 
 
 def cohomology(sl: ComplexSlice) -> list[dict]:

@@ -14,7 +14,6 @@ smaller corner label.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 
 from .canonical import (
@@ -29,29 +28,27 @@ from .ribbon import (
     boundaries,
     check_valid,
     min_valence,
-    sigma2,
     vertices,
 )
 
 
 class FormalSum:
-    """Finite rational linear combination of nonzero oriented classes."""
+    """Finite integer linear combination of nonzero oriented classes."""
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
-        self._terms: dict[OrientedClass, Fraction] = {}
+        self._terms: dict[OrientedClass, int] = {}
         if terms:
             for cls, coeff in terms.items() if isinstance(terms, dict) else terms:
                 self.add_term(cls, coeff)
 
-    def add_term(self, cls: OrientedClass, coeff) -> None:
-        if cls.zero_flag:
+    def add_term(self, cls: OrientedClass, coeff: int) -> None:
+        if not isinstance(coeff, int):
+            raise TypeError("coefficients are int, got %s" % type(coeff).__name__)
+        if cls.zero_flag or coeff == 0:
             return
-        coeff = Fraction(coeff)
-        if coeff == 0:
-            return
-        new = self._terms.get(cls, Fraction(0)) + coeff
+        new = self._terms.get(cls, 0) + coeff
         if new == 0:
             self._terms.pop(cls, None)
         else:
@@ -60,8 +57,8 @@ class FormalSum:
     def terms(self):
         return self._terms.items()
 
-    def coeff(self, cls: OrientedClass) -> Fraction:
-        return self._terms.get(cls, Fraction(0))
+    def coeff(self, cls: OrientedClass) -> int:
+        return self._terms.get(cls, 0)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -75,9 +72,10 @@ class FormalSum:
             out.add_term(cls, c)
         return out
 
-    def __rmul__(self, scalar) -> "FormalSum":
+    def __rmul__(self, scalar: int) -> "FormalSum":
+        if not isinstance(scalar, int):
+            raise TypeError("scalars are int, got %s" % type(scalar).__name__)
         out = FormalSum()
-        scalar = Fraction(scalar)
         for cls, c in self._terms.items():
             out.add_term(cls, scalar * c)
         return out
@@ -96,12 +94,6 @@ class FormalSum:
             for cls, c in sorted(self._terms.items(), key=lambda t: t[0].content_hash())
         ]
         return "FormalSum(" + " + ".join(bits) + ")"
-
-    def trace_json(self) -> list:
-        return sorted(
-            ([cls.content_hash(), str(c)] for cls, c in self._terms.items()),
-            key=lambda t: t[0],
-        )
 
 
 def attach_edge(g: RibbonGraph, c1: int, c2: int) -> RibbonGraph:
@@ -294,8 +286,3 @@ def apply_linear(op, s: FormalSum) -> FormalSum:
         for ocls, oc in op(cls).terms():
             out.add_term(ocls, c * oc)
     return out
-
-
-def clear_caches() -> None:
-    _delta_cache.clear()
-    _bridge_cache.clear()

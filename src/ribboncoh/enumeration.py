@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from .canonical import EVEN, OrientedClass, canonical_form, class_of, is_minimal_form
-from .ribbon import RibbonGraph, boundaries, max_valence, orbits
+from .ribbon import RibbonGraph, boundaries, orbits
 
 
 @dataclass(frozen=True)
@@ -187,16 +187,6 @@ def maps_by_boundary(
     return {n: stored[n] for n in wanted}
 
 
-def canonical_maps(n_edges: int, min_valence: int, n_vertices: int) -> list[RibbonGraph]:
-    """Connected isomorphism-class representatives (canonical labels) with
-    the given edge and vertex counts and valence floor."""
-    bins = maps_by_boundary(n_edges, min_valence, n_vertices)
-    out = []
-    for n in sorted(bins):
-        out.extend(bins[n])
-    return out
-
-
 def _split_by_zero(graphs, spec: EnumSpec):
     nonzero = []
     zero = 0
@@ -344,7 +334,3 @@ def le2_classes(spec: EnumSpec) -> tuple[list[OrientedClass], int]:
         return [], 0
     graphs = [canonical_form(g)[0] for g in graphs]
     return _split_by_zero(graphs, spec)
-
-
-def clear_caches() -> None:
-    _gen_cache.clear()

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from .canonical import perm_sign
+from .complexes import ComplexSlice, assemble_differentials, cohomology
 from .diff import FormalSum
-from .linalg import SparseIntMatrix, assemble, certified_rank
 
 
 GC_LOOP_ORDER_GUARD = 4
@@ -213,6 +213,13 @@ def _edge_multisets(n_vertices: int, n_edges: int):
     return out
 
 
+def _layer_provably_empty(loop_order: int, n_edges: int, min_valence: int) -> bool:
+    """No vertex count fits, or the valence floor exceeds the half-edge
+    supply."""
+    n_vertices = n_edges - loop_order + 1
+    return n_vertices < 1 or min_valence * n_vertices > 2 * n_edges
+
+
 def gc_enumerate(loop_order: int, n_edges: int, min_valence: int = 3):
     """Nonzero classes plus zero-class count at the given loop order and
     edge count: connected loopless multigraphs, valences >= min_valence,
@@ -221,9 +228,9 @@ def gc_enumerate(loop_order: int, n_edges: int, min_valence: int = 3):
         raise ValueError(
             "loop order guard is %d, got %d" % (GC_LOOP_ORDER_GUARD, loop_order)
         )
-    n_vertices = n_edges - loop_order + 1
-    if n_vertices < 1 or min_valence * n_vertices > 2 * n_edges:
+    if _layer_provably_empty(loop_order, n_edges, min_valence):
         return [], 0
+    n_vertices = n_edges - loop_order + 1
     seen: dict = {}
     for edges in _edge_multisets(n_vertices, n_edges):
         g = GCGraph(n_vertices, edges)
@@ -279,48 +286,43 @@ def gc_delta(x: GCClass, min_valence: int = 3) -> FormalSum:
     return out
 
 
+@dataclass(frozen=True)
+class GCSpec:
+    """Fixed-loop-order slice of the complex, cells indexed by edge count
+    (the one cell per edge count is keyed by the loop order)."""
+
+    loop_order: int
+    d: int
+    e_min: int
+    e_max: int
+    min_valence: int = 3
+
+    def degree(self, e: int) -> int:
+        return 2 * self.d * (e - self.loop_order) + (1 - 2 * self.d) * e
+
+    def cells(self, e: int) -> list[int]:
+        return [self.loop_order]
+
+
+def gc_build(spec: GCSpec) -> ComplexSlice:
+    """Enumerate bases, assemble the vertex-splitting matrices and verify
+    that consecutive matrices compose to zero."""
+    sl = ComplexSlice(spec)
+    for e in range(spec.e_min, spec.e_max + 1):
+        nonzero, zero = gc_enumerate(spec.loop_order, e, spec.min_valence)
+        sl.bases[e] = nonzero
+        sl.cell_dims[(spec.loop_order, e)] = len(nonzero)
+        sl.zero_counts[(spec.loop_order, e)] = zero
+    for e in (spec.e_min - 1, spec.e_max + 1):
+        sl.empty_edge[e] = _layer_provably_empty(spec.loop_order, e, spec.min_valence)
+    assemble_differentials(sl, lambda c: gc_delta(c, spec.min_valence))
+    return sl
+
+
 def gc_cohomology(loop_order: int, d: int, e_range: tuple, min_valence: int = 3):
     """Per-degree cohomology of the fixed-loop-order slice; the grading is
     |G| = 2d(V-1)+(1-2d)E, and edges within e_range index the cells.
 
-    Returns a list of row dicts (degree, edges, dim, rank_in, rank_out, h,
-    status, certified) ordered by edge count."""
+    Returns the row dicts of complexes.cohomology ordered by edge count."""
     e_min, e_max = e_range
-    bases = {}
-    for e in range(e_min, e_max + 1):
-        bases[e], _ = gc_enumerate(loop_order, e, min_valence)
-    mats = {}
-    for e in range(e_min, e_max):
-        op = lambda c: gc_delta(c, min_valence)
-        mats[e] = assemble(bases[e], bases[e + 1], op)
-    for e in range(e_min, e_max - 1):
-        if not mats[e + 1].matmul(mats[e]).is_zero():
-            raise ValueError("gc delta squared is nonzero at E=%d" % e)
-    rows = []
-    for e in range(e_min, e_max + 1):
-        dim = len(bases[e])
-        d_in = mats.get(e - 1)
-        d_out = mats.get(e)
-        rank_in = rank_out = 0
-        cert_ok = True
-        if d_in is not None:
-            rank_in, ok = certified_rank(d_in)
-            cert_ok = cert_ok and ok
-        if d_out is not None:
-            rank_out, ok = certified_rank(d_out)
-            cert_ok = cert_ok and ok
-        truncated = e in (e_min, e_max) and dim > 0
-        status = "truncated" if truncated else ("certified" if cert_ok else "provisional")
-        sample_deg = 2 * d * (e - loop_order) + (1 - 2 * d) * e
-        rows.append(
-            {
-                "degree": sample_deg,
-                "edges": e,
-                "dim": dim,
-                "rank_in": rank_in,
-                "rank_out": rank_out,
-                "h": dim - rank_in - rank_out,
-                "status": status,
-            }
-        )
-    return rows
+    return cohomology(gc_build(GCSpec(loop_order, d, e_min, e_max, min_valence)))

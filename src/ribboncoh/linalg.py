@@ -94,9 +94,7 @@ def assemble(domain_basis, codomain_basis, operator) -> SparseIntMatrix:
                 raise AssemblyError(
                     "image class %s not in codomain basis" % ocls.content_hash()
                 )
-            if coeff.denominator != 1:
-                raise AssemblyError("non-integer operator coefficient")
-            entries.append((row, j, int(coeff)))
+            entries.append((row, j, coeff))
     return SparseIntMatrix(len(codomain_basis), len(domain_basis), tuple(entries))
 
 

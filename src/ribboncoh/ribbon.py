@@ -9,7 +9,6 @@ and connectivity are all derived from these two arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 
 class InvalidGraph(ValueError):
@@ -203,7 +202,3 @@ def to_dot(g: RibbonGraph) -> str:
         lines.append('  v%d -- v%d [label="%d-%d"];' % (at_vertex[a], at_vertex[b], a, b))
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def iter_half_edges(g: RibbonGraph) -> Iterator[int]:
-    return iter(range(g.n_half_edges))

@@ -139,6 +139,13 @@ def test_opposite_needs_two_edges_even(loop):
     assert opp.edge_dirs[0] == (1, 0)
 
 
+def test_malformed_orientation_payload_raises():
+    with pytest.raises(ValueError):
+        Orientation(EVEN, edge_order=((0, 1),), vertex_order=(frozenset({0}),))
+    with pytest.raises(ValueError):
+        Orientation(ODD, vertex_order=(frozenset({0, 1}),), edge_dirs=((0, 1),))
+
+
 def test_zero_class_sign_is_one(theta0):
     cls, sign = to_oriented_class(theta0, reference_orientation(theta0, EVEN))
     assert cls.zero_flag

@@ -5,7 +5,6 @@ from ribboncoh.checks import (
     identity_suite,
     iter_generators,
     oracle_suite,
-    parallel_map,
     rank_suite,
     run_check,
     structural_suite,
@@ -13,12 +12,6 @@ from ribboncoh.checks import (
 from ribboncoh.diff import FormalSum, bridge
 
 SMALL = CheckBounds(g_max=1, e_max_full=3, e_max_ge3=3, e_max_le2=5, e_max_oracle=3)
-
-
-def test_parallel_map_preserves_order():
-    items = list(range(50))
-    assert parallel_map(lambda x: x * x, items, jobs=4) == [x * x for x in items]
-    assert parallel_map(lambda x: x * x, items, jobs=1) == [x * x for x in items]
 
 
 def test_bounds_serialization():

@@ -113,6 +113,45 @@ def test_export_graph_missing_arg(capsys):
     assert code == 2
 
 
+def test_export_graph_missing_file(capsys, tmp_path):
+    code, _, err = run(
+        capsys, "export", "--what", "graph", "--graph", str(tmp_path / "absent.json")
+    )
+    assert code == 2
+    assert "cannot load graph" in err
+
+
+@pytest.mark.parametrize("fmt", ["json", "dot"])
+@pytest.mark.parametrize(
+    "payload",
+    [{"sigma0": [0, 1], "sigma1": [0, 1]}, {"sigma1": [1, 0]}, [0, 1], "{"],
+    ids=["fixed-point", "no-sigma0", "not-an-object", "not-json"],
+)
+def test_export_graph_invalid_file(capsys, tmp_path, payload, fmt):
+    target = tmp_path / "bad.json"
+    target.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+    code, out, err = run(capsys, "export", "--what", "graph", "--graph", str(target), "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert "cannot load graph" in err
+
+
+def test_export_identity_failure(capsys, monkeypatch):
+    import ribboncoh.cli as cli
+    from ribboncoh.linalg import DifferentialIdentityError
+
+    def failing_build(spec, cache=None):
+        raise DifferentialIdentityError("injected")
+
+    monkeypatch.setattr(cli, "build", failing_build)
+    code, _, err = run(
+        capsys, "export", "--what", "matrix", "--kind", "kp", "-g", "1", "-n", "1",
+        "--sector", "ge3", "-E", "2..4", "--no-cache",
+    )
+    assert code == 1
+    assert "identity failure" in err
+
+
 def test_export_basis_and_matrix(capsys):
     code, out, _ = run(
         capsys, "export", "--what", "basis", "--kind", "kp", "-g", "1", "-n", "1",

@@ -106,3 +106,13 @@ def test_cohomology_frozen():
     assert by_e[6]["dim"] == 1 and by_e[6]["h"] == 1
     for e in (3, 4, 5, 7, 8):
         assert by_e[e]["h"] == 0
+
+
+def test_cohomology_truncated_without_empty_neighbor():
+    # E=5 holds zero classes only but is not provably empty, so the rank
+    # into E=6 is unknown and the K4 row cannot report h
+    rows = gc_cohomology(3, 0, (6, 8))
+    first = rows[0]
+    assert first["edges"] == 6 and first["dim"] == 1
+    assert first["status"] == "truncated" and first["h"] is None
+    assert first["cells"] == {3: 1} and first["zero_classes"] == 1
