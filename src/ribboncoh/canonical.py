@@ -6,6 +6,12 @@ sigma0-image then the sigma1-partner) and keep the lexicographically
 smallest relabeled pair of permutation arrays.  The traversal is rigid, so
 the roots realising the minimum give exactly the automorphism group.
 
+Each graph is canonicalized in one pass and nothing is memoized: root 0 is
+relabeled in full, and every other root is compared against the running
+best key with early abort (the rooted-code comparison of plantri,
+Brinkmann-McKay 2007), the same comparison the enumerator's minimality
+filter uses.  The zero flag reads its automorphisms off that same pass.
+
 Orientation data depends on the parity of the degree-shift integer d:
 an edge order for d even; a vertex order, boundary order, and a direction
 per edge for d odd.  A class is zero when some automorphism acts on its
@@ -59,12 +65,12 @@ def _bfs_relabel(s0: tuple, s1: tuple, root: int):
     return (tuple(t0), tuple(t1)), lab
 
 
-def _root_compare(s0: tuple, s1: tuple, root: int) -> int:
-    """Compare the traversal key from ``root`` against (s0, s1) itself.
+def _root_compare(s0: tuple, s1: tuple, root: int, k0: tuple, k1: tuple) -> int:
+    """Compare the traversal key of (s0, s1) from ``root`` against (k0, k1).
 
-    Assumes (s0, s1) is already the key of root 0 (traversal normal form).
     Returns -1 / 0 / +1 as the root's key is smaller / equal / larger,
-    aborting as early as the comparison is decided.
+    aborting as early as the comparison is decided.  The graph must be
+    connected.
     """
     n = len(s0)
     lab = [-1] * n
@@ -82,8 +88,8 @@ def _root_compare(s0: tuple, s1: tuple, root: int) -> int:
             lab[x] = cnt
             cnt += 1
             order.append(x)
-        if v != s0[i]:
-            return -1 if v < s0[i] else 1
+        if v != k0[i]:
+            return -1 if v < k0[i] else 1
         x = s1[h]
         v = lab[x]
         if v < 0:
@@ -91,46 +97,39 @@ def _root_compare(s0: tuple, s1: tuple, root: int) -> int:
             lab[x] = cnt
             cnt += 1
             order.append(x)
-        if t1cmp == 0 and v != s1[i]:
-            t1cmp = -1 if v < s1[i] else 1
+        if t1cmp == 0 and v != k1[i]:
+            t1cmp = -1 if v < k1[i] else 1
         i += 1
     return t1cmp
 
 
 def is_minimal_form(s0: tuple, s1: tuple) -> bool:
     """True iff (s0, s1), assumed in traversal normal form from root 0,
-    is its own canonical form.  Streaming filter for the enumerator; no
-    caching, early abort per root."""
-    return all(_root_compare(s0, s1, r) >= 0 for r in range(1, len(s0)))
-
-
-_CANON_CACHE_CAP = 300000
-_canon_cache: dict = {}
+    is its own canonical form.  Streaming filter for the enumerator."""
+    return all(_root_compare(s0, s1, r, s0, s1) >= 0 for r in range(1, len(s0)))
 
 
 def _canonical_data(s0: tuple, s1: tuple):
-    """(canonical (t0,t1), list of relabelings old->canonical achieving it)."""
-    key = (s0, s1)
-    hit = _canon_cache.get(key)
-    if hit is not None:
-        return hit
-    n = len(s0)
-    best = None
-    maps = []
-    for root in range(n):
+    """(canonical (t0,t1), list of relabelings old->canonical achieving it).
+
+    Root 0 is relabeled in full; every other root is compared against the
+    running best with early abort and relabeled only when it ties or wins.
+    """
+    best, lab = _bfs_relabel(s0, s1, 0)
+    if best is None:
+        raise DisconnectedGraph("canonical form requires a connected graph")
+    maps = [lab]
+    for root in range(1, len(s0)):
+        c = _root_compare(s0, s1, root, *best)
+        if c > 0:
+            continue
         cand, lab = _bfs_relabel(s0, s1, root)
-        if cand is None:
-            raise DisconnectedGraph("canonical form requires a connected graph")
-        if best is None or cand < best:
+        if c < 0:
             best = cand
             maps = [lab]
-        elif cand == best:
+        else:
             maps.append(lab)
-    result = (best, maps)
-    if len(_canon_cache) >= _CANON_CACHE_CAP:
-        _canon_cache.clear()
-    _canon_cache[key] = result
-    return result
+    return best, maps
 
 
 def canonical_form(g: RibbonGraph) -> tuple[RibbonGraph, list[int]]:
@@ -333,22 +332,18 @@ class OrientedClass:
         }
 
 
-_zero_cache: dict = {}
-
-
-def _zero_flag(canon: RibbonGraph, parity: int) -> bool:
-    key = (canon.sigma0, canon.sigma1, parity)
-    hit = _zero_cache.get(key)
-    if hit is not None:
-        return hit
+def _zero_flag(canon: RibbonGraph, maps: list, parity: int) -> bool:
+    """True when some automorphism of canon reverses its reference
+    orientation.  maps are the optimal relabelings of one canonicalization
+    pass, so Aut(canon) = {lab o maps[0]^-1 : lab in maps}; maps[0] gives
+    the identity, which is skipped."""
     ref = reference_orientation(canon, parity)
-    flag = any(
-        _compare_sign(_transport(ref, list(a)), ref) < 0 for a in automorphisms(canon)
+    inv = [0] * len(maps[0])
+    for h, x in enumerate(maps[0]):
+        inv[x] = h
+    return any(
+        _compare_sign(_transport(ref, [lab[h] for h in inv]), ref) < 0 for lab in maps[1:]
     )
-    if len(_zero_cache) >= _CANON_CACHE_CAP:
-        _zero_cache.clear()
-    _zero_cache[key] = flag
-    return flag
 
 
 def to_oriented_class(g: RibbonGraph, or_: Orientation) -> tuple[OrientedClass, int]:
@@ -357,12 +352,14 @@ def to_oriented_class(g: RibbonGraph, or_: Orientation) -> tuple[OrientedClass, 
     Returns the class and the comparison sign; the sign is meaningless (and
     returned as +1) when the class is zero.
     """
-    canon, lab = canonical_form(g)
-    flag = _zero_flag(canon, or_.parity)
-    cls = OrientedClass(canon.sigma0, canon.sigma1, or_.parity, flag)
+    check_valid(g)
+    (t0, t1), maps = _canonical_data(g.sigma0, g.sigma1)
+    canon = RibbonGraph(t0, t1)
+    flag = _zero_flag(canon, maps, or_.parity)
+    cls = OrientedClass(t0, t1, or_.parity, flag)
     if flag:
         return cls, 1
-    sign = _compare_sign(_transport(or_, lab), reference_orientation(canon, or_.parity))
+    sign = _compare_sign(_transport(or_, maps[0]), reference_orientation(canon, or_.parity))
     return cls, sign
 
 

@@ -70,16 +70,20 @@ def iter_generators(bounds: CheckBounds):
             yield spec, cls
 
 
+def _spec_json(spec: EnumSpec) -> dict:
+    return {
+        "genus": spec.genus,
+        "boundaries": spec.boundaries,
+        "edges": spec.edges,
+        "min_valence": spec.min_valence,
+        "parity": spec.parity,
+    }
+
+
 def _violation(suite: str, spec: EnumSpec, cls, detail: str) -> dict:
     return {
         "suite": suite,
-        "spec": {
-            "genus": spec.genus,
-            "boundaries": spec.boundaries,
-            "edges": spec.edges,
-            "min_valence": spec.min_valence,
-            "parity": spec.parity,
-        },
+        "spec": _spec_json(spec),
         "generator": cls.content_hash(),
         "detail": detail,
     }
@@ -126,50 +130,26 @@ def structural_suite(bounds: CheckBounds, jobs: int = 1) -> dict:
     graph."""
     gens = list(iter_generators(bounds))
 
+    def shape_of(g):
+        return (g.n_edges, len(vertices(g)), len(boundaries(g)), genus(g))
+
     def check(item):
         spec, cls = item
-        g = cls.graph
-        e0, v0, b0, g0 = (
-            g.n_edges,
-            len(vertices(g)),
-            len(boundaries(g)),
-            genus(g),
+        e0, v0, b0, g0 = shape_of(cls.graph)
+        term_sets = (
+            ("delta_terms", delta_terms(cls), (e0 + 1, v0 + 1, b0, g0)),
+            ("bridge_terms", bridge_terms(cls), (e0 + 1, v0, b0 + 1, g0)),
         )
         out = []
-        for out_g, _ in delta_terms(cls):
-            if validate(out_g) is not None or not is_connected(out_g):
-                out.append(_violation("delta_terms", spec, cls, "invalid term graph"))
-                continue
-            shape = (
-                out_g.n_edges,
-                len(vertices(out_g)),
-                len(boundaries(out_g)),
-                genus(out_g),
-            )
-            if shape != (e0 + 1, v0 + 1, b0, g0):
-                out.append(
-                    _violation(
-                        "delta_terms", spec, cls,
-                        "expected (E+1,V+1,B,g)=%s got %s" % ((e0 + 1, v0 + 1, b0, g0), shape),
-                    )
-                )
-        for out_g, _ in bridge_terms(cls):
-            if validate(out_g) is not None or not is_connected(out_g):
-                out.append(_violation("bridge_terms", spec, cls, "invalid term graph"))
-                continue
-            shape = (
-                out_g.n_edges,
-                len(vertices(out_g)),
-                len(boundaries(out_g)),
-                genus(out_g),
-            )
-            if shape != (e0 + 1, v0, b0 + 1, g0):
-                out.append(
-                    _violation(
-                        "bridge_terms", spec, cls,
-                        "expected (E+1,V,B+1,g)=%s got %s" % ((e0 + 1, v0, b0 + 1, g0), shape),
-                    )
-                )
+        for name, terms, expected in term_sets:
+            for out_g, _ in terms:
+                if validate(out_g) is not None or not is_connected(out_g):
+                    out.append(_violation(name, spec, cls, "invalid term graph"))
+                    continue
+                shape = shape_of(out_g)
+                if shape != expected:
+                    detail = "expected (E,V,B,g)=%s got %s" % (expected, shape)
+                    out.append(_violation(name, spec, cls, detail))
         return out
 
     violations = [v for item in gens for v in check(item)]
@@ -199,7 +179,7 @@ def oracle_suite(bounds: CheckBounds, jobs: int = 1) -> dict:
             return [
                 {
                     "suite": "enumeration_oracle",
-                    "spec": spec.__dict__ if hasattr(spec, "__dict__") else str(spec),
+                    "spec": _spec_json(spec),
                     "detail": "class sets differ: %d fast vs %d brute"
                     % (len(fast_nz), len(slow_nz)),
                 }
@@ -208,7 +188,7 @@ def oracle_suite(bounds: CheckBounds, jobs: int = 1) -> dict:
             return [
                 {
                     "suite": "enumeration_oracle",
-                    "spec": str(spec),
+                    "spec": _spec_json(spec),
                     "detail": "zero-class counts differ: %d vs %d" % (fast_zero, slow_zero),
                 }
             ]

@@ -134,7 +134,7 @@ def cmd_enumerate(args) -> int:
         nonzero, zero = enumerate_classes(spec)
     if args.format == "json":
         print(json.dumps({
-            "spec": spec.__dict__ if hasattr(spec, "__dict__") else None,
+            "spec": spec.__dict__,
             "classes": [c.to_json() for c in nonzero],
             "zero_classes": zero,
         }, sort_keys=True, default=str))

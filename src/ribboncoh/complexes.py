@@ -221,9 +221,7 @@ def cohomology(sl: ComplexSlice) -> list[dict]:
     rows = []
     for e in range(spec.e_min, spec.e_max + 1):
         dim = sl.dim(e)
-        r_in, in_cert = ranks(e - 1) if e > spec.e_min else (
-            (0, True) if sl.empty_edge.get(spec.e_min - 1) else (None, False)
-        )
+        r_in, in_cert = ranks(e - 1)
         r_out, out_cert = ranks(e)
         known = r_in is not None and r_out is not None
         h = dim - r_in - r_out if known else None

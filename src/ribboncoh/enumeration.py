@@ -42,26 +42,22 @@ class EnumSpec:
         return True, ""
 
 
-def _generate_normal_forms(n_darts: int, min_valence: int, n_vertices: int, visit=None):
-    """All connected maps on n_darts half-edges with exactly n_vertices
-    vertices, every valence >= min_valence, labeled in traversal normal
-    form from root 0.  Backtracking over the two permutation arrays.
-
-    With a ``visit`` callback the candidates are streamed (nothing is
-    retained); otherwise they are collected into the returned list."""
+def _generate_normal_forms(n_darts: int, min_valence: int, n_vertices: int, visit) -> None:
+    """Stream to ``visit`` every connected map on n_darts half-edges with
+    exactly n_vertices vertices, every valence >= min_valence, labeled in
+    traversal normal form from root 0.  Backtracking over the two
+    permutation arrays; nothing is retained."""
     s0 = [-1] * n_darts
     s1 = [-1] * n_darts
     pre0 = [False] * n_darts          # dart already has a sigma0 preimage
     chain_start = list(range(n_darts))  # valid for the end dart of each chain
     chain_end = list(range(n_darts))    # valid for the start dart
     chain_size = [1] * n_darts          # valid for the start dart
-    results = [] if visit is None else None
-    emit = results.append if visit is None else visit
 
     def rec(i: int, next_new: int, closed: int):
         if i == next_new:
             if next_new == n_darts and closed == n_vertices:
-                emit((tuple(s0), tuple(s1)))
+                visit((tuple(s0), tuple(s1)))
             return
         h = i
         if s0[h] < 0:
@@ -130,10 +126,9 @@ def _generate_normal_forms(n_darts: int, min_valence: int, n_vertices: int, visi
             s1[j] = -1
 
     rec(0, 1, 0)
-    return results
 
 
-_gen_cache: dict = {}  # (E, min_valence, V) -> (complete: bool, bins: {n: [RibbonGraph]})
+_gen_cache: dict = {}  # (E, min_valence, V) -> {n: [RibbonGraph]}, complete passes only
 
 
 def _generate_bins(n_edges: int, min_valence: int, n_vertices: int, keep_ns=None):
@@ -161,30 +156,16 @@ def maps_by_boundary(
 ) -> dict[int, list[RibbonGraph]]:
     """Connected isomorphism-class representatives (canonical labels) with
     the given edge and vertex counts and valence floor, grouped by
-    boundary count.  keep_ns (iterable of n values or None) limits which
-    groups are generated and cached; a complete cached run serves every
-    later request."""
+    boundary count; empty groups are absent.  keep_ns (iterable of n
+    values or None) limits which groups are kept.  Only complete passes
+    (keep_ns None) are cached."""
+    if keep_ns is not None:
+        return _generate_bins(n_edges, min_valence, n_vertices, frozenset(keep_ns))
     key = (n_edges, min_valence, n_vertices)
-    hit = _gen_cache.get(key)
-    wanted = None if keep_ns is None else frozenset(keep_ns)
-    if hit is not None:
-        complete, bins = hit
-        if complete or (wanted is not None and wanted <= set(bins)):
-            if wanted is None:
-                return bins
-            return {n: bins.get(n, []) for n in wanted}
-    bins = _generate_bins(n_edges, min_valence, n_vertices, wanted)
-    if wanted is None:
-        _gen_cache[key] = (True, bins)
-        return bins
-    # merge with previously kept bins, marking requested-but-empty ones so
-    # a repeat hit is served from cache
-    stored = dict(hit[1]) if hit is not None else {}
-    stored.update(bins)
-    for n in wanted:
-        stored.setdefault(n, [])
-    _gen_cache[key] = (False, stored)
-    return {n: stored[n] for n in wanted}
+    bins = _gen_cache.get(key)
+    if bins is None:
+        bins = _gen_cache[key] = _generate_bins(n_edges, min_valence, n_vertices)
+    return bins
 
 
 def _split_by_zero(graphs, spec: EnumSpec):
@@ -211,16 +192,16 @@ def enumerate_classes(spec: EnumSpec) -> tuple[list[OrientedClass], int]:
 
 
 def enumerate_cell(spec: EnumSpec) -> tuple[list[OrientedClass], int]:
-    """Same contract as enumerate_classes but generates only the requested
-    boundary bin, keeping memory proportional to the one cell.  Preferred
-    by the complex builder at large edge counts."""
+    """Same contract as enumerate_classes but keeps only the requested
+    boundary bin and caches nothing, keeping memory proportional to the one
+    cell.  Preferred by the complex builder at large edge counts."""
     ok, _note = spec.is_consistent()
     if not ok:
         return [], 0
     bins = maps_by_boundary(
         spec.edges, spec.min_valence, spec.n_vertices, keep_ns={spec.boundaries}
     )
-    return _split_by_zero(bins[spec.boundaries], spec)
+    return _split_by_zero(bins.get(spec.boundaries, []), spec)
 
 
 BRUTE_FORCE_DART_LIMIT = 10

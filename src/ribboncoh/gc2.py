@@ -108,18 +108,26 @@ def _product_perms(pools):
             yield (p,) + tail
 
 
-def gc_canonical(g: GCGraph) -> tuple[GCGraph, tuple]:
-    """Canonical representative (lexicographically minimal relabeled edge
-    tuple over valence-preserving vertex permutations) plus one optimal
-    permutation old->new."""
+def _gc_canonical_data(g: GCGraph) -> tuple[tuple, list[tuple]]:
+    """(lexicographically minimal relabeled edge tuple over valence-
+    preserving vertex permutations, every permutation old->new achieving
+    it in scan order), from one scan."""
     best = None
-    best_perm = None
+    perms = []
     for perm in _degree_compatible_perms(g):
         cand = _relabeled_edges(g, perm)
         if best is None or cand < best:
             best = cand
-            best_perm = perm
-    return GCGraph(g.n_vertices, best), best_perm
+            perms = [perm]
+        elif cand == best:
+            perms.append(perm)
+    return best, perms
+
+
+def gc_canonical(g: GCGraph) -> tuple[GCGraph, tuple]:
+    """Canonical representative plus one optimal permutation old->new."""
+    best, perms = _gc_canonical_data(g)
+    return GCGraph(g.n_vertices, best), perms[0]
 
 
 def gc_automorphisms(g: GCGraph) -> list[tuple]:
@@ -171,10 +179,16 @@ class GCClass:
         }
 
 
-def _zero_flag_gc(canon: GCGraph) -> bool:
+def _zero_flag_gc(canon: GCGraph, perms: list[tuple]) -> bool:
+    """perms are the optimal permutations of the scan that produced canon,
+    so Aut(canon) = {p o perms[0]^-1 : p in perms}; perms[0] gives the
+    identity, which is skipped."""
     if canon.has_parallel_edges():
         return True
-    return any(_edge_perm_sign(canon, a) < 0 for a in gc_automorphisms(canon))
+    inv = [0] * canon.n_vertices
+    for v, x in enumerate(perms[0]):
+        inv[x] = v
+    return any(_edge_perm_sign(canon, [p[v] for v in inv]) < 0 for p in perms[1:])
 
 
 def to_gc_class(g: GCGraph, edge_order=None) -> tuple[GCClass, int]:
@@ -183,11 +197,13 @@ def to_gc_class(g: GCGraph, edge_order=None) -> tuple[GCClass, int]:
     +1 and meaningless for zero classes."""
     if edge_order is None:
         edge_order = g.edges
-    canon, perm = gc_canonical(g)
-    flag = _zero_flag_gc(canon)
+    best, perms = _gc_canonical_data(g)
+    canon = GCGraph(g.n_vertices, best)
+    flag = _zero_flag_gc(canon, perms)
     cls = GCClass(canon.n_vertices, canon.edges, flag)
     if flag:
         return cls, 1
+    perm = perms[0]
     transported = [tuple(sorted((perm[a], perm[b]))) for a, b in edge_order]
     pos = {e: i for i, e in enumerate(canon.edges)}
     sign = perm_sign([pos[e] for e in transported])
@@ -238,16 +254,11 @@ def gc_enumerate(loop_order: int, n_edges: int, min_valence: int = 3):
             continue
         if not g.is_connected():
             continue
-        canon, _ = gc_canonical(g)
-        seen[canon.edges] = canon
-    nonzero = []
-    zero = 0
-    for canon in seen.values():
-        flag = _zero_flag_gc(canon)
-        if flag:
-            zero += 1
-        else:
-            nonzero.append(GCClass(canon.n_vertices, canon.edges, flag))
+        best, perms = _gc_canonical_data(g)
+        if best not in seen:
+            seen[best] = _zero_flag_gc(GCGraph(n_vertices, best), perms)
+    nonzero = [GCClass(n_vertices, edges, False) for edges, flag in seen.items() if not flag]
+    zero = len(seen) - len(nonzero)
     nonzero.sort(key=lambda c: c.content_hash())
     return nonzero, zero
 

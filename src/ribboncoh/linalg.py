@@ -223,13 +223,3 @@ def certified_rank(m: SparseIntMatrix, primes=CERTIFICATION_PRIMES) -> tuple[int
 
 class DifferentialIdentityError(ValueError):
     """Consecutive differentials failed to compose to zero."""
-
-
-def cohomology_dims(d_in: SparseIntMatrix, d_out: SparseIntMatrix) -> int:
-    """dim ker(d_out) - rank(d_in) for a consecutive pair of differentials
-    acting on the space of dimension d_out.cols == d_in.rows."""
-    if d_in.rows != d_out.cols:
-        raise ValueError("differentials do not share the middle space")
-    if not d_out.matmul(d_in).is_zero():
-        raise DifferentialIdentityError("d o d != 0")
-    return d_out.cols - rank(d_out) - rank(d_in)

@@ -6,9 +6,13 @@ heavy cohomology tables are shared through module-scoped fixtures; the
 full module takes tens of minutes, dominated by the genus-0 edge-8 layer.
 """
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import ribboncoh
 from ribboncoh.canonical import EVEN
 from ribboncoh.checks import (
     CheckBounds,
@@ -221,8 +225,8 @@ DETERMINISM_SPECS = {
 }
 
 
-def _suite_payload(jobs: int) -> bytes:
-    payload = {"check": run_check(DETERMINISM_BOUNDS, jobs=jobs)}
+def _suite_payload() -> bytes:
+    payload = {"check": run_check(DETERMINISM_BOUNDS)}
     for name, spec in DETERMINISM_SPECS.items():
         sl = build(spec)
         payload[name] = {"rows": cohomology(sl), "euler": euler(sl)}
@@ -231,8 +235,19 @@ def _suite_payload(jobs: int) -> bytes:
 
 
 def test_criterion_10_determinism(capsys):
-    one = _suite_payload(jobs=1)
-    three = _suite_payload(jobs=3)
-    ok = one == three
-    announce(capsys, 10, "determinism across --jobs", ok, "%d-byte payloads" % len(one))
-    assert one == three
+    # the first payload comes from a fresh interpreter (cold memo tables,
+    # another hash seed), the second from this process (memo tables warmed
+    # by the tests before it)
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    path = [os.path.dirname(os.path.dirname(ribboncoh.__file__)), os.path.dirname(__file__)]
+    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(path))
+    code = "import sys, test_acceptance; sys.stdout.buffer.write(test_acceptance._suite_payload())"
+    child = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, timeout=600
+    )
+    assert child.returncode == 0, child.stderr.decode()
+    cold = child.stdout
+    warm = _suite_payload()
+    ok = cold == warm
+    announce(capsys, 10, "determinism cold vs warm", ok, "%d-byte payloads" % len(warm))
+    assert cold == warm

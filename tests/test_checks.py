@@ -1,4 +1,5 @@
 """Verification suites: clean passes at small bounds, fault injection."""
+from ribboncoh import checks
 from ribboncoh.canonical import EVEN, ODD
 from ribboncoh.checks import (
     CheckBounds,
@@ -59,6 +60,25 @@ def test_fault_injection_is_detected():
     v = report["violations"][0]
     assert v["suite"] in ("bridge_squared", "anticommutator")
     assert "generator" in v and "spec" in v
+
+
+def test_oracle_zero_count_mismatch_names_spec(monkeypatch):
+    # a brute-force scan that miscounts zero classes must be reported with
+    # the same spec payload as every other violation
+    real = checks.enumerate_bruteforce
+
+    def miscounting(spec):
+        nonzero, zero = real(spec)
+        return nonzero, zero + 1
+
+    monkeypatch.setattr(checks, "enumerate_bruteforce", miscounting)
+    report = oracle_suite(CheckBounds(e_max_oracle=1))
+    assert not report["passed"]
+    v = report["violations"][0]
+    assert v["detail"].startswith("zero-class counts differ")
+    assert v["spec"] == {
+        "genus": 0, "boundaries": 1, "edges": 1, "min_valence": 1, "parity": EVEN,
+    }
 
 
 def test_run_check_aggregates():

@@ -3,8 +3,11 @@ import pytest
 
 from ribboncoh.cache import Cache
 from ribboncoh.canonical import EVEN, ODD
+from ribboncoh.diff import FormalSum, bridge, delta, project_ge3
+from ribboncoh.linalg import DifferentialIdentityError
 from ribboncoh.complexes import (
     ComplexSpec,
+    assemble_differentials,
     build,
     calc1_expectation,
     calc1_offsets,
@@ -81,6 +84,19 @@ def test_mw_small_build():
         assert by_e[e]["status"] == "certified"
         assert by_e[e]["h"] == 0
     assert by_e[5]["dim"] == 34
+
+
+def test_assemble_differentials_detects_broken_operator():
+    # drop one term of the corner operator: consecutive matrices no longer
+    # compose to zero
+    def broken(cls):
+        full = bridge(cls)
+        terms = sorted(full.terms(), key=lambda t: t[0].content_hash())
+        return project_ge3(delta(cls) + FormalSum(terms[1:]))
+
+    sl = build(ComplexSpec("mw", 0, 0, "ge3", 1, 5))
+    with pytest.raises(DifferentialIdentityError):
+        assemble_differentials(sl, broken)
 
 
 def test_cache_round_trip(tmp_path):

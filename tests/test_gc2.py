@@ -4,6 +4,8 @@ import pytest
 from ribboncoh.diff import apply_linear
 from ribboncoh.gc2 import (
     GCGraph,
+    _edge_multisets,
+    _edge_perm_sign,
     gc_automorphisms,
     gc_canonical,
     gc_cohomology,
@@ -61,6 +63,22 @@ def test_zero_flags():
     # two triangles sharing an edge: every automorphism is edge-even
     dt = GCGraph(4, ((0, 1), (0, 2), (1, 2), (1, 3), (2, 3)))
     assert not to_gc_class(dt)[0].zero_flag
+
+
+def test_zero_flag_matches_automorphism_scan():
+    # the zero flag read off the canonicalization scan agrees with a
+    # separate scan of the automorphisms of the canonical graph
+    for n_vertices, n_edges in ((2, 3), (3, 4), (3, 5), (4, 5), (4, 6)):
+        for edges in _edge_multisets(n_vertices, n_edges):
+            g = GCGraph(n_vertices, edges)
+            if not g.is_connected():
+                continue
+            cls, _ = to_gc_class(g)
+            canon = cls.graph
+            expected = canon.has_parallel_edges() or any(
+                _edge_perm_sign(canon, a) < 0 for a in gc_automorphisms(canon)
+            )
+            assert cls.zero_flag is expected
 
 
 def test_edge_order_sign():

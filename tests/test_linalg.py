@@ -9,11 +9,9 @@ from ribboncoh.enumeration import EnumSpec, enumerate_classes
 from ribboncoh.linalg import (
     CERTIFICATION_PRIMES,
     AssemblyError,
-    DifferentialIdentityError,
     SparseIntMatrix,
     assemble,
     certified_rank,
-    cohomology_dims,
     is_probable_prime,
     rank,
     rank_modp,
@@ -97,17 +95,6 @@ def test_assemble_detects_missing_codomain():
     assert any(not delta(cls).is_zero() for cls in dom)
     with pytest.raises(AssemblyError):
         assemble(dom, [], delta)
-
-
-def test_cohomology_dims():
-    # 0 -> Q -x2-> Q -> 0 at the middle: exact, h = 0
-    d_in = SparseIntMatrix(1, 1, ((0, 0, 2),))
-    d_out = SparseIntMatrix(1, 1, ())
-    assert cohomology_dims(d_in, d_out) == 0
-    with pytest.raises(DifferentialIdentityError):
-        cohomology_dims(d_in, SparseIntMatrix(1, 1, ((0, 0, 1),)))
-    with pytest.raises(ValueError):
-        cohomology_dims(SparseIntMatrix(2, 1, ()), d_out)
 
 
 @st.composite
