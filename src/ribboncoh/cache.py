@@ -1,9 +1,11 @@
 """On-disk result cache: JSON-lines bases, triplet matrices, JSON tables.
 
 Every artifact is keyed by a content hash of its generating spec plus the
-format version; version-mismatched or corrupt entries are ignored and
-recomputed, never silently reused.  Writes are atomic (temp file then
-rename) so concurrent readers only ever see complete payloads.
+format version.  Its first line names the kind, the format version and the
+SHA-256 of the rest of the file; an entry whose header does not match, or
+whose body does not parse, is a miss and gets recomputed, never reused.
+Writes are atomic (temp file then rename) so concurrent readers only ever
+see complete payloads.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ import tempfile
 from .canonical import OrientedClass
 from .linalg import SparseIntMatrix
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 ENV_CACHE_DIR = "RIBBONCOH_CACHE_DIR"
 DEFAULT_CACHE_DIR = ".cache/ribboncoh"
 
@@ -55,35 +57,41 @@ class Cache:
                 os.unlink(tmp)
             raise
 
+    def _store(self, kind: str, key: dict, suffix: str, body: str) -> None:
+        if self.enabled:
+            text = _header(kind, body) + "\n" + body
+            self._write_atomic(self._path(kind, key, suffix), text)
+
+    def _load(self, kind: str, key: dict, suffix: str):
+        """The body of an entry whose header names its kind, the format
+        version and the SHA-256 of the body; None on any mismatch."""
+        if not self.enabled:
+            return None
+        try:
+            with open(self._path(kind, key, suffix)) as f:
+                text = f.read()
+        except (OSError, UnicodeDecodeError):
+            return None
+        head, _, body = text.partition("\n")
+        return body if head == _header(kind, body) else None
+
     # bases -----------------------------------------------------------
 
     def store_basis(self, key: dict, classes, zero_count: int) -> None:
-        if not self.enabled:
-            return
-        header = "# ribboncoh basis v%d zero_classes=%d" % (FORMAT_VERSION, zero_count)
-        lines = [header]
-        for cls in classes:
-            lines.append(json.dumps(cls.to_json(), sort_keys=True))
-        self._write_atomic(self._path("basis", key, "jsonl"), "\n".join(lines) + "\n")
+        lines = ["zero_classes=%d" % zero_count]
+        lines.extend(json.dumps(cls.to_json(), sort_keys=True) for cls in classes)
+        self._store("basis", key, "jsonl", "\n".join(lines) + "\n")
 
     def load_basis(self, key: dict):
-        """(classes, zero_count) or None on miss/version mismatch."""
-        if not self.enabled:
-            return None
-        path = self._path("basis", key, "jsonl")
-        try:
-            with open(path) as f:
-                lines = f.read().splitlines()
-        except OSError:
-            return None
-        if not lines or not lines[0].startswith("# ribboncoh basis v%d " % FORMAT_VERSION):
+        """(classes, zero_count) or None on a miss."""
+        body = self._load("basis", key, "jsonl")
+        if body is None:
             return None
         try:
-            zero_count = int(lines[0].rsplit("zero_classes=", 1)[1])
+            first, *rest = body.splitlines()
+            zero_count = int(first.removeprefix("zero_classes="))
             classes = []
-            for ln in lines[1:]:
-                if not ln.strip() or ln.startswith("#"):
-                    continue
+            for ln in rest:
                 rec = json.loads(ln)
                 cls = OrientedClass(
                     tuple(rec["sigma0"]),
@@ -94,29 +102,18 @@ class Cache:
                 if cls.content_hash() != rec["hash"]:
                     return None
                 classes.append(cls)
-        except (KeyError, ValueError, IndexError):
+        except (KeyError, ValueError, IndexError, TypeError):
             return None
         return classes, zero_count
 
     # matrices --------------------------------------------------------
 
     def store_matrix(self, key: dict, m: SparseIntMatrix) -> None:
-        if not self.enabled:
-            return
-        text = "# ribboncoh matrix v%d\n" % FORMAT_VERSION + m.to_triplet_text()
-        self._write_atomic(self._path("matrix", key, "txt"), text)
+        self._store("matrix", key, "txt", m.to_triplet_text())
 
     def load_matrix(self, key: dict):
-        if not self.enabled:
-            return None
-        path = self._path("matrix", key, "txt")
-        try:
-            with open(path) as f:
-                text = f.read()
-        except OSError:
-            return None
-        head, _, body = text.partition("\n")
-        if head != "# ribboncoh matrix v%d" % FORMAT_VERSION:
+        body = self._load("matrix", key, "txt")
+        if body is None:
             return None
         try:
             return SparseIntMatrix.from_triplet_text(body)
@@ -126,25 +123,21 @@ class Cache:
     # tables ----------------------------------------------------------
 
     def store_table(self, key: dict, payload) -> None:
-        if not self.enabled:
-            return
-        text = json.dumps(
-            {"version": FORMAT_VERSION, "payload": payload}, sort_keys=True, indent=1
-        )
-        self._write_atomic(self._path("table", key, "json"), text)
+        self._store("table", key, "json", json.dumps(payload, sort_keys=True, indent=1))
 
     def load_table(self, key: dict):
-        if not self.enabled:
+        body = self._load("table", key, "json")
+        if body is None:
             return None
-        path = self._path("table", key, "json")
         try:
-            with open(path) as f:
-                rec = json.load(f)
-        except (OSError, ValueError):
+            return json.loads(body)
+        except ValueError:
             return None
-        if not isinstance(rec, dict) or rec.get("version") != FORMAT_VERSION:
-            return None
-        return rec["payload"]
+
+
+def _header(kind: str, body: str) -> str:
+    digest = hashlib.sha256(body.encode()).hexdigest()
+    return "# ribboncoh %s v%d sha256=%s" % (kind, FORMAT_VERSION, digest)
 
 
 NO_CACHE = Cache(None)

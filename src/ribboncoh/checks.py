@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+import functools
 import random
 
 from .canonical import EVEN, ODD
@@ -94,9 +95,11 @@ def identity_suite(
 ) -> dict:
     """delta^2 = 0, the corner operator squared = 0, and the
     anticommutator = 0 on every nonzero generator in scope.  The operator
-    arguments exist so the harness can inject a fault."""
-    d_op = delta_op or delta
-    b_op = bridge_op or bridge
+    arguments exist so the harness can inject a fault.  Images are reused
+    (the squares apply each operator again to image terms), so both
+    operators are memoized for the length of this one call."""
+    d_op = functools.cache(delta_op or delta)
+    b_op = functools.cache(bridge_op or bridge)
     gens = list(iter_generators(bounds))
 
     def check(item):

@@ -240,6 +240,9 @@ def cmd_export(args) -> int:
         else:
             _emit(json.dumps(g.to_json(), sort_keys=True) + "\n", args.output)
         return 0
+    if args.edge_range is None:
+        print("-E is required for --what %s" % args.what, file=sys.stderr)
+        return 2
     try:
         spec = _complex_spec(args)
     except ValueError as exc:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 from .canonical import EVEN, ODD, OrientedClass
 from .diff import FormalSum, bridge, delta, project_ge3
-from .enumeration import EnumSpec, enumerate_cell, le2_classes
+from .enumeration import EnumSpec, enumerate_classes, le2_classes
 from .linalg import DifferentialIdentityError, assemble, certified_rank
 
 KINDS = ("kp", "mw")
@@ -91,7 +91,7 @@ def _cell_classes(spec: ComplexSpec, n: int, e: int):
     cell = _cell_spec(spec, n, e)
     if spec.sector == "le2":
         return le2_classes(cell)
-    return enumerate_cell(cell)
+    return enumerate_classes(cell)
 
 
 def _cell_provably_empty(spec: ComplexSpec, n: int, e: int) -> bool:

@@ -11,6 +11,10 @@ anticommutation suites pin ours): the new edge is appended last in the
 edge order for even parity; for odd parity the new vertex/boundary is
 appended last and the new edge is directed from the half-edge at the
 smaller corner label.
+
+Both operators return a fresh image on every call; the module keeps no
+state between calls.  A caller that applies them to the same class more
+than once memoizes them itself (``checks.identity_suite``).
 """
 from __future__ import annotations
 
@@ -232,11 +236,17 @@ def bridge_terms(x: OrientedClass):
             yield out, orient
 
 
-_delta_cache: dict = {}
-_bridge_cache: dict = {}
+def _image(raw_terms, koszul: int = 1) -> FormalSum:
+    """Canonicalize each raw (graph, orientation) term and add it with its
+    sign times koszul."""
+    out = FormalSum()
+    for g, orient in raw_terms:
+        cls, sign = to_oriented_class(g, orient)
+        out.add_term(cls, koszul * sign)
+    return out
 
 
-def delta(x: OrientedClass, allow_empty_arcs: bool = False) -> FormalSum:
+def delta(x: OrientedClass) -> FormalSum:
     """Vertex-splitting differential applied to a nonzero class.
 
     Odd parity carries a Koszul factor (-1)^B: the orientation word lists
@@ -245,30 +255,13 @@ def delta(x: OrientedClass, allow_empty_arcs: bool = False) -> FormalSum:
     untouched, while the cross terms with the corner-connecting operator
     acquire the sign that makes the two differentials anticommute.
     """
-    key = (x, allow_empty_arcs)
-    hit = _delta_cache.get(key)
-    if hit is None:
-        koszul = 1
-        if x.parity == ODD and len(boundaries(x.graph)) % 2 == 1:
-            koszul = -1
-        hit = FormalSum()
-        for out, orient in delta_terms(x, allow_empty_arcs):
-            cls, sign = to_oriented_class(out, orient)
-            hit.add_term(cls, koszul * sign)
-        _delta_cache[key] = hit
-    return hit
+    odd_b = x.parity == ODD and len(boundaries(x.graph)) % 2 == 1
+    return _image(delta_terms(x), -1 if odd_b else 1)
 
 
 def bridge(x: OrientedClass) -> FormalSum:
     """Corner-connecting differential applied to a nonzero class."""
-    hit = _bridge_cache.get(x)
-    if hit is None:
-        hit = FormalSum()
-        for out, orient in bridge_terms(x):
-            cls, sign = to_oriented_class(out, orient)
-            hit.add_term(cls, sign)
-        _bridge_cache[x] = hit
-    return hit
+    return _image(bridge_terms(x))
 
 
 def project_ge3(s: FormalSum) -> FormalSum:

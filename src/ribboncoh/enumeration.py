@@ -1,6 +1,6 @@
 """Exhaustive generation of connected ribbon graph isomorphism classes.
 
-Two independent code paths:
+Two independent code paths, neither of which keeps state between calls:
 
 * the fast enumerator builds permutation pairs directly in traversal
   normal form (labels appear in discovery order from root 0), with cycle
@@ -128,13 +128,15 @@ def _generate_normal_forms(n_darts: int, min_valence: int, n_vertices: int, visi
     rec(0, 1, 0)
 
 
-_gen_cache: dict = {}  # (E, min_valence, V) -> {n: [RibbonGraph]}, complete passes only
-
-
-def _generate_bins(n_edges: int, min_valence: int, n_vertices: int, keep_ns=None):
-    """Stream candidates through the minimality filter and bin canonical
-    representatives by boundary count.  keep_ns restricts which bins are
-    retained (None keeps everything)."""
+def maps_by_boundary(
+    n_edges: int, min_valence: int, n_vertices: int, keep_ns=None
+) -> dict[int, list[RibbonGraph]]:
+    """Connected isomorphism-class representatives (canonical labels) with
+    the given edge and vertex counts and valence floor, grouped by
+    boundary count; empty groups are absent.  Candidates stream through
+    the minimality filter; keep_ns (iterable of n values or None) limits
+    which groups are kept."""
+    keep = None if keep_ns is None else frozenset(keep_ns)
     bins: dict[int, list[RibbonGraph]] = {}
 
     def visit(pair):
@@ -143,28 +145,10 @@ def _generate_bins(n_edges: int, min_valence: int, n_vertices: int, keep_ns=None
             return
         g = RibbonGraph(s0, s1)
         nb = len(boundaries(g))
-        if keep_ns is not None and nb not in keep_ns:
-            return
-        bins.setdefault(nb, []).append(g)
+        if keep is None or nb in keep:
+            bins.setdefault(nb, []).append(g)
 
     _generate_normal_forms(2 * n_edges, min_valence, n_vertices, visit)
-    return bins
-
-
-def maps_by_boundary(
-    n_edges: int, min_valence: int, n_vertices: int, keep_ns=None
-) -> dict[int, list[RibbonGraph]]:
-    """Connected isomorphism-class representatives (canonical labels) with
-    the given edge and vertex counts and valence floor, grouped by
-    boundary count; empty groups are absent.  keep_ns (iterable of n
-    values or None) limits which groups are kept.  Only complete passes
-    (keep_ns None) are cached."""
-    if keep_ns is not None:
-        return _generate_bins(n_edges, min_valence, n_vertices, frozenset(keep_ns))
-    key = (n_edges, min_valence, n_vertices)
-    bins = _gen_cache.get(key)
-    if bins is None:
-        bins = _gen_cache[key] = _generate_bins(n_edges, min_valence, n_vertices)
     return bins
 
 
@@ -183,25 +167,23 @@ def _split_by_zero(graphs, spec: EnumSpec):
 
 def enumerate_classes(spec: EnumSpec) -> tuple[list[OrientedClass], int]:
     """One nonzero class per isomorphism type matching the spec, plus the
-    count of classes killed by a sign-reversing automorphism."""
-    ok, _note = spec.is_consistent()
-    if not ok:
-        return [], 0
-    bins = maps_by_boundary(spec.edges, spec.min_valence, spec.n_vertices)
-    return _split_by_zero(bins.get(spec.boundaries, []), spec)
-
-
-def enumerate_cell(spec: EnumSpec) -> tuple[list[OrientedClass], int]:
-    """Same contract as enumerate_classes but keeps only the requested
-    boundary bin and caches nothing, keeping memory proportional to the one
-    cell.  Preferred by the complex builder at large edge counts."""
+    count of classes killed by a sign-reversing automorphism.  Only the
+    requested boundary bin is kept, so memory stays proportional to the
+    one cell."""
     ok, _note = spec.is_consistent()
     if not ok:
         return [], 0
     bins = maps_by_boundary(
-        spec.edges, spec.min_valence, spec.n_vertices, keep_ns={spec.boundaries}
+        spec.edges, spec.min_valence, spec.n_vertices, keep_ns=(spec.boundaries,)
     )
     return _split_by_zero(bins.get(spec.boundaries, []), spec)
+
+
+def enumerate_cell(spec: EnumSpec) -> tuple[list[OrientedClass], int]:
+    """Same as enumerate_classes, with no caller in the package.  It is a
+    separate function, not an alias, because perfbench/tracer.py wraps both
+    names and an alias would be wrapped twice."""
+    return enumerate_classes(spec)
 
 
 BRUTE_FORCE_DART_LIMIT = 10

@@ -1,7 +1,7 @@
 """On-disk cache: round trips, corruption handling, disabled mode."""
-import os
+import json
 
-from ribboncoh.cache import NO_CACHE, Cache, default_cache_dir, spec_hash
+from ribboncoh.cache import FORMAT_VERSION, NO_CACHE, Cache, default_cache_dir, spec_hash
 from ribboncoh.canonical import EVEN
 from ribboncoh.enumeration import EnumSpec, enumerate_classes
 from ribboncoh.linalg import SparseIntMatrix
@@ -76,3 +76,53 @@ def test_no_stray_temp_files(tmp_path):
     cache = Cache(str(tmp_path))
     cache.store_table({"k": "v"}, {"data": 1})
     assert not [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
+
+
+def test_basis_with_wrong_types_is_a_miss(tmp_path):
+    class Malformed:
+        def to_json(self):
+            return {"sigma0": 5, "sigma1": [1, 0], "parity": 0, "zero": False, "hash": "x"}
+
+    cache = Cache(str(tmp_path))
+    key = {"probe": "types"}
+    cache.store_basis(key, [Malformed()], 0)
+    assert cache.load_basis(key) is None
+
+
+def test_basis_with_a_line_deleted_is_a_miss(tmp_path):
+    cache = Cache(str(tmp_path))
+    classes, zero = enumerate_classes(EnumSpec(1, 2, 3, 3, EVEN))
+    assert len(classes) >= 2
+    key = {"probe": "truncated"}
+    cache.store_basis(key, classes, zero)
+    (path,) = [p for p in tmp_path.iterdir() if p.name.startswith("basis-")]
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+    assert cache.load_basis(key) is None
+
+
+def test_matrix_edited_in_place_is_a_miss(tmp_path):
+    cache = Cache(str(tmp_path))
+    key = {"probe": "edited"}
+    cache.store_matrix(key, SparseIntMatrix(3, 2, ((0, 1, -4), (2, 0, 9))))
+    (path,) = [p for p in tmp_path.iterdir() if p.name.startswith("matrix-")]
+    path.write_text(path.read_text().replace("0 1 -4", "0 1 -5"))
+    assert cache.load_matrix(key) is None
+
+
+def test_undecodable_entry_is_a_miss(tmp_path):
+    cache = Cache(str(tmp_path))
+    key = {"probe": "bytes"}
+    cache.store_matrix(key, SparseIntMatrix(1, 1, ((0, 0, 1),)))
+    (path,) = [p for p in tmp_path.iterdir() if p.name.startswith("matrix-")]
+    path.write_bytes(b"\xff\xfe\x00")
+    assert cache.load_matrix(key) is None
+
+
+def test_table_without_payload_is_a_miss(tmp_path):
+    cache = Cache(str(tmp_path))
+    key = {"probe": "no payload"}
+    cache.store_table(key, {"rows": []})
+    (path,) = [p for p in tmp_path.iterdir() if p.name.startswith("table-")]
+    path.write_text(json.dumps({"version": FORMAT_VERSION}))
+    assert cache.load_table(key) is None
+

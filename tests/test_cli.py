@@ -113,6 +113,14 @@ def test_export_graph_missing_arg(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("what", ["basis", "matrix"])
+def test_export_without_edge_range(capsys, what):
+    code, out, err = run(capsys, "export", "--what", what, "--kind", "kp", "-g", "1", "-n", "1")
+    assert code == 2
+    assert out == ""
+    assert "-E is required" in err
+
+
 def test_export_graph_missing_file(capsys, tmp_path):
     code, _, err = run(
         capsys, "export", "--what", "graph", "--graph", str(tmp_path / "absent.json")

@@ -1,7 +1,6 @@
 """Enumeration: frozen census values, oracle agreement, low-valence sector."""
 import pytest
 
-from ribboncoh import enumeration
 from ribboncoh.canonical import EVEN, ODD
 from ribboncoh.enumeration import (
     EnumSpec,
@@ -105,16 +104,6 @@ def test_enumerate_cell_matches_full_run():
     for spec in (EnumSpec(0, 2, 4, 1, EVEN), EnumSpec(1, 2, 4, 3, ODD)):
         assert enumerate_cell(spec)[0] == enumerate_classes(spec)[0]
         assert enumerate_cell(spec)[1] == enumerate_classes(spec)[1]
-
-
-def test_only_complete_passes_are_cached():
-    spec = EnumSpec(0, 3, 4, 2, EVEN)
-    key = (spec.edges, spec.min_valence, spec.n_vertices)
-    enumeration._gen_cache.pop(key, None)
-    cell = enumerate_cell(spec)
-    assert key not in enumeration._gen_cache
-    assert enumerate_classes(spec) == cell
-    assert key in enumeration._gen_cache
 
 
 def test_path_and_polygon_shapes():
