@@ -5,9 +5,8 @@ Every suite returns a JSON-able report naming the first violating
 generator, so a failure is actionable and a fault injected by the test
 harness is pinpointed.
 
-The suites run serially.  Their ``jobs`` argument is accepted and ignored:
-the work is pure Python, so under the interpreter lock a thread pool only
-added overhead.
+The suites run serially: the work is pure Python, so under the
+interpreter lock a thread pool only added overhead.
 """
 from __future__ import annotations
 
@@ -90,9 +89,7 @@ def _violation(suite: str, spec: EnumSpec, cls, detail: str) -> dict:
     }
 
 
-def identity_suite(
-    bounds: CheckBounds, jobs: int = 1, delta_op=None, bridge_op=None
-) -> dict:
+def identity_suite(bounds: CheckBounds, delta_op=None, bridge_op=None) -> dict:
     """delta^2 = 0, the corner operator squared = 0, and the
     anticommutator = 0 on every nonzero generator in scope.  The operator
     arguments exist so the harness can inject a fault.  Images are reused
@@ -126,7 +123,7 @@ def identity_suite(
     }
 
 
-def structural_suite(bounds: CheckBounds, jobs: int = 1) -> dict:
+def structural_suite(bounds: CheckBounds) -> dict:
     """Raw-term invariants: vertex splitting adds one edge and one vertex
     keeping boundaries and genus; corner connecting adds one edge and one
     boundary keeping vertices and genus; every term is a valid connected
@@ -165,7 +162,7 @@ def structural_suite(bounds: CheckBounds, jobs: int = 1) -> dict:
     }
 
 
-def oracle_suite(bounds: CheckBounds, jobs: int = 1) -> dict:
+def oracle_suite(bounds: CheckBounds) -> dict:
     """Fast enumerator versus brute-force permutation scan, every spec
     with E <= e_max_oracle, all valence floors."""
     specs = []
@@ -230,7 +227,7 @@ def _dense_fraction_rank(m: SparseIntMatrix) -> int:
     return rnk
 
 
-def rank_suite(jobs: int = 1, trials: int = 40, seed: int = 20240901) -> dict:
+def rank_suite(trials: int = 40, seed: int = 20240901) -> dict:
     """Sparse fraction-free rank versus dense rational elimination and
     two-prime modular ranks on seeded random matrices, plus one assembled
     differential matrix."""
@@ -268,13 +265,13 @@ def rank_suite(jobs: int = 1, trials: int = 40, seed: int = 20240901) -> dict:
     }
 
 
-def run_check(bounds: CheckBounds, jobs: int = 1) -> dict:
-    """All four suites; jobs is accepted and ignored, as in every suite."""
+def run_check(bounds: CheckBounds) -> dict:
+    """All four suites."""
     report = {
-        "identities": identity_suite(bounds, jobs),
-        "structural": structural_suite(bounds, jobs),
-        "enumeration_oracle": oracle_suite(bounds, jobs),
-        "rank_oracle": rank_suite(jobs),
+        "identities": identity_suite(bounds),
+        "structural": structural_suite(bounds),
+        "enumeration_oracle": oracle_suite(bounds),
+        "rank_oracle": rank_suite(),
     }
     report["passed"] = all(r["passed"] for r in report.values() if isinstance(r, dict))
     return report

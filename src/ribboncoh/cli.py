@@ -158,7 +158,7 @@ def cmd_check(args) -> int:
         e_max_oracle=args.e_max_oracle,
         parities=parities,
     )
-    report = run_check(bounds, jobs=args.jobs)
+    report = run_check(bounds)
     if args.format == "json":
         print(json.dumps(report, sort_keys=True))
     else:

@@ -125,7 +125,12 @@ def _generate_normal_forms(n_darts: int, min_valence: int, n_vertices: int, visi
             s1[h] = -1
             s1[j] = -1
 
-    rec(0, 1, 0)
+    # rec and _s1_step refer to each other; deleting both names breaks
+    # that cycle, so the pass is freed without the cyclic collector
+    try:
+        rec(0, 1, 0)
+    finally:
+        del rec, _s1_step
 
 
 def maps_by_boundary(

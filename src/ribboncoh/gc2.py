@@ -12,7 +12,7 @@ order.  Degree of a generator: |G| = 2d(V-1) + (1-2d)E.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 
 from .canonical import perm_sign
 from .complexes import ComplexSlice, assemble_differentials, cohomology
@@ -212,21 +212,7 @@ def to_gc_class(g: GCGraph, edge_order=None) -> tuple[GCClass, int]:
 
 def _edge_multisets(n_vertices: int, n_edges: int):
     pairs = [(a, b) for a in range(n_vertices) for b in range(a + 1, n_vertices)]
-    out = []
-
-    def rec(i, remaining, acc):
-        if i == len(pairs):
-            if remaining == 0:
-                out.append(tuple(acc))
-            return
-        if remaining == 0:
-            out.append(tuple(acc))
-            return
-        for k in range(remaining + 1):
-            rec(i + 1, remaining - k, acc + [pairs[i]] * k)
-
-    rec(0, n_edges, [])
-    return out
+    return combinations_with_replacement(pairs, n_edges)
 
 
 def _layer_provably_empty(loop_order: int, n_edges: int, min_valence: int) -> bool:

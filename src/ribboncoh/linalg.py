@@ -1,13 +1,17 @@
 """Exact sparse linear algebra over arbitrary-precision integers.
 
-Rank is computed by fraction-free (Bareiss-style) elimination with a
-Markowitz-like sparse pivot choice; an independent modular-arithmetic
-elimination serves as the certification oracle.  No floating point
+Both ranks eliminate the same way: the shortest remaining row is the
+pivot row and its smallest column the pivot column, and only rows holding
+that column change.  ``rank`` works over the integers, clearing the column
+by the cross multiples that the gcd of the two entries leaves and dividing
+each new row by the gcd of its entries; ``rank_modp`` works modulo a prime
+and serves as the independent certification oracle.  No floating point
 anywhere.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 
 from .diff import FormalSum
 
@@ -98,56 +102,34 @@ def assemble(domain_basis, codomain_basis, operator) -> SparseIntMatrix:
     return SparseIntMatrix(len(codomain_basis), len(domain_basis), tuple(entries))
 
 
-def _exact_div(a: int, b: int) -> int:
-    q, r = divmod(a, b)
-    if r:
-        raise ArithmeticError("fraction-free elimination lost exact divisibility")
-    return q
-
-
 def rank(m: SparseIntMatrix) -> int:
     """Exact rank over the rationals, fraction-free elimination."""
     rows = [r for r in m.row_dicts() if r]
     rnk = 0
-    prev_pivot = 1
     while rows:
-        col_count: dict = {}
-        for r in rows:
-            for c in r:
-                col_count[c] = col_count.get(c, 0) + 1
-        # Markowitz-like choice: minimize (row nnz - 1) * (col nnz - 1),
-        # tie-broken by smallest pivot magnitude for coefficient growth.
-        best = None
-        for ri, r in enumerate(rows):
-            rn = len(r) - 1
-            for c, v in r.items():
-                score = (rn * (col_count[c] - 1), abs(v), ri, c)
-                if best is None or score < best[0]:
-                    best = (score, ri, c)
-        _, pi, pc = best
-        pivot_row = rows.pop(pi)
+        pivot_row = rows.pop(min(range(len(rows)), key=lambda i: len(rows[i])))
+        pc = min(pivot_row)
         pv = pivot_row[pc]
         rnk += 1
         new_rows = []
         for r in rows:
-            w = r.get(pc, 0)
+            w = r.get(pc)
+            if w is None:
+                new_rows.append(r)
+                continue
+            g = gcd(pv, w)
+            a, b = pv // g, w // g
             out = {}
-            for c, v in r.items():
+            for c in set(r) | set(pivot_row):
                 if c == pc:
                     continue
-                nv = v * pv - pivot_row.get(c, 0) * w
+                nv = a * r.get(c, 0) - b * pivot_row.get(c, 0)
                 if nv:
-                    out[c] = _exact_div(nv, prev_pivot)
-            if w:
-                for c, v in pivot_row.items():
-                    if c != pc and c not in r:
-                        nv = -v * w
-                        if nv:
-                            out[c] = _exact_div(nv, prev_pivot)
+                    out[c] = nv
             if out:
-                new_rows.append(out)
+                content = gcd(*out.values())
+                new_rows.append({c: v // content for c, v in out.items()})
         rows = new_rows
-        prev_pivot = pv
     return rnk
 
 

@@ -78,7 +78,7 @@ def gc_rows():
 
 
 def test_criterion_1_identities(capsys):
-    report = identity_suite(FULL_BOUNDS, jobs=2)
+    report = identity_suite(FULL_BOUNDS)
     ok = report["passed"]
     announce(
         capsys, 1, "differential identities", ok,
@@ -89,7 +89,7 @@ def test_criterion_1_identities(capsys):
 
 
 def test_criterion_2_structural(capsys):
-    report = structural_suite(FULL_BOUNDS, jobs=2)
+    report = structural_suite(FULL_BOUNDS)
     ok = report["passed"]
     announce(capsys, 2, "term shape invariants", ok, "%d generators" % report["generators"])
     assert report["violations"] == []
@@ -97,7 +97,7 @@ def test_criterion_2_structural(capsys):
 
 
 def test_criterion_3_enumeration_oracle(capsys):
-    report = oracle_suite(FULL_BOUNDS, jobs=2)
+    report = oracle_suite(FULL_BOUNDS)
     ok = report["passed"]
     # sampled ten-half-edge specs on top of the exhaustive small scan
     mismatches = []

@@ -29,14 +29,14 @@ def test_generators_in_scope():
 
 
 def test_identity_suite_passes():
-    report = identity_suite(SMALL, jobs=2)
+    report = identity_suite(SMALL)
     assert report["passed"]
     assert report["generators"] > 0
     assert report["violations"] == []
 
 
 def test_structural_suite_passes():
-    assert structural_suite(SMALL, jobs=2)["passed"]
+    assert structural_suite(SMALL)["passed"]
 
 
 def test_oracle_suite_passes():
@@ -82,7 +82,7 @@ def test_oracle_zero_count_mismatch_names_spec(monkeypatch):
 
 
 def test_run_check_aggregates():
-    report = run_check(SMALL, jobs=2)
+    report = run_check(SMALL)
     assert report["passed"]
     assert set(report) == {
         "identities",

@@ -1,9 +1,12 @@
 """Exact linear algebra: rank oracles, modular certification, assembly."""
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ribboncoh.canonical import EVEN
 from ribboncoh.checks import _dense_fraction_rank
+from ribboncoh.complexes import ComplexSpec, build
 from ribboncoh.diff import delta
 from ribboncoh.enumeration import EnumSpec, enumerate_classes
 from ribboncoh.linalg import (
@@ -51,6 +54,56 @@ def test_rank_frozen_examples():
     # rank-1 outer product
     outer = SparseIntMatrix(3, 3, tuple((i, j, (i + 1) * (j + 1)) for i in range(3) for j in range(3)))
     assert rank(outer) == 1
+
+
+def _agrees_with_oracles(m):
+    r = rank(m)
+    assert r == _dense_fraction_rank(m)
+    assert [rank_modp(m, p) for p in CERTIFICATION_PRIMES] == [r, r]
+    return r
+
+
+def _random_matrix(rng, rows, cols, bound, density=0.5):
+    ent = tuple(
+        (r, c, rng.randint(-bound, bound))
+        for r in range(rows)
+        for c in range(cols)
+        if rng.random() < density
+    )
+    return SparseIntMatrix(rows, cols, ent)
+
+
+def test_rank_of_rank_deficient_products():
+    # A (rows x k) times B (k x cols) with k below both outer dimensions
+    # has rank at most k, so the elimination must cancel rows exactly
+    rng = random.Random(20261018)
+    for _ in range(30):
+        rows, cols = rng.randint(4, 16), rng.randint(4, 16)
+        k = rng.randint(1, min(rows, cols) - 1)
+        a = _random_matrix(rng, rows, k, 9, density=0.7)
+        b = _random_matrix(rng, k, cols, 9, density=0.7)
+        assert _agrees_with_oracles(a.matmul(b)) <= k
+
+
+def test_rank_with_large_entries():
+    rng = random.Random(1012)
+    for _ in range(15):
+        rows, cols = rng.randint(1, 12), rng.randint(1, 12)
+        _agrees_with_oracles(_random_matrix(rng, rows, cols, 10**12))
+    for _ in range(15):
+        rows, cols = rng.randint(4, 12), rng.randint(4, 12)
+        k = rng.randint(1, min(rows, cols) - 1)
+        a = _random_matrix(rng, rows, k, 10**6, density=0.8)
+        b = _random_matrix(rng, k, cols, 10**6, density=0.8)
+        assert _agrees_with_oracles(a.matmul(b)) <= k
+
+
+def test_rank_of_assembled_mw_genus0_matrix():
+    sl = build(ComplexSpec("mw", 0, sector="ge3", e_min=5, e_max=6))
+    m = sl.matrices[5]
+    assert (m.rows, m.cols) == (141, 34)
+    assert _agrees_with_oracles(m) == 29
+    assert _agrees_with_oracles(m.transpose()) == 29
 
 
 def test_certification_primes_are_large_primes():

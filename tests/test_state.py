@@ -1,12 +1,15 @@
 """The package keeps no state between calls: building complexes and
 running the check suites leaves every module-level container and memoized
-function of every ribboncoh module as it found it."""
+function of every ribboncoh module as it found it, and an enumeration pass
+leaves no reference cycle behind."""
+import gc
 import importlib
 import pkgutil
 
 import ribboncoh
 from ribboncoh.checks import CheckBounds, run_check
 from ribboncoh.complexes import ComplexSpec, build, cohomology
+from ribboncoh.enumeration import maps_by_boundary
 
 
 def _module_state():
@@ -28,3 +31,13 @@ def test_no_state_survives_a_call():
     bounds = CheckBounds(g_max=1, e_max_full=2, e_max_ge3=3, e_max_le2=3, e_max_oracle=2)
     assert run_check(bounds)["passed"]
     assert _module_state() == before
+
+
+def test_enumeration_pass_leaves_no_cyclic_garbage():
+    gc.collect()
+    gc.disable()
+    try:
+        maps_by_boundary(4, 3, 2)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
