@@ -9,8 +9,8 @@ the roots realising the minimum give exactly the automorphism group.
 Each graph is canonicalized in one pass and nothing is memoized: root 0 is
 relabeled in full, and every other root is compared against the running
 best key with early abort (the rooted-code comparison of plantri,
-Brinkmann-McKay 2007), the same comparison the enumerator's minimality
-filter uses.  The zero flag reads its automorphisms off that same pass.
+Brinkmann-McKay 2007), the same comparison ``is_minimal_form`` makes.
+The zero flag reads its automorphisms off that same pass.
 
 Orientation data depends on the parity of the degree-shift integer d:
 an edge order for d even; a vertex order, boundary order, and a direction
@@ -105,7 +105,7 @@ def _root_compare(s0: tuple, s1: tuple, root: int, k0: tuple, k1: tuple) -> int:
 
 def is_minimal_form(s0: tuple, s1: tuple) -> bool:
     """True iff (s0, s1), assumed in traversal normal form from root 0,
-    is its own canonical form.  Streaming filter for the enumerator."""
+    is its own canonical form."""
     return all(_root_compare(s0, s1, r, s0, s1) >= 0 for r in range(1, len(s0)))
 
 

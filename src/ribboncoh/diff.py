@@ -113,6 +113,13 @@ def attach_edge(g: RibbonGraph, c1: int, c2: int) -> RibbonGraph:
     walk = {h: i for i, b in enumerate(boundaries(g)) for h in b}
     if walk[c1] != walk[c2]:
         raise ValueError("corners lie on different boundaries")
+    return _add_chord(g, c1, c2)
+
+
+def _add_chord(g: RibbonGraph, c1: int, c2: int) -> RibbonGraph:
+    """Insert the new edge {2E, 2E+1}: 2E after corner c1, then 2E+1 after
+    corner c2, with no checks.  With c1 == c2 the edge is a loop inside
+    that corner."""
     n = g.n_half_edges
     x, y = n, n + 1
     s0 = list(g.sigma0) + [0, 0]
@@ -153,22 +160,27 @@ def _match_boundary_order(old_order, new_g: RibbonGraph, old_dart_count: int):
     return [by_old[ob] for ob in old_order]
 
 
-def delta_terms(x: OrientedClass, allow_empty_arcs: bool = False):
+def _cuts(cyc: tuple, min_arc: int = 1):
+    """Every way of cutting a vertex cycle into two cyclically-contiguous
+    arcs (arc_a, arc_b) of at least min_arc darts each.  arc_a = cyc[i:j]
+    never wraps; with min_arc = 0 an empty arc_a (j == i) takes every
+    rotation of the other arc."""
+    m = len(cyc)
+    for i in range(m):
+        for j in range(i + min_arc, min(m, m - min_arc + i + 1)):
+            yield cyc[i:j], cyc[j:] + cyc[:i]
+
+
+def delta_terms(x: OrientedClass):
     """Raw vertex-splitting terms: (graph, orientation) pairs, one per way
-    of cutting a vertex cycle into two cyclically-contiguous arcs."""
+    of cutting a vertex cycle into two nonempty arcs."""
     g = x.graph
     n = g.n_half_edges
     parity = x.parity
     ref = x.reference()
     verts = vertices(g)
     for vi, cyc in enumerate(verts):
-        m = len(cyc)
-        cuts = list(combinations(range(m), 2))
-        if allow_empty_arcs:
-            cuts.extend((i, i) for i in range(m))
-        for i, j in cuts:
-            arc_a = cyc[i:j]
-            arc_b = cyc[j:] + cyc[:i]
+        for arc_a, arc_b in _cuts(cyc):
             out = _split_graph(g, arc_a, arc_b)
             x_h, y_h = n, n + 1
             if parity == EVEN:

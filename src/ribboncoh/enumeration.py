@@ -2,21 +2,28 @@
 
 Two independent code paths, neither of which keeps state between calls:
 
-* the fast enumerator builds permutation pairs directly in traversal
-  normal form (labels appear in discovery order from root 0), with cycle
-  and valence pruning, and keeps exactly the representatives that equal
-  their canonical form;
+* the fast enumerator builds each (genus, boundaries, edges, valence floor)
+  cell as a closure under the package's own moves: the one-vertex maps of
+  the genus and boundary count grow from the loop one chord at a time, and
+  rounds of vertex splits then add one vertex and one edge each.  Every
+  candidate is canonicalized once and deduplicated by its canonical form;
+  the same pass gives its automorphisms and its zero flag;
 * the brute-force oracle scans every vertex permutation on labeled
   half-edges against the fixed edge pairing and deduplicates by canonical
   form.  It is guarded to small sizes and must agree with the fast path.
+
+Closed-form counts (rooted maps and orbifold Euler characteristics) check
+the fast path past the oracle's reach in ``tests/test_enumeration.py``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
 
-from .canonical import EVEN, OrientedClass, canonical_form, class_of, is_minimal_form
-from .ribbon import RibbonGraph, boundaries, orbits
+from .canonical import EVEN, OrientedClass, _canonical_data, _zero_flag
+from .canonical import is_minimal_form  # noqa: F401  (perfbench/tracer.py reads this name)
+from .diff import _add_chord, _cuts, _split_graph
+from .ribbon import RibbonGraph, boundaries, orbits, vertices
 
 
 @dataclass(frozen=True)
@@ -42,146 +49,106 @@ class EnumSpec:
         return True, ""
 
 
-def _generate_normal_forms(n_darts: int, min_valence: int, n_vertices: int, visit) -> None:
-    """Stream to ``visit`` every connected map on n_darts half-edges with
-    exactly n_vertices vertices, every valence >= min_valence, labeled in
-    traversal normal form from root 0.  Backtracking over the two
-    permutation arrays; nothing is retained."""
-    s0 = [-1] * n_darts
-    s1 = [-1] * n_darts
-    pre0 = [False] * n_darts          # dart already has a sigma0 preimage
-    chain_start = list(range(n_darts))  # valid for the end dart of each chain
-    chain_end = list(range(n_darts))    # valid for the start dart
-    chain_size = [1] * n_darts          # valid for the start dart
-
-    def rec(i: int, next_new: int, closed: int):
-        if i == next_new:
-            if next_new == n_darts and closed == n_vertices:
-                visit((tuple(s0), tuple(s1)))
-            return
-        h = i
-        if s0[h] < 0:
-            start_h = chain_start[h]
-            # extend with a fresh dart
-            if next_new < n_darts:
-                j = next_new
-                s0[h] = j
-                pre0[j] = True
-                chain_start[j] = start_h
-                chain_end[start_h] = j
-                chain_size[start_h] += 1
-                _s1_step(i, next_new + 1, closed)
-                s0[h] = -1
-                pre0[j] = False
-                chain_start[j] = j
-                chain_end[start_h] = h
-                chain_size[start_h] -= 1
-            # close the own chain into a vertex cycle
-            if chain_size[start_h] >= min_valence and closed < n_vertices:
-                j = start_h
-                s0[h] = j
-                pre0[j] = True
-                _s1_step(i, next_new, closed + 1)
-                s0[h] = -1
-                pre0[j] = False
-            # merge with another open chain
-            for j in range(next_new):
-                if pre0[j] or j == start_h or chain_start[j] != j:
-                    continue
-                e_j = chain_end[j]
-                s0[h] = j
-                pre0[j] = True
-                old_size = chain_size[start_h]
-                chain_start[e_j] = start_h
-                chain_end[start_h] = e_j
-                chain_size[start_h] = old_size + chain_size[j]
-                _s1_step(i, next_new, closed)
-                s0[h] = -1
-                pre0[j] = False
-                chain_start[e_j] = j
-                chain_end[start_h] = h
-                chain_size[start_h] = old_size
-        else:
-            _s1_step(i, next_new, closed)
-
-    def _s1_step(i: int, next_new: int, closed: int):
-        h = i
-        if s1[h] >= 0:
-            rec(i + 1, next_new, closed)
-            return
-        if next_new < n_darts:
-            j = next_new
-            s1[h] = j
-            s1[j] = h
-            rec(i + 1, next_new + 1, closed)
-            s1[h] = -1
-            s1[j] = -1
-        for j in range(h + 1, next_new):
-            if s1[j] >= 0:
-                continue
-            s1[h] = j
-            s1[j] = h
-            rec(i + 1, next_new, closed)
-            s1[h] = -1
-            s1[j] = -1
-
-    # rec and _s1_step refer to each other; deleting both names breaks
-    # that cycle, so the pass is freed without the cyclic collector
-    try:
-        rec(0, 1, 0)
-    finally:
-        del rec, _s1_step
+def _canonical_layer(raw_pairs) -> dict:
+    """Canonical pair -> optimal relabelings, one entry per isomorphism
+    class among the raw (sigma0, sigma1) pairs.  The relabelings come from
+    the one ``_canonical_data`` call that first met the class, so their
+    number is |Aut| and they give the zero flag."""
+    layer = {}
+    for s0, s1 in raw_pairs:
+        key, maps = _canonical_data(s0, s1)
+        if key not in layer:
+            layer[key] = maps
+    return layer
 
 
-def maps_by_boundary(
-    n_edges: int, min_valence: int, n_vertices: int, keep_ns=None
-) -> dict[int, list[RibbonGraph]]:
-    """Connected isomorphism-class representatives (canonical labels) with
-    the given edge and vertex counts and valence floor, grouped by
-    boundary count; empty groups are absent.  Candidates stream through
-    the minimality filter; keep_ns (iterable of n values or None) limits
-    which groups are kept."""
-    keep = None if keep_ns is None else frozenset(keep_ns)
-    bins: dict[int, list[RibbonGraph]] = {}
-
-    def visit(pair):
-        s0, s1 = pair
-        if not is_minimal_form(s0, s1):
-            return
+def _chord_moves(layer, genus: int, n_boundaries: int):
+    """Every one-vertex map with one more chord (``diff._add_chord``) that
+    can still reach genus ``genus`` with ``n_boundaries`` boundaries.  A
+    chord inside one boundary (a loop in a corner, or two corners of one
+    walk) adds a boundary; a chord across two boundaries merges them and
+    adds a handle.  So along the moves neither the genus nor genus +
+    boundaries ever falls, and a map past either target bound is dropped."""
+    for s0, s1 in layer:
         g = RibbonGraph(s0, s1)
-        nb = len(boundaries(g))
-        if keep is None or nb in keep:
-            bins.setdefault(nb, []).append(g)
+        walks = boundaries(g)
+        walk = {h: i for i, b in enumerate(walks) for h in b}
+        n = len(walks)
+        g_here = (g.n_edges + 1 - n) // 2
+        for c1 in range(len(s0)):
+            for c2 in range(c1, len(s0)):
+                if c1 == c2 or walk[c1] == walk[c2]:
+                    g_new, n_new = g_here, n + 1
+                else:
+                    g_new, n_new = g_here + 1, n - 1
+                if g_new <= genus and n_new <= n_boundaries + genus - g_new:
+                    out = _add_chord(g, c1, c2)
+                    yield out.sigma0, out.sigma1
 
-    _generate_normal_forms(2 * n_edges, min_valence, n_vertices, visit)
-    return bins
+
+def _vertex_splits(layer, min_arc: int):
+    """Every split of a vertex into two arcs of at least min_arc darts
+    each (``diff._cuts``), joined by a new edge (``diff._split_graph``)."""
+    for s0, s1 in layer:
+        g = RibbonGraph(s0, s1)
+        for cyc in vertices(g):
+            for arc_a, arc_b in _cuts(cyc, min_arc):
+                out = _split_graph(g, arc_a, arc_b)
+                yield out.sigma0, out.sigma1
 
 
-def _split_by_zero(graphs, spec: EnumSpec):
+def _cell_maps(genus: int, n_boundaries: int, n_edges: int, min_valence: int) -> dict:
+    """Canonical pair -> optimal relabelings for every isomorphism class of
+    a consistent cell, zero classes included.
+
+    One-vertex maps of (genus, n_boundaries) have 2g + n - 1 edges and grow
+    from the loop one chord at a time.  V - 1 rounds of vertex splits then
+    reach the cell; every map with V >= 2 contracts along a non-loop edge
+    to a map of the same genus and boundaries, so the rounds miss nothing.
+    The one exception is the single edge (genus 0, one boundary), which
+    contracts to no vertex at all and seeds its cell directly.  A split
+    gives both new vertices valence >= min_valence and a contraction keeps
+    the valence floor, so after the first split every class is within the
+    floor; a one-vertex cell is consistent only when 2E >= min_valence.
+    Only the previous and the current round are held.
+    """
+    n_vertices = n_edges + 2 - 2 * genus - n_boundaries
+    if (genus, n_boundaries) == (0, 1):
+        layer = _canonical_layer([((0, 1), (1, 0))])
+        rounds = n_vertices - 2
+    else:
+        layer = _canonical_layer([((1, 0), (1, 0))])
+        for _ in range(2 * genus + n_boundaries - 2):
+            layer = _canonical_layer(_chord_moves(layer, genus, n_boundaries))
+        rounds = n_vertices - 1
+    min_arc = max(min_valence - 1, 0)
+    for _ in range(rounds):
+        layer = _canonical_layer(_vertex_splits(layer, min_arc))
+    return layer
+
+
+def _split_by_zero(cell: dict, parity: int):
+    """Nonzero classes sorted by content hash, and the zero-class count, of
+    a canonical pair -> optimal relabelings mapping."""
     nonzero = []
     zero = 0
-    for g in graphs:
-        cls = class_of(g, spec.parity)
-        if cls.zero_flag:
+    for (t0, t1), maps in cell.items():
+        if _zero_flag(RibbonGraph(t0, t1), maps, parity):
             zero += 1
         else:
-            nonzero.append(cls)
+            nonzero.append(OrientedClass(t0, t1, parity, False))
     nonzero.sort(key=lambda c: c.content_hash())
     return nonzero, zero
 
 
 def enumerate_classes(spec: EnumSpec) -> tuple[list[OrientedClass], int]:
     """One nonzero class per isomorphism type matching the spec, plus the
-    count of classes killed by a sign-reversing automorphism.  Only the
-    requested boundary bin is kept, so memory stays proportional to the
-    one cell."""
+    count of classes killed by a sign-reversing automorphism."""
     ok, _note = spec.is_consistent()
     if not ok:
         return [], 0
-    bins = maps_by_boundary(
-        spec.edges, spec.min_valence, spec.n_vertices, keep_ns=(spec.boundaries,)
-    )
-    return _split_by_zero(bins.get(spec.boundaries, []), spec)
+    cell = _cell_maps(spec.genus, spec.boundaries, spec.edges, spec.min_valence)
+    return _split_by_zero(cell, spec.parity)
 
 
 def enumerate_cell(spec: EnumSpec) -> tuple[list[OrientedClass], int]:
@@ -206,15 +173,21 @@ def enumerate_bruteforce(spec: EnumSpec) -> tuple[list[OrientedClass], int]:
     ok, _note = spec.is_consistent()
     if not ok:
         return [], 0
+    return _split_by_zero(_canonical_layer(_permutation_scan(spec)), spec.parity)
+
+
+def _permutation_scan(spec: EnumSpec):
+    """Every connected (sigma0, sigma1) of the spec's vertex, valence and
+    boundary counts, sigma0 running over all permutations of the darts and
+    sigma1 fixed to the pairing (0 1)(2 3)..."""
+    n = 2 * spec.edges
     s1 = tuple(h + 1 if h % 2 == 0 else h - 1 for h in range(n))
-    seen: dict = {}
     for s0 in permutations(range(n)):
         cycles = orbits(s0)
         if len(cycles) != spec.n_vertices:
             continue
         if min(len(c) for c in cycles) < spec.min_valence:
             continue
-        g = RibbonGraph(s0, s1)
         # connectivity via dart reachability
         stack = [0]
         reach = {0}
@@ -226,11 +199,9 @@ def enumerate_bruteforce(spec: EnumSpec) -> tuple[list[OrientedClass], int]:
                     stack.append(x)
         if len(reach) != n:
             continue
-        if len(boundaries(g)) != spec.boundaries:
+        if len(boundaries(RibbonGraph(s0, s1))) != spec.boundaries:
             continue
-        canon, _ = canonical_form(g)
-        seen[(canon.sigma0, canon.sigma1)] = canon
-    return _split_by_zero(seen.values(), spec)
+        yield s0, s1
 
 
 def basis_table(
@@ -300,5 +271,5 @@ def le2_classes(spec: EnumSpec) -> tuple[list[OrientedClass], int]:
         graphs = [polygon_graph(spec.edges)]
     else:
         return [], 0
-    graphs = [canonical_form(g)[0] for g in graphs]
-    return _split_by_zero(graphs, spec)
+    cell = _canonical_layer((g.sigma0, g.sigma1) for g in graphs)
+    return _split_by_zero(cell, spec.parity)

@@ -21,7 +21,7 @@ from ribboncoh.canonical import (
     reference_orientation,
     to_oriented_class,
 )
-from ribboncoh.enumeration import maps_by_boundary
+from ribboncoh.enumeration import EnumSpec, _cell_maps
 from ribboncoh.ribbon import RibbonGraph, is_connected
 
 # brute-checked automorphism group orders (free action on rooted darts)
@@ -110,12 +110,13 @@ def test_early_abort_scan_matches_full_scan():
     # its zero flag agrees with a brute-force automorphism scan
     rng = random.Random(7)
     graphs = [
-        g
+        RibbonGraph(*pair)
         for e in range(1, 4)
         for mv in (1, 2, 3)
-        for v in range(1, 2 * e + 1)
-        for bin_ in maps_by_boundary(e, mv, v).values()
-        for g in bin_
+        for genus in range(0, e // 2 + 1)
+        for n in range(1, e + 2 - 2 * genus)
+        if EnumSpec(genus, n, e, mv).is_consistent()[0]
+        for pair in _cell_maps(genus, n, e, mv)
     ]
     assert len(graphs) > 50
     for g in graphs:

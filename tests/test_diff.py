@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from ribboncoh.canonical import EVEN, ODD, class_of
 from ribboncoh.diff import (
+    _cuts,
     FormalSum,
     apply_linear,
     attach_edge,
@@ -114,7 +115,10 @@ def test_delta_on_loop():
     cls = class_of(LOOP, EVEN)
     assert delta(cls).is_zero()
     assert len(list(delta_terms(cls))) == 1
-    assert len(list(delta_terms(cls, allow_empty_arcs=True))) == 3
+    # with empty arcs allowed (the enumerator's valence floor 1) the
+    # 2-cycle has two more cuts, one per rotation
+    (cyc,) = vertices(LOOP)
+    assert list(_cuts(cyc, 0)) == [((), cyc), ((cyc[0],), (cyc[1],)), ((), (cyc[1], cyc[0]))]
 
 
 def test_project_ge3(generators):

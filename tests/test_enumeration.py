@@ -1,9 +1,14 @@
-"""Enumeration: frozen census values, oracle agreement, low-valence sector."""
+"""Enumeration: frozen census values, oracle agreement, closed-form
+counts, low-valence sector."""
+from fractions import Fraction
+from math import factorial
+
 import pytest
 
 from ribboncoh.canonical import EVEN, ODD
 from ribboncoh.enumeration import (
     EnumSpec,
+    _cell_maps,
     basis_table,
     enumerate_bruteforce,
     enumerate_cell,
@@ -104,6 +109,78 @@ def test_enumerate_cell_matches_full_run():
     for spec in (EnumSpec(0, 2, 4, 1, EVEN), EnumSpec(1, 2, 4, 3, ODD)):
         assert enumerate_cell(spec)[0] == enumerate_classes(spec)[0]
         assert enumerate_cell(spec)[1] == enumerate_classes(spec)[1]
+
+
+def _rooted_map_counts(g_max: int, e_max: int) -> dict:
+    """Q_g(E), rooted maps of genus g with E edges, from the Carrell-Chapuy
+    recurrence (JCTA 2015):
+
+        (E+1)/6 Q_g(E) = (4E-2)/3 Q_g(E-1)
+                       + (2E-3)(2E-2)(2E-1)/12 Q_{g-1}(E-2)
+                       + 1/2 sum_{k+l=E, k,l>=1} sum_{i+j=g}
+                             (2k-1)(2l-1) Q_i(k-1) Q_j(l-1)
+    """
+    q = {(0, 0): Fraction(1)}
+
+    def at(g, e):
+        return q.get((g, e), Fraction(0))
+
+    for e in range(1, e_max + 1):
+        for g in range(0, g_max + 1):
+            rhs = Fraction(4 * e - 2, 3) * at(g, e - 1)
+            rhs += Fraction((2 * e - 3) * (2 * e - 2) * (2 * e - 1), 12) * at(g - 1, e - 2)
+            rhs += Fraction(1, 2) * sum(
+                (2 * k - 1) * (2 * (e - k) - 1) * at(i, k - 1) * at(g - i, e - k - 1)
+                for k in range(1, e)
+                for i in range(0, g + 1)
+            )
+            q[g, e] = rhs * 6 / (e + 1)
+    return q
+
+
+def test_rooted_map_recurrence_values():
+    q = _rooted_map_counts(3, 6)
+    assert [q[0, e] for e in range(1, 7)] == [2, 9, 54, 378, 2916, 24057]
+    assert [q[1, e] for e in range(2, 7)] == [1, 20, 307, 4280, 56914]
+    assert [q[2, e] for e in range(4, 7)] == [21, 966, 27954]
+    assert q[3, 6] == 1485
+
+
+def test_rooted_maps_match_carrell_chapuy():
+    # each isomorphism class with E edges carries 2E / |Aut| rootings, zero
+    # classes included; |Aut| is the number of optimal canonical relabelings
+    q = _rooted_map_counts(2, 6)
+    for g in range(0, 3):
+        for e in range(max(1, 2 * g), 7):
+            rooted = Fraction(0)
+            for n in range(1, e + 2 - 2 * g):
+                for maps in _cell_maps(g, n, e, 1).values():
+                    rooted += Fraction(2 * e, len(maps))
+            assert rooted == q[g, e], (g, e)
+
+
+def _orbifold_euler(g: int, n: int) -> Fraction:
+    """chi(M_{g,n}) (Harer-Zagier 1986): chi(M_{0,3}) = 1,
+    chi(M_{g,1}) = zeta(1 - 2g), chi(M_{g,n+1}) = (2 - 2g - n) chi(M_{g,n})."""
+    zeta_1_minus_2g = {1: Fraction(-1, 12), 2: Fraction(1, 120)}
+    chi, k = (Fraction(1), 3) if g == 0 else (zeta_1_minus_2g[g], 1)
+    while k < n:
+        chi *= 2 - 2 * g - k
+        k += 1
+    return chi
+
+
+def test_ge3_cells_match_harer_zagier():
+    # sum over the trivalent-plus classes of a (g, n) cell, zero classes
+    # included, of (-1)^V / |Aut| is chi^orb(M_{g,n}) / n!
+    for g, n in ((0, 3), (0, 4), (0, 5), (1, 1), (1, 2), (1, 3), (2, 1)):
+        total = Fraction(0)
+        for e in range(2 * g + n - 1, 6 * g - 6 + 3 * n + 1):
+            spec = EnumSpec(g, n, e, 3)
+            assert spec.is_consistent()[0], spec
+            for maps in _cell_maps(g, n, e, 3).values():
+                total += Fraction((-1) ** spec.n_vertices, len(maps))
+        assert total == _orbifold_euler(g, n) / factorial(n), (g, n)
 
 
 def test_path_and_polygon_shapes():

@@ -9,7 +9,7 @@ import pkgutil
 import ribboncoh
 from ribboncoh.checks import CheckBounds, run_check
 from ribboncoh.complexes import ComplexSpec, build, cohomology
-from ribboncoh.enumeration import maps_by_boundary
+from ribboncoh.enumeration import EnumSpec, enumerate_classes
 
 
 def _module_state():
@@ -37,7 +37,7 @@ def test_enumeration_pass_leaves_no_cyclic_garbage():
     gc.collect()
     gc.disable()
     try:
-        maps_by_boundary(4, 3, 2)
+        enumerate_classes(EnumSpec(1, 2, 4, 3))
         assert gc.collect() == 0
     finally:
         gc.enable()
