@@ -332,12 +332,11 @@ class OrientedClass:
         }
 
 
-def _zero_flag(canon: RibbonGraph, maps: list, parity: int) -> bool:
-    """True when some automorphism of canon reverses its reference
-    orientation.  maps are the optimal relabelings of one canonicalization
-    pass, so Aut(canon) = {lab o maps[0]^-1 : lab in maps}; maps[0] gives
-    the identity, which is skipped."""
-    ref = reference_orientation(canon, parity)
+def _zero_flag(ref: Orientation, maps: list) -> bool:
+    """True when some automorphism of a canonical graph reverses ref, its
+    reference orientation.  maps are the optimal relabelings of one
+    canonicalization pass, so Aut(canon) = {lab o maps[0]^-1 : lab in maps};
+    maps[0] gives the identity, which is skipped."""
     inv = [0] * len(maps[0])
     for h, x in enumerate(maps[0]):
         inv[x] = h
@@ -354,13 +353,12 @@ def to_oriented_class(g: RibbonGraph, or_: Orientation) -> tuple[OrientedClass, 
     """
     check_valid(g)
     (t0, t1), maps = _canonical_data(g.sigma0, g.sigma1)
-    canon = RibbonGraph(t0, t1)
-    flag = _zero_flag(canon, maps, or_.parity)
+    ref = reference_orientation(RibbonGraph(t0, t1), or_.parity)
+    flag = _zero_flag(ref, maps)
     cls = OrientedClass(t0, t1, or_.parity, flag)
     if flag:
         return cls, 1
-    sign = _compare_sign(_transport(or_, maps[0]), reference_orientation(canon, or_.parity))
-    return cls, sign
+    return cls, _compare_sign(_transport(or_, maps[0]), ref)
 
 
 def class_of(g: RibbonGraph, parity: int) -> OrientedClass:

@@ -3,8 +3,10 @@
 Two ribbon complex kinds share the machinery:
 
 * ``kp``: fixed (genus, boundary count), differential is vertex
-  splitting; sectors: full, ge3 (quotient by low-valence graphs), le2
-  (the low-valence subcomplex, spanned by paths and polygons);
+  splitting; sectors: full, ge3 (the subcomplex of graphs with every
+  valence at least 3, whose operator cuts only arcs of at least two
+  darts), le2 (the low-valence subcomplex, spanned by paths and
+  polygons);
 * ``mw``: fixed genus, all boundary counts aggregated, differential is
   vertex splitting plus corner connecting (delta raises E keeping n,
   the corner move raises E and n together); sectors full and ge3.
@@ -23,8 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .canonical import EVEN, ODD, OrientedClass
-from .diff import FormalSum, bridge, delta, project_ge3
+from .canonical import EVEN, ODD
+from .diff import bridge, delta
 from .enumeration import EnumSpec, enumerate_classes, le2_classes
 from .linalg import DifferentialIdentityError, assemble, certified_rank
 
@@ -112,15 +114,12 @@ def _layer_provably_empty(spec: ComplexSpec, e: int) -> bool:
 
 
 def _operator(spec: ComplexSpec):
+    # Both arcs of a cut carry the sector's valence floor less the new
+    # edge's dart, and at least one dart.  A corner move lowers no valence.
+    min_arc = max(spec.min_valence - 1, 1)
     if spec.kind == "kp":
-        base = delta
-    else:
-        def base(cls: OrientedClass) -> FormalSum:
-            return delta(cls) + bridge(cls)
-
-    if spec.sector == "ge3":
-        return lambda cls: project_ge3(base(cls))
-    return base
+        return lambda cls: delta(cls, min_arc)
+    return lambda cls: delta(cls, min_arc) + bridge(cls)
 
 
 @dataclass
@@ -257,16 +256,6 @@ def euler(sl: ComplexSlice) -> dict:
         per_n[n] = per_n.get(n, 0) + s
         total += s
     return {"total": total, "per_boundary": dict(sorted(per_n.items()))}
-
-
-def euler_from_cohomology(rows: list[dict]) -> int | None:
-    """Alternating sum of h over the rows; None when any row lacks h."""
-    total = 0
-    for r in rows:
-        if r["h"] is None:
-            return None
-        total += (-1) ** r["edges"] * r["h"]
-    return total
 
 
 def modular_dims(k: int) -> tuple[int, int]:

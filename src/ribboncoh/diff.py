@@ -171,16 +171,19 @@ def _cuts(cyc: tuple, min_arc: int = 1):
             yield cyc[i:j], cyc[j:] + cyc[:i]
 
 
-def delta_terms(x: OrientedClass):
+def delta_terms(x: OrientedClass, min_arc: int = 1):
     """Raw vertex-splitting terms: (graph, orientation) pairs, one per way
-    of cutting a vertex cycle into two nonempty arcs."""
+    of cutting a vertex cycle into two arcs of at least min_arc darts
+    (``_cuts``).  min_arc = 2 leaves out exactly the terms with a bivalent
+    vertex when x has none: the ge3 sector's valence floor, applied at the
+    cut."""
     g = x.graph
     n = g.n_half_edges
     parity = x.parity
     ref = x.reference()
     verts = vertices(g)
     for vi, cyc in enumerate(verts):
-        for arc_a, arc_b in _cuts(cyc):
+        for arc_a, arc_b in _cuts(cyc, min_arc):
             out = _split_graph(g, arc_a, arc_b)
             x_h, y_h = n, n + 1
             if parity == EVEN:
@@ -203,6 +206,7 @@ def bridge_terms(x: OrientedClass):
     """Raw corner-joining terms: one per unordered pair of distinct
     corners on a common boundary."""
     g = x.graph
+    check_valid(g)
     n = g.n_half_edges
     parity = x.parity
     ref = x.reference()
@@ -211,7 +215,7 @@ def bridge_terms(x: OrientedClass):
             continue
         bset = frozenset(b)
         for p, q in combinations(sorted(b), 2):
-            out = attach_edge(g, p, q)
+            out = _add_chord(g, p, q)  # distinct corners of one boundary
             x_h, y_h = n, n + 1
             if parity == EVEN:
                 orient = Orientation(EVEN, edge_order=ref.edge_order + ((x_h, y_h),))
@@ -258,8 +262,11 @@ def _image(raw_terms, koszul: int = 1) -> FormalSum:
     return out
 
 
-def delta(x: OrientedClass) -> FormalSum:
-    """Vertex-splitting differential applied to a nonzero class.
+def delta(x: OrientedClass, min_arc: int = 1) -> FormalSum:
+    """Vertex-splitting differential applied to a nonzero class, summed
+    over the cuts of ``delta_terms(x, min_arc)``.  On a ge3 class,
+    min_arc = 2 gives its image in the ge3 sector term by term; since ge3
+    is a subcomplex, that equals the full image.
 
     Odd parity carries a Koszul factor (-1)^B: the orientation word lists
     vertices before boundaries, so the appended vertex crosses the whole
@@ -268,7 +275,7 @@ def delta(x: OrientedClass) -> FormalSum:
     acquire the sign that makes the two differentials anticommute.
     """
     odd_b = x.parity == ODD and len(boundaries(x.graph)) % 2 == 1
-    return _image(delta_terms(x), -1 if odd_b else 1)
+    return _image(delta_terms(x, min_arc), -1 if odd_b else 1)
 
 
 def bridge(x: OrientedClass) -> FormalSum:
@@ -277,7 +284,8 @@ def bridge(x: OrientedClass) -> FormalSum:
 
 
 def project_ge3(s: FormalSum) -> FormalSum:
-    """Drop every term containing a vertex of valence at most two."""
+    """Drop every term containing a vertex of valence at most two: the
+    reference that ``delta(x, min_arc=2)`` is tested against."""
     out = FormalSum()
     for cls, c in s.terms():
         if min_valence(cls.graph) >= 3:

@@ -20,7 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
-from .canonical import EVEN, OrientedClass, _canonical_data, _zero_flag
+from .canonical import (
+    EVEN,
+    OrientedClass,
+    _canonical_data,
+    _zero_flag,
+    reference_orientation,
+)
 from .canonical import is_minimal_form  # noqa: F401  (perfbench/tracer.py reads this name)
 from .diff import _add_chord, _cuts, _split_graph
 from .ribbon import RibbonGraph, boundaries, orbits, vertices
@@ -133,7 +139,7 @@ def _split_by_zero(cell: dict, parity: int):
     nonzero = []
     zero = 0
     for (t0, t1), maps in cell.items():
-        if _zero_flag(RibbonGraph(t0, t1), maps, parity):
+        if _zero_flag(reference_orientation(RibbonGraph(t0, t1), parity), maps):
             zero += 1
         else:
             nonzero.append(OrientedClass(t0, t1, parity, False))

@@ -3,8 +3,10 @@
 A ribbon graph is a pair of permutations on a dense half-edge set
 ``0..2E-1``: ``sigma0`` records the cyclic order of half-edges around each
 vertex, ``sigma1`` is the fixed-point-free involution pairing the two
-half-edges of every edge.  Vertices, edges, boundary walks, corners, genus
-and connectivity are all derived from these two arrays.
+half-edges of every edge.  Vertices, edges, boundary walks, genus and
+connectivity are all derived from these two arrays.  A corner (the sector
+between h and sigma0(h)) is identified with the half-edge h it follows, so
+the corners of a boundary are the half-edges of its walk.
 """
 from __future__ import annotations
 
@@ -142,16 +144,6 @@ def max_valence(g: RibbonGraph) -> int:
     return max(valences(g))
 
 
-def corners(g: RibbonGraph) -> dict[tuple, list[int]]:
-    """Map each boundary to the corners attached to it.
-
-    A corner is identified with the half-edge h it follows (the sector
-    between h and sigma0(h)); its boundary is the sigma2-orbit of h, so the
-    corners of a boundary are exactly its orbit elements.
-    """
-    return {b: list(b) for b in boundaries(g)}
-
-
 def is_connected(g: RibbonGraph) -> bool:
     n = g.n_half_edges
     seen = [False] * n
@@ -179,11 +171,6 @@ def genus(g: RibbonGraph) -> int:
     if twice % 2 != 0 or twice < 0:
         raise InvalidGraph("structural inconsistency: bad genus formula value")
     return twice // 2
-
-
-def euler_boundary_check(g: RibbonGraph) -> bool:
-    """B = E - V + 2 - 2g, restated from the genus formula."""
-    return len(boundaries(g)) == g.n_edges - len(vertices(g)) + 2 - 2 * genus(g)
 
 
 def to_dot(g: RibbonGraph) -> str:

@@ -13,7 +13,6 @@ from ribboncoh.complexes import (
     calc1_offsets,
     cohomology,
     euler,
-    euler_from_cohomology,
     modular_dims,
     render_table,
 )
@@ -62,7 +61,6 @@ def test_kp_11_table():
     }
     assert by_e[4]["h"] == 0 and by_e[4]["status"] == "certified"
     assert euler(sl) == {"total": -1, "per_boundary": {1: -1}}
-    assert euler_from_cohomology(rows) == -1
 
 
 def test_le2_polygon_table():
@@ -73,7 +71,6 @@ def test_le2_polygon_table():
         assert by_e[e]["status"] == "certified"
         assert by_e[e]["h"] == (1 if e % 4 == 1 else 0)
     assert by_e[6]["status"] == "truncated"
-    assert euler_from_cohomology(rows) is None
 
 
 def test_mw_small_build():

@@ -130,6 +130,26 @@ def test_project_ge3(generators):
             assert coeff == s.coeff(ocls)
 
 
+def test_ge3_floor_at_the_cut_matches_projection():
+    # every ge3 generator with g <= 2, E <= 5, both parities: cutting only
+    # arcs of at least two darts gives, term by term, what projecting the
+    # full image onto ge3 gives; and the bivalent terms cancel, so ge3 is a
+    # subcomplex and the full image equals both
+    count = 0
+    for parity in (EVEN, ODD):
+        for e in range(1, 6):
+            for g in range(0, 3):
+                for n in range(1, e + 2 - 2 * g):
+                    nonzero, _ = enumerate_classes(EnumSpec(g, n, e, 3, parity))
+                    for cls in nonzero:
+                        cut = delta(cls, min_arc=2)
+                        full = delta(cls)
+                        assert cut == project_ge3(full)
+                        assert cut == full
+                        count += 1
+    assert count == 498
+
+
 def test_mw_ge3_projection_squares_to_zero():
     # projected combined differential on trivalent-plus generators
     op = lambda c: project_ge3(delta(c) + bridge(c))
