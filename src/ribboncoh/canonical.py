@@ -14,8 +14,17 @@ The zero flag reads its automorphisms off that same pass.
 
 Orientation data depends on the parity of the degree-shift integer d:
 an edge order for d even; a vertex order, boundary order, and a direction
-per edge for d odd.  A class is zero when some automorphism acts on its
-orientation with sign -1.
+per edge for d odd.  The reference orientation orders every kind of item
+by least half-edge label and directs each edge from its smaller label.
+
+Sign rule: relabel an orientation by a relabeling lab; its sign against
+the reference of the relabeled graph is the parity of sorting its items
+by least label (edges for even parity; vertices and boundaries for odd
+parity, times -1 per edge (a, b) with lab[a] > lab[b]).  Zero rule: a
+class is zero when some automorphism acts on its orientation with sign
+-1, that is, exactly when two optimal relabelings of the one
+canonicalization pass give different signs, since their quotient is an
+automorphism of the canonical graph.
 """
 from __future__ import annotations
 
@@ -250,50 +259,38 @@ def reference_orientation(g: RibbonGraph, parity: int) -> Orientation:
     )
 
 
-def _list_perm_sign(transported: list, reference: list) -> int:
-    pos = {item: i for i, item in enumerate(reference)}
-    if len(pos) != len(reference) or len(transported) != len(reference):
-        raise ValueError("orientation payload does not match the graph")
-    perm = [pos[item] for item in transported]
-    return perm_sign(perm)
+def _order_sign(keys) -> int:
+    """Parity of the permutation that sorts distinct keys."""
+    return perm_sign(sorted(range(len(keys)), key=keys.__getitem__))
 
 
-def _transport(or_: Orientation, lab: list[int]) -> Orientation:
-    """Push an orientation through a half-edge relabeling."""
+def _relabel_sign(or_: Orientation, lab) -> int:
+    """Sign of or_, relabeled by lab, against the reference orientation of
+    the relabeled graph: the parity of sorting its items by least label,
+    times -1 per edge directed from the larger label for odd parity."""
     if or_.parity == EVEN:
-        return Orientation(
-            EVEN,
-            edge_order=tuple(tuple(sorted((lab[a], lab[b]))) for a, b in or_.edge_order),
-        )
-    return Orientation(
-        ODD,
-        vertex_order=tuple(frozenset(lab[h] for h in v) for v in or_.vertex_order),
-        boundary_order=tuple(frozenset(lab[h] for h in b) for b in or_.boundary_order),
-        edge_dirs=tuple((lab[a], lab[b]) for a, b in or_.edge_dirs),
-    )
-
-
-def _compare_sign(or_: Orientation, ref: Orientation) -> int:
-    """Sign of or_ relative to ref on the same labeled graph."""
-    if or_.parity == EVEN:
-        tr = [tuple(sorted(e)) for e in or_.edge_order]
-        return _list_perm_sign(tr, [tuple(e) for e in ref.edge_order])
-    sv = _list_perm_sign(list(or_.vertex_order), list(ref.vertex_order))
-    sb = _list_perm_sign(list(or_.boundary_order), list(ref.boundary_order))
-    ref_dirs = {tuple(sorted(d)): d for d in ref.edge_dirs}
-    flips = 0
+        return _order_sign([min(lab[a], lab[b]) for a, b in or_.edge_order])
+    sign = _order_sign([min(lab[h] for h in v) for v in or_.vertex_order])
+    sign *= _order_sign([min(lab[h] for h in b) for b in or_.boundary_order])
     for a, b in or_.edge_dirs:
-        want = ref_dirs[tuple(sorted((a, b)))]
-        if (a, b) != want:
-            flips += 1
-    return sv * sb * (-1) ** (flips % 2)
+        if lab[a] > lab[b]:
+            sign = -sign
+    return sign
+
+
+def _sign(or_: Orientation, maps: list) -> int:
+    """Sign of or_ against the canonical reference, read off the optimal
+    relabelings maps of one canonicalization pass; 0 when two of them
+    disagree, since their quotient is an automorphism reversing or_."""
+    signs = {_relabel_sign(or_, lab) for lab in maps}
+    return signs.pop() if len(signs) == 1 else 0
 
 
 def orientation_sign(g: RibbonGraph, a: tuple, or_: Orientation) -> int:
     """Sign of the action of automorphism a on the orientation."""
     if not is_automorphism(g, a):
         raise ValueError("not an automorphism of the graph")
-    return _compare_sign(_transport(or_, list(a)), or_)
+    return _relabel_sign(or_, a) * _relabel_sign(or_, range(g.n_half_edges))
 
 
 @dataclass(frozen=True)
@@ -335,30 +332,40 @@ class OrientedClass:
 def _zero_flag(ref: Orientation, maps: list) -> bool:
     """True when some automorphism of a canonical graph reverses ref, its
     reference orientation.  maps are the optimal relabelings of one
-    canonicalization pass, so Aut(canon) = {lab o maps[0]^-1 : lab in maps};
-    maps[0] gives the identity, which is skipped."""
+    canonicalization pass, so Aut(canon) = {lab o maps[0]^-1 : lab in maps}."""
     inv = [0] * len(maps[0])
     for h, x in enumerate(maps[0]):
         inv[x] = h
-    return any(
-        _compare_sign(_transport(ref, [lab[h] for h in inv]), ref) < 0 for lab in maps[1:]
-    )
+    return _sign(ref, [[lab[h] for h in inv] for lab in maps]) == 0
+
+
+def _check_fit(g: RibbonGraph, or_: Orientation) -> None:
+    """Raise ValueError unless or_ has one item per edge (and, for odd
+    parity, per vertex and per boundary) of g."""
+    if or_.parity == EVEN:
+        fits = len(or_.edge_order) == g.n_edges
+    else:
+        fits = (
+            len(or_.edge_dirs) == g.n_edges
+            and len(or_.vertex_order) == len(vertices(g))
+            and len(or_.boundary_order) == len(boundaries(g))
+        )
+    if not fits:
+        raise ValueError("orientation payload does not match the graph")
 
 
 def to_oriented_class(g: RibbonGraph, or_: Orientation) -> tuple[OrientedClass, int]:
-    """Canonicalize, transport the orientation, reduce to the reference one.
+    """Canonicalize and read the orientation's sign against the canonical
+    reference off the optimal relabelings (``_sign``).
 
-    Returns the class and the comparison sign; the sign is meaningless (and
-    returned as +1) when the class is zero.
+    Returns the class and the sign; the sign is meaningless (and returned
+    as +1) when the class is zero.
     """
     check_valid(g)
+    _check_fit(g, or_)
     (t0, t1), maps = _canonical_data(g.sigma0, g.sigma1)
-    ref = reference_orientation(RibbonGraph(t0, t1), or_.parity)
-    flag = _zero_flag(ref, maps)
-    cls = OrientedClass(t0, t1, or_.parity, flag)
-    if flag:
-        return cls, 1
-    return cls, _compare_sign(_transport(or_, maps[0]), ref)
+    sign = _sign(or_, maps)
+    return OrientedClass(t0, t1, or_.parity, sign == 0), sign or 1
 
 
 def class_of(g: RibbonGraph, parity: int) -> OrientedClass:

@@ -29,7 +29,6 @@ from .ribbon import RibbonGraph, check_valid, to_dot
 from .samples import NAMED
 
 PARITIES = {"even": EVEN, "odd": ODD}
-JOBS_HELP = "accepted for compatibility and ignored; the computation is serial"
 
 
 def _parse_erange(text: str) -> tuple[int, int]:
@@ -43,7 +42,6 @@ def _parse_erange(text: str) -> tuple[int, int]:
 def _add_cache_flags(p):
     p.add_argument("--cache-dir", default=None, help="cache directory (default %s or $RIBBONCOH_CACHE_DIR)" % default_cache_dir())
     p.add_argument("--no-cache", action="store_true", help="disable the on-disk cache")
-    p.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
 
 
 def _cache_from(args) -> Cache:
@@ -73,7 +71,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--e-max-le2", type=int, default=8)
     p.add_argument("--e-max-oracle", type=int, default=4)
     p.add_argument("--parity", choices=("even", "odd", "both"), default="both")
-    p.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("cohomology", help="build a complex and print its cohomology table")

@@ -7,10 +7,13 @@ corners of the same boundary, splitting that boundary in two; it raises
 the edge and boundary counts by one and keeps the genus.
 
 Sign conventions (the literature leaves them to a choice; the d^2 = 0 and
-anticommutation suites pin ours): the new edge is appended last in the
-edge order for even parity; for odd parity the new vertex/boundary is
-appended last and the new edge is directed from the half-edge at the
-smaller corner label.
+anticommutation suites pin ours): each raw term carries the class's
+reference orientation with the new edge appended last in the edge order
+for even parity; for odd parity the new vertex/boundary is appended last
+and the new edge is directed from the half-edge at the smaller corner
+label.  The new half-edges carry the largest labels, so every other
+vertex and boundary keeps its place.  ``canonical.to_oriented_class``
+reads each term's sign off its optimal relabelings.
 
 Both operators return a fresh image on every call; the module keeps no
 state between calls.  A caller that applies them to the same class more
@@ -149,17 +152,6 @@ def _split_graph(g: RibbonGraph, arc_a: tuple, arc_b: tuple) -> RibbonGraph:
     return RibbonGraph(tuple(s0), tuple(s1))
 
 
-def _match_boundary_order(old_order, new_g: RibbonGraph, old_dart_count: int):
-    """Transport a boundary order to a graph whose boundaries restrict to
-    the old ones on the old half-edges."""
-    new_bs = [frozenset(b) for b in boundaries(new_g)]
-    by_old = {}
-    for nb in new_bs:
-        restricted = frozenset(h for h in nb if h < old_dart_count)
-        by_old[restricted] = nb
-    return [by_old[ob] for ob in old_order]
-
-
 def _cuts(cyc: tuple, min_arc: int = 1):
     """Every way of cutting a vertex cycle into two cyclically-contiguous
     arcs (arc_a, arc_b) of at least min_arc darts each.  arc_a = cyc[i:j]
@@ -192,11 +184,10 @@ def delta_terms(x: OrientedClass, min_arc: int = 1):
                 vorder = list(ref.vertex_order)
                 vorder[vi] = frozenset(arc_a) | {x_h}
                 vorder.append(frozenset(arc_b) | {y_h})
-                border = _match_boundary_order(ref.boundary_order, out, n)
                 orient = Orientation(
                     ODD,
                     vertex_order=tuple(vorder),
-                    boundary_order=tuple(border),
+                    boundary_order=tuple(frozenset(b) for b in boundaries(out)),
                     edge_dirs=ref.edge_dirs + ((x_h, y_h),),
                 )
             yield out, orient
@@ -233,15 +224,7 @@ def bridge_terms(x: OrientedClass):
                 frag_y = next(bb for bb in new_bs if y_h in bb)
                 if frag_x == frag_y:
                     raise AssertionError("corner join failed to split the boundary")
-                border = []
-                for ob in ref.boundary_order:
-                    if ob == bset:
-                        border.append(frag_x)
-                    else:
-                        match = next(
-                            bb for bb in new_bs if frozenset(h for h in bb if h < n) == ob
-                        )
-                        border.append(match)
+                border = [frag_x if ob == bset else ob for ob in ref.boundary_order]
                 border.append(frag_y)
                 orient = Orientation(
                     ODD,

@@ -12,9 +12,9 @@ order.  Degree of a generator: |G| = 2d(V-1) + (1-2d)E.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, permutations, product
 
-from .canonical import perm_sign
+from .canonical import _order_sign, perm_sign
 from .complexes import ComplexSlice, assemble_differentials, cohomology
 from .diff import FormalSum
 
@@ -90,22 +90,12 @@ def _degree_compatible_perms(g: GCGraph):
         groups.setdefault(d, []).append(v)
     keys = sorted(groups)
     pools = [groups[k] for k in keys]
-    for parts in _product_perms(pools):
+    for parts in product(*(permutations(p) for p in pools)):
         perm = [0] * g.n_vertices
         for pool, images in zip(pools, parts):
             for src, dst in zip(pool, images):
                 perm[src] = dst
         yield tuple(perm)
-
-
-def _product_perms(pools):
-    if not pools:
-        yield ()
-        return
-    head, rest = pools[0], pools[1:]
-    for p in permutations(head):
-        for tail in _product_perms(rest):
-            yield (p,) + tail
 
 
 def _gc_canonical_data(g: GCGraph) -> tuple[tuple, list[tuple]]:
@@ -179,35 +169,26 @@ class GCClass:
         }
 
 
-def _zero_flag_gc(canon: GCGraph, perms: list[tuple]) -> bool:
-    """perms are the optimal permutations of the scan that produced canon,
-    so Aut(canon) = {p o perms[0]^-1 : p in perms}; perms[0] gives the
-    identity, which is skipped."""
-    if canon.has_parallel_edges():
-        return True
-    inv = [0] * canon.n_vertices
-    for v, x in enumerate(perms[0]):
-        inv[x] = v
-    return any(_edge_perm_sign(canon, [p[v] for v in inv]) < 0 for p in perms[1:])
+def _gc_sign(edge_order, best: tuple, perms: list[tuple]) -> int:
+    """Sign of edge_order against the canonical edge tuple best, read off
+    the optimal permutations perms by the sort-sign rule of ``canonical``;
+    0 for a zero class: parallel edges, or two permutations that disagree
+    (their quotient is an edge-odd automorphism)."""
+    if len(set(best)) != len(best):
+        return 0
+    signs = {
+        _order_sign([tuple(sorted((p[a], p[b]))) for a, b in edge_order]) for p in perms
+    }
+    return signs.pop() if len(signs) == 1 else 0
 
 
 def to_gc_class(g: GCGraph, edge_order=None) -> tuple[GCClass, int]:
     """Canonicalize; compare the given edge order (default: the graph's
     sorted edge tuple) against the canonical reference order.  The sign is
     +1 and meaningless for zero classes."""
-    if edge_order is None:
-        edge_order = g.edges
     best, perms = _gc_canonical_data(g)
-    canon = GCGraph(g.n_vertices, best)
-    flag = _zero_flag_gc(canon, perms)
-    cls = GCClass(canon.n_vertices, canon.edges, flag)
-    if flag:
-        return cls, 1
-    perm = perms[0]
-    transported = [tuple(sorted((perm[a], perm[b]))) for a, b in edge_order]
-    pos = {e: i for i, e in enumerate(canon.edges)}
-    sign = perm_sign([pos[e] for e in transported])
-    return cls, sign
+    sign = _gc_sign(g.edges if edge_order is None else edge_order, best, perms)
+    return GCClass(g.n_vertices, best, sign == 0), sign or 1
 
 
 def _edge_multisets(n_vertices: int, n_edges: int):
@@ -242,7 +223,7 @@ def gc_enumerate(loop_order: int, n_edges: int, min_valence: int = 3):
             continue
         best, perms = _gc_canonical_data(g)
         if best not in seen:
-            seen[best] = _zero_flag_gc(GCGraph(n_vertices, best), perms)
+            seen[best] = _gc_sign(g.edges, best, perms) == 0
     nonzero = [GCClass(n_vertices, edges, False) for edges, flag in seen.items() if not flag]
     zero = len(seen) - len(nonzero)
     nonzero.sort(key=lambda c: c.content_hash())

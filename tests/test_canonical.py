@@ -1,4 +1,5 @@
 """Canonical labeling, automorphisms, orientation signs, zero flags."""
+from dataclasses import replace
 from itertools import permutations
 import random
 
@@ -11,6 +12,7 @@ from ribboncoh.canonical import (
     Orientation,
     _bfs_relabel,
     _canonical_data,
+    _zero_flag,
     automorphisms,
     canonical_form,
     class_of,
@@ -103,13 +105,10 @@ def _relabeled(g, perm):
     return RibbonGraph(tuple(s0), tuple(s1))
 
 
-def test_early_abort_scan_matches_full_scan():
-    # every class with E <= 3, valence floors 1..3, zero classes included,
-    # under several relabelings: the early-abort pass finds the same minimum
-    # and the same optimal maps as a full relabeling from every root, and
-    # its zero flag agrees with a brute-force automorphism scan
-    rng = random.Random(7)
-    graphs = [
+def _small_classes():
+    """Every class with E <= 3 and valence floors 1..3, zero classes
+    included."""
+    return [
         RibbonGraph(*pair)
         for e in range(1, 4)
         for mv in (1, 2, 3)
@@ -118,24 +117,133 @@ def test_early_abort_scan_matches_full_scan():
         if EnumSpec(genus, n, e, mv).is_consistent()[0]
         for pair in _cell_maps(genus, n, e, mv)
     ]
+
+
+def _relabelings(n, rng):
+    return [list(range(n)), list(reversed(range(n)))] + [
+        rng.sample(range(n), n) for _ in range(3)
+    ]
+
+
+def test_early_abort_scan_matches_full_scan():
+    # every class with E <= 3, valence floors 1..3, zero classes included,
+    # under several relabelings: the early-abort pass finds the same minimum
+    # and the same optimal maps as a full relabeling from every root
+    rng = random.Random(7)
+    graphs = _small_classes()
     assert len(graphs) > 50
     for g in graphs:
         n = g.n_half_edges
-        perms = [list(range(n)), list(reversed(range(n)))]
-        perms += [rng.sample(range(n), n) for _ in range(3)]
-        for perm in perms:
+        for perm in _relabelings(n, rng):
             h = _relabeled(g, perm)
             best, maps = _canonical_data(h.sigma0, h.sigma1)
             full = [_bfs_relabel(h.sigma0, h.sigma1, r) for r in range(n)]
             key = min(k for k, _ in full)
             assert best == key
             assert maps == [lab for k, lab in full if k == key]
-            canon = RibbonGraph(*best)
-            auts = brute_automorphisms(canon)
+
+
+def _parity_sign(perm):
+    inversions = sum(
+        perm[i] > perm[j] for i in range(len(perm)) for j in range(i + 1, len(perm))
+    )
+    return -1 if inversions % 2 else 1
+
+
+def _oracle_transport(or_, lab):
+    """Push an orientation through a half-edge relabeling, item by item."""
+    if or_.parity == EVEN:
+        return Orientation(
+            EVEN, edge_order=tuple(tuple(sorted((lab[a], lab[b]))) for a, b in or_.edge_order)
+        )
+    return Orientation(
+        ODD,
+        vertex_order=tuple(frozenset(lab[h] for h in v) for v in or_.vertex_order),
+        boundary_order=tuple(frozenset(lab[h] for h in b) for b in or_.boundary_order),
+        edge_dirs=tuple((lab[a], lab[b]) for a, b in or_.edge_dirs),
+    )
+
+
+def _oracle_sign(or_, ref):
+    """Sign of or_ against ref on one labeled graph, from the positions of
+    its items in ref and the edges it directs against ref."""
+
+    def order(items, ref_items):
+        pos = {item: i for i, item in enumerate(ref_items)}
+        return _parity_sign([pos[item] for item in items])
+
+    if or_.parity == EVEN:
+        return order(or_.edge_order, ref.edge_order)
+    flips = sum(d not in ref.edge_dirs for d in or_.edge_dirs)
+    return (
+        order(or_.vertex_order, ref.vertex_order)
+        * order(or_.boundary_order, ref.boundary_order)
+        * (-1) ** flips
+    )
+
+
+def _shuffled(or_, rng):
+    """The same items as or_ in a random order, edges in random directions."""
+
+    def shuffle(items):
+        return tuple(rng.sample(items, len(items)))
+
+    def turn(pairs):
+        return tuple(p[::-1] if rng.random() < 0.5 else p for p in pairs)
+
+    if or_.parity == EVEN:
+        return Orientation(EVEN, edge_order=turn(shuffle(or_.edge_order)))
+    return Orientation(
+        ODD,
+        vertex_order=shuffle(or_.vertex_order),
+        boundary_order=shuffle(or_.boundary_order),
+        edge_dirs=turn(or_.edge_dirs),
+    )
+
+
+def test_sign_and_zero_flag_match_transport_oracle():
+    # every class with E <= 3, valence floors 1..3, under several
+    # relabelings and orientations: the sign and zero flag read off the
+    # optimal relabelings agree with transporting the orientation to the
+    # canonical graph and reading item positions in its reference, with
+    # the zero flag taken over brute-force automorphisms
+    rng = random.Random(7)
+    for g in _small_classes():
+        canon, _ = canonical_form(g)
+        auts = brute_automorphisms(canon)
+        for perm in _relabelings(g.n_half_edges, rng):
+            h = _relabeled(g, perm)
+            _, maps = _canonical_data(h.sigma0, h.sigma1)
             for parity in (EVEN, ODD):
-                ref = reference_orientation(canon, parity)
-                brute = any(orientation_sign(canon, a, ref) < 0 for a in auts)
-                assert class_of(h, parity).zero_flag is brute
+                canon_ref = reference_orientation(canon, parity)
+                zero = any(
+                    _oracle_sign(_oracle_transport(canon_ref, a), canon_ref) < 0 for a in auts
+                )
+                assert _zero_flag(canon_ref, maps) is zero
+                ref = reference_orientation(h, parity)
+                orients = [ref, _shuffled(ref, rng)]
+                if parity == ODD or h.n_edges > 1:
+                    orients.append(ref.opposite())
+                for o in orients:
+                    cls, sign = to_oriented_class(h, o)
+                    assert cls.graph == canon
+                    assert cls.zero_flag is zero
+                    want = _oracle_sign(_oracle_transport(o, maps[0]), canon_ref)
+                    assert sign == (1 if zero else want)
+
+
+def test_orientation_must_fit_the_graph(theta1, theta0):
+    # an orientation with the wrong number of items of some kind is rejected
+    even = reference_orientation(theta1, EVEN)
+    odd = reference_orientation(theta1, ODD)
+    for bad in (
+        Orientation(EVEN, edge_order=even.edge_order[:-1]),
+        replace(odd, vertex_order=odd.vertex_order[:-1]),
+        replace(odd, edge_dirs=odd.edge_dirs[:-1]),
+        reference_orientation(theta0, ODD),  # three boundaries, theta1 has one
+    ):
+        with pytest.raises(ValueError):
+            to_oriented_class(theta1, bad)
 
 
 def test_perm_sign():

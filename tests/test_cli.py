@@ -47,7 +47,7 @@ def test_enumerate_invalid_spec(capsys):
 def test_check_small(capsys):
     code, out, _ = run(
         capsys, "check", "--g-max", "1", "--e-max", "2", "--e-max-ge3", "3",
-        "--e-max-le2", "4", "--e-max-oracle", "2", "--jobs", "2",
+        "--e-max-le2", "4", "--e-max-oracle", "2",
     )
     assert code == 0
     assert "overall: pass" in out

@@ -5,6 +5,7 @@ from ribboncoh.cache import Cache
 from ribboncoh.canonical import EVEN, ODD
 from ribboncoh.diff import FormalSum, bridge, delta, project_ge3
 from ribboncoh.linalg import DifferentialIdentityError
+from ribboncoh.ribbon import boundaries
 from ribboncoh.complexes import (
     ComplexSpec,
     assemble_differentials,
@@ -81,6 +82,20 @@ def test_mw_small_build():
         assert by_e[e]["status"] == "certified"
         assert by_e[e]["h"] == 0
     assert by_e[5]["dim"] == 34
+
+
+def test_mw_operator_uses_the_corner_move():
+    # the mw differential is delta + bridge: a vertex split keeps the
+    # boundary count, so only the corner move puts a nonzero entry between
+    # a class with n boundaries and one with n + 1
+    for d in (0, 1):
+        sl = build(ComplexSpec("mw", 0, d, "ge3", 1, 5))
+        n_b = {cls: len(boundaries(cls.graph)) for b in sl.bases.values() for cls in b}
+        assert any(
+            n_b[sl.bases[e + 1][r]] == n_b[sl.bases[e][c]] + 1
+            for e, m in sl.matrices.items()
+            for r, c, _ in m.entries
+        )
 
 
 def test_assemble_differentials_detects_broken_operator():
