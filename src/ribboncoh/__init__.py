@@ -4,7 +4,6 @@ from .ribbon import RibbonGraph, InvalidGraph, DisconnectedGraph
 from .canonical import (
     EVEN,
     ODD,
-    Orientation,
     OrientedClass,
     automorphisms,
     canonical_form,

@@ -12,19 +12,23 @@ best key with early abort (the rooted-code comparison of plantri,
 Brinkmann-McKay 2007), the same comparison ``is_minimal_form`` makes.
 The zero flag reads its automorphisms off that same pass.
 
-Orientation data depends on the parity of the degree-shift integer d:
-an edge order for d even; a vertex order, boundary order, and a direction
-per edge for d odd.  The reference orientation orders every kind of item
-by least half-edge label and directs each edge from its smaller label.
+Orientations depend on the parity of the degree-shift integer d: an
+edge order for d even; a vertex order, boundary order, and a direction
+per edge for d odd.  A graph has exactly two: its reference orientation,
+which orders every kind of item by least half-edge label and directs
+each edge from its smaller label, and the opposite one.  So an
+orientation is a sign against the graph's own reference, and no
+orientation is stored: the builders in ``diff`` hand each raw term over
+as (graph, sign).
 
-Sign rule: relabel an orientation by a relabeling lab; its sign against
-the reference of the relabeled graph is the parity of sorting its items
-by least label (edges for even parity; vertices and boundaries for odd
-parity, times -1 per edge (a, b) with lab[a] > lab[b]).  Zero rule: a
-class is zero when some automorphism acts on its orientation with sign
--1, that is, exactly when two optimal relabelings of the one
-canonicalization pass give different signs, since their quotient is an
-automorphism of the canonical graph.
+Sign rule: relabel the reference orientation by a relabeling lab; its
+sign against the reference of the relabeled graph is the parity of
+sorting its items by least label (edges for even parity; vertices and
+boundaries for odd parity, times -1 per edge (a, b) with
+lab[a] > lab[b]).  Zero rule: a class is zero when some automorphism
+reverses its orientation, that is, exactly when two optimal relabelings
+of the one canonicalization pass give different signs, since their
+quotient is an automorphism of the canonical graph.
 """
 from __future__ import annotations
 
@@ -192,105 +196,42 @@ def perm_sign(perm: list[int]) -> int:
     return sign
 
 
-@dataclass(frozen=True)
-class Orientation:
-    """Orientation payload; exactly one regime populated per parity.
-
-    even: edge_order is a tuple of unordered half-edge pairs, list position
-    carries the ordering.  odd: vertex_order and boundary_order are tuples
-    of frozensets of half-edges; edge_dirs holds one directed pair per edge.
-    """
-
-    parity: int
-    edge_order: tuple | None = None
-    vertex_order: tuple | None = None
-    boundary_order: tuple | None = None
-    edge_dirs: tuple | None = None
-
-    def __post_init__(self):
-        if self.parity == EVEN:
-            ok = (
-                self.edge_order is not None
-                and self.vertex_order is None
-                and self.edge_dirs is None
-            )
-        else:
-            ok = (
-                self.edge_order is None
-                and self.vertex_order is not None
-                and self.boundary_order is not None
-                and self.edge_dirs is not None
-            )
-        if not ok:
-            raise ValueError(
-                "orientation payload does not match parity %d" % self.parity
-            )
-
-    def opposite(self) -> "Orientation":
-        """Reverse one generator: swap the first two edges (even) or flip
-        the first edge direction (odd)."""
-        if self.parity == EVEN:
-            eo = list(self.edge_order)
-            if len(eo) < 2:
-                raise ValueError("no transposition available on a single edge")
-            eo[0], eo[1] = eo[1], eo[0]
-            return Orientation(EVEN, edge_order=tuple(eo))
-        dirs = list(self.edge_dirs)
-        a, b = dirs[0]
-        dirs[0] = (b, a)
-        return Orientation(
-            ODD,
-            vertex_order=self.vertex_order,
-            boundary_order=self.boundary_order,
-            edge_dirs=tuple(dirs),
-        )
-
-
-def reference_orientation(g: RibbonGraph, parity: int) -> Orientation:
-    """Deterministic reference: everything ordered by minimal half-edge
-    label, edges directed from smaller to larger label."""
-    if parity == EVEN:
-        return Orientation(EVEN, edge_order=tuple(tuple(e) for e in edges(g)))
-    return Orientation(
-        ODD,
-        vertex_order=tuple(frozenset(v) for v in vertices(g)),
-        boundary_order=tuple(frozenset(b) for b in boundaries(g)),
-        edge_dirs=tuple(tuple(e) for e in edges(g)),
-    )
-
-
 def _order_sign(keys) -> int:
     """Parity of the permutation that sorts distinct keys."""
     return perm_sign(sorted(range(len(keys)), key=keys.__getitem__))
 
 
-def _relabel_sign(or_: Orientation, lab) -> int:
-    """Sign of or_, relabeled by lab, against the reference orientation of
-    the relabeled graph: the parity of sorting its items by least label,
-    times -1 per edge directed from the larger label for odd parity."""
-    if or_.parity == EVEN:
-        return _order_sign([min(lab[a], lab[b]) for a, b in or_.edge_order])
-    sign = _order_sign([min(lab[h] for h in v) for v in or_.vertex_order])
-    sign *= _order_sign([min(lab[h] for h in b) for b in or_.boundary_order])
-    for a, b in or_.edge_dirs:
-        if lab[a] > lab[b]:
-            sign = -sign
-    return sign
+def _sign(g: RibbonGraph, parity: int, maps) -> int:
+    """Sign of g's reference orientation against the canonical reference,
+    read off the optimal relabelings maps of one canonicalization pass.
 
-
-def _sign(or_: Orientation, maps: list) -> int:
-    """Sign of or_ against the canonical reference, read off the optimal
-    relabelings maps of one canonicalization pass; 0 when two of them
-    disagree, since their quotient is an automorphism reversing or_."""
-    signs = {_relabel_sign(or_, lab) for lab in maps}
+    Relabeled by lab, the reference's sign against the reference of the
+    relabeled graph is the parity of sorting its items by least label,
+    times -1 per edge directed from the larger label for odd parity.  The
+    result is 0 when two relabelings disagree, since their quotient is an
+    automorphism reversing the orientation."""
+    es = edges(g)
+    if parity == EVEN:
+        signs = {_order_sign([min(lab[a], lab[b]) for a, b in es]) for lab in maps}
+        return signs.pop() if len(signs) == 1 else 0
+    vs = vertices(g)
+    bs = boundaries(g)
+    signs = set()
+    for lab in maps:
+        sign = _order_sign([min(lab[h] for h in v) for v in vs])
+        sign *= _order_sign([min(lab[h] for h in b) for b in bs])
+        for a, b in es:
+            if lab[a] > lab[b]:
+                sign = -sign
+        signs.add(sign)
     return signs.pop() if len(signs) == 1 else 0
 
 
-def orientation_sign(g: RibbonGraph, a: tuple, or_: Orientation) -> int:
-    """Sign of the action of automorphism a on the orientation."""
+def orientation_sign(g: RibbonGraph, a: tuple, parity: int) -> int:
+    """Sign of the action of automorphism a on g's reference orientation."""
     if not is_automorphism(g, a):
         raise ValueError("not an automorphism of the graph")
-    return _relabel_sign(or_, a) * _relabel_sign(or_, range(g.n_half_edges))
+    return _sign(g, parity, [a])
 
 
 @dataclass(frozen=True)
@@ -311,9 +252,6 @@ class OrientedClass:
     def n_edges(self) -> int:
         return len(self.sigma0) // 2
 
-    def reference(self) -> Orientation:
-        return reference_orientation(self.graph, self.parity)
-
     def content_hash(self) -> str:
         payload = "%s|%s|%d|%d" % (self.sigma0, self.sigma1, self.parity, self.zero_flag)
         return hashlib.sha1(payload.encode()).hexdigest()
@@ -329,46 +267,30 @@ class OrientedClass:
         }
 
 
-def _zero_flag(ref: Orientation, maps: list) -> bool:
-    """True when some automorphism of a canonical graph reverses ref, its
-    reference orientation.  maps are the optimal relabelings of one
+def _zero_flag(canon: RibbonGraph, parity: int, maps: list) -> bool:
+    """True when some automorphism of the canonical graph canon reverses
+    its reference orientation.  maps are the optimal relabelings of one
     canonicalization pass, so Aut(canon) = {lab o maps[0]^-1 : lab in maps}."""
     inv = [0] * len(maps[0])
     for h, x in enumerate(maps[0]):
         inv[x] = h
-    return _sign(ref, [[lab[h] for h in inv] for lab in maps]) == 0
+    return _sign(canon, parity, [[lab[h] for h in inv] for lab in maps]) == 0
 
 
-def _check_fit(g: RibbonGraph, or_: Orientation) -> None:
-    """Raise ValueError unless or_ has one item per edge (and, for odd
-    parity, per vertex and per boundary) of g."""
-    if or_.parity == EVEN:
-        fits = len(or_.edge_order) == g.n_edges
-    else:
-        fits = (
-            len(or_.edge_dirs) == g.n_edges
-            and len(or_.vertex_order) == len(vertices(g))
-            and len(or_.boundary_order) == len(boundaries(g))
-        )
-    if not fits:
-        raise ValueError("orientation payload does not match the graph")
-
-
-def to_oriented_class(g: RibbonGraph, or_: Orientation) -> tuple[OrientedClass, int]:
-    """Canonicalize and read the orientation's sign against the canonical
-    reference off the optimal relabelings (``_sign``).
+def to_oriented_class(g: RibbonGraph, parity: int) -> tuple[OrientedClass, int]:
+    """Canonicalize and read the sign of g's reference orientation against
+    the canonical reference off the optimal relabelings (``_sign``).
 
     Returns the class and the sign; the sign is meaningless (and returned
     as +1) when the class is zero.
     """
     check_valid(g)
-    _check_fit(g, or_)
     (t0, t1), maps = _canonical_data(g.sigma0, g.sigma1)
-    sign = _sign(or_, maps)
-    return OrientedClass(t0, t1, or_.parity, sign == 0), sign or 1
+    sign = _sign(g, parity, maps)
+    return OrientedClass(t0, t1, parity, sign == 0), sign or 1
 
 
 def class_of(g: RibbonGraph, parity: int) -> OrientedClass:
     """Class of g equipped with its own reference orientation."""
-    cls, _ = to_oriented_class(g, reference_orientation(g, parity))
+    cls, _ = to_oriented_class(g, parity)
     return cls

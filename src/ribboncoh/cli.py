@@ -93,8 +93,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("-E", "--edge-range", default=None, help="edge range a..b (basis/matrix)")
     p.add_argument("-d", type=int, default=0)
     p.add_argument("--sector", choices=("full", "ge3", "le2"), default="full")
-    p.add_argument("--min-valence", type=int, default=1, choices=(1, 2, 3))
-    p.add_argument("--parity", choices=sorted(PARITIES), default="even")
     p.add_argument("--format", choices=("json", "dot", "triplet"), default="json")
     p.add_argument("-o", "--output", default=None, help="output path (default stdout)")
     _add_cache_flags(p)
@@ -189,7 +187,8 @@ def cmd_cohomology(args) -> int:
         print("invalid spec: %s" % exc, file=sys.stderr)
         return 2
     cache = _cache_from(args)
-    table_key = {"table": spec.content_key()}
+    offsets = args.calc1 or (spec.kind == "mw" and spec.genus == 1)
+    table_key = {"table": spec.content_key(), "calc1": offsets}
     payload = cache.load_table(table_key)
     if payload is None:
         try:
@@ -199,7 +198,7 @@ def cmd_cohomology(args) -> int:
             print("identity failure: %s" % exc, file=sys.stderr)
             return 1
         payload = {"spec": spec.content_key(), "rows": rows, "euler": euler(sl)}
-        if args.calc1 or (spec.kind == "mw" and spec.genus == 1):
+        if offsets:
             payload["calc1_offsets"] = calc1_offsets(rows, spec.d)
         cache.store_table(table_key, payload)
     if args.emit == "json":

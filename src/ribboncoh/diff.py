@@ -7,13 +7,19 @@ corners of the same boundary, splitting that boundary in two; it raises
 the edge and boundary counts by one and keeps the genus.
 
 Sign conventions (the literature leaves them to a choice; the d^2 = 0 and
-anticommutation suites pin ours): each raw term carries the class's
-reference orientation with the new edge appended last in the edge order
-for even parity; for odd parity the new vertex/boundary is appended last
-and the new edge is directed from the half-edge at the smaller corner
-label.  The new half-edges carry the largest labels, so every other
-vertex and boundary keeps its place.  ``canonical.to_oriented_class``
-reads each term's sign off its optimal relabelings.
+anticommutation suites pin ours): an orientation is plus or minus the
+graph's own reference (``canonical``), so each raw term is a pair
+(graph, sign).  The term's orientation is the class's reference with the
+new edge {2E, 2E+1} appended last to the edge order for even parity.  For
+odd parity the new edge is directed from 2E, and only the one list the
+move cuts changes: the vertex list for a split (the cut vertex keeps
+arc_a in place and arc_b is appended) or the boundary list for a corner
+join (the cut boundary keeps the piece through 2E in place and the piece
+through 2E+1 is appended).  The new half-edges carry the largest labels,
+so every other item keeps its least label and its place; the sign is +1
+for even parity and, for odd parity, the parity of re-sorting the one
+changed list by least label.  ``canonical.to_oriented_class`` reads the
+sign of the term graph's reference off its optimal relabelings.
 
 Both operators return a fresh image on every call; the module keeps no
 state between calls.  A caller that applies them to the same class more
@@ -23,13 +29,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .canonical import (
-    EVEN,
-    ODD,
-    Orientation,
-    OrientedClass,
-    to_oriented_class,
-)
+from .canonical import EVEN, ODD, OrientedClass, _order_sign, to_oriented_class
 from .ribbon import (
     RibbonGraph,
     boundaries,
@@ -164,84 +164,57 @@ def _cuts(cyc: tuple, min_arc: int = 1):
 
 
 def delta_terms(x: OrientedClass, min_arc: int = 1):
-    """Raw vertex-splitting terms: (graph, orientation) pairs, one per way
-    of cutting a vertex cycle into two arcs of at least min_arc darts
+    """Raw vertex-splitting terms: (graph, sign) pairs, one per way of
+    cutting a vertex cycle into two arcs of at least min_arc darts
     (``_cuts``).  min_arc = 2 leaves out exactly the terms with a bivalent
     vertex when x has none: the ge3 sector's valence floor, applied at the
     cut."""
     g = x.graph
     n = g.n_half_edges
-    parity = x.parity
-    ref = x.reference()
     verts = vertices(g)
     for vi, cyc in enumerate(verts):
         for arc_a, arc_b in _cuts(cyc, min_arc):
             out = _split_graph(g, arc_a, arc_b)
-            x_h, y_h = n, n + 1
-            if parity == EVEN:
-                orient = Orientation(EVEN, edge_order=ref.edge_order + ((x_h, y_h),))
-            else:
-                vorder = list(ref.vertex_order)
-                vorder[vi] = frozenset(arc_a) | {x_h}
-                vorder.append(frozenset(arc_b) | {y_h})
-                orient = Orientation(
-                    ODD,
-                    vertex_order=tuple(vorder),
-                    boundary_order=tuple(frozenset(b) for b in boundaries(out)),
-                    edge_dirs=ref.edge_dirs + ((x_h, y_h),),
-                )
-            yield out, orient
+            if x.parity == EVEN:
+                yield out, 1
+                continue
+            keys = [v[0] for v in verts]
+            keys[vi] = min(arc_a, default=n)
+            keys.append(min(arc_b, default=n + 1))
+            yield out, _order_sign(keys)
 
 
 def bridge_terms(x: OrientedClass):
-    """Raw corner-joining terms: one per unordered pair of distinct
-    corners on a common boundary."""
+    """Raw corner-joining terms: (graph, sign) pairs, one per unordered
+    pair of distinct corners on a common boundary.  The chord splits that
+    boundary's walk b at the corners p < q: with their walk positions
+    sorted to i < j, one piece is b[i:j] and the other the rest, and the
+    piece through 2E+1 starts at p."""
     g = x.graph
     check_valid(g)
-    n = g.n_half_edges
-    parity = x.parity
-    ref = x.reference()
-    for b in boundaries(g):
-        if len(b) < 2:
-            continue
-        bset = frozenset(b)
+    bounds = boundaries(g)
+    for bi, b in enumerate(bounds):
+        pos = {h: i for i, h in enumerate(b)}
         for p, q in combinations(sorted(b), 2):
             out = _add_chord(g, p, q)  # distinct corners of one boundary
-            x_h, y_h = n, n + 1
-            if parity == EVEN:
-                orient = Orientation(EVEN, edge_order=ref.edge_order + ((x_h, y_h),))
-            else:
-                vorder = []
-                for ov in ref.vertex_order:
-                    nv = set(ov)
-                    if p in ov:
-                        nv.add(x_h)
-                    if q in ov:
-                        nv.add(y_h)
-                    vorder.append(frozenset(nv))
-                new_bs = [frozenset(bb) for bb in boundaries(out)]
-                frag_x = next(bb for bb in new_bs if x_h in bb)
-                frag_y = next(bb for bb in new_bs if y_h in bb)
-                if frag_x == frag_y:
-                    raise AssertionError("corner join failed to split the boundary")
-                border = [frag_x if ob == bset else ob for ob in ref.boundary_order]
-                border.append(frag_y)
-                orient = Orientation(
-                    ODD,
-                    vertex_order=tuple(vorder),
-                    boundary_order=tuple(border),
-                    edge_dirs=ref.edge_dirs + ((x_h, y_h),),
-                )
-            yield out, orient
+            if x.parity == EVEN:
+                yield out, 1
+                continue
+            i, j = sorted((pos[p], pos[q]))
+            inner, outer = min(b[i:j]), min(b[:i] + b[j:])
+            keys = [c[0] for c in bounds]
+            keys[bi], y_key = (outer, inner) if pos[p] == i else (inner, outer)
+            keys.append(y_key)
+            yield out, _order_sign(keys)
 
 
-def _image(raw_terms, koszul: int = 1) -> FormalSum:
-    """Canonicalize each raw (graph, orientation) term and add it with its
-    sign times koszul."""
+def _image(raw_terms, parity: int, koszul: int = 1) -> FormalSum:
+    """Canonicalize each raw (graph, sign) term and add it with its sign,
+    times its reference's sign against the canonical one, times koszul."""
     out = FormalSum()
-    for g, orient in raw_terms:
-        cls, sign = to_oriented_class(g, orient)
-        out.add_term(cls, koszul * sign)
+    for g, sign in raw_terms:
+        cls, ref_sign = to_oriented_class(g, parity)
+        out.add_term(cls, koszul * sign * ref_sign)
     return out
 
 
@@ -258,12 +231,12 @@ def delta(x: OrientedClass, min_arc: int = 1) -> FormalSum:
     acquire the sign that makes the two differentials anticommute.
     """
     odd_b = x.parity == ODD and len(boundaries(x.graph)) % 2 == 1
-    return _image(delta_terms(x, min_arc), -1 if odd_b else 1)
+    return _image(delta_terms(x, min_arc), x.parity, -1 if odd_b else 1)
 
 
 def bridge(x: OrientedClass) -> FormalSum:
     """Corner-connecting differential applied to a nonzero class."""
-    return _image(bridge_terms(x))
+    return _image(bridge_terms(x), x.parity)
 
 
 def project_ge3(s: FormalSum) -> FormalSum:

@@ -25,7 +25,6 @@ from .canonical import (
     OrientedClass,
     _canonical_data,
     _zero_flag,
-    reference_orientation,
 )
 from .canonical import is_minimal_form  # noqa: F401  (perfbench/tracer.py reads this name)
 from .diff import _add_chord, _cuts, _split_graph
@@ -139,7 +138,7 @@ def _split_by_zero(cell: dict, parity: int):
     nonzero = []
     zero = 0
     for (t0, t1), maps in cell.items():
-        if _zero_flag(reference_orientation(RibbonGraph(t0, t1), parity), maps):
+        if _zero_flag(RibbonGraph(t0, t1), parity, maps):
             zero += 1
         else:
             nonzero.append(OrientedClass(t0, t1, parity, False))

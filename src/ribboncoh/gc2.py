@@ -169,25 +169,26 @@ class GCClass:
         }
 
 
-def _gc_sign(edge_order, best: tuple, perms: list[tuple]) -> int:
-    """Sign of edge_order against the canonical edge tuple best, read off
-    the optimal permutations perms by the sort-sign rule of ``canonical``;
-    0 for a zero class: parallel edges, or two permutations that disagree
-    (their quotient is an edge-odd automorphism)."""
+def _gc_sign(edges: tuple, best: tuple, perms: list[tuple]) -> int:
+    """Sign of the sorted edge tuple edges against the canonical edge
+    tuple best, read off the optimal permutations perms by the sort-sign
+    rule of ``canonical``; 0 for a zero class: parallel edges, or two
+    permutations that disagree (their quotient is an edge-odd
+    automorphism)."""
     if len(set(best)) != len(best):
         return 0
     signs = {
-        _order_sign([tuple(sorted((p[a], p[b]))) for a, b in edge_order]) for p in perms
+        _order_sign([tuple(sorted((p[a], p[b]))) for a, b in edges]) for p in perms
     }
     return signs.pop() if len(signs) == 1 else 0
 
 
-def to_gc_class(g: GCGraph, edge_order=None) -> tuple[GCClass, int]:
-    """Canonicalize; compare the given edge order (default: the graph's
-    sorted edge tuple) against the canonical reference order.  The sign is
-    +1 and meaningless for zero classes."""
+def to_gc_class(g: GCGraph) -> tuple[GCClass, int]:
+    """Canonicalize; compare the graph's sorted edge tuple, its reference
+    order, against the canonical reference order.  The sign is +1 and
+    meaningless for zero classes."""
     best, perms = _gc_canonical_data(g)
-    sign = _gc_sign(g.edges if edge_order is None else edge_order, best, perms)
+    sign = _gc_sign(g.edges, best, perms)
     return GCClass(g.n_vertices, best, sign == 0), sign or 1
 
 
@@ -233,8 +234,11 @@ def gc_enumerate(loop_order: int, n_edges: int, min_valence: int = 3):
 def gc_delta(x: GCClass, min_valence: int = 3) -> FormalSum:
     """Vertex splitting: distribute the incident edges of a vertex over
     two new vertices joined by a fresh edge (both parts nonempty), with
-    the fresh edge appended last in the edge order.  Projected to the
-    min_valence sector (terms with a smaller valence are dropped)."""
+    the fresh edge appended last in the edge order.  The term's sign is
+    the parity of sorting that order into the graph's reference (its
+    sorted edge tuple) times the reference's sign against the canonical
+    one.  Projected to the min_valence sector (terms with a smaller
+    valence are dropped)."""
     out = FormalSum()
     g = x.graph
     for v in range(g.n_vertices):
@@ -259,8 +263,8 @@ def gc_delta(x: GCClass, min_valence: int = 3) -> FormalSum:
             ng = GCGraph(nv + 1, tuple(new_edges))
             if min(ng.valences()) < min_valence:
                 continue
-            cls, sign = to_gc_class(ng, edge_order=tuple(new_edges))
-            out.add_term(cls, sign)
+            cls, sign = to_gc_class(ng)
+            out.add_term(cls, _order_sign(new_edges) * sign)
     return out
 
 

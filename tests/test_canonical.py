@@ -1,6 +1,6 @@
 """Canonical labeling, automorphisms, orientation signs, zero flags."""
-from dataclasses import replace
-from itertools import permutations
+from collections import namedtuple
+from itertools import combinations, permutations
 import random
 
 import pytest
@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from ribboncoh.canonical import (
     EVEN,
     ODD,
-    Orientation,
     _bfs_relabel,
     _canonical_data,
     _zero_flag,
@@ -20,11 +19,12 @@ from ribboncoh.canonical import (
     is_minimal_form,
     orientation_sign,
     perm_sign,
-    reference_orientation,
     to_oriented_class,
 )
+from ribboncoh.checks import CheckBounds, iter_generators
+from ribboncoh.diff import _cuts, attach_edge, bridge_terms, delta_terms
 from ribboncoh.enumeration import EnumSpec, _cell_maps
-from ribboncoh.ribbon import RibbonGraph, is_connected
+from ribboncoh.ribbon import RibbonGraph, boundaries, edges, is_connected, vertices
 
 # brute-checked automorphism group orders (free action on rooted darts)
 AUT_ORDERS = {
@@ -150,14 +150,33 @@ def _parity_sign(perm):
     return -1 if inversions % 2 else 1
 
 
+# An explicit orientation payload, for the oracles below: an edge order
+# for even parity; a vertex order, boundary order and edge directions for
+# odd parity.
+Payload = namedtuple("Payload", "parity edge_order vertex_order boundary_order edge_dirs")
+
+
+def _reference(g, parity):
+    """g's reference orientation as a payload: every kind of item ordered
+    by least half-edge label, each edge directed from its smaller label."""
+    if parity == EVEN:
+        return Payload(EVEN, tuple(edges(g)), None, None, None)
+    return Payload(
+        ODD,
+        None,
+        tuple(frozenset(v) for v in vertices(g)),
+        tuple(frozenset(b) for b in boundaries(g)),
+        tuple(edges(g)),
+    )
+
+
 def _oracle_transport(or_, lab):
     """Push an orientation through a half-edge relabeling, item by item."""
     if or_.parity == EVEN:
-        return Orientation(
-            EVEN, edge_order=tuple(tuple(sorted((lab[a], lab[b]))) for a, b in or_.edge_order)
+        return or_._replace(
+            edge_order=tuple(tuple(sorted((lab[a], lab[b]))) for a, b in or_.edge_order)
         )
-    return Orientation(
-        ODD,
+    return or_._replace(
         vertex_order=tuple(frozenset(lab[h] for h in v) for v in or_.vertex_order),
         boundary_order=tuple(frozenset(lab[h] for h in b) for b in or_.boundary_order),
         edge_dirs=tuple((lab[a], lab[b]) for a, b in or_.edge_dirs),
@@ -170,10 +189,12 @@ def _oracle_sign(or_, ref):
 
     def order(items, ref_items):
         pos = {item: i for i, item in enumerate(ref_items)}
+        assert len(pos) == len(items) == len(ref_items)
         return _parity_sign([pos[item] for item in items])
 
     if or_.parity == EVEN:
         return order(or_.edge_order, ref.edge_order)
+    assert len(or_.edge_dirs) == len(ref.edge_dirs)
     flips = sum(d not in ref.edge_dirs for d in or_.edge_dirs)
     return (
         order(or_.vertex_order, ref.vertex_order)
@@ -182,31 +203,12 @@ def _oracle_sign(or_, ref):
     )
 
 
-def _shuffled(or_, rng):
-    """The same items as or_ in a random order, edges in random directions."""
-
-    def shuffle(items):
-        return tuple(rng.sample(items, len(items)))
-
-    def turn(pairs):
-        return tuple(p[::-1] if rng.random() < 0.5 else p for p in pairs)
-
-    if or_.parity == EVEN:
-        return Orientation(EVEN, edge_order=turn(shuffle(or_.edge_order)))
-    return Orientation(
-        ODD,
-        vertex_order=shuffle(or_.vertex_order),
-        boundary_order=shuffle(or_.boundary_order),
-        edge_dirs=turn(or_.edge_dirs),
-    )
-
-
 def test_sign_and_zero_flag_match_transport_oracle():
     # every class with E <= 3, valence floors 1..3, under several
-    # relabelings and orientations: the sign and zero flag read off the
-    # optimal relabelings agree with transporting the orientation to the
-    # canonical graph and reading item positions in its reference, with
-    # the zero flag taken over brute-force automorphisms
+    # relabelings: the sign and zero flag read off the optimal relabelings
+    # agree with transporting the reference orientation to the canonical
+    # graph and reading item positions in its reference, with the zero
+    # flag taken over brute-force automorphisms
     rng = random.Random(7)
     for g in _small_classes():
         canon, _ = canonical_form(g)
@@ -215,35 +217,106 @@ def test_sign_and_zero_flag_match_transport_oracle():
             h = _relabeled(g, perm)
             _, maps = _canonical_data(h.sigma0, h.sigma1)
             for parity in (EVEN, ODD):
-                canon_ref = reference_orientation(canon, parity)
+                canon_ref = _reference(canon, parity)
                 zero = any(
                     _oracle_sign(_oracle_transport(canon_ref, a), canon_ref) < 0 for a in auts
                 )
-                assert _zero_flag(canon_ref, maps) is zero
-                ref = reference_orientation(h, parity)
-                orients = [ref, _shuffled(ref, rng)]
-                if parity == ODD or h.n_edges > 1:
-                    orients.append(ref.opposite())
-                for o in orients:
-                    cls, sign = to_oriented_class(h, o)
-                    assert cls.graph == canon
-                    assert cls.zero_flag is zero
-                    want = _oracle_sign(_oracle_transport(o, maps[0]), canon_ref)
-                    assert sign == (1 if zero else want)
+                assert _zero_flag(canon, parity, maps) is zero
+                cls, sign = to_oriented_class(h, parity)
+                assert cls.graph == canon
+                assert cls.zero_flag is zero
+                want = _oracle_sign(_oracle_transport(_reference(h, parity), maps[0]), canon_ref)
+                assert sign == (1 if zero else want)
 
 
-def test_orientation_must_fit_the_graph(theta1, theta0):
-    # an orientation with the wrong number of items of some kind is rejected
-    even = reference_orientation(theta1, EVEN)
-    odd = reference_orientation(theta1, ODD)
-    for bad in (
-        Orientation(EVEN, edge_order=even.edge_order[:-1]),
-        replace(odd, vertex_order=odd.vertex_order[:-1]),
-        replace(odd, edge_dirs=odd.edge_dirs[:-1]),
-        reference_orientation(theta0, ODD),  # three boundaries, theta1 has one
-    ):
-        with pytest.raises(ValueError):
-            to_oriented_class(theta1, bad)
+def _delta_payloads(x, min_arc, outs):
+    """Each vertex-splitting term's orientation as a payload, for the term
+    graphs outs of ``delta_terms``: the class's reference with the new
+    edge {x, y} appended; for odd parity the cut vertex keeps arc_a (with
+    x) in place, arc_b (with y) is appended, and the boundaries are the
+    term's own."""
+    g = x.graph
+    ref = _reference(g, x.parity)
+    new = (g.n_half_edges, g.n_half_edges + 1)
+    cuts = [(vi, a, b) for vi, cyc in enumerate(vertices(g)) for a, b in _cuts(cyc, min_arc)]
+    assert len(cuts) == len(outs)
+    for (vi, arc_a, arc_b), out in zip(cuts, outs):
+        if x.parity == EVEN:
+            yield ref._replace(edge_order=ref.edge_order + (new,))
+            continue
+        vorder = list(ref.vertex_order)
+        vorder[vi] = frozenset(arc_a) | {new[0]}
+        vorder.append(frozenset(arc_b) | {new[1]})
+        yield ref._replace(
+            vertex_order=tuple(vorder),
+            boundary_order=tuple(frozenset(b) for b in boundaries(out)),
+            edge_dirs=ref.edge_dirs + (new,),
+        )
+
+
+def _bridge_payloads(x):
+    """Each corner-joining term's orientation as a payload, in the order
+    of ``bridge_terms``: the class's reference with the new edge {x, y}
+    appended; for odd parity x and y join the vertices of their corners,
+    the cut boundary is replaced by the term's boundary through x, and the
+    one through y is appended."""
+    g = x.graph
+    ref = _reference(g, x.parity)
+    nx, ny = g.n_half_edges, g.n_half_edges + 1
+    for b in boundaries(g):
+        for p, q in combinations(sorted(b), 2):
+            out = attach_edge(g, p, q)
+            if x.parity == EVEN:
+                yield out, ref._replace(edge_order=ref.edge_order + ((nx, ny),))
+                continue
+            vorder = tuple(
+                v | {h for h, c in ((nx, p), (ny, q)) if c in v} for v in ref.vertex_order
+            )
+            new_bs = [frozenset(c) for c in boundaries(out)]
+            frag_x = next(c for c in new_bs if nx in c)
+            frag_y = next(c for c in new_bs if ny in c)
+            assert frag_x != frag_y
+            border = [frag_x if c == frozenset(b) else c for c in ref.boundary_order]
+            yield out, ref._replace(
+                vertex_order=vorder,
+                boundary_order=tuple(border) + (frag_y,),
+                edge_dirs=ref.edge_dirs + ((nx, ny),),
+            )
+
+
+def _check_raw_term(out, sign, payload, parity):
+    # the builder's sign is the payload's sign against the term graph's
+    # reference; times that reference's sign against the canonical one, it
+    # is the payload transported to the canonical graph
+    assert sign == _oracle_sign(payload, _reference(out, parity))
+    cls, ref_sign = to_oriented_class(out, parity)
+    if cls.zero_flag:
+        return
+    _, maps = _canonical_data(out.sigma0, out.sigma1)
+    canon_ref = _reference(cls.graph, parity)
+    assert sign * ref_sign == _oracle_sign(_oracle_transport(payload, maps[0]), canon_ref)
+
+
+def test_raw_term_signs_match_payload_oracle():
+    # every full and ge3 generator with E <= 4, g <= 2, both parities:
+    # each raw term of delta and bridge carries, as one sign, the explicit
+    # orientation payload the term is defined by
+    bounds = CheckBounds(g_max=2, e_max_full=4, e_max_ge3=4, e_max_le2=4)
+    n_terms = 0
+    for spec, x in iter_generators(bounds):
+        min_arc = 2 if spec.min_valence == 3 else 1
+        terms = list(delta_terms(x, min_arc))
+        payloads = list(_delta_payloads(x, min_arc, [out for out, _ in terms]))
+        for (out, sign), payload in zip(terms, payloads):
+            _check_raw_term(out, sign, payload, x.parity)
+        terms = list(bridge_terms(x))
+        payloads = list(_bridge_payloads(x))
+        assert len(terms) == len(payloads)
+        for (out, sign), (want_out, payload) in zip(terms, payloads):
+            assert out == want_out
+            _check_raw_term(out, sign, payload, x.parity)
+        n_terms += len(payloads) + len(terms)
+    assert n_terms > 1000
 
 
 def test_perm_sign():
@@ -255,56 +328,31 @@ def test_perm_sign():
 def test_orientation_sign_values(named_graphs):
     for g in named_graphs.values():
         for parity in (EVEN, ODD):
-            ref = reference_orientation(g, parity)
+            ref = _reference(g, parity)
             for a in automorphisms(g):
-                assert orientation_sign(g, a, ref) in (-1, 1)
+                want = _oracle_sign(_oracle_transport(ref, a), ref)
+                assert orientation_sign(g, a, parity) == want
 
 
 def test_orientation_sign_is_multiplicative(theta0, dumbbell):
     for g in (theta0, dumbbell):
         for parity in (EVEN, ODD):
-            ref = reference_orientation(g, parity)
             auts = automorphisms(g)
             for a in auts:
                 for b in auts:
                     ab = tuple(a[b[h]] for h in range(g.n_half_edges))
-                    assert orientation_sign(g, ab, ref) == orientation_sign(
-                        g, a, ref
-                    ) * orientation_sign(g, b, ref)
+                    assert orientation_sign(g, ab, parity) == orientation_sign(
+                        g, a, parity
+                    ) * orientation_sign(g, b, parity)
 
 
 def test_orientation_sign_rejects_non_automorphism(theta1):
     with pytest.raises(ValueError):
-        orientation_sign(theta1, (1, 2, 0, 3, 4, 5), reference_orientation(theta1, EVEN))
-
-
-def test_opposite_orientation_flips_sign(theta1):
-    for parity in (EVEN, ODD):
-        ref = reference_orientation(theta1, parity)
-        cls, sign = to_oriented_class(theta1, ref)
-        assert not cls.zero_flag
-        cls2, sign2 = to_oriented_class(theta1, ref.opposite())
-        assert cls2 == cls
-        assert sign2 == -sign
-
-
-def test_opposite_needs_two_edges_even(loop):
-    with pytest.raises(ValueError):
-        reference_orientation(loop, EVEN).opposite()
-    # odd parity flips an edge direction instead, fine with one edge
-    opp = reference_orientation(loop, ODD).opposite()
-    assert opp.edge_dirs[0] == (1, 0)
-
-
-def test_malformed_orientation_payload_raises():
-    with pytest.raises(ValueError):
-        Orientation(EVEN, edge_order=((0, 1),), vertex_order=(frozenset({0}),))
-    with pytest.raises(ValueError):
-        Orientation(ODD, vertex_order=(frozenset({0, 1}),), edge_dirs=((0, 1),))
+        orientation_sign(theta1, (1, 2, 0, 3, 4, 5), EVEN)
 
 
 def test_zero_class_sign_is_one(theta0):
-    cls, sign = to_oriented_class(theta0, reference_orientation(theta0, EVEN))
+    cls, sign = to_oriented_class(theta0, EVEN)
     assert cls.zero_flag
     assert sign == 1
 

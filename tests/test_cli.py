@@ -1,4 +1,5 @@
 """Command-line interface: exit codes, output formats."""
+import hashlib
 import json
 
 import pytest
@@ -84,6 +85,28 @@ def test_cohomology_json_cached(capsys, tmp_path):
     assert out1 == out2
     rows = json.loads(out1)["rows"]
     assert {r["edges"]: r["h"] for r in rows} == {2: 0, 3: 1, 4: 0}
+
+
+@pytest.mark.parametrize("first_calc1", [False, True], ids=["cold-plain", "cold-calc1"])
+def test_cohomology_calc1_with_warm_cache(capsys, tmp_path, first_calc1):
+    # a table cached without offsets must not serve a --calc1 request, and
+    # one cached with them must not show them to a request without
+    args = (
+        "cohomology", "--kind", "kp", "-g", "1", "-n", "1", "--sector", "ge3",
+        "-E", "2..4", "--cache-dir", str(tmp_path),
+    )
+    for calc1 in (first_calc1, not first_calc1):
+        code, out, _ = run(capsys, *args, *(("--calc1",) if calc1 else ()))
+        assert code == 0
+        assert ("calc1 offsets" in out) is calc1
+
+
+def test_export_has_no_valence_or_parity_option(capsys):
+    # --sector and -d decide the valence floor and the orientation regime
+    for option in (("--min-valence", "3"), ("--parity", "odd")):
+        with pytest.raises(SystemExit):
+            main(["export", "--what", "basis", "-g", "1", "-n", "1", "-E", "2..3", *option])
+    capsys.readouterr()
 
 
 def test_cohomology_invalid(capsys):
@@ -173,3 +196,44 @@ def test_export_basis_and_matrix(capsys):
     )
     assert code == 0
     assert "# d from E=2" in out
+
+
+# SHA-256 of `export --what matrix --format triplet -d 1` (odd parity), frozen
+# from the payload-transport orientation code; every sign of these matrices
+# is pinned, not only their ranks
+ODD_MATRIX_DIGESTS = {
+    ("kp", "-g", "1", "-n", "2", "--sector", "ge3", "-E", "2..6"):
+        "5e4916413a0b1b1b0420d237b1b9885ebba9c954b792b571e9ba3bf7ac14856c",
+    ("kp", "-g", "0", "-n", "3", "--sector", "full", "-E", "2..5"):
+        "27f262b19a1b20e09b9a9293cc83e1ea82d23e28e88d766f40ca15423b38e2fa",
+    ("kp", "-g", "0", "-n", "2", "--sector", "le2", "-E", "1..6"):
+        "52ea1d54f413a23736a775c6218896ac1254b98a769f7ffb30645bd6e3d1a121",
+    ("mw", "-g", "0", "--sector", "full", "-E", "1..4"):
+        "a59092dfb864b73d872d930b65c66428c9b8057225f38767bf5f37e2c8589921",
+    ("mw", "-g", "1", "--sector", "full", "-E", "2..4"):
+        "9a918c3e7d82f24a215adb1bf2f5428eb85daf47bb54e3ef3a9fe5a7276a8065",
+    ("mw", "-g", "1", "--sector", "ge3", "-E", "2..6"):
+        "1d6bc6476434e9da058c3869db57a711a4d47197a6d6664c50d6367c98eb341a",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(ODD_MATRIX_DIGESTS), ids=" ".join)
+def test_odd_matrix_export_digests(capsys, spec):
+    kind, *rest = spec
+    code, out, _ = run(
+        capsys, "export", "--what", "matrix", "--format", "triplet", "-d", "1",
+        "--no-cache", "--kind", kind, *rest,
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ODD_MATRIX_DIGESTS[spec]
+
+
+def test_even_matrix_export_digest(capsys):
+    code, out, _ = run(
+        capsys, "export", "--what", "matrix", "--format", "triplet", "-d", "0",
+        "--no-cache", "--kind", "kp", "-g", "1", "-n", "2", "--sector", "ge3", "-E", "2..6",
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "0be061e92986179cb4b55f5ea7bde0d3ca831c35c1f5f4860ef9d16229a25e2d"
+    )

@@ -1,7 +1,13 @@
 """Ordinary graph complex flavor: enumeration, signs, small cohomology."""
+import hashlib
+import json
+
+from itertools import combinations
+
 import pytest
 
-from ribboncoh.diff import apply_linear
+from ribboncoh.canonical import perm_sign
+from ribboncoh.diff import FormalSum, apply_linear
 from ribboncoh.gc2 import (
     GCGraph,
     _edge_multisets,
@@ -81,13 +87,47 @@ def test_zero_flag_matches_automorphism_scan():
             assert cls.zero_flag is expected
 
 
+def _oracle_delta(x, min_valence):
+    """gc_delta by explicit edge orders: each split's order (the fresh
+    edge last) is pushed through one optimal permutation and read off its
+    positions in the canonical edge tuple; a class with parallel edges or
+    an edge-odd automorphism is zero."""
+    out = FormalSum()
+    g = x.graph
+    nv = g.n_vertices
+    for v in range(nv):
+        incident = [i for i, e in enumerate(g.edges) if v in e]
+        for k in range(1, len(incident)):
+            for part_b in combinations(incident[1:], k):
+                order = [
+                    tuple(sorted(nv if (i in part_b and c == v) else c for c in e))
+                    for i, e in enumerate(g.edges)
+                ] + [(v, nv)]
+                ng = GCGraph(nv + 1, tuple(order))
+                if min(ng.valences()) < min_valence:
+                    continue
+                canon, perm = gc_canonical(ng)
+                if canon.has_parallel_edges() or any(
+                    _edge_perm_sign(canon, a) < 0 for a in gc_automorphisms(canon)
+                ):
+                    continue
+                pos = {e: i for i, e in enumerate(canon.edges)}
+                moved = [pos[tuple(sorted((perm[a], perm[b])))] for a, b in order]
+                cls, _ = to_gc_class(canon)
+                out.add_term(cls, perm_sign(moved))
+    return out
+
+
 def test_edge_order_sign():
-    g = GCGraph(4, K4_EDGES)
-    swapped = (K4_EDGES[1], K4_EDGES[0]) + K4_EDGES[2:]
-    cls1, s1 = to_gc_class(g, edge_order=K4_EDGES)
-    cls2, s2 = to_gc_class(g, edge_order=swapped)
-    assert cls1 == cls2
-    assert s1 == -s2
+    # every term's sign in gc_delta matches transporting its explicit edge
+    # order to the canonical graph
+    n_terms = 0
+    for loop_order, n_edges, min_valence in ((1, 5, 1), (2, 5, 2), (3, 6, 3)):
+        for x in gc_enumerate(loop_order, n_edges, min_valence)[0]:
+            image = gc_delta(x, min_valence)
+            assert image == _oracle_delta(x, min_valence)
+            n_terms += len(image)
+    assert n_terms > 10
 
 
 def test_enumerate_frozen():
@@ -134,3 +174,10 @@ def test_cohomology_truncated_without_empty_neighbor():
     assert first["edges"] == 6 and first["dim"] == 1
     assert first["status"] == "truncated" and first["h"] is None
     assert first["cells"] == {3: 1} and first["zero_classes"] == 1
+
+
+def test_odd_cohomology_digest():
+    # SHA-256 of the d = 1 table, frozen from the payload-transport sign code
+    rows = gc_cohomology(3, 1, (3, 9))
+    digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+    assert digest == "cff1ce13cace3fc7e3fe0632631675b6cce9a3e0c02001eae43e16f63bf2d0af"
