@@ -5,6 +5,7 @@ Example:
     python scripts/gc2_tables.py --loop-order 3 --e-range 3..8
 """
 import argparse
+import sys
 
 from ribboncoh.complexes import render_table
 from ribboncoh.gc2 import gc_cohomology
@@ -19,7 +20,12 @@ def main() -> int:
     args = ap.parse_args()
     lo, hi = (int(x) for x in args.e_range.split(".."))
 
-    print(render_table(gc_cohomology(args.loop_order, args.d, (lo, hi), args.min_valence)), end="")
+    try:
+        rows = gc_cohomology(args.loop_order, args.d, (lo, hi), args.min_valence)
+    except ValueError as exc:
+        print("invalid spec: %s" % exc, file=sys.stderr)
+        return 2
+    print(render_table(rows), end="")
     return 0
 
 

@@ -1,25 +1,40 @@
-"""On-disk result cache: JSON-lines bases, triplet matrices, JSON tables.
+"""On-disk result cache: one JSON document per entry.
 
-Every artifact is keyed by a content hash of its generating spec plus the
-format version.  Its first line names the kind, the format version and the
-SHA-256 of the rest of the file; an entry whose header does not match, or
-whose body does not parse, is a miss and gets recomputed, never reused.
-Writes are atomic (temp file then rename) so concurrent readers only ever
-see complete payloads.
+An entry's file name hashes its kind, its key and a digest of the
+package's source files, computed once per Cache; a basis, a matrix and a
+table are deterministic functions of their spec and the code, so an entry
+written by other code is never found.  The first line holds the kind and
+the SHA-256 of the rest, the document: a basis {"parity", "zero_classes",
+"classes"} with its nonzero classes as [sigma0, sigma1] in basis order, a
+matrix [rows, cols, entries], a table its payload.  An entry whose header
+does not match, or whose document does not rebuild into valid graphs or a
+valid matrix, is a miss and gets recomputed.  Writes are atomic (temp file
+then rename).
 """
 from __future__ import annotations
 
+import glob
 import hashlib
 import json
 import os
 import tempfile
 
-from .canonical import OrientedClass
+from .canonical import EVEN, ODD, OrientedClass
 from .linalg import SparseIntMatrix
+from .ribbon import RibbonGraph, check_valid
 
-FORMAT_VERSION = 2
 ENV_CACHE_DIR = "RIBBONCOH_CACHE_DIR"
 DEFAULT_CACHE_DIR = ".cache/ribboncoh"
+
+
+def _source_digest() -> str:
+    """SHA-256 over the names and SHA-256s of the package's .py files."""
+    h = hashlib.sha256()
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(__file__), "*.py"))):
+        with open(path, "rb") as f:
+            file_digest = hashlib.sha256(f.read()).hexdigest()
+        h.update(("%s %s\n" % (os.path.basename(path), file_digest)).encode())
+    return h.hexdigest()
 
 
 def default_cache_dir() -> str:
@@ -36,108 +51,84 @@ class Cache:
 
     def __init__(self, root: str | None):
         self.root = root
+        self._source = _source_digest() if root is not None else None
 
     @property
     def enabled(self) -> bool:
         return self.root is not None
 
-    def _path(self, kind: str, key: dict, suffix: str) -> str:
-        h = spec_hash({"kind": kind, "version": FORMAT_VERSION, **key})
-        return os.path.join(self.root, "%s-%s.%s" % (kind, h, suffix))
+    def _path(self, kind: str, key: dict) -> str:
+        h = spec_hash({"kind": kind, "source": self._source, **key})
+        return os.path.join(self.root, "%s-%s.json" % (kind, h))
 
-    def _write_atomic(self, path: str, text: str) -> None:
+    def _store(self, kind: str, key: dict, doc) -> None:
+        if not self.enabled:
+            return
+        body = json.dumps(doc, separators=(",", ":"))
         os.makedirs(self.root, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as f:
-                f.write(text)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
+                f.write(_header(kind, body) + "\n" + body)
+            os.replace(tmp, self._path(kind, key))
+        finally:
+            if os.path.exists(tmp):  # only when the write failed
                 os.unlink(tmp)
-            raise
 
-    def _store(self, kind: str, key: dict, suffix: str, body: str) -> None:
-        if self.enabled:
-            text = _header(kind, body) + "\n" + body
-            self._write_atomic(self._path(kind, key, suffix), text)
-
-    def _load(self, kind: str, key: dict, suffix: str):
-        """The body of an entry whose header names its kind, the format
-        version and the SHA-256 of the body; None on any mismatch."""
+    def _load(self, kind: str, key: dict):
+        """The document of an entry whose header names its kind and the
+        SHA-256 of its body; None on any mismatch."""
         if not self.enabled:
             return None
         try:
-            with open(self._path(kind, key, suffix)) as f:
-                text = f.read()
-        except (OSError, UnicodeDecodeError):
+            with open(self._path(kind, key)) as f:
+                head, _, body = f.read().partition("\n")
+            return json.loads(body) if head == _header(kind, body) else None
+        except (OSError, ValueError):  # undecodable bytes or JSON
             return None
-        head, _, body = text.partition("\n")
-        return body if head == _header(kind, body) else None
-
-    # bases -----------------------------------------------------------
 
     def store_basis(self, key: dict, classes, zero_count: int) -> None:
-        lines = ["zero_classes=%d" % zero_count]
-        lines.extend(json.dumps(cls.to_json(), sort_keys=True) for cls in classes)
-        self._store("basis", key, "jsonl", "\n".join(lines) + "\n")
+        """classes are nonzero and share one parity."""
+        parity = classes[0].parity if classes else EVEN
+        pairs = [[cls.sigma0, cls.sigma1] for cls in classes]
+        self._store("basis", key, {"parity": parity, "zero_classes": zero_count, "classes": pairs})
 
     def load_basis(self, key: dict):
         """(classes, zero_count) or None on a miss."""
-        body = self._load("basis", key, "jsonl")
-        if body is None:
-            return None
+        doc = self._load("basis", key)
         try:
-            first, *rest = body.splitlines()
-            zero_count = int(first.removeprefix("zero_classes="))
+            parity, zero_count = doc["parity"], doc["zero_classes"]
+            if parity not in (EVEN, ODD) or not isinstance(zero_count, int):
+                return None
             classes = []
-            for ln in rest:
-                rec = json.loads(ln)
-                cls = OrientedClass(
-                    tuple(rec["sigma0"]),
-                    tuple(rec["sigma1"]),
-                    int(rec["parity"]),
-                    bool(rec["zero"]),
-                )
-                if cls.content_hash() != rec["hash"]:
-                    return None
-                classes.append(cls)
-        except (KeyError, ValueError, IndexError, TypeError):
+            for s0, s1 in doc["classes"]:
+                g = RibbonGraph(s0, s1)
+                check_valid(g)
+                classes.append(OrientedClass(g.sigma0, g.sigma1, parity, False))
+        except (KeyError, ValueError, TypeError):
             return None
         return classes, zero_count
 
-    # matrices --------------------------------------------------------
-
     def store_matrix(self, key: dict, m: SparseIntMatrix) -> None:
-        self._store("matrix", key, "txt", m.to_triplet_text())
+        self._store("matrix", key, [m.rows, m.cols, m.entries])
 
     def load_matrix(self, key: dict):
-        body = self._load("matrix", key, "txt")
-        if body is None:
-            return None
         try:
-            return SparseIntMatrix.from_triplet_text(body)
-        except (ValueError, IndexError):
+            rows, cols, entries = self._load("matrix", key)
+            return SparseIntMatrix(rows, cols, entries)
+        except (ValueError, TypeError):
             return None
 
-    # tables ----------------------------------------------------------
-
-    def store_table(self, key: dict, payload) -> None:
-        self._store("table", key, "json", json.dumps(payload, sort_keys=True, indent=1))
+    def store_table(self, key: dict, payload: dict) -> None:
+        self._store("table", key, payload)
 
     def load_table(self, key: dict):
-        body = self._load("table", key, "json")
-        if body is None:
-            return None
-        try:
-            return json.loads(body)
-        except ValueError:
-            return None
+        payload = self._load("table", key)
+        return payload if isinstance(payload, dict) else None
 
 
 def _header(kind: str, body: str) -> str:
-    digest = hashlib.sha256(body.encode()).hexdigest()
-    return "# ribboncoh %s v%d sha256=%s" % (kind, FORMAT_VERSION, digest)
+    return "# ribboncoh %s sha256=%s" % (kind, hashlib.sha256(body.encode()).hexdigest())
 
 
 NO_CACHE = Cache(None)

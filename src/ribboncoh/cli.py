@@ -200,12 +200,15 @@ def cmd_cohomology(args) -> int:
         payload = {"spec": spec.content_key(), "rows": rows, "euler": euler(sl)}
         if offsets:
             payload["calc1_offsets"] = calc1_offsets(rows, spec.d)
+        # JSON keys are strings and "10" sorts before "2": fix the order once,
+        # int keys sorted as ints, and print in it, cold or cached
+        payload = json.loads(json.dumps(payload, sort_keys=True))
         cache.store_table(table_key, payload)
     if args.emit == "json":
-        print(json.dumps(payload, sort_keys=True))
+        print(json.dumps(payload))
     else:
         print(render_table(payload["rows"]))
-        print("euler: %s" % json.dumps(payload["euler"], sort_keys=True))
+        print("euler: %s" % json.dumps(payload["euler"]))
         if "calc1_offsets" in payload:
             print("calc1 offsets: %s" % payload["calc1_offsets"])
     return 0

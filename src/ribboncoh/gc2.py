@@ -8,6 +8,11 @@ some vertex automorphism induces an odd permutation of the edge set.
 The differential splits a vertex: incident edges are distributed over two
 new vertices joined by a fresh edge, which is appended last in the edge
 order.  Degree of a generator: |G| = 2d(V-1) + (1-2d)E.
+
+Tables need a valence floor of at least 2: the split never makes a
+univalent vertex, so at floor 1 terms that would cancel in d∘d are
+missing and d∘d ≠ 0 (loop order 1, E 5 to 7).  gc_enumerate and gc_delta
+still take floor 1, for the sign tests.
 """
 from __future__ import annotations
 
@@ -278,6 +283,10 @@ class GCSpec:
     e_min: int
     e_max: int
     min_valence: int = 3
+
+    def __post_init__(self):
+        if self.min_valence < 2:
+            raise ValueError("gc2 tables need min_valence >= 2, got %d" % self.min_valence)
 
     def degree(self, e: int) -> int:
         return 2 * self.d * (e - self.loop_order) + (1 - 2 * self.d) * e

@@ -27,6 +27,8 @@ class SparseIntMatrix:
     entries: tuple = field(default_factory=tuple)  # sorted (row, col, value)
 
     def __post_init__(self):
+        if not all(isinstance(n, int) and n >= 0 for n in (self.rows, self.cols)):
+            raise ValueError("matrix dimensions must be non-negative integers")
         ent = []
         seen = set()
         for r, c, v in self.entries:
@@ -73,15 +75,6 @@ class SparseIntMatrix:
         lines = ["%d %d %d" % (self.rows, self.cols, self.nnz)]
         lines.extend("%d %d %d" % e for e in self.entries)
         return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_triplet_text(cls, text: str) -> "SparseIntMatrix":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        rows, cols, nnz = map(int, lines[0].split())
-        ent = tuple(tuple(map(int, ln.split())) for ln in lines[1 : nnz + 1])
-        if len(ent) != nnz:
-            raise ValueError("triplet header count disagrees with data")
-        return cls(rows, cols, ent)
 
 
 def assemble(domain_basis, codomain_basis, operator) -> SparseIntMatrix:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from ribboncoh import cli
 from ribboncoh.cli import main, _parse_erange
 
 
@@ -101,6 +102,36 @@ def test_cohomology_calc1_with_warm_cache(capsys, tmp_path, first_calc1):
         assert ("calc1 offsets" in out) is calc1
 
 
+@pytest.mark.parametrize("emit", ["json", "text"])
+def test_cohomology_with_ten_cells_warm_equals_cold(capsys, tmp_path, monkeypatch, emit):
+    # a cached table comes back with string keys "1".."10", and "10" sorts
+    # before "2"; the stand-ins below give the table of mw genus 0 at E=9
+    # its shape (cells and boundary counts 1..10) without the 9 s build
+    counts = range(1, 11)
+    row = {
+        "degree": 9, "edges": 9, "dim": 55, "cells": {n: n for n in counts},
+        "zero_classes": 0, "rank_in": 0, "rank_out": 0, "h": 55, "status": "certified",
+    }
+    monkeypatch.setattr(cli, "build", lambda spec, cache: None)
+    monkeypatch.setattr(cli, "cohomology", lambda sl: [row])
+    monkeypatch.setattr(cli, "euler", lambda sl: {"total": -55, "per_boundary": {n: -n for n in counts}})
+    args = (
+        "cohomology", "--kind", "mw", "-g", "0", "--sector", "ge3", "-E", "9..9",
+        "--emit", emit, "--cache-dir", str(tmp_path),
+    )
+    code1, cold, _ = run(capsys, *args)
+    code2, warm, _ = run(capsys, *args)
+    assert code1 == code2 == 0
+    assert warm == cold
+    # cold bytes as ever: json.dumps(sort_keys=True) sorts int keys as ints
+    per_boundary = ", ".join('"%d": %d' % (n, -n) for n in counts)
+    if emit == "json":
+        assert '"cells": {%s}' % ", ".join('"%d": %d' % (n, n) for n in counts) in cold
+        assert '"per_boundary": {%s}' % per_boundary in cold
+    else:
+        assert 'euler: {"per_boundary": {%s}, "total": -55}\n' % per_boundary in cold
+
+
 def test_export_has_no_valence_or_parity_option(capsys):
     # --sector and -d decide the valence floor and the orientation regime
     for option in (("--min-valence", "3"), ("--parity", "odd")):
@@ -168,7 +199,6 @@ def test_export_graph_invalid_file(capsys, tmp_path, payload, fmt):
 
 
 def test_export_identity_failure(capsys, monkeypatch):
-    import ribboncoh.cli as cli
     from ribboncoh.linalg import DifferentialIdentityError
 
     def failing_build(spec, cache=None):

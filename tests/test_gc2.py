@@ -1,8 +1,11 @@
 """Ordinary graph complex flavor: enumeration, signs, small cohomology."""
 import hashlib
 import json
+import runpy
+import sys
 
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -181,3 +184,22 @@ def test_odd_cohomology_digest():
     rows = gc_cohomology(3, 1, (3, 9))
     digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
     assert digest == "cff1ce13cace3fc7e3fe0632631675b6cce9a3e0c02001eae43e16f63bf2d0af"
+
+
+def test_tables_need_a_valence_floor_of_two():
+    # the split never makes a univalent vertex, so at floor 1 d o d != 0;
+    # the first table raised DifferentialIdentityError at E 5->7
+    for args in ((1, 0, (2, 7), 1), (2, 0, (3, 8), 1)):
+        with pytest.raises(ValueError, match="min_valence >= 2"):
+            gc_cohomology(*args)
+
+
+def test_gc2_tables_script_rejects_floor_one(monkeypatch, capsys):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "gc2_tables.py"
+    main = runpy.run_path(str(script))["main"]
+    monkeypatch.setattr(sys, "argv", ["gc2_tables.py", "--loop-order", "1", "--e-range", "2..7",
+                                      "--min-valence", "1"])
+    assert main() == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "min_valence >= 2" in out.err

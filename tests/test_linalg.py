@@ -26,15 +26,11 @@ def test_matrix_validation():
         SparseIntMatrix(2, 2, ((0, 0, 1), (0, 0, 2)))  # duplicate
     with pytest.raises(ValueError):
         SparseIntMatrix(2, 2, ((2, 0, 1),))  # out of range
+    for rows in (-1, "2", 2.0):
+        with pytest.raises(ValueError):
+            SparseIntMatrix(rows, 2)  # dimensions are non-negative ints
     m = SparseIntMatrix(2, 2, ((0, 0, 0), (1, 1, 3)))
     assert m.nnz == 1  # explicit zeros dropped
-
-
-def test_triplet_round_trip():
-    m = SparseIntMatrix(3, 4, ((0, 1, -5), (2, 3, 7)))
-    assert SparseIntMatrix.from_triplet_text(m.to_triplet_text()) == m
-    with pytest.raises(ValueError):
-        SparseIntMatrix.from_triplet_text("2 2 3\n0 0 1\n")
 
 
 def test_matmul_and_transpose():
@@ -173,9 +169,3 @@ def test_rank_matches_dense_oracle(m):
     assert r == _dense_fraction_rank(m)
     assert r == rank(m.transpose())
     assert all(rank_modp(m, p) <= r for p in CERTIFICATION_PRIMES)
-
-
-@settings(max_examples=40, deadline=None)
-@given(matrices())
-def test_triplet_round_trip_property(m):
-    assert SparseIntMatrix.from_triplet_text(m.to_triplet_text()) == m
