@@ -7,6 +7,7 @@ Example:
 import argparse
 import sys
 
+from ribboncoh.cli import _parse_erange
 from ribboncoh.complexes import render_table
 from ribboncoh.gc2 import gc_cohomology
 
@@ -18,10 +19,10 @@ def main() -> int:
     ap.add_argument("-d", type=int, default=0)
     ap.add_argument("--min-valence", type=int, default=3)
     args = ap.parse_args()
-    lo, hi = (int(x) for x in args.e_range.split(".."))
 
     try:
-        rows = gc_cohomology(args.loop_order, args.d, (lo, hi), args.min_valence)
+        e_range = _parse_erange(args.e_range)
+        rows = gc_cohomology(args.loop_order, args.d, e_range, args.min_valence)
     except ValueError as exc:
         print("invalid spec: %s" % exc, file=sys.stderr)
         return 2

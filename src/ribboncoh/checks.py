@@ -18,6 +18,7 @@ import random
 from .canonical import EVEN, ODD
 from .diff import apply_linear, bridge, bridge_terms, delta, delta_terms
 from .enumeration import (
+    BRUTE_FORCE_DART_LIMIT,
     EnumSpec,
     enumerate_bruteforce,
     enumerate_classes,
@@ -39,6 +40,13 @@ class CheckBounds:
     e_max_le2: int = 8
     e_max_oracle: int = 4
     parities: tuple = (EVEN, ODD)
+
+    def __post_init__(self):
+        if 2 * self.e_max_oracle > BRUTE_FORCE_DART_LIMIT:
+            raise ValueError(
+                "e_max_oracle is at most %d: the brute-force scan is limited to %d half-edges"
+                % (BRUTE_FORCE_DART_LIMIT // 2, BRUTE_FORCE_DART_LIMIT)
+            )
 
     def to_json(self) -> dict:
         return asdict(self)

@@ -145,14 +145,18 @@ def cmd_enumerate(args) -> int:
 
 def cmd_check(args) -> int:
     parities = {"even": (EVEN,), "odd": (ODD,), "both": (EVEN, ODD)}[args.parity]
-    bounds = CheckBounds(
-        g_max=args.g_max,
-        e_max_full=args.e_max,
-        e_max_ge3=args.e_max_ge3,
-        e_max_le2=args.e_max_le2,
-        e_max_oracle=args.e_max_oracle,
-        parities=parities,
-    )
+    try:
+        bounds = CheckBounds(
+            g_max=args.g_max,
+            e_max_full=args.e_max,
+            e_max_ge3=args.e_max_ge3,
+            e_max_le2=args.e_max_le2,
+            e_max_oracle=args.e_max_oracle,
+            parities=parities,
+        )
+    except ValueError as exc:
+        print("invalid bounds: %s" % exc, file=sys.stderr)
+        return 2
     report = run_check(bounds)
     if args.format == "json":
         print(json.dumps(report, sort_keys=True))

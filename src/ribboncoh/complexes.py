@@ -11,15 +11,20 @@ Two ribbon complex kinds share the machinery:
   vertex splitting plus corner connecting (delta raises E keeping n,
   the corner move raises E and n together); sectors full and ge3.
 
-The ordinary graph complex of ``gc2`` fills the same ComplexSlice and
-goes through the same ``assemble_differentials`` and ``cohomology``.
+The ordinary graph complex of ``gc2`` goes through the same ``build`` and
+``cohomology``.  A spec of either flavor gives ``classes(n, e)`` (one
+cell's nonzero classes and zero count), ``possible(n, e)`` (whether
+counting alone leaves the cell room for a graph) and ``operator(cls)``
+(the differential).
 
 Cells are graded by edge count; the cohomological degree of a generator
 is k = -2 g d + E, with only parity(d) entering sign conventions.
 
-A degree is *certified* when both neighboring cells are complete, either
-inside the edge range or provably empty, and the two ranks pass the
-modular cross-check; otherwise it is reported truncated or provisional.
+A degree is *certified* when both neighboring layers are complete, either
+inside the edge range or empty, and the two ranks pass the modular
+cross-check; otherwise it is reported truncated or provisional.  The layer
+above the range is empty when counting rules out each of its cells; the
+layer below it is enumerated, and is empty when it holds no nonzero class.
 """
 from __future__ import annotations
 
@@ -84,52 +89,35 @@ class ComplexSpec:
             self.e_max,
         )
 
+    def classes(self, n: int, e: int):
+        """Nonzero classes and zero-class count of the (n, e) cell."""
+        cell = EnumSpec(self.genus, n, e, self.min_valence, self.parity)
+        return (le2_classes if self.sector == "le2" else enumerate_classes)(cell)
 
-def _cell_spec(spec: ComplexSpec, n: int, e: int) -> EnumSpec:
-    return EnumSpec(spec.genus, n, e, spec.min_valence, spec.parity)
-
-
-def _cell_classes(spec: ComplexSpec, n: int, e: int):
-    cell = _cell_spec(spec, n, e)
-    if spec.sector == "le2":
-        return le2_classes(cell)
-    return enumerate_classes(cell)
-
-
-def _cell_provably_empty(spec: ComplexSpec, n: int, e: int) -> bool:
-    cell = _cell_spec(spec, n, e)
-    if not cell.is_consistent()[0]:
-        return True
-    if spec.sector == "le2":
+    def possible(self, n: int, e: int) -> bool:
+        """Whether counting alone leaves the (n, e) cell room for a graph."""
+        if not EnumSpec(self.genus, n, e, self.min_valence).is_consistent()[0]:
+            return False
         # all-low-valence connected graphs are paths (g=0, n=1) and
-        # polygons (g=0, n=2); everything else is empty
-        return (spec.genus, n) not in ((0, 1), (0, 2))
-    return False
+        # polygons (g=0, n=2)
+        return self.sector != "le2" or (self.genus, n) in ((0, 1), (0, 2))
 
-
-def _layer_provably_empty(spec: ComplexSpec, e: int) -> bool:
-    if e < 1:
-        return True
-    return all(_cell_provably_empty(spec, n, e) for n in spec.cells(e))
-
-
-def _operator(spec: ComplexSpec):
-    # Both arcs of a cut carry the sector's valence floor less the new
-    # edge's dart, and at least one dart.  A corner move lowers no valence.
-    min_arc = max(spec.min_valence - 1, 1)
-    if spec.kind == "kp":
-        return lambda cls: delta(cls, min_arc)
-    return lambda cls: delta(cls, min_arc) + bridge(cls)
+    def operator(self, cls):
+        # Both arcs of a cut carry the sector's valence floor less the new
+        # edge's dart, and at least one dart.  A corner move lowers no valence.
+        image = delta(cls, max(self.min_valence - 1, 1))
+        return image if self.kind == "kp" else image + bridge(cls)
 
 
 @dataclass
 class ComplexSlice:
-    spec: ComplexSpec  # or gc2.GCSpec; cohomology() reads e_min, e_max, degree, cells
+    spec: ComplexSpec  # or gc2.GCSpec: build() reads cells, classes, possible,
+                       # operator; cohomology() reads e_min, e_max, degree, cells
     bases: dict = field(default_factory=dict)       # e -> [OrientedClass]
     cell_dims: dict = field(default_factory=dict)   # (n, e) -> nonzero count
     zero_counts: dict = field(default_factory=dict) # (n, e) -> zero-class count
     matrices: dict = field(default_factory=dict)    # e -> matrix basis[e] -> basis[e+1]
-    empty_edge: dict = field(default_factory=dict)  # e outside range -> provably empty?
+    empty_edge: dict = field(default_factory=dict)  # e outside range -> empty?
 
     def dim(self, e: int) -> int:
         return len(self.bases.get(e, ()))
@@ -150,45 +138,48 @@ def _matrix_key(spec: ComplexSpec, e: int) -> dict:
     return {"complex": spec.content_key(), "from_edges": e}
 
 
-def build(spec: ComplexSpec, cache=None) -> ComplexSlice:
+def build(spec, cache=None) -> ComplexSlice:
     """Enumerate bases, assemble differential matrices, verify that
-    consecutive matrices compose to zero.  An optional Cache serves and
-    stores bases and matrices."""
+    consecutive matrices compose to zero.  spec is a ComplexSpec or a
+    gc2.GCSpec; an optional Cache (ComplexSpec only) serves and stores
+    bases and matrices.
+
+    The layer above e_max is empty when counting rules out each of its
+    cells.  The layer below e_min costs less than any layer in range, so
+    its cells are looked up like the others but kept out of the bases; it
+    is empty when it holds no nonzero class."""
     sl = ComplexSlice(spec)
+
+    def cell(n, e):
+        if not spec.possible(n, e):
+            return [], 0
+        if cache is None:
+            return spec.classes(n, e)
+        key = _basis_key(spec, n, e)
+        hit = cache.load_basis(key)
+        if hit is None:
+            hit = spec.classes(n, e)
+            cache.store_basis(key, *hit)
+        return hit
+
     for e in range(spec.e_min, spec.e_max + 1):
-        layer = []
+        sl.bases[e] = []
         for n in spec.cells(e):
-            key = _basis_key(spec, n, e)
-            hit = cache.load_basis(key) if cache is not None else None
-            if hit is None:
-                nonzero, zero = _cell_classes(spec, n, e)
-                if cache is not None:
-                    cache.store_basis(key, nonzero, zero)
-            else:
-                nonzero, zero = hit
+            nonzero, zero = cell(n, e)
             sl.cell_dims[(n, e)] = len(nonzero)
             sl.zero_counts[(n, e)] = zero
-            layer.extend(nonzero)
-        sl.bases[e] = layer
-    for e in (spec.e_min - 1, spec.e_max + 1):
-        sl.empty_edge[e] = _layer_provably_empty(spec, e)
-    assemble_differentials(sl, _operator(spec), cache)
-    return sl
+            sl.bases[e].extend(nonzero)
+    below, above = spec.e_min - 1, spec.e_max + 1
+    sl.empty_edge[below] = not any(cell(n, below)[0] for n in spec.cells(below))
+    sl.empty_edge[above] = not any(spec.possible(n, above) for n in spec.cells(above))
 
-
-def assemble_differentials(sl: ComplexSlice, op, cache=None) -> None:
-    """Fill sl.matrices with the matrices of op between consecutive edge
-    layers of sl.bases and verify that consecutive matrices compose to
-    zero.  An optional Cache serves and stores the matrices; it needs a
-    spec with a content_key."""
-    spec = sl.spec
     for e in range(spec.e_min, spec.e_max):
         m = None
         if cache is not None:
             key = _matrix_key(spec, e)
             m = cache.load_matrix(key)
         if m is None or m.rows != len(sl.bases[e + 1]) or m.cols != len(sl.bases[e]):
-            m = assemble(sl.bases[e], sl.bases[e + 1], op)
+            m = assemble(sl.bases[e], sl.bases[e + 1], spec.operator)
             if cache is not None:
                 cache.store_matrix(key, m)
         sl.matrices[e] = m
@@ -197,6 +188,7 @@ def assemble_differentials(sl: ComplexSlice, op, cache=None) -> None:
             raise DifferentialIdentityError(
                 "differential squared is nonzero between E=%d and E=%d" % (e, e + 2)
             )
+    return sl
 
 
 def cohomology(sl: ComplexSlice) -> list[dict]:

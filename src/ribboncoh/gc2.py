@@ -9,10 +9,14 @@ The differential splits a vertex: incident edges are distributed over two
 new vertices joined by a fresh edge, which is appended last in the edge
 order.  Degree of a generator: |G| = 2d(V-1) + (1-2d)E.
 
-Tables need a valence floor of at least 2: the split never makes a
-univalent vertex, so at floor 1 terms that would cancel in d∘d are
-missing and d∘d ≠ 0 (loop order 1, E 5 to 7).  gc_enumerate and gc_delta
-still take floor 1, for the sign tests.
+Tables need a valence floor of at least 2: both new vertices of a split
+have valence at least 2, so at floor 1 the operator lacks every term
+that makes a univalent vertex.  gc_enumerate and gc_delta still take
+floor 1, for the sign tests.
+
+``GCSpec`` gives ``complexes.build`` the cells, the counting bound and
+the operator, so gc2 tables go through the same ``build`` and
+``cohomology`` as the ribbon complexes.
 """
 from __future__ import annotations
 
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement, permutations, product
 
 from .canonical import _order_sign, perm_sign
-from .complexes import ComplexSlice, assemble_differentials, cohomology
+from .complexes import build, cohomology
 from .diff import FormalSum
 
 
@@ -87,15 +91,22 @@ def _relabeled_edges(g: GCGraph, perm) -> tuple:
 
 
 def _degree_compatible_perms(g: GCGraph):
-    """Vertex permutations preserving the valence sequence (the search
-    space for canonicalization and automorphisms)."""
+    """Vertex permutations old->new that send the vertices of each valence
+    onto one fixed block of positions, the blocks in increasing valence
+    (the search space for canonicalization).  The blocks depend on the
+    valence multiset alone, so every relabeling of a graph is searched over
+    the same targets."""
     val = g.valences()
     groups: dict[int, list[int]] = {}
     for v, d in enumerate(val):
         groups.setdefault(d, []).append(v)
-    keys = sorted(groups)
-    pools = [groups[k] for k in keys]
-    for parts in product(*(permutations(p) for p in pools)):
+    pools = [groups[k] for k in sorted(groups)]
+    blocks = []
+    start = 0
+    for pool in pools:
+        blocks.append(range(start, start + len(pool)))
+        start += len(pool)
+    for parts in product(*(permutations(b) for b in blocks)):
         perm = [0] * g.n_vertices
         for pool, images in zip(pools, parts):
             for src, dst in zip(pool, images):
@@ -105,7 +116,7 @@ def _degree_compatible_perms(g: GCGraph):
 
 def _gc_canonical_data(g: GCGraph) -> tuple[tuple, list[tuple]]:
     """(lexicographically minimal relabeled edge tuple over valence-
-    preserving vertex permutations, every permutation old->new achieving
+    sorting vertex permutations, every permutation old->new achieving
     it in scan order), from one scan."""
     best = None
     perms = []
@@ -126,10 +137,12 @@ def gc_canonical(g: GCGraph) -> tuple[GCGraph, tuple]:
 
 
 def gc_automorphisms(g: GCGraph) -> list[tuple]:
+    """Every automorphism, by a scan of all vertex permutations (an oracle
+    for the canonical scan; V! permutations, so small graphs only)."""
     edges = g.edges
     return [
         perm
-        for perm in _degree_compatible_perms(g)
+        for perm in permutations(range(g.n_vertices))
         if _relabeled_edges(g, perm) == edges
     ]
 
@@ -202,13 +215,6 @@ def _edge_multisets(n_vertices: int, n_edges: int):
     return combinations_with_replacement(pairs, n_edges)
 
 
-def _layer_provably_empty(loop_order: int, n_edges: int, min_valence: int) -> bool:
-    """No vertex count fits, or the valence floor exceeds the half-edge
-    supply."""
-    n_vertices = n_edges - loop_order + 1
-    return n_vertices < 1 or min_valence * n_vertices > 2 * n_edges
-
-
 def gc_enumerate(loop_order: int, n_edges: int, min_valence: int = 3):
     """Nonzero classes plus zero-class count at the given loop order and
     edge count: connected loopless multigraphs, valences >= min_valence,
@@ -217,9 +223,9 @@ def gc_enumerate(loop_order: int, n_edges: int, min_valence: int = 3):
         raise ValueError(
             "loop order guard is %d, got %d" % (GC_LOOP_ORDER_GUARD, loop_order)
         )
-    if _layer_provably_empty(loop_order, n_edges, min_valence):
-        return [], 0
     n_vertices = n_edges - loop_order + 1
+    if n_vertices < 1 or min_valence * n_vertices > 2 * n_edges:
+        return [], 0
     seen: dict = {}
     for edges in _edge_multisets(n_vertices, n_edges):
         g = GCGraph(n_vertices, edges)
@@ -294,20 +300,17 @@ class GCSpec:
     def cells(self, e: int) -> list[int]:
         return [self.loop_order]
 
+    def classes(self, n: int, e: int):
+        return gc_enumerate(n, e, self.min_valence)
 
-def gc_build(spec: GCSpec) -> ComplexSlice:
-    """Enumerate bases, assemble the vertex-splitting matrices and verify
-    that consecutive matrices compose to zero."""
-    sl = ComplexSlice(spec)
-    for e in range(spec.e_min, spec.e_max + 1):
-        nonzero, zero = gc_enumerate(spec.loop_order, e, spec.min_valence)
-        sl.bases[e] = nonzero
-        sl.cell_dims[(spec.loop_order, e)] = len(nonzero)
-        sl.zero_counts[(spec.loop_order, e)] = zero
-    for e in (spec.e_min - 1, spec.e_max + 1):
-        sl.empty_edge[e] = _layer_provably_empty(spec.loop_order, e, spec.min_valence)
-    assemble_differentials(sl, lambda c: gc_delta(c, spec.min_valence))
-    return sl
+    def possible(self, n: int, e: int) -> bool:
+        """Some vertex count fits and the valence floor is within the
+        half-edge supply."""
+        n_vertices = e - n + 1
+        return n_vertices >= 1 and self.min_valence * n_vertices <= 2 * e
+
+    def operator(self, cls):
+        return gc_delta(cls, self.min_valence)
 
 
 def gc_cohomology(loop_order: int, d: int, e_range: tuple, min_valence: int = 3):
@@ -316,4 +319,4 @@ def gc_cohomology(loop_order: int, d: int, e_range: tuple, min_valence: int = 3)
 
     Returns the row dicts of complexes.cohomology ordered by edge count."""
     e_min, e_max = e_range
-    return cohomology(gc_build(GCSpec(loop_order, d, e_min, e_max, min_valence)))
+    return cohomology(build(GCSpec(loop_order, d, e_min, e_max, min_valence)))

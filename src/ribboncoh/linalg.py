@@ -32,13 +32,15 @@ class SparseIntMatrix:
         ent = []
         seen = set()
         for r, c, v in self.entries:
+            if not (isinstance(r, int) and isinstance(c, int) and isinstance(v, int)):
+                raise ValueError("matrix indices and entries must be integers")
             if not (0 <= r < self.rows and 0 <= c < self.cols):
                 raise ValueError("entry index out of range")
             if (r, c) in seen:
                 raise ValueError("duplicate entry")
             seen.add((r, c))
             if v != 0:
-                ent.append((r, c, int(v)))
+                ent.append((r, c, v))
         object.__setattr__(self, "entries", tuple(sorted(ent)))
 
     @property

@@ -65,6 +65,17 @@ def test_check_json(capsys):
     assert report["passed"]
 
 
+def test_check_rejects_oracle_bound_before_any_work(capsys, monkeypatch):
+    def no_work(bounds):
+        raise AssertionError("run_check must not start")
+
+    monkeypatch.setattr(cli, "run_check", no_work)
+    code, out, err = run(capsys, "check", "--e-max-oracle", "6")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("invalid bounds: e_max_oracle is at most 5")
+
+
 def test_cohomology_table(capsys):
     code, out, _ = run(
         capsys, "cohomology", "--kind", "kp", "-g", "1", "-n", "1",

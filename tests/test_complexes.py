@@ -8,7 +8,6 @@ from ribboncoh.linalg import DifferentialIdentityError
 from ribboncoh.ribbon import boundaries
 from ribboncoh.complexes import (
     ComplexSpec,
-    assemble_differentials,
     build,
     calc1_expectation,
     calc1_offsets,
@@ -98,17 +97,25 @@ def test_mw_operator_uses_the_corner_move():
         )
 
 
-def test_assemble_differentials_detects_broken_operator():
-    # drop one term of the corner operator: consecutive matrices no longer
-    # compose to zero
-    def broken(cls):
-        full = bridge(cls)
-        terms = sorted(full.terms(), key=lambda t: t[0].content_hash())
+class BrokenCornerSpec(ComplexSpec):
+    def operator(self, cls):
+        # drop one term of the corner operator
+        terms = sorted(bridge(cls).terms(), key=lambda t: t[0].content_hash())
         return project_ge3(delta(cls) + FormalSum(terms[1:]))
 
-    sl = build(ComplexSpec("mw", 0, 0, "ge3", 1, 5))
+
+def test_build_detects_broken_operator():
+    # consecutive matrices of the broken operator no longer compose to zero
     with pytest.raises(DifferentialIdentityError):
-        assemble_differentials(sl, broken)
+        build(BrokenCornerSpec("mw", 0, 0, "ge3", 1, 5))
+
+
+def test_lower_layer_with_zero_classes_only_is_empty():
+    # kp (1,1) ge3 at E=2 holds one zero class and no nonzero class, so a
+    # table starting at E=3 certifies its first row
+    rows = cohomology(build(ComplexSpec("kp", 1, 0, "ge3", 3, 4, boundaries=1)))
+    assert rows[0]["edges"] == 3 and rows[0]["status"] == "certified"
+    assert rows[0]["rank_in"] == 0 and rows[0]["h"] == 1
 
 
 def test_cache_round_trip(tmp_path):

@@ -4,12 +4,12 @@ import json
 import runpy
 import sys
 
-from itertools import combinations
+from itertools import combinations, permutations
 from pathlib import Path
 
 import pytest
 
-from ribboncoh.canonical import perm_sign
+from ribboncoh.canonical import _order_sign, perm_sign
 from ribboncoh.diff import FormalSum, apply_linear
 from ribboncoh.gc2 import (
     GCGraph,
@@ -25,6 +25,12 @@ from ribboncoh.gc2 import (
 
 K4_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 THETA_EDGES = ((0, 1), (0, 1), (0, 1))
+# floor-2 generators at loop order 3, E=8, on 6 vertices, whose images
+# under gc_delta have nonempty images themselves
+D2_GENERATORS = (
+    ((0, 1), (0, 2), (1, 3), (1, 4), (2, 4), (3, 4), (3, 5), (4, 5)),
+    ((0, 1), (0, 2), (0, 4), (1, 2), (2, 3), (2, 5), (3, 4), (4, 5)),
+)
 
 
 def test_graph_validation():
@@ -53,6 +59,20 @@ def test_canonical_invariant_under_relabeling():
     canon, perm = gc_canonical(g)
     assert sorted(perm) == list(range(4))
     assert gc_canonical(canon)[0] == canon
+
+
+def test_canonical_invariant_under_relabeling_with_mixed_valences():
+    # two triangles sharing an edge have valences 2, 3, 3, 2; every
+    # relabeling must give the same class and the same sign
+    two_triangles = GCGraph(4, ((0, 1), (0, 2), (1, 2), (1, 3), (2, 3)))
+    cls, sign = to_gc_class(two_triangles)
+    assert not cls.zero_flag
+    for perm in permutations(range(4)):
+        images = [tuple(sorted((perm[a], perm[b]))) for a, b in two_triangles.edges]
+        other, other_sign = to_gc_class(GCGraph(4, tuple(images)))
+        assert other == cls
+        # the relabeled reference order against the image of the original one
+        assert other_sign == sign * _order_sign(images)
 
 
 def test_automorphisms_k4():
@@ -124,12 +144,16 @@ def _oracle_delta(x, min_valence):
 def test_edge_order_sign():
     # every term's sign in gc_delta matches transporting its explicit edge
     # order to the canonical graph
+    generators = [
+        (x, min_valence)
+        for loop_order, n_edges, min_valence in ((1, 5, 1), (2, 5, 2), (2, 6, 1), (3, 6, 3))
+        for x in gc_enumerate(loop_order, n_edges, min_valence)[0]
+    ] + [(to_gc_class(GCGraph(6, edges))[0], 2) for edges in D2_GENERATORS]
     n_terms = 0
-    for loop_order, n_edges, min_valence in ((1, 5, 1), (2, 5, 2), (3, 6, 3)):
-        for x in gc_enumerate(loop_order, n_edges, min_valence)[0]:
-            image = gc_delta(x, min_valence)
-            assert image == _oracle_delta(x, min_valence)
-            n_terms += len(image)
+    for x, min_valence in generators:
+        image = gc_delta(x, min_valence)
+        assert image == _oracle_delta(x, min_valence)
+        n_terms += len(image)
     assert n_terms > 10
 
 
@@ -145,7 +169,14 @@ def test_enumerate_frozen():
     assert nz[0].edges == K4_EDGES
     assert gc_enumerate(3, 4) == ([], 1)
     nz5, z5 = gc_enumerate(3, 5)
-    assert (len(nz5), z5) == (0, 3)
+    assert (len(nz5), z5) == (0, 1)
+    # loop order 2, floor 2: two triangles sharing an edge is the one
+    # nonzero class; a triangle and a bigon sharing a vertex, two bigons
+    # joined by an edge, and a bigon joined by a path of three edges are
+    # zero by their parallel edges
+    nz, z = gc_enumerate(2, 5, 2)
+    assert len(nz) == 1 and z == 3
+    assert nz[0].edges == ((0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
 def test_guard():
@@ -154,10 +185,15 @@ def test_guard():
 
 
 def test_delta_squared_zero():
-    for e in (5, 6):
-        nz, _ = gc_enumerate(3, e)
-        for cls in nz:
-            assert apply_linear(gc_delta, gc_delta(cls)).is_zero()
+    def d(cls):
+        return gc_delta(cls, 2)
+
+    for edges in D2_GENERATORS:
+        x, _ = to_gc_class(GCGraph(6, edges))
+        assert not x.zero_flag
+        image = d(x)
+        assert any(len(d(y)) for y, _ in image.terms())
+        assert apply_linear(d, image).is_zero()
 
 
 def test_cohomology_frozen():
@@ -169,13 +205,13 @@ def test_cohomology_frozen():
         assert by_e[e]["h"] == 0
 
 
-def test_cohomology_truncated_without_empty_neighbor():
-    # E=5 holds zero classes only but is not provably empty, so the rank
-    # into E=6 is unknown and the K4 row cannot report h
+def test_cohomology_certified_with_zero_class_neighbor():
+    # E=5 holds zero classes only, so the rank into E=6 is 0 and the K4 row
+    # is certified
     rows = gc_cohomology(3, 0, (6, 8))
     first = rows[0]
     assert first["edges"] == 6 and first["dim"] == 1
-    assert first["status"] == "truncated" and first["h"] is None
+    assert first["status"] == "certified" and first["h"] == 1
     assert first["cells"] == {3: 1} and first["zero_classes"] == 1
 
 
@@ -183,7 +219,7 @@ def test_odd_cohomology_digest():
     # SHA-256 of the d = 1 table, frozen from the payload-transport sign code
     rows = gc_cohomology(3, 1, (3, 9))
     digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
-    assert digest == "cff1ce13cace3fc7e3fe0632631675b6cce9a3e0c02001eae43e16f63bf2d0af"
+    assert digest == "bf4d8fb67c916ba88f7b85dffcaca917fd5e2c75e36c50ddf10f28194330396f"
 
 
 def test_tables_need_a_valence_floor_of_two():
@@ -194,12 +230,27 @@ def test_tables_need_a_valence_floor_of_two():
             gc_cohomology(*args)
 
 
-def test_gc2_tables_script_rejects_floor_one(monkeypatch, capsys):
+def _gc2_tables(monkeypatch, *argv):
     script = Path(__file__).resolve().parents[1] / "scripts" / "gc2_tables.py"
     main = runpy.run_path(str(script))["main"]
-    monkeypatch.setattr(sys, "argv", ["gc2_tables.py", "--loop-order", "1", "--e-range", "2..7",
-                                      "--min-valence", "1"])
-    assert main() == 2
+    monkeypatch.setattr(sys, "argv", ["gc2_tables.py", *argv])
+    return main()
+
+
+def test_gc2_tables_script_rejects_floor_one(monkeypatch, capsys):
+    assert _gc2_tables(monkeypatch, "--loop-order", "1", "--e-range", "2..7",
+                       "--min-valence", "1") == 2
     out = capsys.readouterr()
     assert out.out == ""
     assert "min_valence >= 2" in out.err
+
+
+def test_gc2_tables_script_parses_the_edge_range(monkeypatch, capsys):
+    # one edge count is a range of one row; a malformed range exits 2
+    assert _gc2_tables(monkeypatch, "--e-range", "6") == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 2 and out[1].split()[1] == "6"
+    assert _gc2_tables(monkeypatch, "--e-range", "3..x") == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("invalid spec: ")

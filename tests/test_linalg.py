@@ -29,6 +29,9 @@ def test_matrix_validation():
     for rows in (-1, "2", 2.0):
         with pytest.raises(ValueError):
             SparseIntMatrix(rows, 2)  # dimensions are non-negative ints
+    for entry in ((0, 0, "5"), (1, 1, 1.5), (0.5, 0, 1), (0, 1.0, 1), (0, 0, None)):
+        with pytest.raises(ValueError, match="integers"):
+            SparseIntMatrix(2, 2, (entry,))  # indices and entries are ints
     m = SparseIntMatrix(2, 2, ((0, 0, 0), (1, 1, 3)))
     assert m.nnz == 1  # explicit zeros dropped
 
