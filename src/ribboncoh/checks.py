@@ -42,6 +42,9 @@ class CheckBounds:
     parities: tuple = (EVEN, ODD)
 
     def __post_init__(self):
+        for name in ("g_max", "e_max_full", "e_max_ge3", "e_max_le2", "e_max_oracle"):
+            if getattr(self, name) < 0:
+                raise ValueError("%s must be non-negative" % name)
         if 2 * self.e_max_oracle > BRUTE_FORCE_DART_LIMIT:
             raise ValueError(
                 "e_max_oracle is at most %d: the brute-force scan is limited to %d half-edges"

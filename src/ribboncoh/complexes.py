@@ -54,8 +54,8 @@ class ComplexSpec:
             raise ValueError("kind must be one of %s" % (KINDS,))
         if self.sector not in SECTORS:
             raise ValueError("sector must be one of %s" % (SECTORS,))
-        if self.kind == "kp" and self.boundaries is None:
-            raise ValueError("kp complexes need a boundary count")
+        if self.kind == "kp" and (self.boundaries is None or self.boundaries < 1):
+            raise ValueError("kp complexes need a boundary count of at least 1")
         if self.kind == "mw" and self.sector == "le2":
             raise ValueError("the le2 sector is only defined for kp complexes")
         if self.genus < 0 or self.e_min < 1 or self.e_max < self.e_min:

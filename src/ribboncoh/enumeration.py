@@ -209,22 +209,6 @@ def _permutation_scan(spec: EnumSpec):
         yield s0, s1
 
 
-def basis_table(
-    genus: int, e_max: int, min_valence: int, parity: int = EVEN
-) -> dict[tuple[int, int], int]:
-    """Nonzero-class counts over the (boundaries, edges) grid at fixed
-    genus; n is bounded by E + 1 - 2g."""
-    table = {}
-    for e in range(1, e_max + 1):
-        for n in range(1, e + 2 - 2 * genus):
-            spec = EnumSpec(genus, n, e, min_valence, parity)
-            if not spec.is_consistent()[0]:
-                continue
-            nonzero, _ = enumerate_classes(spec)
-            table[(n, e)] = len(nonzero)
-    return table
-
-
 def polygon_graph(n_edges: int) -> RibbonGraph:
     """The n-gon: vertices 0..n-1 all 2-valent, edge i joining vertex i to
     vertex i+1 (mod n); n=1 degenerates to the loop."""

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, permutations, product
 
-from .canonical import _order_sign, perm_sign
+from .canonical import _order_sign
 from .complexes import build, cohomology
 from .diff import FormalSum
 
@@ -128,31 +128,6 @@ def _gc_canonical_data(g: GCGraph) -> tuple[tuple, list[tuple]]:
         elif cand == best:
             perms.append(perm)
     return best, perms
-
-
-def gc_canonical(g: GCGraph) -> tuple[GCGraph, tuple]:
-    """Canonical representative plus one optimal permutation old->new."""
-    best, perms = _gc_canonical_data(g)
-    return GCGraph(g.n_vertices, best), perms[0]
-
-
-def gc_automorphisms(g: GCGraph) -> list[tuple]:
-    """Every automorphism, by a scan of all vertex permutations (an oracle
-    for the canonical scan; V! permutations, so small graphs only)."""
-    edges = g.edges
-    return [
-        perm
-        for perm in permutations(range(g.n_vertices))
-        if _relabeled_edges(g, perm) == edges
-    ]
-
-
-def _edge_perm_sign(g: GCGraph, perm) -> int:
-    """Sign of the edge permutation induced by a vertex automorphism;
-    requires distinct edges (no parallels)."""
-    pos = {e: i for i, e in enumerate(g.edges)}
-    images = [pos[tuple(sorted((perm[a], perm[b])))] for a, b in g.edges]
-    return perm_sign(images)
 
 
 @dataclass(frozen=True)
@@ -293,6 +268,8 @@ class GCSpec:
     def __post_init__(self):
         if self.min_valence < 2:
             raise ValueError("gc2 tables need min_valence >= 2, got %d" % self.min_valence)
+        if self.loop_order < 1 or self.e_min < 1 or self.e_max < self.e_min:
+            raise ValueError("need loop_order >= 1 and 1 <= e_min <= e_max")
 
     def degree(self, e: int) -> int:
         return 2 * self.d * (e - self.loop_order) + (1 - 2 * self.d) * e

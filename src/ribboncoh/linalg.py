@@ -1,12 +1,21 @@
 """Exact sparse linear algebra over arbitrary-precision integers.
 
-Both ranks eliminate the same way: the shortest remaining row is the
-pivot row and its smallest column the pivot column, and only rows holding
-that column change.  ``rank`` works over the integers, clearing the column
-by the cross multiples that the gcd of the two entries leaves and dividing
-each new row by the gcd of its entries; ``rank_modp`` works modulo a prime
-and serves as the independent certification oracle.  No floating point
-anywhere.
+Both ranks eliminate by the same rule.  The pivot row is a shortest
+remaining row; its pivot column is the one of its columns listed with the
+fewest rows, the smallest index among equals (Markowitz's heuristic: few
+rows to update, little fill-in).  Each column keeps a list of the rows that
+hold it, and a pivot visits only the rows on its column's list.  A row
+that gains a column through fill-in is appended to that column's list; a
+row that loses one by cancellation stays listed and is skipped when met.
+Rows are queued by length, so the shortest row is found without a scan; a
+row queued at a length it has since left is skipped the same way.
+
+``rank`` works over the integers, clearing the column by the cross
+multiples that the gcd of the two entries leaves and dividing each new row
+by the gcd of its entries; ``rank_modp`` works modulo a prime.  The two
+keep separate loops on purpose: ``rank_modp`` is the certification oracle
+of ``rank``, and a fault in one shared loop would pass both.  No floating
+point anywhere.
 """
 from __future__ import annotations
 
@@ -99,32 +108,55 @@ def assemble(domain_basis, codomain_basis, operator) -> SparseIntMatrix:
 
 def rank(m: SparseIntMatrix) -> int:
     """Exact rank over the rationals, fraction-free elimination."""
-    rows = [r for r in m.row_dicts() if r]
+    rows = m.row_dicts()
+    holders = [[] for _ in range(m.cols)]  # column -> rows listed as holding it
+    by_len = [[] for _ in range(m.cols + 1)]  # length -> rows queued at it
+    for i, r in enumerate(rows):
+        for c in r:
+            holders[c].append(i)
+        by_len[len(r)].append(i)
     rnk = 0
-    while rows:
-        pivot_row = rows.pop(min(range(len(rows)), key=lambda i: len(rows[i])))
-        pc = min(pivot_row)
-        pv = pivot_row[pc]
+    short = 1
+    while short <= m.cols:
+        if not by_len[short]:
+            short += 1
+            continue
+        i = by_len[short].pop()
+        pivot_row = rows[i]
+        if len(pivot_row) != short:  # queued at a length it has since left
+            continue
+        rows[i] = {}
         rnk += 1
-        new_rows = []
-        for r in rows:
+        pc = min(pivot_row, key=lambda c: (len(holders[c]), c))
+        pv = pivot_row[pc]
+        for j in holders[pc]:
+            r = rows[j]
             w = r.get(pc)
-            if w is None:
-                new_rows.append(r)
+            if w is None:  # a row that has lost the column, or the pivot row
                 continue
             g = gcd(pv, w)
             a, b = pv // g, w // g
-            out = {}
-            for c in set(r) | set(pivot_row):
-                if c == pc:
-                    continue
-                nv = a * r.get(c, 0) - b * pivot_row.get(c, 0)
-                if nv:
-                    out[c] = nv
-            if out:
-                content = gcd(*out.values())
-                new_rows.append({c: v // content for c, v in out.items()})
-        rows = new_rows
+            if a != 1:
+                for c in r:
+                    r[c] *= a
+            for c, v in pivot_row.items():
+                if c not in r:
+                    r[c] = -b * v
+                    holders[c].append(j)
+                else:
+                    nv = r[c] - b * v
+                    if nv:
+                        r[c] = nv
+                    else:
+                        del r[c]
+            if r:
+                content = gcd(*r.values())
+                if content != 1:
+                    for c in r:
+                        r[c] //= content
+                by_len[len(r)].append(j)
+                short = min(short, len(r))
+        holders[pc] = []
     return rnk
 
 
@@ -156,35 +188,47 @@ def rank_modp(m: SparseIntMatrix, p: int) -> int:
     """Rank of the reduction mod p; a lower bound for the rational rank."""
     if not is_probable_prime(p):
         raise ValueError("%d is not prime" % p)
-    rows = []
-    for r in m.row_dicts():
-        rr = {c: v % p for c, v in r.items() if v % p}
-        if rr:
-            rows.append(rr)
+    rows = [{c: v % p for c, v in r.items() if v % p} for r in m.row_dicts()]
+    holders = [[] for _ in range(m.cols)]  # column -> rows listed as holding it
+    by_len = [[] for _ in range(m.cols + 1)]  # length -> rows queued at it
+    for i, r in enumerate(rows):
+        for c in r:
+            holders[c].append(i)
+        by_len[len(r)].append(i)
     rnk = 0
-    while rows:
-        pivot_row = min(rows, key=len)
-        rows.remove(pivot_row)
-        pc = min(pivot_row)
+    short = 1
+    while short <= m.cols:
+        if not by_len[short]:
+            short += 1
+            continue
+        i = by_len[short].pop()
+        pivot_row = rows[i]
+        if len(pivot_row) != short:  # queued at a length it has since left
+            continue
+        rows[i] = {}
+        rnk += 1
+        pc = min(pivot_row, key=lambda c: (len(holders[c]), c))
         pv_inv = pow(pivot_row[pc], p - 2, p)
         pivot = {c: v * pv_inv % p for c, v in pivot_row.items()}
-        rnk += 1
-        new_rows = []
-        for r in rows:
+        for j in holders[pc]:
+            r = rows[j]
             w = r.get(pc)
-            if w is None:
-                new_rows.append(r)
+            if w is None:  # a row that has lost the column, or the pivot row
                 continue
-            out = {}
-            for c in set(r) | set(pivot):
-                if c == pc:
-                    continue
-                nv = (r.get(c, 0) - pivot.get(c, 0) * w) % p
-                if nv:
-                    out[c] = nv
-            if out:
-                new_rows.append(out)
-        rows = new_rows
+            for c, v in pivot.items():
+                if c not in r:
+                    r[c] = -v * w % p
+                    holders[c].append(j)
+                else:
+                    nv = (r[c] - v * w) % p
+                    if nv:
+                        r[c] = nv
+                    else:
+                        del r[c]
+            if r:
+                by_len[len(r)].append(j)
+                short = min(short, len(r))
+        holders[pc] = []
     return rnk
 
 

@@ -3,7 +3,7 @@
 Each test computes its result, prints a single `[criterion N] ... PASS/FAIL`
 line directly to the terminal (bypassing capture), and then asserts.  The
 heavy cohomology tables are shared through module-scoped fixtures; the
-full module takes about two minutes, most of it in the identity suite
+full module takes about a minute, most of it in the identity suite
 (criterion 1) and the brute-force oracle (criterion 3).
 """
 import json

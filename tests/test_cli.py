@@ -5,7 +5,9 @@ import json
 import pytest
 
 from ribboncoh import cli
+from ribboncoh.checks import CheckBounds
 from ribboncoh.cli import main, _parse_erange
+from ribboncoh.complexes import ComplexSpec
 
 
 def run(capsys, *argv):
@@ -74,6 +76,26 @@ def test_check_rejects_oracle_bound_before_any_work(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err.startswith("invalid bounds: e_max_oracle is at most 5")
+
+
+@pytest.mark.parametrize("flag, field", [
+    ("--g-max", "g_max"),
+    ("--e-max", "e_max_full"),
+    ("--e-max-ge3", "e_max_ge3"),
+    ("--e-max-le2", "e_max_le2"),
+    ("--e-max-oracle", "e_max_oracle"),
+])
+def test_check_rejects_negative_bounds(capsys, monkeypatch, flag, field):
+    def no_work(bounds):
+        raise AssertionError("run_check must not start")
+
+    with pytest.raises(ValueError, match="%s must be non-negative" % field):
+        CheckBounds(**{field: -1})
+    monkeypatch.setattr(cli, "run_check", no_work)
+    code, out, err = run(capsys, "check", flag, "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "invalid bounds: %s must be non-negative\n" % field
 
 
 def test_cohomology_table(capsys):
@@ -155,6 +177,19 @@ def test_cohomology_invalid(capsys):
     code, _, err = run(capsys, "cohomology", "--kind", "kp", "-g", "0", "-E", "1..3", "--no-cache")
     assert code == 2
     assert "invalid spec" in err
+
+
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_cohomology_rejects_kp_without_boundaries(capsys, n):
+    with pytest.raises(ValueError, match="boundary count of at least 1"):
+        ComplexSpec("kp", 1, 0, "ge3", 2, 4, boundaries=int(n))
+    code, out, err = run(
+        capsys, "cohomology", "--kind", "kp", "-g", "1", "-n", n, "--sector", "ge3",
+        "-E", "2..4", "--no-cache",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("invalid spec: ")
 
 
 def test_export_graph_dot(capsys):

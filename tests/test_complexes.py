@@ -1,4 +1,8 @@
 """Complex assembly, cohomology tables, expected genus-1 dimensions."""
+import runpy
+import sys
+from pathlib import Path
+
 import pytest
 
 from ribboncoh.cache import Cache
@@ -165,3 +169,14 @@ def test_render_table():
     text = render_table(rows)
     assert "degree" in text and "certified" in text
     assert len(text.splitlines()) == 4
+
+
+def test_cohomology_tables_script_rejects_bad_bounds(monkeypatch, capsys):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "cohomology_tables.py"
+    main = runpy.run_path(str(script))["main"]
+    for argv in (["--e-max", "0"], ["--e-max-g1", "1"]):
+        monkeypatch.setattr(sys, "argv", ["cohomology_tables.py", *argv])
+        assert main() == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("invalid spec: need genus >= 0 and 1 <= e_min <= e_max")

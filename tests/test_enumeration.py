@@ -9,7 +9,6 @@ from ribboncoh.canonical import EVEN, ODD
 from ribboncoh.enumeration import (
     EnumSpec,
     _cell_maps,
-    basis_table,
     enumerate_bruteforce,
     enumerate_cell,
     enumerate_classes,
@@ -35,6 +34,20 @@ CENSUS_G0_MV1_EVEN = {
 }
 CENSUS_G0_MV3_EVEN = {(3, 2): 0, (3, 3): 0, (4, 3): 1, (4, 4): 4, (5, 4): 2}
 CENSUS_G1_MV3_EVEN = {(1, 2): 0, (1, 3): 1, (2, 3): 2, (2, 4): 5, (3, 4): 7}
+
+
+def basis_table(genus, e_max, min_valence, parity=EVEN):
+    """Nonzero-class counts over the (boundaries, edges) grid at fixed
+    genus; n is bounded by E + 1 - 2g."""
+    table = {}
+    for e in range(1, e_max + 1):
+        for n in range(1, e + 2 - 2 * genus):
+            spec = EnumSpec(genus, n, e, min_valence, parity)
+            if not spec.is_consistent()[0]:
+                continue
+            nonzero, _ = enumerate_classes(spec)
+            table[(n, e)] = len(nonzero)
+    return table
 
 
 def test_spec_consistency():

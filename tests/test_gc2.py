@@ -13,10 +13,9 @@ from ribboncoh.canonical import _order_sign, perm_sign
 from ribboncoh.diff import FormalSum, apply_linear
 from ribboncoh.gc2 import (
     GCGraph,
+    GCSpec,
     _edge_multisets,
-    _edge_perm_sign,
-    gc_automorphisms,
-    gc_canonical,
+    _gc_canonical_data,
     gc_cohomology,
     gc_delta,
     gc_enumerate,
@@ -31,6 +30,34 @@ D2_GENERATORS = (
     ((0, 1), (0, 2), (1, 3), (1, 4), (2, 4), (3, 4), (3, 5), (4, 5)),
     ((0, 1), (0, 2), (0, 4), (1, 2), (2, 3), (2, 5), (3, 4), (4, 5)),
 )
+
+
+def gc_canonical(g):
+    """Canonical representative plus one optimal permutation old->new."""
+    best, perms = _gc_canonical_data(g)
+    return GCGraph(g.n_vertices, best), perms[0]
+
+
+def _relabeled(edges, perm):
+    return tuple(sorted(tuple(sorted((perm[a], perm[b]))) for a, b in edges))
+
+
+def gc_automorphisms(g):
+    """Every automorphism, by a scan of all vertex permutations (an oracle
+    for the canonical scan; V! permutations, so small graphs only)."""
+    return [
+        perm
+        for perm in permutations(range(g.n_vertices))
+        if _relabeled(g.edges, perm) == g.edges
+    ]
+
+
+def _edge_perm_sign(g, perm):
+    """Sign of the edge permutation induced by a vertex automorphism;
+    requires distinct edges (no parallels)."""
+    pos = {e: i for i, e in enumerate(g.edges)}
+    images = [pos[tuple(sorted((perm[a], perm[b])))] for a, b in g.edges]
+    return perm_sign(images)
 
 
 def test_graph_validation():
@@ -254,3 +281,17 @@ def test_gc2_tables_script_parses_the_edge_range(monkeypatch, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("invalid spec: ")
+
+
+@pytest.mark.parametrize("argv, spec", [
+    (("--e-range", "8..6"), (3, 0, 8, 6)),
+    (("--e-range", "0..2", "--loop-order", "2"), (2, 0, 0, 2)),
+    (("--loop-order", "-1"), (-1, 0, 3, 8)),
+])
+def test_gc2_tables_script_rejects_bad_ranges(monkeypatch, capsys, argv, spec):
+    with pytest.raises(ValueError, match="loop_order >= 1 and 1 <= e_min <= e_max"):
+        GCSpec(*spec)
+    assert _gc2_tables(monkeypatch, *argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("invalid spec: need loop_order >= 1")

@@ -97,6 +97,71 @@ def test_rank_with_large_entries():
         assert _agrees_with_oracles(a.matmul(b)) <= k
 
 
+def _dense_modp_rank(m, p):
+    """Textbook dense elimination mod p, the oracle of rank_modp."""
+    a = [[0] * m.cols for _ in range(m.rows)]
+    for r, c, v in m.entries:
+        a[r][c] = v % p
+    rnk = 0
+    for c in range(m.cols):
+        piv = next((r for r in range(rnk, m.rows) if a[r][c]), None)
+        if piv is None:
+            continue
+        a[rnk], a[piv] = a[piv], a[rnk]
+        inv = pow(a[rnk][c], p - 2, p)
+        for r in range(m.rows):
+            if r != rnk and a[r][c]:
+                f = a[r][c] * inv % p
+                a[r] = [(x - f * y) % p for x, y in zip(a[r], a[rnk])]
+        rnk += 1
+    return rnk
+
+
+def _sparse_matrix(rng, rows, cols, per_row):
+    # entries in -2..2, a few per row, so that pivots fill rows in and
+    # updates cancel entries
+    ent = {}
+    for r in range(rows):
+        for c in rng.sample(range(cols), min(cols, rng.randint(0, per_row))):
+            ent[(r, c)] = rng.choice((-2, -1, 1, 2))
+    return SparseIntMatrix(rows, cols, tuple((r, c, v) for (r, c), v in ent.items()))
+
+
+def _sparse_test_matrices():
+    rng = random.Random(4040)
+    mats = []
+    for _ in range(12):
+        rows, cols = rng.randint(20, 40), rng.randint(20, 40)
+        mats.append(_sparse_matrix(rng, rows, cols, 6))
+    for _ in range(12):
+        rows, cols = rng.randint(20, 40), rng.randint(20, 40)
+        k = rng.randint(5, min(rows, cols) - 5)
+        a = _sparse_matrix(rng, rows, k, 3)
+        b = _sparse_matrix(rng, k, cols, 3)
+        mats.append(a.matmul(b))
+    return mats
+
+
+def test_sparse_rank_matches_dense_oracle():
+    ranks = []
+    for m in _sparse_test_matrices():
+        r = rank(m)
+        assert r == _dense_fraction_rank(m)
+        ranks.append((r, m.rows, m.cols))
+    # the set covers full-rank and rank-deficient matrices alike
+    assert any(r == min(rows, cols) for r, rows, cols in ranks)
+    assert any(r < min(rows, cols) for r, rows, cols in ranks)
+
+
+def test_sparse_rank_modp_matches_dense_modp_oracle():
+    mats = _sparse_test_matrices()
+    for p in (2, 3, 1000003):
+        ranks = [rank_modp(m, p) for m in mats]
+        assert ranks == [_dense_modp_rank(m, p) for m in mats]
+    # small primes see a rank drop that the large one does not
+    assert [rank_modp(m, 2) for m in mats] != [rank_modp(m, 1000003) for m in mats]
+
+
 def test_rank_of_assembled_mw_genus0_matrix():
     sl = build(ComplexSpec("mw", 0, sector="ge3", e_min=5, e_max=6))
     m = sl.matrices[5]
