@@ -44,7 +44,11 @@ def main() -> int:
     ap.add_argument("--e-max-g1", type=int, default=7, help="edge bound for the genus-1 table")
     ap.add_argument("--cache-dir", default=None)
     args = ap.parse_args()
-    cache = Cache(args.cache_dir)
+    try:
+        cache = Cache(args.cache_dir)
+    except OSError as exc:
+        print("cannot use cache directory %s: %s" % (args.cache_dir, exc.strerror), file=sys.stderr)
+        return 2
 
     try:
         tables = [

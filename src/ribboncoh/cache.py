@@ -1,15 +1,25 @@
 """On-disk result cache: one JSON document per entry.
 
-An entry's file name hashes its kind, its key and a digest of the
-package's source files, computed once per Cache; a basis, a matrix and a
-table are deterministic functions of their spec and the code, so an entry
-written by other code is never found.  The first line holds the kind and
-the SHA-256 of the rest, the document: a basis {"parity", "zero_classes",
-"classes"} with its nonzero classes as [sigma0, sigma1] in basis order, a
-matrix [rows, cols, entries], a table its payload.  An entry whose header
-does not match, or whose document does not rebuild into valid graphs or a
-valid matrix, is a miss and gets recomputed.  Writes are atomic (temp file
-then rename).
+An entry's file name hashes its kind, the fields it depends on
+(``entry_key``) and a digest of the package's source files, computed once
+per Cache; a basis, a matrix and a table are deterministic functions of
+those fields and the code, so an entry written by other code is never
+found.  The fields are:
+
+* a basis, one cell's classes: genus, boundary count n, edge count e,
+  sector and parity;
+* a matrix, the block of the differential from E=e: kind, genus, parity,
+  sector, the boundary count of a kp complex, and e; so one block serves
+  every E range and every d of its parity;
+* a table: the spec's content key (its whole E range and d) and whether
+  it carries the calc1 offsets.
+
+The first line holds the kind and the SHA-256 of the rest, the document:
+a basis {"parity", "zero_classes", "classes"} with its nonzero classes as
+[sigma0, sigma1] in basis order, a matrix [rows, cols, entries], a table
+its payload.  An entry whose header does not match, or whose document
+does not rebuild into valid graphs or a valid matrix, is a miss and gets
+recomputed.  Writes are atomic (temp file then rename).
 """
 from __future__ import annotations
 
@@ -46,56 +56,74 @@ def spec_hash(payload: dict) -> str:
     return hashlib.sha1(text.encode()).hexdigest()
 
 
+def entry_key(kind: str, spec, at) -> dict:
+    """The fields an entry depends on besides the source digest.  spec is
+    a complexes.ComplexSpec; at is (n, e) for a basis, e for a matrix and
+    calc1 for a table."""
+    if kind == "basis":
+        n, e = at
+        return {"genus": spec.genus, "boundaries": n, "edges": e,
+                "sector": spec.sector, "parity": spec.parity}
+    if kind == "matrix":
+        return {"kind": spec.kind, "genus": spec.genus, "parity": spec.parity,
+                "sector": spec.sector, "boundaries": spec.boundaries, "from_edges": at}
+    return {"table": spec.content_key(), "calc1": at}
+
+
 class Cache:
-    """A directory of immutable computation results."""
+    """A directory of immutable computation results, made if need be (OSError
+    when it cannot be); Cache(None) is disabled."""
 
     def __init__(self, root: str | None):
         self.root = root
-        self._source = _source_digest() if root is not None else None
+        self._source = None
+        if root is not None:
+            os.makedirs(root, exist_ok=True)
+            self._source = _source_digest()
 
     @property
     def enabled(self) -> bool:
         return self.root is not None
 
-    def _path(self, kind: str, key: dict) -> str:
-        h = spec_hash({"kind": kind, "source": self._source, **key})
+    def _path(self, kind: str, spec, at) -> str:
+        h = spec_hash({"kind": kind, "source": self._source, **entry_key(kind, spec, at)})
         return os.path.join(self.root, "%s-%s.json" % (kind, h))
 
-    def _store(self, kind: str, key: dict, doc) -> None:
+    def _store(self, kind: str, spec, at, doc) -> None:
         if not self.enabled:
             return
         body = json.dumps(doc, separators=(",", ":"))
-        os.makedirs(self.root, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as f:
                 f.write(_header(kind, body) + "\n" + body)
-            os.replace(tmp, self._path(kind, key))
+            os.replace(tmp, self._path(kind, spec, at))
         finally:
             if os.path.exists(tmp):  # only when the write failed
                 os.unlink(tmp)
 
-    def _load(self, kind: str, key: dict):
+    def _load(self, kind: str, spec, at):
         """The document of an entry whose header names its kind and the
         SHA-256 of its body; None on any mismatch."""
         if not self.enabled:
             return None
         try:
-            with open(self._path(kind, key)) as f:
+            with open(self._path(kind, spec, at)) as f:
                 head, _, body = f.read().partition("\n")
             return json.loads(body) if head == _header(kind, body) else None
         except (OSError, ValueError):  # undecodable bytes or JSON
             return None
 
-    def store_basis(self, key: dict, classes, zero_count: int) -> None:
-        """classes are nonzero and share one parity."""
-        parity = classes[0].parity if classes else EVEN
-        pairs = [[cls.sigma0, cls.sigma1] for cls in classes]
-        self._store("basis", key, {"parity": parity, "zero_classes": zero_count, "classes": pairs})
+    def store_basis(self, spec, n: int, e: int, classes, zero_count: int) -> None:
+        """classes are the nonzero classes of the (n, e) cell of spec."""
+        if self.enabled:
+            pairs = [[cls.sigma0, cls.sigma1] for cls in classes]
+            doc = {"parity": spec.parity, "zero_classes": zero_count, "classes": pairs}
+            self._store("basis", spec, (n, e), doc)
 
-    def load_basis(self, key: dict):
-        """(classes, zero_count) or None on a miss."""
-        doc = self._load("basis", key)
+    def load_basis(self, spec, n: int, e: int):
+        """(classes, zero_count) of the (n, e) cell, or None on a miss."""
+        doc = self._load("basis", spec, (n, e))
         try:
             parity, zero_count = doc["parity"], doc["zero_classes"]
             if parity not in (EVEN, ODD) or not isinstance(zero_count, int):
@@ -109,21 +137,21 @@ class Cache:
             return None
         return classes, zero_count
 
-    def store_matrix(self, key: dict, m: SparseIntMatrix) -> None:
-        self._store("matrix", key, [m.rows, m.cols, m.entries])
+    def store_matrix(self, spec, e: int, m: SparseIntMatrix) -> None:
+        self._store("matrix", spec, e, [m.rows, m.cols, m.entries])
 
-    def load_matrix(self, key: dict):
+    def load_matrix(self, spec, e: int):
         try:
-            rows, cols, entries = self._load("matrix", key)
+            rows, cols, entries = self._load("matrix", spec, e)
             return SparseIntMatrix(rows, cols, entries)
         except (ValueError, TypeError):
             return None
 
-    def store_table(self, key: dict, payload: dict) -> None:
-        self._store("table", key, payload)
+    def store_table(self, spec, calc1: bool, payload: dict) -> None:
+        self._store("table", spec, calc1, payload)
 
-    def load_table(self, key: dict):
-        payload = self._load("table", key)
+    def load_table(self, spec, calc1: bool):
+        payload = self._load("table", spec, calc1)
         return payload if isinstance(payload, dict) else None
 
 

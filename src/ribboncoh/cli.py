@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
-from .cache import Cache, default_cache_dir
+from .cache import NO_CACHE, Cache, default_cache_dir
 from .canonical import EVEN, ODD
 from .checks import CheckBounds, run_check
 from .complexes import (
@@ -44,10 +45,18 @@ def _add_cache_flags(p):
     p.add_argument("--no-cache", action="store_true", help="disable the on-disk cache")
 
 
+class UsageError(Exception):
+    """A path the command cannot use; main prints it and exits 2."""
+
+
 def _cache_from(args) -> Cache:
     if args.no_cache:
-        return Cache(None)
-    return Cache(args.cache_dir or default_cache_dir())
+        return NO_CACHE
+    root = args.cache_dir or default_cache_dir()
+    try:
+        return Cache(root)
+    except OSError as exc:
+        raise UsageError("cannot use cache directory %s: %s" % (root, exc.strerror))
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -76,7 +85,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cohomology", help="build a complex and print its cohomology table")
     p.add_argument("--kind", choices=("kp", "mw"), required=True)
     p.add_argument("-g", "--genus", type=int, required=True)
-    p.add_argument("-n", "--boundaries", type=int, default=None, help="required for --kind kp")
+    p.add_argument("-n", "--boundaries", type=int, default=None, help="kp only, where it is required")
     p.add_argument("-d", type=int, default=0, help="degree-shift integer; only its parity affects signs")
     p.add_argument("--sector", choices=("full", "ge3", "le2"), default="full")
     p.add_argument("-E", "--edge-range", required=True, help="edge range a..b")
@@ -89,7 +98,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", default=None, help="named sample (%s) or path to a canonical JSON file" % ", ".join(sorted(NAMED)))
     p.add_argument("--kind", choices=("kp", "mw"), default="kp")
     p.add_argument("-g", "--genus", type=int, default=0)
-    p.add_argument("-n", "--boundaries", type=int, default=None)
+    p.add_argument("-n", "--boundaries", type=int, default=None, help="kp only, where it is required")
     p.add_argument("-E", "--edge-range", default=None, help="edge range a..b (basis/matrix)")
     p.add_argument("-d", type=int, default=0)
     p.add_argument("--sector", choices=("full", "ge3", "le2"), default="full")
@@ -102,9 +111,12 @@ def make_parser() -> argparse.ArgumentParser:
 def _emit(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w") as f:
             f.write(text)
+    except OSError as exc:
+        raise UsageError("cannot write %s: %s" % (path, exc.strerror))
 
 
 def cmd_enumerate(args) -> int:
@@ -192,8 +204,7 @@ def cmd_cohomology(args) -> int:
         return 2
     cache = _cache_from(args)
     offsets = args.calc1 or (spec.kind == "mw" and spec.genus == 1)
-    table_key = {"table": spec.content_key(), "calc1": offsets}
-    payload = cache.load_table(table_key)
+    payload = cache.load_table(spec, offsets)
     if payload is None:
         try:
             sl = build(spec, cache=cache)
@@ -207,7 +218,7 @@ def cmd_cohomology(args) -> int:
         # JSON keys are strings and "10" sorts before "2": fix the order once,
         # int keys sorted as ints, and print in it, cold or cached
         payload = json.loads(json.dumps(payload, sort_keys=True))
-        cache.store_table(table_key, payload)
+        cache.store_table(spec, offsets, payload)
     if args.emit == "json":
         print(json.dumps(payload))
     else:
@@ -228,7 +239,8 @@ def _load_graph(name_or_path: str) -> RibbonGraph:
 
 
 def cmd_export(args) -> int:
-    cache = _cache_from(args)
+    if args.output is not None and not os.path.isdir(os.path.dirname(os.path.abspath(args.output))):
+        raise UsageError("cannot write %s: no such directory" % args.output)
     if args.what == "graph":
         if args.graph is None:
             print("--graph is required for --what graph", file=sys.stderr)
@@ -251,6 +263,7 @@ def cmd_export(args) -> int:
     except ValueError as exc:
         print("invalid spec: %s" % exc, file=sys.stderr)
         return 2
+    cache = _cache_from(args)
     try:
         sl = build(spec, cache=cache)
     except DifferentialIdentityError as exc:
@@ -279,7 +292,11 @@ def main(argv=None) -> int:
         "cohomology": cmd_cohomology,
         "export": cmd_export,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

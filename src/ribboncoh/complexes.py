@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .cache import NO_CACHE, Cache
 from .canonical import EVEN, ODD
 from .diff import bridge, delta
 from .enumeration import EnumSpec, enumerate_classes, le2_classes
@@ -47,7 +48,7 @@ class ComplexSpec:
     sector: str = "full"
     e_min: int = 1
     e_max: int = 4
-    boundaries: int | None = None  # required for kp, ignored for mw
+    boundaries: int | None = None  # kp only, where it is required
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -56,6 +57,8 @@ class ComplexSpec:
             raise ValueError("sector must be one of %s" % (SECTORS,))
         if self.kind == "kp" and (self.boundaries is None or self.boundaries < 1):
             raise ValueError("kp complexes need a boundary count of at least 1")
+        if self.kind == "mw" and self.boundaries is not None:
+            raise ValueError("mw complexes sum over every boundary count and take none")
         if self.kind == "mw" and self.sector == "le2":
             raise ValueError("the le2 sector is only defined for kp complexes")
         if self.genus < 0 or self.e_min < 1 or self.e_max < self.e_min:
@@ -123,43 +126,28 @@ class ComplexSlice:
         return len(self.bases.get(e, ()))
 
 
-def _basis_key(spec: ComplexSpec, n: int, e: int) -> dict:
-    return {
-        "genus": spec.genus,
-        "boundaries": n,
-        "edges": e,
-        "min_valence": spec.min_valence,
-        "parity": spec.parity,
-        "sector": spec.sector,
-    }
-
-
-def _matrix_key(spec: ComplexSpec, e: int) -> dict:
-    return {"complex": spec.content_key(), "from_edges": e}
-
-
-def build(spec, cache=None) -> ComplexSlice:
+def build(spec, cache: Cache = NO_CACHE) -> ComplexSlice:
     """Enumerate bases, assemble differential matrices, verify that
     consecutive matrices compose to zero.  spec is a ComplexSpec or a
-    gc2.GCSpec; an optional Cache (ComplexSpec only) serves and stores
-    bases and matrices.
+    gc2.GCSpec; a Cache serves and stores bases and matrices.  Given one,
+    a gc2.GCSpec raises TypeError before any enumeration, since cache
+    entries are keyed by ComplexSpec fields.
 
     The layer above e_max is empty when counting rules out each of its
     cells.  The layer below e_min costs less than any layer in range, so
     its cells are looked up like the others but kept out of the bases; it
     is empty when it holds no nonzero class."""
+    if cache.enabled and not isinstance(spec, ComplexSpec):
+        raise TypeError("a cache holds ribbon complexes only, not %s" % type(spec).__name__)
     sl = ComplexSlice(spec)
 
     def cell(n, e):
         if not spec.possible(n, e):
             return [], 0
-        if cache is None:
-            return spec.classes(n, e)
-        key = _basis_key(spec, n, e)
-        hit = cache.load_basis(key)
+        hit = cache.load_basis(spec, n, e)
         if hit is None:
             hit = spec.classes(n, e)
-            cache.store_basis(key, *hit)
+            cache.store_basis(spec, n, e, *hit)
         return hit
 
     for e in range(spec.e_min, spec.e_max + 1):
@@ -174,14 +162,10 @@ def build(spec, cache=None) -> ComplexSlice:
     sl.empty_edge[above] = not any(spec.possible(n, above) for n in spec.cells(above))
 
     for e in range(spec.e_min, spec.e_max):
-        m = None
-        if cache is not None:
-            key = _matrix_key(spec, e)
-            m = cache.load_matrix(key)
+        m = cache.load_matrix(spec, e)
         if m is None or m.rows != len(sl.bases[e + 1]) or m.cols != len(sl.bases[e]):
             m = assemble(sl.bases[e], sl.bases[e + 1], spec.operator)
-            if cache is not None:
-                cache.store_matrix(key, m)
+            cache.store_matrix(spec, e, m)
         sl.matrices[e] = m
     for e in range(spec.e_min, spec.e_max - 1):
         if not sl.matrices[e + 1].matmul(sl.matrices[e]).is_zero():

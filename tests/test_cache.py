@@ -1,17 +1,20 @@
-"""On-disk cache: round trips, source-digest keys, corruption handling,
-disabled mode."""
+"""On-disk cache: round trips, what each kind of entry is keyed by,
+source-digest keys, corruption handling, disabled mode."""
 import hashlib
 import json
 
+import pytest
+
 from ribboncoh import cache as cache_module
 from ribboncoh.cache import NO_CACHE, Cache, default_cache_dir, spec_hash
-from ribboncoh.canonical import EVEN
-from ribboncoh.enumeration import EnumSpec, enumerate_classes
+from ribboncoh.complexes import ComplexSpec
 from ribboncoh.linalg import SparseIntMatrix
+
+SPEC = ComplexSpec("kp", 1, 0, "ge3", 2, 4, boundaries=2)
 
 
 def _classes():
-    classes, zero = enumerate_classes(EnumSpec(1, 2, 3, 3, EVEN))
+    classes, zero = SPEC.classes(2, 3)
     assert len(classes) >= 2
     return classes, zero
 
@@ -41,48 +44,112 @@ def test_default_cache_dir_env(monkeypatch):
     assert default_cache_dir() == ".cache/ribboncoh"
 
 
-def test_disabled_cache_is_noop(tmp_path):
+def test_disabled_cache_is_noop(monkeypatch):
     assert not NO_CACHE.enabled
-    NO_CACHE.store_table({"k": 1}, {"x": 2})
-    assert NO_CACHE.load_table({"k": 1}) is None
+
+    def no_key(*args):
+        raise AssertionError("a disabled cache computed a key")
+
+    monkeypatch.setattr(cache_module, "entry_key", no_key)
+    NO_CACHE.store_basis(SPEC, 2, 3, *_classes())
+    NO_CACHE.store_matrix(SPEC, 2, SparseIntMatrix(1, 1, ()))
+    NO_CACHE.store_table(SPEC, False, {"x": 2})
+    assert NO_CACHE.load_basis(SPEC, 2, 3) is None
+    assert NO_CACHE.load_matrix(SPEC, 2) is None
+    assert NO_CACHE.load_table(SPEC, False) is None
+
+
+def _entries(tmp_path):
+    return sorted(p.name for p in tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "other",
+    [
+        ComplexSpec("kp", 1, 2, "ge3", 3, 6, boundaries=2),  # another E range, d of the same parity
+        ComplexSpec("mw", 1, 0, "ge3", 2, 4),  # another kind: its (2, 3) cell is the same
+    ],
+    ids=["range-and-d", "kind"],
+)
+def test_basis_entry_is_keyed_by_its_cell(tmp_path, other):
+    cache = Cache(str(tmp_path))
+    cache.store_basis(SPEC, 2, 3, *_classes())
+    assert cache.load_basis(other, 2, 3) == _classes()
+    for spec, n, e in (
+        (SPEC, 1, 3), (SPEC, 2, 4),
+        (ComplexSpec("kp", 0, 0, "ge3", 2, 4, boundaries=2), 2, 3),
+        (ComplexSpec("kp", 1, 0, "full", 2, 4, boundaries=2), 2, 3),
+        (ComplexSpec("kp", 1, 1, "ge3", 2, 4, boundaries=2), 2, 3),
+    ):
+        assert cache.load_basis(spec, n, e) is None, (spec, n, e)
+
+
+def test_matrix_entry_serves_every_range_and_d_of_its_parity(tmp_path):
+    cache = Cache(str(tmp_path))
+    m = SparseIntMatrix(3, 2, ((0, 1, -4), (2, 0, 9)))
+    cache.store_matrix(SPEC, 3, m)
+    for spec in (
+        ComplexSpec("kp", 1, 2, "ge3", 3, 4, boundaries=2),
+        ComplexSpec("kp", 1, -4, "ge3", 1, 9, boundaries=2),
+    ):
+        assert cache.load_matrix(spec, 3) == m
+    for spec, e in (
+        (SPEC, 2),
+        (ComplexSpec("kp", 1, 1, "ge3", 2, 4, boundaries=2), 3),
+        (ComplexSpec("kp", 1, 0, "ge3", 2, 4, boundaries=1), 3),
+        (ComplexSpec("kp", 1, 0, "full", 2, 4, boundaries=2), 3),
+        (ComplexSpec("kp", 2, 0, "ge3", 2, 4, boundaries=2), 3),
+        (ComplexSpec("mw", 1, 0, "ge3", 2, 4), 3),
+    ):
+        assert cache.load_matrix(spec, e) is None, (spec, e)
+    assert len(_entries(tmp_path)) == 1
+
+
+def test_table_entry_is_keyed_by_the_whole_spec_and_calc1(tmp_path):
+    cache = Cache(str(tmp_path))
+    cache.store_table(SPEC, False, {"rows": []})
+    assert cache.load_table(ComplexSpec("kp", 1, 0, "ge3", 2, 4, boundaries=2), False) == {"rows": []}
+    assert cache.load_table(SPEC, True) is None
+    for spec in (
+        ComplexSpec("kp", 1, 2, "ge3", 2, 4, boundaries=2),
+        ComplexSpec("kp", 1, 0, "ge3", 2, 5, boundaries=2),
+    ):
+        assert cache.load_table(spec, False) is None, spec
 
 
 def test_basis_round_trip(tmp_path):
     cache = Cache(str(tmp_path))
     classes, zero = _classes()
-    key = {"probe": "basis"}
-    assert cache.load_basis(key) is None
-    cache.store_basis(key, classes, zero)
-    got_classes, got_zero = cache.load_basis(key)
+    assert cache.load_basis(SPEC, 2, 3) is None
+    cache.store_basis(SPEC, 2, 3, classes, zero)
+    got_classes, got_zero = cache.load_basis(SPEC, 2, 3)
     assert got_classes == classes
     assert got_zero == zero
 
 
 def test_empty_basis_round_trip(tmp_path):
     cache = Cache(str(tmp_path))
-    cache.store_basis({"probe": "empty"}, [], 3)
-    assert cache.load_basis({"probe": "empty"}) == ([], 3)
+    cache.store_basis(SPEC, 2, 1, [], 3)
+    assert cache.load_basis(SPEC, 2, 1) == ([], 3)
 
 
 def test_matrix_round_trip(tmp_path):
     cache = Cache(str(tmp_path))
     m = SparseIntMatrix(3, 2, ((0, 1, -4), (2, 0, 9)))
-    key = {"probe": "matrix"}
-    assert cache.load_matrix(key) is None
-    cache.store_matrix(key, m)
-    assert cache.load_matrix(key) == m
+    assert cache.load_matrix(SPEC, 2) is None
+    cache.store_matrix(SPEC, 2, m)
+    assert cache.load_matrix(SPEC, 2) == m
     _entry(tmp_path, "matrix").write_text("# something else\n[1, 1, []]")
-    assert cache.load_matrix(key) is None
+    assert cache.load_matrix(SPEC, 2) is None
 
 
 def test_table_round_trip(tmp_path):
     cache = Cache(str(tmp_path))
     payload = {"rows": [{"h": 1}], "note": "x"}
-    key = {"probe": "table"}
-    cache.store_table(key, payload)
-    assert cache.load_table(key) == payload
+    cache.store_table(SPEC, False, payload)
+    assert cache.load_table(SPEC, False) == payload
     _entry(tmp_path, "table").write_text("not json")
-    assert cache.load_table(key) is None
+    assert cache.load_table(SPEC, False) is None
 
 
 def test_entry_under_another_source_digest_is_a_miss(tmp_path, monkeypatch):
@@ -90,42 +157,40 @@ def test_entry_under_another_source_digest_is_a_miss(tmp_path, monkeypatch):
     m = SparseIntMatrix(3, 2, ((0, 1, -4), (2, 0, 9)))
     monkeypatch.setattr(cache_module, "_source_digest", lambda: "0" * 64)
     cache = Cache(str(tmp_path))
-    cache.store_basis({"probe": "b"}, classes, zero)
-    cache.store_matrix({"probe": "m"}, m)
-    cache.store_table({"probe": "t"}, {"rows": []})
-    assert cache.load_basis({"probe": "b"}) == (classes, zero)
-    assert cache.load_matrix({"probe": "m"}) == m
-    assert cache.load_table({"probe": "t"}) == {"rows": []}
+    cache.store_basis(SPEC, 2, 3, classes, zero)
+    cache.store_matrix(SPEC, 2, m)
+    cache.store_table(SPEC, False, {"rows": []})
+    assert cache.load_basis(SPEC, 2, 3) == (classes, zero)
+    assert cache.load_matrix(SPEC, 2) == m
+    assert cache.load_table(SPEC, False) == {"rows": []}
     monkeypatch.setattr(cache_module, "_source_digest", lambda: "1" * 64)
     other = Cache(str(tmp_path))
-    assert other.load_basis({"probe": "b"}) is None
-    assert other.load_matrix({"probe": "m"}) is None
-    assert other.load_table({"probe": "t"}) is None
+    assert other.load_basis(SPEC, 2, 3) is None
+    assert other.load_matrix(SPEC, 2) is None
+    assert other.load_table(SPEC, False) is None
 
 
 def test_no_stray_temp_files(tmp_path):
     cache = Cache(str(tmp_path))
-    cache.store_table({"k": "v"}, {"data": 1})
+    cache.store_table(SPEC, False, {"data": 1})
     assert not [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
 
 
 def test_basis_corruption_is_a_miss(tmp_path):
     cache = Cache(str(tmp_path))
     classes, zero = _classes()
-    key = {"probe": "corrupt"}
-    cache.store_basis(key, classes, zero)
+    cache.store_basis(SPEC, 2, 3, classes, zero)
     path = _entry(tmp_path, "basis")
     text = path.read_text()
     path.write_text(text.replace('"parity":0', '"parity":1'))  # breaks the hash
-    assert cache.load_basis(key) is None
+    assert cache.load_basis(SPEC, 2, 3) is None
     path.write_text("# ribboncoh basis v999 zero_classes=0\n")
-    assert cache.load_basis(key) is None
+    assert cache.load_basis(SPEC, 2, 3) is None
 
 
 def test_basis_with_wrong_types_is_a_miss(tmp_path):
     cache = Cache(str(tmp_path))
-    key = {"probe": "types"}
-    cache.store_basis(key, [], 0)
+    cache.store_basis(SPEC, 2, 3, [], 0)
     path = _entry(tmp_path, "basis")
     for doc in (
         {"parity": 0, "zero_classes": 0, "classes": [[5, [1, 0]]]},
@@ -139,35 +204,32 @@ def test_basis_with_wrong_types_is_a_miss(tmp_path):
         None,
     ):
         _rewrite(path, "basis", doc)
-        assert cache.load_basis(key) is None, doc
+        assert cache.load_basis(SPEC, 2, 3) is None, doc
 
 
 def test_basis_with_a_class_deleted_is_a_miss(tmp_path):
     cache = Cache(str(tmp_path))
     classes, zero = _classes()
-    key = {"probe": "truncated"}
-    cache.store_basis(key, classes, zero)
+    cache.store_basis(SPEC, 2, 3, classes, zero)
     path = _entry(tmp_path, "basis")
     head, body = path.read_text().split("\n", 1)
     doc = json.loads(body)
     doc["classes"].pop()
     path.write_text(head + "\n" + json.dumps(doc, separators=(",", ":")))
-    assert cache.load_basis(key) is None
+    assert cache.load_basis(SPEC, 2, 3) is None
 
 
 def test_matrix_edited_in_place_is_a_miss(tmp_path):
     cache = Cache(str(tmp_path))
-    key = {"probe": "edited"}
-    cache.store_matrix(key, SparseIntMatrix(3, 2, ((0, 1, -4), (2, 0, 9))))
+    cache.store_matrix(SPEC, 2, SparseIntMatrix(3, 2, ((0, 1, -4), (2, 0, 9))))
     path = _entry(tmp_path, "matrix")
     path.write_text(path.read_text().replace("[0,1,-4]", "[0,1,-5]"))
-    assert cache.load_matrix(key) is None
+    assert cache.load_matrix(SPEC, 2) is None
 
 
 def test_matrix_with_wrong_types_is_a_miss(tmp_path):
     cache = Cache(str(tmp_path))
-    key = {"probe": "types"}
-    cache.store_matrix(key, SparseIntMatrix(1, 1, ((0, 0, 1),)))
+    cache.store_matrix(SPEC, 2, SparseIntMatrix(1, 1, ((0, 0, 1),)))
     path = _entry(tmp_path, "matrix")
     for doc in (
         [3, 2, [[0, 1, "x"]]],
@@ -181,24 +243,22 @@ def test_matrix_with_wrong_types_is_a_miss(tmp_path):
         None,
     ):
         _rewrite(path, "matrix", doc)
-        assert cache.load_matrix(key) is None, doc
+        assert cache.load_matrix(SPEC, 2) is None, doc
 
 
 def test_undecodable_entry_is_a_miss(tmp_path):
     cache = Cache(str(tmp_path))
-    key = {"probe": "bytes"}
-    cache.store_matrix(key, SparseIntMatrix(1, 1, ((0, 0, 1),)))
+    cache.store_matrix(SPEC, 2, SparseIntMatrix(1, 1, ((0, 0, 1),)))
     _entry(tmp_path, "matrix").write_bytes(b"\xff\xfe\x00")
-    assert cache.load_matrix(key) is None
+    assert cache.load_matrix(SPEC, 2) is None
 
 
 def test_table_without_payload_is_a_miss(tmp_path):
     cache = Cache(str(tmp_path))
-    key = {"probe": "no payload"}
-    cache.store_table(key, {"rows": []})
+    cache.store_table(SPEC, False, {"rows": []})
     path = _entry(tmp_path, "table")
     _rewrite(path, "table", None, body="")  # a header and nothing after it
-    assert cache.load_table(key) is None
+    assert cache.load_table(SPEC, False) is None
     for doc in ([], None, 1):
         _rewrite(path, "table", doc)
-        assert cache.load_table(key) is None
+        assert cache.load_table(SPEC, False) is None

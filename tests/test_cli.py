@@ -192,6 +192,84 @@ def test_cohomology_rejects_kp_without_boundaries(capsys, n):
     assert err.startswith("invalid spec: ")
 
 
+@pytest.mark.parametrize("command", ["cohomology", "export"])
+def test_mw_takes_no_boundary_count(capsys, tmp_path, command):
+    what = ("--what", "matrix") if command == "export" else ()
+    code, out, err = run(
+        capsys, command, *what, "--kind", "mw", "-g", "0", "-n", "7", "--sector", "ge3",
+        "-E", "1..5", "--cache-dir", str(tmp_path / "cache"),
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "invalid spec: mw complexes sum over every boundary count and take none\n"
+    assert not (tmp_path / "cache").exists()
+
+
+def _unusable_paths(tmp_path):
+    a_file = tmp_path / "file"
+    a_file.write_text("")
+    return {"a file": a_file, "under a file": a_file / "sub"}
+
+
+@pytest.mark.parametrize("where", ["a file", "under a file"])
+@pytest.mark.parametrize("command", ["cohomology", "export"])
+def test_unusable_cache_dir_exits_2_before_building(capsys, tmp_path, monkeypatch, command, where):
+    built = []
+    monkeypatch.setattr(cli, "build", lambda spec, cache: built.append(spec))
+    cache_dir = _unusable_paths(tmp_path)[where]
+    what = ("--what", "matrix") if command == "export" else ()
+    code, out, err = run(
+        capsys, command, *what, "--kind", "kp", "-g", "1", "-n", "1", "--sector", "ge3",
+        "-E", "2..4", "--cache-dir", str(cache_dir),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("cannot use cache directory %s: " % cache_dir)
+    assert "Traceback" not in err
+    assert built == []
+
+
+@pytest.mark.parametrize("where", ["missing directory", "under a file"])
+def test_export_to_an_unusable_path_exits_2_before_building(capsys, tmp_path, monkeypatch, where):
+    built = []
+    monkeypatch.setattr(cli, "build", lambda spec, cache: built.append(spec))
+    parent = tmp_path / "absent" if where == "missing directory" else _unusable_paths(tmp_path)["a file"]
+    target = parent / "x"
+    code, out, err = run(
+        capsys, "export", "--what", "matrix", "--kind", "kp", "-g", "1", "-n", "1",
+        "--sector", "ge3", "-E", "2..4", "--no-cache", "-o", str(target),
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "cannot write %s: no such directory\n" % target
+    assert built == []
+
+
+@pytest.mark.parametrize("where", ["missing directory", "a directory"])
+def test_export_graph_to_an_unusable_path_exits_2(capsys, tmp_path, where):
+    target = tmp_path / "absent" / "g.json" if where == "missing directory" else tmp_path
+    code, out, err = run(capsys, "export", "--what", "graph", "--graph", "LOOP", "-o", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("cannot write %s: " % target)
+
+
+def test_cached_blocks_serve_every_range_and_d_of_a_parity(capsys, tmp_path):
+    # one block per E=e, whatever the E range or the d of the same parity
+    # (keyed by the whole spec, these three runs wrote 17 matrix entries)
+    table = ("cohomology", "--kind", "mw", "-g", "0", "--sector", "ge3", "--emit", "json")
+    for rest in (("-E", "1..6"), ("-E", "1..7"), ("-E", "1..7", "-d", "2")):
+        code, warm, _ = run(capsys, *table, *rest, "--cache-dir", str(tmp_path))
+        assert code == 0
+        code, cold, _ = run(capsys, *table, *rest, "--no-cache")
+        assert code == 0
+        assert warm == cold, rest
+    names = [p.name for p in tmp_path.iterdir()]
+    assert sum(name.startswith("matrix-") for name in names) == 6
+    assert sum(name.startswith("basis-") for name in names) == 16
+    assert sum(name.startswith("table-") for name in names) == 3
+
+
 def test_export_graph_dot(capsys):
     code, out, _ = run(capsys, "export", "--what", "graph", "--graph", "THETA1", "--format", "dot")
     assert code == 0

@@ -8,7 +8,7 @@ import pytest
 from ribboncoh.cache import Cache
 from ribboncoh.canonical import EVEN, ODD
 from ribboncoh.diff import FormalSum, bridge, delta, project_ge3
-from ribboncoh.linalg import DifferentialIdentityError
+from ribboncoh.linalg import DifferentialIdentityError, SparseIntMatrix
 from ribboncoh.ribbon import boundaries
 from ribboncoh.complexes import (
     ComplexSpec,
@@ -31,6 +31,9 @@ def test_spec_validation():
         ComplexSpec("xx", 0, boundaries=1)
     with pytest.raises(ValueError):
         ComplexSpec("kp", 0, boundaries=1, e_min=3, e_max=2)
+    for n in (1, 7):  # mw sums over every boundary count
+        with pytest.raises(ValueError, match="mw complexes .* take none"):
+            ComplexSpec("mw", 0, sector="ge3", boundaries=n)
 
 
 def test_spec_properties():
@@ -132,6 +135,20 @@ def test_cache_round_trip(tmp_path):
     assert rows_cached == rows_fresh
 
 
+def test_cached_block_of_the_wrong_shape_is_reassembled(tmp_path):
+    # blocks are shared by every E range, so the shape check against the
+    # bases is what stops a wrong block from entering a table
+    cache = Cache(str(tmp_path))
+    sp = ComplexSpec("mw", 0, 0, "ge3", 1, 5)
+    wrong = SparseIntMatrix(1, 1, ((0, 0, 1),))
+    for e in range(1, 5):
+        cache.store_matrix(sp, e, wrong)
+    fresh = build(sp)
+    assert cohomology(build(sp, cache=cache)) == cohomology(fresh)
+    for e in range(1, 5):  # stored again, with the right shape
+        assert cache.load_matrix(sp, e) == fresh.matrices[e], e
+
+
 def test_modular_dims_frozen():
     assert modular_dims(4) == (0, 1)
     assert modular_dims(12) == (1, 1)
@@ -180,3 +197,15 @@ def test_cohomology_tables_script_rejects_bad_bounds(monkeypatch, capsys):
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err.startswith("invalid spec: need genus >= 0 and 1 <= e_min <= e_max")
+
+
+def test_cohomology_tables_script_rejects_a_file_as_cache_dir(monkeypatch, capsys, tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "cohomology_tables.py"
+    main = runpy.run_path(str(script))["main"]
+    a_file = tmp_path / "file"
+    a_file.write_text("")
+    monkeypatch.setattr(sys, "argv", ["cohomology_tables.py", "--cache-dir", str(a_file)])
+    assert main() == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "cannot use cache directory %s: File exists\n" % a_file

@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
+from ribboncoh.cache import Cache
 from ribboncoh.canonical import _order_sign, perm_sign
+from ribboncoh.complexes import build
 from ribboncoh.diff import FormalSum, apply_linear
 from ribboncoh.gc2 import (
     GCGraph,
@@ -240,6 +242,18 @@ def test_cohomology_certified_with_zero_class_neighbor():
     assert first["edges"] == 6 and first["dim"] == 1
     assert first["status"] == "certified" and first["h"] == 1
     assert first["cells"] == {3: 1} and first["zero_classes"] == 1
+
+
+def test_cache_is_refused_before_any_enumeration(tmp_path, monkeypatch):
+    # cache entries are keyed by ribbon spec fields; a gc2 build with a
+    # cache says so instead of failing inside the key, and enumerates nothing
+    def no_enumeration(self, n, e):
+        raise AssertionError("enumerated the (%d, %d) cell" % (n, e))
+
+    monkeypatch.setattr(GCSpec, "classes", no_enumeration)
+    with pytest.raises(TypeError, match="ribbon complexes only, not GCSpec"):
+        build(GCSpec(3, 0, 3, 6), cache=Cache(str(tmp_path)))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_odd_cohomology_digest():
