@@ -12,11 +12,17 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-import functools
 import random
 
 from .canonical import EVEN, ODD
-from .diff import apply_linear, bridge, bridge_terms, delta, delta_terms
+from .diff import (
+    apply_linear,
+    bridge_images,
+    bridge_terms,
+    delta,
+    delta_images,
+    delta_terms,
+)
 from .enumeration import (
     BRUTE_FORCE_DART_LIMIT,
     EnumSpec,
@@ -49,6 +55,12 @@ class CheckBounds:
             raise ValueError(
                 "e_max_oracle is at most %d: the brute-force scan is limited to %d half-edges"
                 % (BRUTE_FORCE_DART_LIMIT // 2, BRUTE_FORCE_DART_LIMIT)
+            )
+        p = self.parities
+        if not isinstance(p, tuple) or not p or len(set(p)) < len(p) or not set(p) <= {EVEN, ODD}:
+            raise ValueError(
+                "parities must be a non-empty tuple of distinct values from (%d, %d), got %r"
+                % (EVEN, ODD, p)
             )
 
     def to_json(self) -> dict:
@@ -100,14 +112,36 @@ def _violation(suite: str, spec: EnumSpec, cls, detail: str) -> dict:
     }
 
 
+def _memoized(op, joint):
+    """An operator on classes, memoized for as long as the returned
+    function lives: one entry per canonical pair maps each parity filled so
+    far to the image.  joint(cls) fills every parity in scope at once; an
+    injected op (when not None) fills one parity at a time."""
+    fill = joint if op is None else (lambda cls: {cls.parity: op(cls)})
+    memo = {}
+
+    def image(cls):
+        images = memo.setdefault((cls.sigma0, cls.sigma1), {})
+        if cls.parity not in images:
+            images.update(fill(cls))
+        return images[cls.parity]
+
+    return image
+
+
 def identity_suite(bounds: CheckBounds, delta_op=None, bridge_op=None) -> dict:
     """delta^2 = 0, the corner operator squared = 0, and the
     anticommutator = 0 on every nonzero generator in scope.  The operator
     arguments exist so the harness can inject a fault.  Images are reused
     (the squares apply each operator again to image terms), so both
-    operators are memoized for the length of this one call."""
-    d_op = functools.cache(delta_op or delta)
-    b_op = functools.cache(bridge_op or bridge)
+    operators are memoized for the length of this one call, by canonical
+    pair.  One canonical pass per raw term serves every parity in scope
+    (``diff.delta_images``, ``diff.bridge_images``): the first class of a
+    pair met in either parity fills its images in all of them.  An
+    injected operator fills its entries one parity at a time."""
+    parities = bounds.parities
+    d_op = _memoized(delta_op, lambda cls: delta_images(cls.graph, parities))
+    b_op = _memoized(bridge_op, lambda cls: bridge_images(cls.graph, parities))
     gens = list(iter_generators(bounds))
 
     def check(item):

@@ -22,14 +22,24 @@ changed list by least label.  ``canonical.to_oriented_class`` reads the
 sign of the term graph's reference off its optimal relabelings.
 
 Both operators return a fresh image on every call; the module keeps no
-state between calls.  A caller that applies them to the same class more
-than once memoizes them itself (``checks.identity_suite``).
+state between calls.  The raw term graphs do not depend on parity, so
+``delta_images`` and ``bridge_images`` give a class's image in several
+parities at once from one canonical pass per raw term.  A caller that
+applies them to the same class more than once memoizes the images itself
+(``checks.identity_suite``, one entry per canonical pair serving every
+parity in scope).
 """
 from __future__ import annotations
 
 from itertools import combinations
 
-from .canonical import EVEN, ODD, OrientedClass, _order_sign, to_oriented_class
+from .canonical import (
+    ODD,
+    OrientedClass,
+    _order_sign,
+    to_oriented_class,
+    to_oriented_classes,
+)
 from .ribbon import (
     RibbonGraph,
     boundaries,
@@ -169,13 +179,18 @@ def delta_terms(x: OrientedClass, min_arc: int = 1):
     (``_cuts``).  min_arc = 2 leaves out exactly the terms with a bivalent
     vertex when x has none: the ge3 sector's valence floor, applied at the
     cut."""
-    g = x.graph
+    return _split_terms(x.graph, min_arc, x.parity == ODD)
+
+
+def _split_terms(g: RibbonGraph, min_arc: int, odd: bool):
+    """``delta_terms`` of g's class: the sign is the odd-parity one when
+    odd is true and +1 (the even-parity one) otherwise."""
     n = g.n_half_edges
     verts = vertices(g)
     for vi, cyc in enumerate(verts):
         for arc_a, arc_b in _cuts(cyc, min_arc):
             out = _split_graph(g, arc_a, arc_b)
-            if x.parity == EVEN:
+            if not odd:
                 yield out, 1
                 continue
             keys = [v[0] for v in verts]
@@ -190,14 +205,18 @@ def bridge_terms(x: OrientedClass):
     boundary's walk b at the corners p < q: with their walk positions
     sorted to i < j, one piece is b[i:j] and the other the rest, and the
     piece through 2E+1 starts at p."""
-    g = x.graph
+    return _chord_terms(x.graph, x.parity == ODD)
+
+
+def _chord_terms(g: RibbonGraph, odd: bool):
+    """``bridge_terms`` of g's class, signed as in ``_split_terms``."""
     check_valid(g)
     bounds = boundaries(g)
     for bi, b in enumerate(bounds):
         pos = {h: i for i, h in enumerate(b)}
         for p, q in combinations(sorted(b), 2):
             out = _add_chord(g, p, q)  # distinct corners of one boundary
-            if x.parity == EVEN:
+            if not odd:
                 yield out, 1
                 continue
             i, j = sorted((pos[p], pos[q]))
@@ -237,6 +256,31 @@ def delta(x: OrientedClass, min_arc: int = 1) -> FormalSum:
 def bridge(x: OrientedClass) -> FormalSum:
     """Corner-connecting differential applied to a nonzero class."""
     return _image(bridge_terms(x), x.parity)
+
+
+def _images(raw_terms, parities, odd_koszul: int = 1) -> dict[int, FormalSum]:
+    """``_image`` in every parity of parities from one canonical pass per
+    raw term; raw_terms carry the odd-parity sign when ODD is in parities,
+    and odd_koszul is the Koszul factor of odd parity."""
+    out = {parity: FormalSum() for parity in parities}
+    for g, odd_sign in raw_terms:
+        for cls, ref_sign in to_oriented_classes(g, parities):
+            sign = odd_koszul * odd_sign if cls.parity == ODD else 1
+            out[cls.parity].add_term(cls, sign * ref_sign)
+    return out
+
+
+def delta_images(g: RibbonGraph, parities) -> dict[int, FormalSum]:
+    """``delta`` of g's class in each parity of parities (a dict keyed by
+    parity), with one canonical pass per raw term serving them all."""
+    odd = ODD in parities
+    odd_b = odd and len(boundaries(g)) % 2 == 1
+    return _images(_split_terms(g, 1, odd), parities, -1 if odd_b else 1)
+
+
+def bridge_images(g: RibbonGraph, parities) -> dict[int, FormalSum]:
+    """``bridge`` of g's class in each parity of parities, as ``delta_images``."""
+    return _images(_chord_terms(g, ODD in parities), parities)
 
 
 def project_ge3(s: FormalSum) -> FormalSum:

@@ -1,5 +1,9 @@
 """Verification suites: clean passes at small bounds, fault injection."""
-from ribboncoh import checks
+from dataclasses import replace
+
+import pytest
+
+from ribboncoh import canonical, checks, diff
 from ribboncoh.canonical import EVEN, ODD
 from ribboncoh.checks import (
     CheckBounds,
@@ -10,7 +14,7 @@ from ribboncoh.checks import (
     run_check,
     structural_suite,
 )
-from ribboncoh.diff import FormalSum, bridge
+from ribboncoh.diff import FormalSum, bridge, bridge_images, delta, delta_images
 
 SMALL = CheckBounds(g_max=1, e_max_full=3, e_max_ge3=3, e_max_le2=5, e_max_oracle=3)
 
@@ -18,6 +22,20 @@ SMALL = CheckBounds(g_max=1, e_max_full=3, e_max_ge3=3, e_max_le2=5, e_max_oracl
 def test_bounds_serialization():
     assert SMALL.to_json()["e_max_full"] == 3
     assert tuple(SMALL.to_json()["parities"]) == (EVEN, ODD)
+
+
+@pytest.mark.parametrize("parities", [(2,), (), (EVEN, EVEN), [EVEN, ODD]])
+def test_bounds_reject_bad_parities(parities):
+    # parity 2 would take the odd raw signs without the Koszul factor and
+    # fail the identity suite falsely, () would pass it with no generator,
+    # and a repeated parity would check every generator twice
+    with pytest.raises(ValueError, match="parities"):
+        replace(SMALL, parities=parities)
+
+
+def test_bounds_accept_each_parity_scope():
+    for parities in ((EVEN,), (ODD,), (EVEN, ODD), (ODD, EVEN)):
+        assert replace(SMALL, parities=parities).parities == parities
 
 
 def test_generators_in_scope():
@@ -60,6 +78,51 @@ def test_fault_injection_is_detected():
     v = report["violations"][0]
     assert v["suite"] in ("bridge_squared", "anticommutator")
     assert "generator" in v and "spec" in v
+
+
+def test_joint_images_equal_fresh_operators():
+    # the suite's images in every parity come from one canonical pass per
+    # raw term; each must equal the operator applied to that one class
+    for _, x in iter_generators(SMALL):
+        assert delta_images(x.graph, (EVEN, ODD))[x.parity] == delta(x)
+        assert bridge_images(x.graph, (EVEN, ODD))[x.parity] == bridge(x)
+
+
+def _identity_suite_counting(monkeypatch, parities):
+    """identity_suite(SMALL) in the given parities, with the number of
+    canonicalization passes it made and the parities it read signs in."""
+    calls, sign_parities = [0], set()
+    real_data, real_sign = canonical._canonical_data, canonical._sign
+
+    def counted_data(s0, s1):
+        calls[0] += 1
+        return real_data(s0, s1)
+
+    def recorded_sign(g, parity, maps, es=None):
+        sign_parities.add(parity)
+        return real_sign(g, parity, maps, es)
+
+    def no_odd_raw_sign(keys):
+        raise AssertionError("odd raw sign computed")
+
+    monkeypatch.setattr(canonical, "_canonical_data", counted_data)
+    monkeypatch.setattr(canonical, "_sign", recorded_sign)
+    if ODD not in parities:
+        monkeypatch.setattr(diff, "_order_sign", no_odd_raw_sign)
+    report = identity_suite(replace(SMALL, parities=parities))
+    monkeypatch.undo()
+    assert report["passed"] and report["generators"] > 0
+    return calls[0], sign_parities
+
+
+def test_one_canonical_pass_serves_both_parities(monkeypatch):
+    both, both_signs = _identity_suite_counting(monkeypatch, (EVEN, ODD))
+    even, even_signs = _identity_suite_counting(monkeypatch, (EVEN,))
+    odd, odd_signs = _identity_suite_counting(monkeypatch, (ODD,))
+    assert both_signs == {EVEN, ODD}
+    assert even_signs == {EVEN} and odd_signs == {ODD}
+    assert even > 0 and odd > 0
+    assert both <= 0.55 * (even + odd)
 
 
 def test_oracle_zero_count_mismatch_names_spec(monkeypatch):
