@@ -201,7 +201,7 @@ def _order_sign(keys) -> int:
     return perm_sign(sorted(range(len(keys)), key=keys.__getitem__))
 
 
-def _sign(g: RibbonGraph, parity: int, maps, es=None) -> int:
+def _sign(g: RibbonGraph, parity: int, maps) -> int:
     """Sign of g's reference orientation against the canonical reference,
     read off the optimal relabelings maps of one canonicalization pass.
 
@@ -209,10 +209,8 @@ def _sign(g: RibbonGraph, parity: int, maps, es=None) -> int:
     relabeled graph is the parity of sorting its items by least label,
     times -1 per edge directed from the larger label for odd parity.  The
     result is 0 when two relabelings disagree, since their quotient is an
-    automorphism reversing the orientation.  es, when given, is
-    ``edges(g)``, so a caller reading several parities lists them once."""
-    if es is None:
-        es = edges(g)
+    automorphism reversing the orientation."""
+    es = edges(g)
     if parity == EVEN:
         signs = {_order_sign([min(lab[a], lab[b]) for a, b in es]) for lab in maps}
         return signs.pop() if len(signs) == 1 else 0
@@ -286,10 +284,7 @@ def to_oriented_class(g: RibbonGraph, parity: int) -> tuple[OrientedClass, int]:
     Returns the class and the sign; the sign is meaningless (and returned
     as +1) when the class is zero.
     """
-    check_valid(g)
-    (t0, t1), maps = _canonical_data(g.sigma0, g.sigma1)
-    sign = _sign(g, parity, maps)
-    return OrientedClass(t0, t1, parity, sign == 0), sign or 1
+    return to_oriented_classes(g, (parity,))[0]
 
 
 def to_oriented_classes(g: RibbonGraph, parities) -> list[tuple[OrientedClass, int]]:
@@ -298,10 +293,9 @@ def to_oriented_classes(g: RibbonGraph, parities) -> list[tuple[OrientedClass, i
     relabelings do not depend on parity, only the sign read off them does."""
     check_valid(g)
     (t0, t1), maps = _canonical_data(g.sigma0, g.sigma1)
-    es = edges(g)
     out = []
     for parity in parities:
-        sign = _sign(g, parity, maps, es)
+        sign = _sign(g, parity, maps)
         out.append((OrientedClass(t0, t1, parity, sign == 0), sign or 1))
     return out
 

@@ -98,9 +98,9 @@ def _identity_suite_counting(monkeypatch, parities):
         calls[0] += 1
         return real_data(s0, s1)
 
-    def recorded_sign(g, parity, maps, es=None):
+    def recorded_sign(g, parity, maps):
         sign_parities.add(parity)
-        return real_sign(g, parity, maps, es)
+        return real_sign(g, parity, maps)
 
     def no_odd_raw_sign(keys):
         raise AssertionError("odd raw sign computed")
