@@ -112,36 +112,30 @@ def _violation(suite: str, spec: EnumSpec, cls, detail: str) -> dict:
     }
 
 
-def _memoized(op, joint):
-    """An operator on classes, memoized for as long as the returned
-    function lives: one entry per canonical pair maps each parity filled so
-    far to the image.  joint(cls) fills every parity in scope at once; an
-    injected op (when not None) fills one parity at a time."""
-    fill = joint if op is None else (lambda cls: {cls.parity: op(cls)})
+def _memoized(images_of, parities):
+    """images_of(graph, parities) as an operator on classes, memoized for
+    as long as the returned function lives: the first class of a canonical
+    pair met in any parity fills its images in every parity in scope."""
     memo = {}
 
     def image(cls):
-        images = memo.setdefault((cls.sigma0, cls.sigma1), {})
-        if cls.parity not in images:
-            images.update(fill(cls))
-        return images[cls.parity]
+        key = (cls.sigma0, cls.sigma1)
+        if key not in memo:
+            memo[key] = images_of(cls.graph, parities)
+        return memo[key][cls.parity]
 
     return image
 
 
-def identity_suite(bounds: CheckBounds, delta_op=None, bridge_op=None) -> dict:
+def identity_suite(bounds: CheckBounds) -> dict:
     """delta^2 = 0, the corner operator squared = 0, and the
-    anticommutator = 0 on every nonzero generator in scope.  The operator
-    arguments exist so the harness can inject a fault.  Images are reused
-    (the squares apply each operator again to image terms), so both
+    anticommutator = 0 on every nonzero generator in scope.  Images are
+    reused (the squares apply each operator again to image terms), so both
     operators are memoized for the length of this one call, by canonical
     pair.  One canonical pass per raw term serves every parity in scope
-    (``diff.delta_images``, ``diff.bridge_images``): the first class of a
-    pair met in either parity fills its images in all of them.  An
-    injected operator fills its entries one parity at a time."""
-    parities = bounds.parities
-    d_op = _memoized(delta_op, lambda cls: delta_images(cls.graph, parities))
-    b_op = _memoized(bridge_op, lambda cls: bridge_images(cls.graph, parities))
+    (``diff.delta_images``, ``diff.bridge_images``)."""
+    d_op = _memoized(delta_images, bounds.parities)
+    b_op = _memoized(bridge_images, bounds.parities)
     gens = list(iter_generators(bounds))
 
     def check(item):
@@ -182,8 +176,8 @@ def structural_suite(bounds: CheckBounds) -> dict:
         spec, cls = item
         e0, v0, b0, g0 = shape_of(cls.graph)
         term_sets = (
-            ("delta_terms", delta_terms(cls), (e0 + 1, v0 + 1, b0, g0)),
-            ("bridge_terms", bridge_terms(cls), (e0 + 1, v0, b0 + 1, g0)),
+            ("delta_terms", delta_terms(cls.graph), (e0 + 1, v0 + 1, b0, g0)),
+            ("bridge_terms", bridge_terms(cls.graph), (e0 + 1, v0, b0 + 1, g0)),
         )
         out = []
         for name, terms, expected in term_sets:

@@ -46,7 +46,7 @@ def _add_cache_flags(p):
 
 
 class UsageError(Exception):
-    """A path the command cannot use; main prints it and exits 2."""
+    """Input the command cannot use; main prints it and exits 2."""
 
 
 def _cache_from(args) -> Cache:
@@ -102,7 +102,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("-E", "--edge-range", default=None, help="edge range a..b (basis/matrix)")
     p.add_argument("-d", type=int, default=0)
     p.add_argument("--sector", choices=("full", "ge3", "le2"), default="full")
-    p.add_argument("--format", choices=("json", "dot", "triplet"), default="json")
+    p.add_argument("--format", choices=("json", "dot", "triplet"), default=None,
+                   help="graph: json (default) or dot; basis: json; matrix: triplet")
     p.add_argument("-o", "--output", default=None, help="output path (default stdout)")
     _add_cache_flags(p)
     return ap
@@ -120,17 +121,13 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def cmd_enumerate(args) -> int:
-    try:
-        spec = EnumSpec(
-            args.genus,
-            args.boundaries,
-            args.edges,
-            3 if args.sector == "ge3" else args.min_valence,
-            PARITIES[args.parity],
-        )
-    except (TypeError, ValueError) as exc:
-        print("invalid spec: %s" % exc, file=sys.stderr)
-        return 2
+    spec = EnumSpec(
+        args.genus,
+        args.boundaries,
+        args.edges,
+        3 if args.sector == "ge3" else args.min_valence,
+        PARITIES[args.parity],
+    )
     ok, note = spec.is_consistent()
     if not ok:
         print("empty: %s" % note)
@@ -167,8 +164,7 @@ def cmd_check(args) -> int:
             parities=parities,
         )
     except ValueError as exc:
-        print("invalid bounds: %s" % exc, file=sys.stderr)
-        return 2
+        raise UsageError("invalid bounds: %s" % exc)
     report = run_check(bounds)
     if args.format == "json":
         print(json.dumps(report, sort_keys=True))
@@ -184,34 +180,29 @@ def cmd_check(args) -> int:
 
 
 def _complex_spec(args) -> ComplexSpec:
-    e_min, e_max = _parse_erange(args.edge_range)
-    return ComplexSpec(
-        kind=args.kind,
-        genus=args.genus,
-        d=args.d,
-        sector=args.sector,
-        e_min=e_min,
-        e_max=e_max,
-        boundaries=args.boundaries,
-    )
+    try:
+        e_min, e_max = _parse_erange(args.edge_range)
+        return ComplexSpec(
+            kind=args.kind,
+            genus=args.genus,
+            d=args.d,
+            sector=args.sector,
+            e_min=e_min,
+            e_max=e_max,
+            boundaries=args.boundaries,
+        )
+    except ValueError as exc:
+        raise UsageError("invalid spec: %s" % exc)
 
 
 def cmd_cohomology(args) -> int:
-    try:
-        spec = _complex_spec(args)
-    except ValueError as exc:
-        print("invalid spec: %s" % exc, file=sys.stderr)
-        return 2
+    spec = _complex_spec(args)
     cache = _cache_from(args)
     offsets = args.calc1 or (spec.kind == "mw" and spec.genus == 1)
     payload = cache.load_table(spec, offsets)
     if payload is None:
-        try:
-            sl = build(spec, cache=cache)
-            rows = cohomology(sl)
-        except DifferentialIdentityError as exc:
-            print("identity failure: %s" % exc, file=sys.stderr)
-            return 1
+        sl = build(spec, cache=cache)
+        rows = cohomology(sl)
         payload = {"spec": spec.content_key(), "rows": rows, "euler": euler(sl)}
         if offsets:
             payload["calc1_offsets"] = calc1_offsets(rows, spec.d)
@@ -232,43 +223,42 @@ def cmd_cohomology(args) -> int:
 def _load_graph(name_or_path: str) -> RibbonGraph:
     if name_or_path in NAMED:
         return NAMED[name_or_path]
-    with open(name_or_path) as f:
-        g = RibbonGraph.from_json(json.load(f))
-    check_valid(g)
+    try:
+        with open(name_or_path) as f:
+            g = RibbonGraph.from_json(json.load(f))
+        check_valid(g)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise UsageError("cannot load graph %s: %s" % (name_or_path, exc))
     return g
 
 
+# the formats each --what can be written in, its default first
+EXPORT_FORMATS = {"graph": ("json", "dot"), "basis": ("json",), "matrix": ("triplet",)}
+
+
 def cmd_export(args) -> int:
+    formats = EXPORT_FORMATS[args.what]
+    fmt = args.format or formats[0]
+    if fmt not in formats:
+        raise UsageError(
+            "--format %s does not apply to --what %s (use %s)"
+            % (fmt, args.what, " or ".join(formats))
+        )
     if args.output is not None and not os.path.isdir(os.path.dirname(os.path.abspath(args.output))):
         raise UsageError("cannot write %s: no such directory" % args.output)
     if args.what == "graph":
         if args.graph is None:
-            print("--graph is required for --what graph", file=sys.stderr)
-            return 2
-        try:
-            g = _load_graph(args.graph)
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            print("cannot load graph %s: %s" % (args.graph, exc), file=sys.stderr)
-            return 2
-        if args.format == "dot":
+            raise UsageError("--graph is required for --what graph")
+        g = _load_graph(args.graph)
+        if fmt == "dot":
             _emit(to_dot(g), args.output)
         else:
             _emit(json.dumps(g.to_json(), sort_keys=True) + "\n", args.output)
         return 0
     if args.edge_range is None:
-        print("-E is required for --what %s" % args.what, file=sys.stderr)
-        return 2
-    try:
-        spec = _complex_spec(args)
-    except ValueError as exc:
-        print("invalid spec: %s" % exc, file=sys.stderr)
-        return 2
-    cache = _cache_from(args)
-    try:
-        sl = build(spec, cache=cache)
-    except DifferentialIdentityError as exc:
-        print("identity failure: %s" % exc, file=sys.stderr)
-        return 1
+        raise UsageError("-E is required for --what %s" % args.what)
+    spec = _complex_spec(args)
+    sl = build(spec, cache=_cache_from(args))
     if args.what == "basis":
         lines = ["# ribboncoh basis export %s" % spec.content_key()]
         for e in range(spec.e_min, spec.e_max + 1):
@@ -297,6 +287,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(exc, file=sys.stderr)
         return 2
+    except DifferentialIdentityError as exc:
+        print("identity failure: %s" % exc, file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

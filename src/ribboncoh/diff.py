@@ -18,14 +18,17 @@ join (the cut boundary keeps the piece through 2E in place and the piece
 through 2E+1 is appended).  The new half-edges carry the largest labels,
 so every other item keeps its least label and its place; the sign is +1
 for even parity and, for odd parity, the parity of re-sorting the one
-changed list by least label.  ``canonical.to_oriented_class`` reads the
+changed list by least label.  ``canonical.to_oriented_classes`` reads the
 sign of the term graph's reference off its optimal relabelings.
 
-Both operators return a fresh image on every call; the module keeps no
-state between calls.  The raw term graphs do not depend on parity, so
-``delta_images`` and ``bridge_images`` give a class's image in several
-parities at once from one canonical pass per raw term.  A caller that
-applies them to the same class more than once memoizes the images itself
+Each move has one raw-term builder (``delta_terms``, ``bridge_terms``;
+the enumerator's vertex-split rounds use ``delta_terms`` too) and one
+image path: the raw term graphs do not depend on parity, so
+``delta_images`` and ``bridge_images`` give a class's image in every
+parity asked for from one canonical pass per raw term, and ``delta`` and
+``bridge`` ask for the class's own parity.  Every call returns a fresh
+image; the module keeps no state between calls.  A caller that applies
+them to the same class more than once memoizes the images itself
 (``checks.identity_suite``, one entry per canonical pair serving every
 parity in scope).
 """
@@ -33,13 +36,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .canonical import (
-    ODD,
-    OrientedClass,
-    _order_sign,
-    to_oriented_class,
-    to_oriented_classes,
-)
+from .canonical import ODD, OrientedClass, _order_sign, to_oriented_classes
 from .ribbon import (
     RibbonGraph,
     boundaries,
@@ -173,18 +170,13 @@ def _cuts(cyc: tuple, min_arc: int = 1):
             yield cyc[i:j], cyc[j:] + cyc[:i]
 
 
-def delta_terms(x: OrientedClass, min_arc: int = 1):
-    """Raw vertex-splitting terms: (graph, sign) pairs, one per way of
-    cutting a vertex cycle into two arcs of at least min_arc darts
-    (``_cuts``).  min_arc = 2 leaves out exactly the terms with a bivalent
-    vertex when x has none: the ge3 sector's valence floor, applied at the
-    cut."""
-    return _split_terms(x.graph, min_arc, x.parity == ODD)
-
-
-def _split_terms(g: RibbonGraph, min_arc: int, odd: bool):
-    """``delta_terms`` of g's class: the sign is the odd-parity one when
-    odd is true and +1 (the even-parity one) otherwise."""
+def delta_terms(g: RibbonGraph, min_arc: int = 1, odd: bool = False):
+    """Raw vertex-splitting terms of g's class: (graph, sign) pairs, one per
+    way of cutting a vertex cycle into two arcs of at least min_arc darts
+    (``_cuts``).  The sign is the odd-parity one when odd is true and +1
+    (the even-parity one) otherwise.  min_arc = 2 leaves out exactly the
+    terms with a bivalent vertex when g has none: the ge3 sector's valence
+    floor, applied at the cut."""
     n = g.n_half_edges
     verts = vertices(g)
     for vi, cyc in enumerate(verts):
@@ -199,17 +191,12 @@ def _split_terms(g: RibbonGraph, min_arc: int, odd: bool):
             yield out, _order_sign(keys)
 
 
-def bridge_terms(x: OrientedClass):
-    """Raw corner-joining terms: (graph, sign) pairs, one per unordered
-    pair of distinct corners on a common boundary.  The chord splits that
-    boundary's walk b at the corners p < q: with their walk positions
-    sorted to i < j, one piece is b[i:j] and the other the rest, and the
-    piece through 2E+1 starts at p."""
-    return _chord_terms(x.graph, x.parity == ODD)
-
-
-def _chord_terms(g: RibbonGraph, odd: bool):
-    """``bridge_terms`` of g's class, signed as in ``_split_terms``."""
+def bridge_terms(g: RibbonGraph, odd: bool = False):
+    """Raw corner-joining terms of g's class, signed as in ``delta_terms``:
+    one per unordered pair of distinct corners on a common boundary.  The
+    chord splits that boundary's walk b at the corners p < q: with their
+    walk positions sorted to i < j, one piece is b[i:j] and the other the
+    rest, and the piece through 2E+1 starts at p."""
     check_valid(g)
     bounds = boundaries(g)
     for bi, b in enumerate(bounds):
@@ -227,41 +214,11 @@ def _chord_terms(g: RibbonGraph, odd: bool):
             yield out, _order_sign(keys)
 
 
-def _image(raw_terms, parity: int, koszul: int = 1) -> FormalSum:
-    """Canonicalize each raw (graph, sign) term and add it with its sign,
-    times its reference's sign against the canonical one, times koszul."""
-    out = FormalSum()
-    for g, sign in raw_terms:
-        cls, ref_sign = to_oriented_class(g, parity)
-        out.add_term(cls, koszul * sign * ref_sign)
-    return out
-
-
-def delta(x: OrientedClass, min_arc: int = 1) -> FormalSum:
-    """Vertex-splitting differential applied to a nonzero class, summed
-    over the cuts of ``delta_terms(x, min_arc)``.  On a ge3 class,
-    min_arc = 2 gives its image in the ge3 sector term by term; since ge3
-    is a subcomplex, that equals the full image.
-
-    Odd parity carries a Koszul factor (-1)^B: the orientation word lists
-    vertices before boundaries, so the appended vertex crosses the whole
-    boundary block.  B is constant under delta, leaving delta^2 = 0
-    untouched, while the cross terms with the corner-connecting operator
-    acquire the sign that makes the two differentials anticommute.
-    """
-    odd_b = x.parity == ODD and len(boundaries(x.graph)) % 2 == 1
-    return _image(delta_terms(x, min_arc), x.parity, -1 if odd_b else 1)
-
-
-def bridge(x: OrientedClass) -> FormalSum:
-    """Corner-connecting differential applied to a nonzero class."""
-    return _image(bridge_terms(x), x.parity)
-
-
 def _images(raw_terms, parities, odd_koszul: int = 1) -> dict[int, FormalSum]:
-    """``_image`` in every parity of parities from one canonical pass per
-    raw term; raw_terms carry the odd-parity sign when ODD is in parities,
-    and odd_koszul is the Koszul factor of odd parity."""
+    """Canonicalize each raw (graph, sign) term once and add it in every
+    parity of parities, signed by its reference's sign against the
+    canonical one, times (odd parity only) its raw sign and odd_koszul.
+    raw_terms carry the odd-parity sign when ODD is in parities."""
     out = {parity: FormalSum() for parity in parities}
     for g, odd_sign in raw_terms:
         for cls, ref_sign in to_oriented_classes(g, parities):
@@ -270,17 +227,38 @@ def _images(raw_terms, parities, odd_koszul: int = 1) -> dict[int, FormalSum]:
     return out
 
 
-def delta_images(g: RibbonGraph, parities) -> dict[int, FormalSum]:
-    """``delta`` of g's class in each parity of parities (a dict keyed by
-    parity), with one canonical pass per raw term serving them all."""
+def delta_images(g: RibbonGraph, parities, min_arc: int = 1) -> dict[int, FormalSum]:
+    """Vertex-splitting differential of g's class in each parity of
+    parities (a dict keyed by parity), summed over the cuts of
+    ``delta_terms(g, min_arc)``.  On a ge3 class, min_arc = 2 gives its
+    image in the ge3 sector term by term; since ge3 is a subcomplex, that
+    equals the full image.
+
+    Odd parity carries a Koszul factor (-1)^B: the orientation word lists
+    vertices before boundaries, so the appended vertex crosses the whole
+    boundary block.  B is constant under delta, leaving delta^2 = 0
+    untouched, while the cross terms with the corner-connecting operator
+    acquire the sign that makes the two differentials anticommute.
+    """
     odd = ODD in parities
     odd_b = odd and len(boundaries(g)) % 2 == 1
-    return _images(_split_terms(g, 1, odd), parities, -1 if odd_b else 1)
+    return _images(delta_terms(g, min_arc, odd), parities, -1 if odd_b else 1)
 
 
 def bridge_images(g: RibbonGraph, parities) -> dict[int, FormalSum]:
-    """``bridge`` of g's class in each parity of parities, as ``delta_images``."""
-    return _images(_chord_terms(g, ODD in parities), parities)
+    """Corner-connecting differential of g's class in each parity of
+    parities, as ``delta_images``."""
+    return _images(bridge_terms(g, ODD in parities), parities)
+
+
+def delta(x: OrientedClass, min_arc: int = 1) -> FormalSum:
+    """``delta_images`` of a nonzero class in its own parity."""
+    return delta_images(x.graph, (x.parity,), min_arc)[x.parity]
+
+
+def bridge(x: OrientedClass) -> FormalSum:
+    """``bridge_images`` of a nonzero class in its own parity."""
+    return bridge_images(x.graph, (x.parity,))[x.parity]
 
 
 def project_ge3(s: FormalSum) -> FormalSum:

@@ -27,8 +27,8 @@ from .canonical import (
     _zero_flag,
 )
 from .canonical import is_minimal_form  # noqa: F401  (perfbench/tracer.py reads this name)
-from .diff import _add_chord, _cuts, _split_graph
-from .ribbon import RibbonGraph, boundaries, orbits, vertices
+from .diff import _add_chord, delta_terms
+from .ribbon import RibbonGraph, boundaries, orbits
 
 
 @dataclass(frozen=True)
@@ -93,13 +93,10 @@ def _chord_moves(layer, genus: int, n_boundaries: int):
 
 def _vertex_splits(layer, min_arc: int):
     """Every split of a vertex into two arcs of at least min_arc darts
-    each (``diff._cuts``), joined by a new edge (``diff._split_graph``)."""
+    each, joined by a new edge (``diff.delta_terms``)."""
     for s0, s1 in layer:
-        g = RibbonGraph(s0, s1)
-        for cyc in vertices(g):
-            for arc_a, arc_b in _cuts(cyc, min_arc):
-                out = _split_graph(g, arc_a, arc_b)
-                yield out.sigma0, out.sigma1
+        for out, _ in delta_terms(RibbonGraph(s0, s1), min_arc):
+            yield out.sigma0, out.sigma1
 
 
 def _cell_maps(genus: int, n_boundaries: int, n_edges: int, min_valence: int) -> dict:

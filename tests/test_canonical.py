@@ -305,11 +305,11 @@ def test_raw_term_signs_match_payload_oracle():
     n_terms = 0
     for spec, x in iter_generators(bounds):
         min_arc = 2 if spec.min_valence == 3 else 1
-        terms = list(delta_terms(x, min_arc))
+        terms = list(delta_terms(x.graph, min_arc, x.parity == ODD))
         payloads = list(_delta_payloads(x, min_arc, [out for out, _ in terms]))
         for (out, sign), payload in zip(terms, payloads):
             _check_raw_term(out, sign, payload, x.parity)
-        terms = list(bridge_terms(x))
+        terms = list(bridge_terms(x.graph, x.parity == ODD))
         payloads = list(_bridge_payloads(x))
         assert len(terms) == len(payloads)
         for (out, sign), (want_out, payload) in zip(terms, payloads):

@@ -14,7 +14,7 @@ from ribboncoh.checks import (
     run_check,
     structural_suite,
 )
-from ribboncoh.diff import FormalSum, bridge, bridge_images, delta, delta_images
+from ribboncoh.diff import FormalSum, bridge_images, delta_images
 
 SMALL = CheckBounds(g_max=1, e_max_full=3, e_max_ge3=3, e_max_le2=5, e_max_oracle=3)
 
@@ -65,27 +65,45 @@ def test_rank_suite_passes():
     assert rank_suite(trials=10)["passed"]
 
 
-def test_fault_injection_is_detected():
-    # corrupt the corner operator by dropping one term; the identity suite
-    # must fail and name a generator
-    def broken_bridge(cls):
-        full = bridge(cls)
-        terms = sorted(full.terms(), key=lambda t: t[0].content_hash())
-        return FormalSum(terms[1:]) if terms else full
+def test_fault_injection_is_detected(monkeypatch):
+    # corrupt the corner operator by dropping one term in every parity; the
+    # identity suite must fail and name a generator
+    real = checks.bridge_images
 
-    report = identity_suite(SMALL, delta_op=None, bridge_op=broken_bridge)
+    def broken_bridge_images(g, parities):
+        out = {}
+        for parity, full in real(g, parities).items():
+            terms = sorted(full.terms(), key=lambda t: t[0].content_hash())
+            out[parity] = FormalSum(terms[1:]) if terms else full
+        return out
+
+    monkeypatch.setattr(checks, "bridge_images", broken_bridge_images)
+    report = identity_suite(SMALL)
     assert not report["passed"]
     v = report["violations"][0]
     assert v["suite"] in ("bridge_squared", "anticommutator")
     assert "generator" in v and "spec" in v
 
 
-def test_joint_images_equal_fresh_operators():
-    # the suite's images in every parity come from one canonical pass per
-    # raw term; each must equal the operator applied to that one class
+def test_images_do_not_depend_on_parity_scope():
+    # a class's image in one parity is the same whether the canonical pass
+    # serves that parity alone or both at once
     for _, x in iter_generators(SMALL):
-        assert delta_images(x.graph, (EVEN, ODD))[x.parity] == delta(x)
-        assert bridge_images(x.graph, (EVEN, ODD))[x.parity] == bridge(x)
+        for images in (delta_images, bridge_images):
+            both = images(x.graph, (EVEN, ODD))
+            for p in (EVEN, ODD):
+                assert both[p] == images(x.graph, (p,))[p]
+
+
+def test_structural_suite_computes_no_raw_sign(monkeypatch):
+    # the structural suite reads only the term graphs, so it never needs
+    # the odd-parity raw signs, not even for odd generators
+    def no_raw_sign(keys):
+        raise AssertionError("raw sign computed")
+
+    monkeypatch.setattr(diff, "_order_sign", no_raw_sign)
+    for parities in ((EVEN,), (ODD,)):
+        assert structural_suite(replace(SMALL, parities=parities))["passed"]
 
 
 def _identity_suite_counting(monkeypatch, parities):

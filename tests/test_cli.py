@@ -322,6 +322,37 @@ def test_export_graph_invalid_file(capsys, tmp_path, payload, fmt):
     assert "cannot load graph" in err
 
 
+EXPORT_ARGS = (
+    "--graph", "THETA1", "--kind", "kp", "-g", "1", "-n", "1", "--sector", "ge3",
+    "-E", "2..4", "--no-cache",
+)
+
+
+@pytest.mark.parametrize("what, fmt", [
+    ("graph", "triplet"),
+    ("basis", "dot"),
+    ("basis", "triplet"),
+    ("matrix", "json"),
+    ("matrix", "dot"),
+])
+def test_export_rejects_a_format_that_does_not_apply(capsys, monkeypatch, what, fmt):
+    def no_work(spec, cache=None):
+        raise AssertionError("build must not start")
+
+    monkeypatch.setattr(cli, "build", no_work)
+    code, out, err = run(capsys, "export", "--what", what, *EXPORT_ARGS, "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("--format %s does not apply to --what %s" % (fmt, what))
+
+
+@pytest.mark.parametrize("what, fmt", [("graph", "json"), ("basis", "json"), ("matrix", "triplet")])
+def test_export_format_defaults_per_what(capsys, what, fmt):
+    code, out, err = run(capsys, "export", "--what", what, *EXPORT_ARGS)
+    assert (code, err) == (0, "") and out
+    assert run(capsys, "export", "--what", what, *EXPORT_ARGS, "--format", fmt) == (0, out, "")
+
+
 def test_export_identity_failure(capsys, monkeypatch):
     from ribboncoh.linalg import DifferentialIdentityError
 
