@@ -145,38 +145,6 @@ def _canonical_data(s0: tuple, s1: tuple):
     return best, maps
 
 
-def canonical_form(g: RibbonGraph) -> tuple[RibbonGraph, list[int]]:
-    """Canonical representative plus one relabeling map old->new."""
-    check_valid(g)
-    (t0, t1), maps = _canonical_data(g.sigma0, g.sigma1)
-    return RibbonGraph(t0, t1), maps[0]
-
-
-def automorphisms(g: RibbonGraph) -> list[tuple]:
-    """All permutations of half-edges commuting with sigma0 and sigma1."""
-    check_valid(g)
-    _, maps = _canonical_data(g.sigma0, g.sigma1)
-    n = g.n_half_edges
-    base = maps[0]
-    auts = []
-    for lab in maps:
-        inv = [0] * n
-        for h in range(n):
-            inv[lab[h]] = h
-        auts.append(tuple(inv[base[h]] for h in range(n)))
-    return auts
-
-
-def is_automorphism(g: RibbonGraph, a: tuple) -> bool:
-    n = g.n_half_edges
-    if sorted(a) != list(range(n)):
-        return False
-    return all(
-        a[g.sigma0[h]] == g.sigma0[a[h]] and a[g.sigma1[h]] == g.sigma1[a[h]]
-        for h in range(n)
-    )
-
-
 def perm_sign(perm: list[int]) -> int:
     """Sign of a permutation given as an image list."""
     n = len(perm)
@@ -227,13 +195,6 @@ def _sign(g: RibbonGraph, parity: int, maps) -> int:
     return signs.pop() if len(signs) == 1 else 0
 
 
-def orientation_sign(g: RibbonGraph, a: tuple, parity: int) -> int:
-    """Sign of the action of automorphism a on g's reference orientation."""
-    if not is_automorphism(g, a):
-        raise ValueError("not an automorphism of the graph")
-    return _sign(g, parity, [a])
-
-
 @dataclass(frozen=True)
 class OrientedClass:
     """Canonical isomorphism-class representative with its reference
@@ -247,10 +208,6 @@ class OrientedClass:
     @property
     def graph(self) -> RibbonGraph:
         return RibbonGraph(self.sigma0, self.sigma1)
-
-    @property
-    def n_edges(self) -> int:
-        return len(self.sigma0) // 2
 
     def content_hash(self) -> str:
         payload = "%s|%s|%d|%d" % (self.sigma0, self.sigma1, self.parity, self.zero_flag)

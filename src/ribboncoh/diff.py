@@ -71,9 +71,6 @@ class FormalSum:
     def terms(self):
         return self._terms.items()
 
-    def coeff(self, cls: OrientedClass) -> int:
-        return self._terms.get(cls, 0)
-
     def is_zero(self) -> bool:
         return not self._terms
 
@@ -94,9 +91,6 @@ class FormalSum:
             out.add_term(cls, scalar * c)
         return out
 
-    def __sub__(self, other: "FormalSum") -> "FormalSum":
-        return self + (-1) * other
-
     def __eq__(self, other) -> bool:
         return isinstance(other, FormalSum) and self._terms == other._terms
 
@@ -108,22 +102,6 @@ class FormalSum:
             for cls, c in sorted(self._terms.items(), key=lambda t: t[0].content_hash())
         ]
         return "FormalSum(" + " + ".join(bits) + ")"
-
-
-def attach_edge(g: RibbonGraph, c1: int, c2: int) -> RibbonGraph:
-    """Attach a new edge joining the corners at half-edges c1 and c2.
-
-    Both corners must be distinct and lie on the same boundary.  The new
-    half-edges are 2E and 2E+1, inserted after c1 and c2 respectively in
-    their vertex cycles.
-    """
-    check_valid(g)
-    if c1 == c2:
-        raise ValueError("corners must be distinct")
-    walk = {h: i for i, b in enumerate(boundaries(g)) for h in b}
-    if walk[c1] != walk[c2]:
-        raise ValueError("corners lie on different boundaries")
-    return _add_chord(g, c1, c2)
 
 
 def _add_chord(g: RibbonGraph, c1: int, c2: int) -> RibbonGraph:

@@ -47,23 +47,12 @@ class GCGraph:
                 raise ValueError("edge endpoints out of range or unsorted")
         object.__setattr__(self, "edges", tuple(sorted(self.edges)))
 
-    @property
-    def n_edges(self) -> int:
-        return len(self.edges)
-
-    @property
-    def loop_order(self) -> int:
-        return self.n_edges - self.n_vertices + 1
-
     def valences(self) -> list[int]:
         val = [0] * self.n_vertices
         for a, b in self.edges:
             val[a] += 1
             val[b] += 1
         return val
-
-    def has_parallel_edges(self) -> bool:
-        return len(set(self.edges)) != len(self.edges)
 
     def is_connected(self) -> bool:
         if self.n_vertices == 0:
@@ -81,9 +70,6 @@ class GCGraph:
                     seen.add(w)
                     stack.append(w)
         return len(seen) == self.n_vertices
-
-    def degree(self, d: int) -> int:
-        return 2 * d * (self.n_vertices - 1) + (1 - 2 * d) * self.n_edges
 
 
 def _relabeled_edges(g: GCGraph, perm) -> tuple:
@@ -142,24 +128,11 @@ class GCClass:
     def graph(self) -> GCGraph:
         return GCGraph(self.n_vertices, self.edges)
 
-    @property
-    def n_edges(self) -> int:
-        return len(self.edges)
-
     def content_hash(self) -> str:
         import hashlib
 
         payload = "gc2|%d|%s|%d" % (self.n_vertices, self.edges, self.zero_flag)
         return hashlib.sha1(payload.encode()).hexdigest()
-
-    def to_json(self) -> dict:
-        return {
-            "flavor": "gc2",
-            "vertices": self.n_vertices,
-            "edges": [list(e) for e in self.edges],
-            "zero": self.zero_flag,
-            "hash": self.content_hash(),
-        }
 
 
 def _gc_sign(edges: tuple, best: tuple, perms: list[tuple]) -> int:

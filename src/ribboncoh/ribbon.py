@@ -140,10 +140,6 @@ def min_valence(g: RibbonGraph) -> int:
     return min(valences(g))
 
 
-def max_valence(g: RibbonGraph) -> int:
-    return max(valences(g))
-
-
 def is_connected(g: RibbonGraph) -> bool:
     n = g.n_half_edges
     seen = [False] * n

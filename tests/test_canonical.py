@@ -3,7 +3,6 @@ from collections import namedtuple
 from itertools import combinations, permutations
 import random
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from ribboncoh.canonical import (
@@ -11,18 +10,15 @@ from ribboncoh.canonical import (
     ODD,
     _bfs_relabel,
     _canonical_data,
+    _sign,
     _zero_flag,
-    automorphisms,
-    canonical_form,
     class_of,
-    is_automorphism,
     is_minimal_form,
-    orientation_sign,
     perm_sign,
     to_oriented_class,
 )
 from ribboncoh.checks import CheckBounds, iter_generators
-from ribboncoh.diff import _cuts, attach_edge, bridge_terms, delta_terms
+from ribboncoh.diff import _add_chord, _cuts, bridge_terms, delta_terms
 from ribboncoh.enumeration import EnumSpec, _cell_maps
 from ribboncoh.ribbon import RibbonGraph, boundaries, edges, is_connected, vertices
 
@@ -49,8 +45,35 @@ ZERO_FLAGS = {
 }
 
 
+def is_automorphism(g, a):
+    n = g.n_half_edges
+    return sorted(a) == list(range(n)) and all(
+        a[g.sigma0[h]] == g.sigma0[a[h]] and a[g.sigma1[h]] == g.sigma1[a[h]]
+        for h in range(n)
+    )
+
+
 def brute_automorphisms(g):
     return [p for p in permutations(range(g.n_half_edges)) if is_automorphism(g, p)]
+
+
+def canonical(g):
+    """g's canonical graph and its optimal relabelings old->canonical."""
+    best, maps = _canonical_data(g.sigma0, g.sigma1)
+    return RibbonGraph(*best), maps
+
+
+def automorphisms(g):
+    """Aut(g) read off the optimal relabelings: lab^-1 o maps[0] for each
+    optimal lab."""
+    _, maps = canonical(g)
+    auts = []
+    for lab in maps:
+        inv = [0] * len(lab)
+        for h, x in enumerate(lab):
+            inv[x] = h
+        auts.append(tuple(inv[x] for x in maps[0]))
+    return auts
 
 
 def test_automorphism_orders_vs_bruteforce(named_graphs):
@@ -75,9 +98,9 @@ def test_zero_flags(named_graphs):
 
 def test_canonical_idempotent(named_graphs):
     for g in named_graphs.values():
-        canon, lab = canonical_form(g)
-        assert sorted(lab) == list(range(g.n_half_edges))
-        again, _ = canonical_form(canon)
+        canon, maps = canonical(g)
+        assert all(sorted(lab) == list(range(g.n_half_edges)) for lab in maps)
+        again, _ = canonical(canon)
         assert again == canon
         assert is_minimal_form(canon.sigma0, canon.sigma1)
 
@@ -85,14 +108,14 @@ def test_canonical_idempotent(named_graphs):
 def test_canonical_invariant_under_relabeling(named_graphs):
     for g in named_graphs.values():
         n = g.n_half_edges
-        canon, _ = canonical_form(g)
+        canon, _ = canonical(g)
         relab = tuple(reversed(range(n)))
         s0 = [0] * n
         s1 = [0] * n
         for h in range(n):
             s0[relab[h]] = relab[g.sigma0[h]]
             s1[relab[h]] = relab[g.sigma1[h]]
-        assert canonical_form(RibbonGraph(tuple(s0), tuple(s1)))[0] == canon
+        assert canonical(RibbonGraph(tuple(s0), tuple(s1)))[0] == canon
 
 
 def _relabeled(g, perm):
@@ -211,7 +234,7 @@ def test_sign_and_zero_flag_match_transport_oracle():
     # flag taken over brute-force automorphisms
     rng = random.Random(7)
     for g in _small_classes():
-        canon, _ = canonical_form(g)
+        canon, _ = canonical(g)
         auts = brute_automorphisms(canon)
         for perm in _relabelings(g.n_half_edges, rng):
             h = _relabeled(g, perm)
@@ -265,7 +288,7 @@ def _bridge_payloads(x):
     nx, ny = g.n_half_edges, g.n_half_edges + 1
     for b in boundaries(g):
         for p, q in combinations(sorted(b), 2):
-            out = attach_edge(g, p, q)
+            out = _add_chord(g, p, q)
             if x.parity == EVEN:
                 yield out, ref._replace(edge_order=ref.edge_order + ((nx, ny),))
                 continue
@@ -331,7 +354,7 @@ def test_orientation_sign_values(named_graphs):
             ref = _reference(g, parity)
             for a in automorphisms(g):
                 want = _oracle_sign(_oracle_transport(ref, a), ref)
-                assert orientation_sign(g, a, parity) == want
+                assert _sign(g, parity, [a]) == want
 
 
 def test_orientation_sign_is_multiplicative(theta0, dumbbell):
@@ -341,14 +364,9 @@ def test_orientation_sign_is_multiplicative(theta0, dumbbell):
             for a in auts:
                 for b in auts:
                     ab = tuple(a[b[h]] for h in range(g.n_half_edges))
-                    assert orientation_sign(g, ab, parity) == orientation_sign(
-                        g, a, parity
-                    ) * orientation_sign(g, b, parity)
-
-
-def test_orientation_sign_rejects_non_automorphism(theta1):
-    with pytest.raises(ValueError):
-        orientation_sign(theta1, (1, 2, 0, 3, 4, 5), EVEN)
+                    assert _sign(g, parity, [ab]) == _sign(g, parity, [a]) * _sign(
+                        g, parity, [b]
+                    )
 
 
 def test_zero_class_sign_is_one(theta0):
@@ -384,11 +402,11 @@ def test_canonical_conjugation_invariance(g, shift):
     for h in range(n):
         s0[relab[h]] = relab[g.sigma0[h]]
         s1[relab[h]] = relab[g.sigma1[h]]
-    assert canonical_form(RibbonGraph(tuple(s0), tuple(s1)))[0] == canonical_form(g)[0]
+    assert canonical(RibbonGraph(tuple(s0), tuple(s1)))[0] == canonical(g)[0]
 
 
 @settings(max_examples=60, deadline=None)
 @given(connected_graphs())
 def test_minimal_form_matches_canonical(g):
-    canon, _ = canonical_form(g)
+    canon, _ = canonical(g)
     assert is_minimal_form(canon.sigma0, canon.sigma1)

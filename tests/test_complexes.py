@@ -125,6 +125,15 @@ def test_lower_layer_with_zero_classes_only_is_empty():
     assert rows[0]["rank_in"] == 0 and rows[0]["h"] == 1
 
 
+def test_lower_layer_with_nonzero_classes_truncates_the_first_row():
+    # mw g1 ge3 at E=3 holds nonzero classes, so the rank into E=4 is not
+    # known from E 4..5 alone: the first row is truncated, not certified
+    # with h = 2 (the E 2..5 table has h = 0 at E=4)
+    rows = cohomology(build(ComplexSpec("mw", 1, 0, "ge3", 4, 5)))
+    assert rows[0]["edges"] == 4 and rows[0]["status"] == "truncated"
+    assert rows[0]["rank_in"] is None and rows[0]["h"] is None
+
+
 def test_cache_round_trip(tmp_path):
     cache = Cache(str(tmp_path))
     sp = ComplexSpec("kp", 1, 0, "ge3", 2, 4, boundaries=1)

@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from ribboncoh.canonical import EVEN, ODD, class_of
 from ribboncoh.diff import (
+    _add_chord,
     _cuts,
     FormalSum,
     apply_linear,
-    attach_edge,
     bridge,
     bridge_terms,
     delta,
@@ -42,20 +42,9 @@ def generators(request):
     return small_generators(request.param)
 
 
-def test_attach_edge_validation(theta1, dumbbell):
-    with pytest.raises(ValueError):
-        attach_edge(theta1, 0, 0)
-    # DUMBBELL has three boundaries; corners 0 and 1 sit on different ones
-    b_of = {h: i for i, b in enumerate(boundaries(dumbbell)) for h in b}
-    c1 = 0
-    c2 = next(h for h in range(dumbbell.n_half_edges) if b_of[h] != b_of[0])
-    with pytest.raises(ValueError):
-        attach_edge(dumbbell, c1, c2)
-
-
 def test_attach_edge_shape(theta1):
     b = boundaries(theta1)[0]
-    out = attach_edge(theta1, b[0], b[1])
+    out = _add_chord(theta1, b[0], b[1])
     assert validate(out) is None
     assert out.n_edges == theta1.n_edges + 1
     assert len(boundaries(out)) == 2
@@ -127,7 +116,7 @@ def test_project_ge3(generators):
         p = project_ge3(s)
         for ocls, coeff in p.terms():
             assert min_valence(ocls.graph) >= 3
-            assert coeff == s.coeff(ocls)
+            assert coeff == dict(s.terms())[ocls]
 
 
 def test_ge3_floor_at_the_cut_matches_projection():
@@ -165,7 +154,7 @@ def test_formal_sum_basic(theta1, theta0):
     s = FormalSum()
     s.add_term(cls, 1)
     s.add_term(cls, 1)
-    assert s.coeff(cls) == 2
+    assert dict(s.terms()) == {cls: 2}
     s.add_term(cls, -2)
     assert s.is_zero()
     s.add_term(class_of(theta0, EVEN), 5)
@@ -179,10 +168,10 @@ def test_formal_sum_algebra(pairs):
     assert len(alphabet) >= 3
     s = FormalSum((alphabet[i % len(alphabet)], c) for i, c in pairs)
     t = FormalSum((alphabet[(i + 1) % len(alphabet)], c) for i, c in pairs)
-    assert (s + t) - t == s
-    assert (2 * s) - s == s
+    assert (s + t) + (-1) * t == s
+    assert (2 * s) + (-1) * s == s
     assert (0 * s).is_zero()
-    assert (s - s).is_zero()
+    assert (s + (-1) * s).is_zero()
 
 
 def test_formal_sum_rejects_fraction(theta1):

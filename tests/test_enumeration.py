@@ -19,9 +19,9 @@ from ribboncoh.enumeration import (
 from ribboncoh.ribbon import (
     boundaries,
     genus,
-    max_valence,
     min_valence,
     validate,
+    valences,
     vertices,
 )
 
@@ -172,6 +172,39 @@ def test_rooted_maps_match_carrell_chapuy():
             assert rooted == q[g, e], (g, e)
 
 
+def _one_vertex_map_counts(g_max: int, e_max: int) -> dict:
+    """eps_g(E), rooted one-vertex maps of genus g with E edges, from the
+    Harer-Zagier recurrence (Invent. Math. 1986):
+
+        (E+1) eps_g(E) = 2(2E-1) eps_g(E-1) + (E-1)(2E-1)(2E-3) eps_{g-1}(E-2)
+    """
+    eps = {(0, 0): Fraction(1)}
+    for e in range(1, e_max + 1):
+        for g in range(0, g_max + 1):
+            rhs = 2 * (2 * e - 1) * eps.get((g, e - 1), 0)
+            rhs += (e - 1) * (2 * e - 1) * (2 * e - 3) * eps.get((g - 1, e - 2), 0)
+            eps[g, e] = rhs / (e + 1)
+    return eps
+
+
+def test_one_vertex_maps_match_harer_zagier():
+    # the one-vertex classes of genus g with E edges are the cell with
+    # n = E + 1 - 2g boundaries; each carries 2E / |Aut| rootings, zero
+    # classes included
+    eps = _one_vertex_map_counts(3, 6)
+    assert [eps[1, e] for e in range(2, 7)] == [1, 10, 70, 420, 2310]
+    assert (eps[2, 5], eps[3, 6]) == (483, 1485)
+    cells = 0
+    for e in range(1, 7):
+        for g in range(0, e // 2 + 1):
+            rooted = Fraction(0)
+            for maps in _cell_maps(g, e + 1 - 2 * g, e, 1).values():
+                rooted += Fraction(2 * e, len(maps))
+            assert rooted == eps[g, e], (g, e)
+            cells += 1
+    assert cells == 15
+
+
 def _orbifold_euler(g: int, n: int) -> Fraction:
     """chi(M_{g,n}) (Harer-Zagier 1986): chi(M_{0,3}) = 1,
     chi(M_{g,1}) = zeta(1 - 2g), chi(M_{g,n+1}) = (2 - 2g - n) chi(M_{g,n})."""
@@ -201,11 +234,11 @@ def test_path_and_polygon_shapes():
         p = path_graph(k)
         assert validate(p) is None
         assert (len(vertices(p)), len(boundaries(p)), genus(p)) == (k + 1, 1, 0)
-        assert max_valence(p) <= 2
+        assert max(valences(p)) <= 2
         c = polygon_graph(k)
         assert validate(c) is None
         assert (len(vertices(c)), len(boundaries(c)), genus(c)) == (k, 2, 0)
-        assert max_valence(c) <= 2
+        assert max(valences(c)) <= 2
     with pytest.raises(ValueError):
         path_graph(0)
     with pytest.raises(ValueError):
@@ -219,7 +252,7 @@ def test_le2_against_generic_enumerator():
             spec = EnumSpec(0, n, e, 1, EVEN)
             direct = le2_classes(spec)
             nonzero, _ = enumerate_classes(spec)
-            filtered = [c for c in nonzero if max_valence(c.graph) <= 2]
+            filtered = [c for c in nonzero if max(valences(c.graph)) <= 2]
             assert [c.content_hash() for c in direct[0]] == [
                 c.content_hash() for c in filtered
             ]

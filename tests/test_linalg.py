@@ -183,14 +183,14 @@ def test_is_probable_prime():
 
 
 def test_rank_modp_divergence():
-    # the matrix [[p]] has rational rank 1 but rank 0 mod p
-    p = CERTIFICATION_PRIMES[0]
-    m = SparseIntMatrix(1, 1, ((0, 0, p),))
-    assert rank(m) == 1
-    assert rank_modp(m, p) == 0
-    assert rank_modp(m, CERTIFICATION_PRIMES[1]) == 1
-    r, cert = certified_rank(m)
-    assert r == 1 and not cert
+    # the matrix [[p]] has rational rank 1 but rank 0 mod p: certification
+    # fails whichever of the two primes the rank drops at
+    for p, q in (CERTIFICATION_PRIMES, CERTIFICATION_PRIMES[::-1]):
+        m = SparseIntMatrix(1, 1, ((0, 0, p),))
+        assert rank(m) == 1
+        assert rank_modp(m, p) == 0
+        assert rank_modp(m, q) == 1
+        assert certified_rank(m) == (1, False)
 
 
 def test_rank_modp_rejects_composite():
