@@ -6,11 +6,14 @@ sigma0-image then the sigma1-partner) and keep the lexicographically
 smallest relabeled pair of permutation arrays.  The traversal is rigid, so
 the roots realising the minimum give exactly the automorphism group.
 
-Each graph is canonicalized in one pass and nothing is memoized: root 0 is
-relabeled in full, and every other root is compared against the running
-best key with early abort (the rooted-code comparison of plantri,
-Brinkmann-McKay 2007), the same comparison ``is_minimal_form`` makes.
-The zero flag reads its automorphisms off that same pass.
+Each graph is canonicalized in one pass and nothing is memoized.  The
+pass walks from each root once (``_traverse``): it labels the half-edges
+in discovery order and compares the key against the running best as it
+writes it (the rooted-code comparison of plantri, Brinkmann-McKay 2007),
+stopping at the first larger entry.  The key is built only for a new
+best.  The zero flag reads its automorphisms off that same pass.  The
+graph is trusted to be valid (``ribbon`` says where graphs are checked);
+a disconnected one raises ``DisconnectedGraph`` from the walk.
 
 Orientations depend on the parity of the degree-shift integer d: an
 edge order for d even; a vertex order, boundary order, and a direction
@@ -39,7 +42,6 @@ from .ribbon import (
     RibbonGraph,
     DisconnectedGraph,
     boundaries,
-    check_valid,
     edges,
     vertices,
 )
@@ -47,101 +49,75 @@ from .ribbon import (
 EVEN, ODD = 0, 1
 
 
-def _bfs_relabel(s0: tuple, s1: tuple, root: int):
-    """Label half-edges in discovery order from root; return (key, labels)."""
+def _traverse(s0: tuple, s1: tuple, root: int, best):
+    """Walk from root once: label the half-edges in discovery order and
+    compare the walk's key against best = (k0, k1), the running best key,
+    entry by entry as it is written.  Returns (c, lab): c is -1 / 0 / +1
+    as the key is smaller than / equal to / larger than best, and lab the
+    labels old -> new.  The walk returns (1, None) at the first larger t0
+    entry; after the first smaller one it labels the rest without
+    comparing.  With best None it only labels, and c is -1."""
     n = len(s0)
     lab = [-1] * n
     lab[root] = 0
     order = [root]
     cnt = 1
+    tied = best is not None  # t0 equals k0 so far
+    c = 0 if tied else -1  # t1 against k1, read only while t0 ties
+    k0, k1 = best or (None, None)
     i = 0
     while i < cnt:
         h = order[i]
         x = s0[h]
-        if lab[x] < 0:
+        v = lab[x]
+        if v < 0:
+            v = cnt
             lab[x] = cnt
             cnt += 1
             order.append(x)
+        if tied and v != k0[i]:
+            if v > k0[i]:
+                return 1, None
+            tied = False
+            c = -1
         x = s1[h]
-        if lab[x] < 0:
+        v = lab[x]
+        if v < 0:
+            v = cnt
             lab[x] = cnt
             cnt += 1
             order.append(x)
+        if tied and c == 0 and v != k1[i]:
+            c = -1 if v < k1[i] else 1
         i += 1
     if cnt < n:
-        return None, None
-    t0 = [0] * n
-    t1 = [0] * n
-    for h in range(n):
-        t0[lab[h]] = lab[s0[h]]
-        t1[lab[h]] = lab[s1[h]]
-    return (tuple(t0), tuple(t1)), lab
-
-
-def _root_compare(s0: tuple, s1: tuple, root: int, k0: tuple, k1: tuple) -> int:
-    """Compare the traversal key of (s0, s1) from ``root`` against (k0, k1).
-
-    Returns -1 / 0 / +1 as the root's key is smaller / equal / larger,
-    aborting as early as the comparison is decided.  The graph must be
-    connected.
-    """
-    n = len(s0)
-    lab = [-1] * n
-    lab[root] = 0
-    order = [root]
-    cnt = 1
-    t1cmp = 0
-    i = 0
-    while i < n:
-        h = order[i]
-        x = s0[h]
-        v = lab[x]
-        if v < 0:
-            v = cnt
-            lab[x] = cnt
-            cnt += 1
-            order.append(x)
-        if v != k0[i]:
-            return -1 if v < k0[i] else 1
-        x = s1[h]
-        v = lab[x]
-        if v < 0:
-            v = cnt
-            lab[x] = cnt
-            cnt += 1
-            order.append(x)
-        if t1cmp == 0 and v != k1[i]:
-            t1cmp = -1 if v < k1[i] else 1
-        i += 1
-    return t1cmp
+        raise DisconnectedGraph("canonical form requires a connected graph")
+    return c, lab
 
 
 def is_minimal_form(s0: tuple, s1: tuple) -> bool:
     """True iff (s0, s1), assumed in traversal normal form from root 0,
-    is its own canonical form."""
-    return all(_root_compare(s0, s1, r, s0, s1) >= 0 for r in range(1, len(s0)))
+    is its own canonical form: no other root's walk gives a smaller key."""
+    return all(_traverse(s0, s1, r, (s0, s1))[0] >= 0 for r in range(1, len(s0)))
 
 
 def _canonical_data(s0: tuple, s1: tuple):
-    """(canonical (t0,t1), list of relabelings old->canonical achieving it).
-
-    Root 0 is relabeled in full; every other root is compared against the
-    running best with early abort and relabeled only when it ties or wins.
-    """
-    best, lab = _bfs_relabel(s0, s1, 0)
-    if best is None:
-        raise DisconnectedGraph("canonical form requires a connected graph")
-    maps = [lab]
-    for root in range(1, len(s0)):
-        c = _root_compare(s0, s1, root, *best)
-        if c > 0:
-            continue
-        cand, lab = _bfs_relabel(s0, s1, root)
-        if c < 0:
-            best = cand
-            maps = [lab]
-        else:
+    """(canonical (t0,t1), list of relabelings old->canonical achieving it),
+    from one walk per root; the key is built only for a new best."""
+    n = len(s0)
+    best = maps = None
+    for root in range(n):
+        c, lab = _traverse(s0, s1, root, best)
+        if c == 0:
             maps.append(lab)
+        elif c < 0:
+            t0 = [0] * n
+            t1 = [0] * n
+            for h in range(n):
+                t0[lab[h]] = lab[s0[h]]
+                t1[lab[h]] = lab[s1[h]]
+            best = (tuple(t0), tuple(t1))
+            maps = [lab]
     return best, maps
 
 
@@ -247,8 +223,8 @@ def to_oriented_class(g: RibbonGraph, parity: int) -> tuple[OrientedClass, int]:
 def to_oriented_classes(g: RibbonGraph, parities) -> list[tuple[OrientedClass, int]]:
     """``to_oriented_class`` for every parity in parities, in that order,
     from one canonicalization pass: the canonical form and the optimal
-    relabelings do not depend on parity, only the sign read off them does."""
-    check_valid(g)
+    relabelings do not depend on parity, only the sign read off them does.
+    g is not validated: it comes from a builder or was checked on entry."""
     (t0, t1), maps = _canonical_data(g.sigma0, g.sigma1)
     out = []
     for parity in parities:

@@ -40,7 +40,6 @@ from .canonical import ODD, OrientedClass, _order_sign, to_oriented_classes
 from .ribbon import (
     RibbonGraph,
     boundaries,
-    check_valid,
     min_valence,
     vertices,
 )
@@ -157,13 +156,14 @@ def delta_terms(g: RibbonGraph, min_arc: int = 1, odd: bool = False):
     floor, applied at the cut."""
     n = g.n_half_edges
     verts = vertices(g)
+    parent_keys = [v[0] for v in verts]
     for vi, cyc in enumerate(verts):
         for arc_a, arc_b in _cuts(cyc, min_arc):
             out = _split_graph(g, arc_a, arc_b)
             if not odd:
                 yield out, 1
                 continue
-            keys = [v[0] for v in verts]
+            keys = parent_keys.copy()
             keys[vi] = min(arc_a, default=n)
             keys.append(min(arc_b, default=n + 1))
             yield out, _order_sign(keys)
@@ -175,7 +175,6 @@ def bridge_terms(g: RibbonGraph, odd: bool = False):
     chord splits that boundary's walk b at the corners p < q: with their
     walk positions sorted to i < j, one piece is b[i:j] and the other the
     rest, and the piece through 2E+1 starts at p."""
-    check_valid(g)
     bounds = boundaries(g)
     for bi, b in enumerate(bounds):
         pos = {h: i for i, h in enumerate(b)}

@@ -7,6 +7,13 @@ half-edges of every edge.  Vertices, edges, boundary walks, genus and
 connectivity are all derived from these two arrays.  A corner (the sector
 between h and sigma0(h)) is identified with the half-edge h it follows, so
 the corners of a boundary are the half-edges of its walk.
+
+Graphs are validated (``check_valid``) only where they enter the program:
+a graph file read by the CLI (``cli._load_graph``) and a cached basis
+(``cache.Cache.load_basis``).  The builders (``diff``, ``enumeration``)
+take only valid graphs and make only valid ones, so they and the
+canonical pass trust every graph made inside the program; the structural
+check suite validates the builders' raw terms.
 """
 from __future__ import annotations
 
@@ -171,7 +178,6 @@ def genus(g: RibbonGraph) -> int:
 
 def to_dot(g: RibbonGraph) -> str:
     """DOT rendering: vertices as nodes, edges as links, boundary count note."""
-    check_valid(g)
     verts = vertices(g)
     at_vertex = {}
     for i, cyc in enumerate(verts):

@@ -1,5 +1,5 @@
 """Canonical labeling, automorphisms, orientation signs, zero flags."""
-from collections import namedtuple
+from collections import deque, namedtuple
 from itertools import combinations, permutations
 import random
 
@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from ribboncoh.canonical import (
     EVEN,
     ODD,
-    _bfs_relabel,
     _canonical_data,
     _sign,
     _zero_flag,
@@ -148,6 +147,26 @@ def _relabelings(n, rng):
     ]
 
 
+def _full_relabel(g, root):
+    """(key, labels) of the discovery-order walk from root, written out in
+    full: a queue of half-edges, each discovering its sigma0-image, then
+    its sigma1-partner.  The key lists both permutations in label order."""
+    lab = {root: 0}
+    queue = deque([root])
+    while queue:
+        h = queue.popleft()
+        for x in (g.sigma0[h], g.sigma1[h]):
+            if x not in lab:
+                lab[x] = len(lab)
+                queue.append(x)
+    by_label = sorted(lab, key=lab.get)
+    key = (
+        tuple(lab[g.sigma0[h]] for h in by_label),
+        tuple(lab[g.sigma1[h]] for h in by_label),
+    )
+    return key, [lab[h] for h in range(g.n_half_edges)]
+
+
 def test_early_abort_scan_matches_full_scan():
     # every class with E <= 3, valence floors 1..3, zero classes included,
     # under several relabelings: the early-abort pass finds the same minimum
@@ -160,10 +179,27 @@ def test_early_abort_scan_matches_full_scan():
         for perm in _relabelings(n, rng):
             h = _relabeled(g, perm)
             best, maps = _canonical_data(h.sigma0, h.sigma1)
-            full = [_bfs_relabel(h.sigma0, h.sigma1, r) for r in range(n)]
+            full = [_full_relabel(h, r) for r in range(n)]
             key = min(k for k, _ in full)
             assert best == key
             assert maps == [lab for k, lab in full if k == key]
+
+
+def test_minimal_form_rejects_non_canonical_normal_forms():
+    # the walk from every root of every relabeled small class gives a
+    # traversal normal form from root 0; is_minimal_form holds exactly for
+    # the canonical one, so it must also say False, not only True
+    rng = random.Random(11)
+    rejected = 0
+    for g in _small_classes():
+        canon = min(_full_relabel(g, r)[0] for r in range(g.n_half_edges))
+        for perm in _relabelings(g.n_half_edges, rng):
+            h = _relabeled(g, perm)
+            for root in range(h.n_half_edges):
+                form, _ = _full_relabel(h, root)
+                assert is_minimal_form(*form) == (form == canon)
+                rejected += form != canon
+    assert rejected > 100
 
 
 def _parity_sign(perm):

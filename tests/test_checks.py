@@ -15,6 +15,7 @@ from ribboncoh.checks import (
     structural_suite,
 )
 from ribboncoh.diff import FormalSum, bridge_images, delta_images
+from ribboncoh.ribbon import RibbonGraph
 
 SMALL = CheckBounds(g_max=1, e_max_full=3, e_max_ge3=3, e_max_le2=5, e_max_oracle=3)
 
@@ -141,6 +142,48 @@ def test_one_canonical_pass_serves_both_parities(monkeypatch):
     assert even_signs == {EVEN} and odd_signs == {ODD}
     assert even > 0 and odd > 0
     assert both <= 0.55 * (even + odd)
+
+
+def test_one_traversal_per_root(monkeypatch):
+    # the canonical pass walks from each of the 2E roots exactly once: a
+    # root that ties or beats the running best is not walked again
+    real = canonical._traverse
+    calls = [0]
+
+    def counted(s0, s1, root, best):
+        calls[0] += 1
+        return real(s0, s1, root, best)
+
+    monkeypatch.setattr(canonical, "_traverse", counted)
+    gens = list(iter_generators(SMALL))
+    assert gens
+    for _, cls in gens:
+        calls[0] = 0
+        canonical._canonical_data(cls.sigma0, cls.sigma1)
+        assert calls[0] == len(cls.sigma0)
+
+
+def test_structural_fault_injection_is_detected(monkeypatch):
+    # builders that emit a term whose sigma1 has a fixed point, and a valid
+    # term of the wrong shape (the parent graph itself): the structural
+    # suite must fail on both, name the generator and say what is wrong
+    def broken_terms(g, *args):
+        n = g.n_half_edges
+        fixed = RibbonGraph(g.sigma0 + (n, n + 1), g.sigma1 + (n, n + 1))
+        yield fixed, 1
+        yield g, 1
+
+    monkeypatch.setattr(checks, "delta_terms", broken_terms)
+    monkeypatch.setattr(checks, "bridge_terms", broken_terms)
+    report = structural_suite(SMALL)
+    assert not report["passed"]
+    violations = report["violations"]
+    assert len(violations) == 4 * report["generators"]
+    details = {v["detail"].split("=")[0] for v in violations}
+    assert details == {"invalid term graph", "expected (E,V,B,g)"}
+    assert {v["suite"] for v in violations} == {"delta_terms", "bridge_terms"}
+    hashes = {cls.content_hash() for _, cls in iter_generators(SMALL)}
+    assert {v["generator"] for v in violations} == hashes
 
 
 def test_oracle_zero_count_mismatch_names_spec(monkeypatch):
