@@ -9,7 +9,8 @@ Runs, in order of increasing cost:
 
 With the default bounds the run takes a few seconds, most of it in the
 two combined-differential tables, whose bases grow six- to eightfold per
-extra edge.  Results are cached under --cache-dir when given.
+extra edge.  Results are cached under --cache-dir when given.  Each
+table's wall time is printed to stderr; stdout depends only on the bounds.
 """
 import argparse
 import sys
@@ -30,7 +31,9 @@ def run(title, spec, cache, show_offsets=False):
     t0 = time.time()
     sl = build(spec, cache=cache)
     rows = cohomology(sl)
-    print("== %s  [%s]  %.1fs" % (title, spec.content_key(), time.time() - t0))
+    # the wall time goes to stderr, so that stdout is reproducible
+    print("%s: %.1fs" % (title, time.time() - t0), file=sys.stderr)
+    print("== %s  [%s]" % (title, spec.content_key()))
     print(render_table(rows))
     print("euler: %s" % euler(sl))
     if show_offsets:

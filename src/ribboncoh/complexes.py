@@ -12,10 +12,17 @@ Two ribbon complex kinds share the machinery:
   the corner move raises E and n together); sectors full and ge3.
 
 The ordinary graph complex of ``gc2`` goes through the same ``build`` and
-``cohomology``.  A spec of either flavor gives ``classes(n, e)`` (one
-cell's nonzero classes and zero count), ``possible(n, e)`` (whether
-counting alone leaves the cell room for a graph) and ``operator(cls)``
-(the differential).
+``cohomology``.  A spec of either flavor gives ``possible(n, e)``
+(whether counting alone leaves the cell room for a graph), ``chain(n)``
+(each cell of boundary count, or loop order, n in turn, with the block of
+the differential into it that the chain gives) and ``operator(cls)`` (the
+rest of the differential, assembled from whole layers).  For kp and mw
+in the full and ge3 sectors the chain is one walk of the enumerator's
+closure rounds, and the vertex-splitting block is read off its split
+terms, which are exactly ``delta``'s raw terms: so each split term is
+canonicalized once, and the layer below the range, which the walk passes
+through, costs nothing more.  The corner move of mw, the le2 sector and
+gc2 assemble from ``operator``.
 
 Cells are graded by edge count; the cohomological degree of a generator
 is k = -2 g d + E, with only parity(d) entering sign conventions.
@@ -31,10 +38,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .cache import NO_CACHE, Cache
-from .canonical import EVEN, ODD
-from .diff import bridge, delta
-from .enumeration import EnumSpec, enumerate_classes, le2_classes
-from .linalg import DifferentialIdentityError, assemble, certified_rank
+from .canonical import EVEN, ODD, _sign
+from .diff import FormalSum, bridge, delta
+from .enumeration import EnumSpec, _cell_maps, _split_by_zero, le2_classes
+from .linalg import DifferentialIdentityError, SparseIntMatrix, assemble, certified_rank
 
 KINDS = ("kp", "mw")
 SECTORS = ("full", "ge3", "le2")
@@ -92,11 +99,6 @@ class ComplexSpec:
             self.e_max,
         )
 
-    def classes(self, n: int, e: int):
-        """Nonzero classes and zero-class count of the (n, e) cell."""
-        cell = EnumSpec(self.genus, n, e, self.min_valence, self.parity)
-        return (le2_classes if self.sector == "le2" else enumerate_classes)(cell)
-
     def possible(self, n: int, e: int) -> bool:
         """Whether counting alone leaves the (n, e) cell room for a graph."""
         if not EnumSpec(self.genus, n, e, self.min_valence).is_consistent()[0]:
@@ -105,17 +107,81 @@ class ComplexSpec:
         # polygons (g=0, n=2)
         return self.sector != "le2" or (self.genus, n) in ((0, 1), (0, 2))
 
+    def chain(self, n: int):
+        """(e, (nonzero, zero), block) for e from e_min - 1 to e_max: the
+        (n, e) cell's nonzero classes and zero-class count, and the block
+        of the vertex split from the (n, e - 1) cell into it as (row, col,
+        coeff) triples within the two cells.  block is None at e_min and
+        below, and in the le2 sector, whose cells are built directly and
+        whose differential comes from ``operator``.
+
+        In the full and ge3 sectors the cells are the rounds of one
+        ``enumeration._cell_maps`` chain, and the block is read off the
+        split terms of the round that reaches the cell: those terms are
+        ``delta``'s raw terms, already canonicalized.  The enumerator cuts
+        arcs of at least min_valence - 1 darts, which in the full sector
+        is 0, while ``delta`` cuts at least one; so a term whose new dart
+        2E is a vertex of its own (an empty arc) is left out."""
+        lo, hi = self.e_min - 1, self.e_max
+        if self.sector == "le2":
+            for e in range(lo, hi + 1):
+                yield e, le2_classes(EnumSpec(self.genus, n, e, 1, self.parity)), None
+            return
+        parity = self.parity
+        koszul = -1 if n % 2 else 1  # (-1)^B of ``delta_images``, odd parity only
+
+        def visit(src, term, odd_sign, key, maps):
+            j = cols.get(src)
+            x = len(src[0])  # the new dart 2E
+            if j is None or term.sigma0[x] == x:
+                return
+            sign = _sign(term, parity, maps)
+            if sign:
+                if parity == ODD:
+                    sign *= odd_sign * koszul
+                per = targets.get(key)
+                if per is None:
+                    per = targets[key] = {}
+                per[j] = per.get(j, 0) + sign
+
+        rounds = _cell_maps(self.genus, n, self.min_valence)
+        e, layer = next(rounds)
+        while e < lo:  # rounds below the range are grown, not read
+            e, layer = next(rounds)
+        for empty in range(lo, min(e, hi + 1)):  # below the chain's seeds
+            yield empty, ([], 0), None
+        targets = None
+        while e <= hi:
+            cell = _split_by_zero(layer, parity) if self.possible(n, e) else ([], 0)
+            layer = None  # the generator holds only the keys while it splits
+            block = None
+            if targets is not None:
+                rows = {(c.sigma0, c.sigma1): i for i, c in enumerate(cell[0])}
+                block = [(rows[key], j, v) for key, per in targets.items() for j, v in per.items()]
+            yield e, cell, block
+            if e == hi:
+                return
+            targets = None
+            if e >= self.e_min:  # blocks from E=e_min on
+                cols = {(c.sigma0, c.sigma1): j for j, c in enumerate(cell[0])}
+                targets = {}
+            e, layer = rounds.send(None if targets is None else visit)
+
     def operator(self, cls):
-        # Both arcs of a cut carry the sector's valence floor less the new
-        # edge's dart, and at least one dart.  A corner move lowers no valence.
-        image = delta(cls, max(self.min_valence - 1, 1))
-        return image if self.kind == "kp" else image + bridge(cls)
+        """The part of the differential that ``chain`` does not give,
+        assembled from whole layers: the corner move of mw, and the vertex
+        split of the le2 sector, whose cells have no chain.  Both arcs of
+        its cut carry at least one dart."""
+        if self.sector == "le2":
+            return delta(cls)
+        return bridge(cls) if self.kind == "mw" else FormalSum()
 
 
 @dataclass
 class ComplexSlice:
-    spec: ComplexSpec  # or gc2.GCSpec: build() reads cells, classes, possible,
-                       # operator; cohomology() reads e_min, e_max, degree, cells
+    spec: ComplexSpec  # or gc2.GCSpec: build() reads e_min, e_max, cells,
+                       # possible, chain, operator; cohomology() reads e_min,
+                       # e_max, degree, cells
     bases: dict = field(default_factory=dict)       # e -> [OrientedClass]
     cell_dims: dict = field(default_factory=dict)   # (n, e) -> nonzero count
     zero_counts: dict = field(default_factory=dict) # (n, e) -> zero-class count
@@ -133,46 +199,92 @@ def build(spec, cache: Cache = NO_CACHE) -> ComplexSlice:
     a gc2.GCSpec raises TypeError before any enumeration, since cache
     entries are keyed by ComplexSpec fields.
 
-    The layer above e_max is empty when counting rules out each of its
-    cells.  The layer below e_min costs less than any layer in range, so
-    its cells are looked up like the others but kept out of the bases; it
-    is empty when it holds no nonzero class."""
+    When every basis and matrix entry of spec loads from the cache, no
+    chain runs; any miss walks every chain (``_walk``) and stores every
+    entry.  The layer above e_max is empty when counting rules out each of
+    its cells.  The layer below e_min is a round that each chain passes
+    through anyway, so it costs nothing more; its cells are kept out of
+    the bases, and it is empty when it holds no nonzero class."""
     if cache.enabled and not isinstance(spec, ComplexSpec):
         raise TypeError("a cache holds ribbon complexes only, not %s" % type(spec).__name__)
-    sl = ComplexSlice(spec)
-
-    def cell(n, e):
-        if not spec.possible(n, e):
-            return [], 0
-        hit = cache.load_basis(spec, n, e)
-        if hit is None:
-            hit = spec.classes(n, e)
-            cache.store_basis(spec, n, e, *hit)
-        return hit
-
-    for e in range(spec.e_min, spec.e_max + 1):
-        sl.bases[e] = []
-        for n in spec.cells(e):
-            nonzero, zero = cell(n, e)
-            sl.cell_dims[(n, e)] = len(nonzero)
-            sl.zero_counts[(n, e)] = zero
-            sl.bases[e].extend(nonzero)
     below, above = spec.e_min - 1, spec.e_max + 1
-    sl.empty_edge[below] = not any(cell(n, below)[0] for n in spec.cells(below))
-    sl.empty_edge[above] = not any(spec.possible(n, above) for n in spec.cells(above))
-
-    for e in range(spec.e_min, spec.e_max):
-        m = cache.load_matrix(spec, e)
-        if m is None or m.rows != len(sl.bases[e + 1]) or m.cols != len(sl.bases[e]):
-            m = assemble(sl.bases[e], sl.bases[e + 1], spec.operator)
+    found = _load(spec, cache)
+    cells, matrices = _walk(spec) if found is None else found
+    if found is None:
+        for (n, e), cell in cells.items():
+            if spec.possible(n, e):
+                cache.store_basis(spec, n, e, *cell)
+        for e, m in matrices.items():
             cache.store_matrix(spec, e, m)
-        sl.matrices[e] = m
+    sl = ComplexSlice(spec, matrices=matrices)
+    for e in range(spec.e_min, spec.e_max + 1):
+        sl.bases[e] = _layer(spec, cells, e)
+        for n in spec.cells(e):
+            sl.cell_dims[(n, e)] = len(cells[(n, e)][0])
+            sl.zero_counts[(n, e)] = cells[(n, e)][1]
+    sl.empty_edge[below] = not _layer(spec, cells, below)
+    sl.empty_edge[above] = not any(spec.possible(n, above) for n in spec.cells(above))
     for e in range(spec.e_min, spec.e_max - 1):
         if not sl.matrices[e + 1].matmul(sl.matrices[e]).is_zero():
             raise DifferentialIdentityError(
                 "differential squared is nonzero between E=%d and E=%d" % (e, e + 2)
             )
     return sl
+
+
+def _layer(spec, cells, e: int) -> list:
+    """The basis at edge count e: its cells' nonzero classes in cell order."""
+    return [cls for n in spec.cells(e) for cls in cells[(n, e)][0]]
+
+
+def _load(spec, cache: Cache):
+    """(cells, matrices) as ``_walk`` gives them, from the cache, or None
+    at the first miss.  A block whose shape does not match its bases is a
+    miss: blocks are shared by every E range."""
+    cells = {}
+    for e in range(spec.e_min - 1, spec.e_max + 1):
+        for n in spec.cells(e):
+            hit = cache.load_basis(spec, n, e) if spec.possible(n, e) else ([], 0)
+            if hit is None:
+                return None
+            cells[(n, e)] = hit
+    matrices = {}
+    for e in range(spec.e_min, spec.e_max):
+        m = cache.load_matrix(spec, e)
+        shape = (len(_layer(spec, cells, e + 1)), len(_layer(spec, cells, e)))
+        if m is None or (m.rows, m.cols) != shape:
+            return None
+        matrices[e] = m
+    return cells, matrices
+
+
+def _walk(spec):
+    """(cells, matrices): (n, e) -> (nonzero classes, zero count) for every
+    cell from e_min - 1 to e_max, and e -> the differential's block from
+    E=e, from one walk of each boundary count's chain (``spec.chain``).
+    The chains' blocks are placed by cell offset, and the rest of the
+    differential is assembled from ``spec.operator`` over whole layers."""
+    cells = {}
+    placed: dict = {}  # e -> classes of bases[e] in the cells walked so far
+    entries: dict = {e: [] for e in range(spec.e_min, spec.e_max)}
+    ns = {n for e in range(spec.e_min - 1, spec.e_max + 1) for n in spec.cells(e)}
+    for n in sorted(ns):  # spec.cells(e) lists boundary counts in increasing order
+        prev = None
+        for e, cell, block in spec.chain(n):
+            if n not in spec.cells(e):
+                continue
+            cells[(n, e)] = cell
+            start = placed.get(e, 0)
+            ids = list(range(start, start + len(cell[0])))  # one int object per class
+            placed[e] = start + len(ids)
+            if block:
+                entries[e - 1].extend((ids[r], prev[c], v) for r, c, v in block)
+            prev = ids
+    matrices = {}
+    for e in range(spec.e_min, spec.e_max):
+        rest = assemble(_layer(spec, cells, e), _layer(spec, cells, e + 1), spec.operator)
+        matrices[e] = SparseIntMatrix(rest.rows, rest.cols, tuple(entries.pop(e)) + rest.entries)
+    return cells, matrices
 
 
 def cohomology(sl: ComplexSlice) -> list[dict]:

@@ -26,11 +26,15 @@ the enumerator's vertex-split rounds use ``delta_terms`` too) and one
 image path: the raw term graphs do not depend on parity, so
 ``delta_images`` and ``bridge_images`` give a class's image in every
 parity asked for from one canonical pass per raw term, and ``delta`` and
-``bridge`` ask for the class's own parity.  Every call returns a fresh
-image; the module keeps no state between calls.  A caller that applies
-them to the same class more than once memoizes the images itself
-(``checks.identity_suite``, one entry per canonical pair serving every
-parity in scope).
+``bridge`` ask for the class's own parity.  ``bridge`` gives the corner
+block of every mw table; ``delta`` serves the le2 tables and the check
+suites, and is the oracle of the other tables' vertex-split blocks, which
+``complexes.build`` reads off the enumerator's split rounds with the same
+signs (``_sign`` of the raw term, times its odd sign and (-1)^B for odd
+parity).  Every call returns a fresh image; the module keeps no state
+between calls.  A caller that applies them to the same class more than
+once memoizes the images itself (``checks.identity_suite``, one entry
+per canonical pair serving every parity in scope).
 """
 from __future__ import annotations
 

@@ -2,12 +2,16 @@
 
 Two independent code paths, neither of which keeps state between calls:
 
-* the fast enumerator builds each (genus, boundaries, edges, valence floor)
-  cell as a closure under the package's own moves: the one-vertex maps of
-  the genus and boundary count grow from the loop one chord at a time, and
-  rounds of vertex splits then add one vertex and one edge each.  Every
-  candidate is canonicalized once and deduplicated by its canonical form;
-  the same pass gives its automorphisms and its zero flag;
+* the fast enumerator walks one chain of closure rounds per (genus,
+  boundaries, valence floor) under the package's own moves
+  (``_cell_maps``): the one-vertex maps of the genus and boundary count
+  grow from the loop one chord at a time, and rounds of vertex splits then
+  add one vertex and one edge each, so the chain yields every edge count in
+  turn, each round a whole cell.  Every candidate is canonicalized once and
+  deduplicated by its canonical form; the same pass gives its automorphisms
+  and its zero flag.  ``enumerate_classes`` takes the round at its edge
+  count; ``complexes.build`` walks each chain once and reads the
+  vertex-splitting differential off the split terms of its rounds;
 * the brute-force oracle scans every vertex permutation on labeled
   half-edges against the fixed edge pairing and deduplicates by canonical
   form.  It is guarded to small sizes and must agree with the fast path.
@@ -91,42 +95,54 @@ def _chord_moves(layer, genus: int, n_boundaries: int):
                     yield out.sigma0, out.sigma1
 
 
-def _vertex_splits(layer, min_arc: int):
-    """Every split of a vertex into two arcs of at least min_arc darts
-    each, joined by a new edge (``diff.delta_terms``)."""
-    for s0, s1 in layer:
-        for out, _ in delta_terms(RibbonGraph(s0, s1), min_arc):
-            yield out.sigma0, out.sigma1
-
-
-def _cell_maps(genus: int, n_boundaries: int, n_edges: int, min_valence: int) -> dict:
-    """Canonical pair -> optimal relabelings for every isomorphism class of
-    a consistent cell, zero classes included.
+def _cell_maps(genus: int, n_boundaries: int, min_valence: int):
+    """The closure rounds of one (genus, n_boundaries) chain at valence
+    floor min_valence, as a generator that never ends: it yields (E,
+    round) for E = 2g + n - 1, 2g + n, ..., where round maps canonical
+    pair -> optimal relabelings for every isomorphism class of the
+    (genus, n_boundaries, E) cell, zero classes included, whenever that
+    cell is consistent.
 
     One-vertex maps of (genus, n_boundaries) have 2g + n - 1 edges and grow
-    from the loop one chord at a time.  V - 1 rounds of vertex splits then
-    reach the cell; every map with V >= 2 contracts along a non-loop edge
-    to a map of the same genus and boundaries, so the rounds miss nothing.
-    The one exception is the single edge (genus 0, one boundary), which
-    contracts to no vertex at all and seeds its cell directly.  A split
-    gives both new vertices valence >= min_valence and a contraction keeps
-    the valence floor, so after the first split every class is within the
-    floor; a one-vertex cell is consistent only when 2E >= min_valence.
-    Only the previous and the current round are held.
+    from the loop one chord at a time.  Each later round splits every class
+    of the one before into two vertices joined by a new edge, both arcs of
+    at least min_valence - 1 darts (``diff.delta_terms``); every map with
+    V >= 2 contracts along a non-loop edge to a map of the same genus and
+    boundaries, so the rounds miss nothing.  The one exception is the
+    single edge (genus 0, one boundary), which contracts to no vertex at
+    all and seeds its chain directly.  A split gives both new vertices
+    valence >= min_valence and a contraction keeps the valence floor, so
+    after the first split every class is within the floor; a one-vertex
+    cell is consistent only when 2E >= min_valence.
+
+    A consumer that sends a function visit instead of calling next has it
+    called as visit(source, term, odd_sign, key, maps) on every split term
+    of the next round: the canonical pair it was split from, the raw term
+    graph with its odd-parity sign, and the term's canonical pair and
+    relabelings.  Only the keys of a round are held while the next one is
+    split, so a consumer that reads a round's relabelings reads them
+    before it asks for the next round.
     """
-    n_vertices = n_edges + 2 - 2 * genus - n_boundaries
     if (genus, n_boundaries) == (0, 1):
         layer = _canonical_layer([((0, 1), (1, 0))])
-        rounds = n_vertices - 2
+        e = 1
     else:
         layer = _canonical_layer([((1, 0), (1, 0))])
         for _ in range(2 * genus + n_boundaries - 2):
             layer = _canonical_layer(_chord_moves(layer, genus, n_boundaries))
-        rounds = n_vertices - 1
+        e = 2 * genus + n_boundaries - 1
     min_arc = max(min_valence - 1, 0)
-    for _ in range(rounds):
-        layer = _canonical_layer(_vertex_splits(layer, min_arc))
-    return layer
+    while True:
+        visit = yield e, layer
+        sources, layer = tuple(layer), {}
+        for src in sources:
+            for term, odd_sign in delta_terms(RibbonGraph(*src), min_arc, visit is not None):
+                key, maps = _canonical_data(term.sigma0, term.sigma1)
+                if key not in layer:
+                    layer[key] = maps
+                if visit is not None:
+                    visit(src, term, odd_sign, key, maps)
+        e += 1
 
 
 def _split_by_zero(cell: dict, parity: int):
@@ -149,8 +165,9 @@ def enumerate_classes(spec: EnumSpec) -> tuple[list[OrientedClass], int]:
     ok, _note = spec.is_consistent()
     if not ok:
         return [], 0
-    cell = _cell_maps(spec.genus, spec.boundaries, spec.edges, spec.min_valence)
-    return _split_by_zero(cell, spec.parity)
+    for e, cell in _cell_maps(spec.genus, spec.boundaries, spec.min_valence):
+        if e == spec.edges:
+            return _split_by_zero(cell, spec.parity)
 
 
 def enumerate_cell(spec: EnumSpec) -> tuple[list[OrientedClass], int]:

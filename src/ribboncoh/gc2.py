@@ -14,9 +14,10 @@ have valence at least 2, so at floor 1 the operator lacks every term
 that makes a univalent vertex.  gc_enumerate and gc_delta still take
 floor 1, for the sign tests.
 
-``GCSpec`` gives ``complexes.build`` the cells, the counting bound and
-the operator, so gc2 tables go through the same ``build`` and
-``cohomology`` as the ribbon complexes.
+``GCSpec`` gives ``complexes.build`` the cells (a chain of cells each
+enumerated on its own), the counting bound and the operator, so gc2
+tables go through the same ``build`` and ``cohomology`` as the ribbon
+complexes.
 """
 from __future__ import annotations
 
@@ -250,14 +251,18 @@ class GCSpec:
     def cells(self, e: int) -> list[int]:
         return [self.loop_order]
 
-    def classes(self, n: int, e: int):
-        return gc_enumerate(n, e, self.min_valence)
-
     def possible(self, n: int, e: int) -> bool:
         """Some vertex count fits and the valence floor is within the
         half-edge supply."""
         n_vertices = e - n + 1
         return n_vertices >= 1 and self.min_valence * n_vertices <= 2 * e
+
+    def chain(self, n: int):
+        """(e, (nonzero, zero), None) for e from e_min - 1 to e_max: each
+        cell is enumerated on its own, and the differential comes whole
+        from ``operator`` (``complexes.ComplexSpec.chain``)."""
+        for e in range(self.e_min - 1, self.e_max + 1):
+            yield e, gc_enumerate(n, e, self.min_valence) if self.possible(n, e) else ([], 0), None
 
     def operator(self, cls):
         return gc_delta(cls, self.min_valence)

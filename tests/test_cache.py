@@ -8,13 +8,14 @@ import pytest
 from ribboncoh import cache as cache_module
 from ribboncoh.cache import NO_CACHE, Cache, default_cache_dir, spec_hash
 from ribboncoh.complexes import ComplexSpec
+from ribboncoh.enumeration import EnumSpec, enumerate_classes
 from ribboncoh.linalg import SparseIntMatrix
 
 SPEC = ComplexSpec("kp", 1, 0, "ge3", 2, 4, boundaries=2)
 
 
 def _classes():
-    classes, zero = SPEC.classes(2, 3)
+    classes, zero = enumerate_classes(EnumSpec(1, 2, 3, 3))  # SPEC's (2, 3) cell
     assert len(classes) >= 2
     return classes, zero
 

@@ -1,6 +1,6 @@
 """Canonical labeling, automorphisms, orientation signs, zero flags."""
 from collections import deque, namedtuple
-from itertools import combinations, permutations
+from itertools import combinations, permutations, takewhile
 import random
 
 from hypothesis import given, settings, strategies as st
@@ -130,14 +130,18 @@ def _relabeled(g, perm):
 def _small_classes():
     """Every class with E <= 3 and valence floors 1..3, zero classes
     included."""
+    rounds = {
+        (e, mv, genus, n): layer
+        for mv in (1, 2, 3)
+        for genus in (0, 1)
+        for n in range(1, 5 - 2 * genus)  # every (genus, n) with 2g + n - 1 <= 3
+        for e, layer in takewhile(lambda r: r[0] <= 3, _cell_maps(genus, n, mv))
+    }
     return [
         RibbonGraph(*pair)
-        for e in range(1, 4)
-        for mv in (1, 2, 3)
-        for genus in range(0, e // 2 + 1)
-        for n in range(1, e + 2 - 2 * genus)
+        for (e, mv, genus, n), layer in sorted(rounds.items())
         if EnumSpec(genus, n, e, mv).is_consistent()[0]
-        for pair in _cell_maps(genus, n, e, mv)
+        for pair in layer
     ]
 
 

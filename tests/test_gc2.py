@@ -249,10 +249,10 @@ def test_cohomology_certified_with_zero_class_neighbor():
 def test_cache_is_refused_before_any_enumeration(tmp_path, monkeypatch):
     # cache entries are keyed by ribbon spec fields; a gc2 build with a
     # cache says so instead of failing inside the key, and enumerates nothing
-    def no_enumeration(self, n, e):
-        raise AssertionError("enumerated the (%d, %d) cell" % (n, e))
+    def no_enumeration(self, n):
+        raise AssertionError("walked the cells of loop order %d" % n)
 
-    monkeypatch.setattr(GCSpec, "classes", no_enumeration)
+    monkeypatch.setattr(GCSpec, "chain", no_enumeration)
     with pytest.raises(TypeError, match="ribbon complexes only, not GCSpec"):
         build(GCSpec(3, 0, 3, 6), cache=Cache(str(tmp_path)))
     assert list(tmp_path.iterdir()) == []
