@@ -215,22 +215,12 @@ def to_oriented_class(g: RibbonGraph, parity: int) -> tuple[OrientedClass, int]:
     the canonical reference off the optimal relabelings (``_sign``).
 
     Returns the class and the sign; the sign is meaningless (and returned
-    as +1) when the class is zero.
+    as +1) when the class is zero.  g is not validated: it comes from a
+    builder or was checked on entry.
     """
-    return to_oriented_classes(g, (parity,))[0]
-
-
-def to_oriented_classes(g: RibbonGraph, parities) -> list[tuple[OrientedClass, int]]:
-    """``to_oriented_class`` for every parity in parities, in that order,
-    from one canonicalization pass: the canonical form and the optimal
-    relabelings do not depend on parity, only the sign read off them does.
-    g is not validated: it comes from a builder or was checked on entry."""
     (t0, t1), maps = _canonical_data(g.sigma0, g.sigma1)
-    out = []
-    for parity in parities:
-        sign = _sign(g, parity, maps)
-        out.append((OrientedClass(t0, t1, parity, sign == 0), sign or 1))
-    return out
+    sign = _sign(g, parity, maps)
+    return OrientedClass(t0, t1, parity, sign == 0), sign or 1
 
 
 def class_of(g: RibbonGraph, parity: int) -> OrientedClass:

@@ -18,11 +18,11 @@ The ordinary graph complex of ``gc2`` goes through the same ``build`` and
 the differential into it that the chain gives) and ``operator(cls)`` (the
 rest of the differential, assembled from whole layers).  For kp and mw
 in the full and ge3 sectors the chain is one walk of the enumerator's
-closure rounds, and the vertex-splitting block is read off its split
-terms, which are exactly ``delta``'s raw terms: so each split term is
-canonicalized once, and the layer below the range, which the walk passes
-through, costs nothing more.  The corner move of mw, the le2 sector and
-gc2 assemble from ``operator``.
+closure rounds, and the vertex-splitting block sums the coefficients
+(``diff.term_coefficient``) of the split terms that are ``delta``'s raw
+terms: so each split term is canonicalized once, and the layer below the
+range, which the walk passes through, costs nothing more.  The corner
+move of mw, the le2 sector and gc2 assemble from ``operator``.
 
 Cells are graded by edge count; the cohomological degree of a generator
 is k = -2 g d + E, with only parity(d) entering sign conventions.
@@ -35,11 +35,11 @@ layer below it is enumerated, and is empty when it holds no nonzero class.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .cache import NO_CACHE, Cache
-from .canonical import EVEN, ODD, _sign
-from .diff import FormalSum, bridge, delta
+from .canonical import EVEN, ODD
+from .diff import FormalSum, bridge, delta, term_coefficient
 from .enumeration import EnumSpec, _cell_maps, _split_by_zero, le2_classes
 from .linalg import DifferentialIdentityError, SparseIntMatrix, assemble, certified_rank
 
@@ -116,56 +116,47 @@ class ComplexSpec:
         whose differential comes from ``operator``.
 
         In the full and ge3 sectors the cells are the rounds of one
-        ``enumeration._cell_maps`` chain, and the block is read off the
-        split terms of the round that reaches the cell: those terms are
-        ``delta``'s raw terms, already canonicalized.  The enumerator cuts
-        arcs of at least min_valence - 1 darts, which in the full sector
-        is 0, while ``delta`` cuts at least one; so a term whose new dart
-        2E is a vertex of its own (an empty arc) is left out."""
+        ``enumeration._cell_maps`` chain.  The walk hands each of
+        ``delta``'s terms to a visitor, which sums its
+        ``diff.term_coefficient`` into the block per (target, source)."""
         lo, hi = self.e_min - 1, self.e_max
         if self.sector == "le2":
             for e in range(lo, hi + 1):
                 yield e, le2_classes(EnumSpec(self.genus, n, e, 1, self.parity)), None
             return
         parity = self.parity
-        koszul = -1 if n % 2 else 1  # (-1)^B of ``delta_images``, odd parity only
+        cols, targets = {}, {}  # the source round's column index; its block
 
         def visit(src, term, odd_sign, key, maps):
             j = cols.get(src)
-            x = len(src[0])  # the new dart 2E
-            if j is None or term.sigma0[x] == x:
-                return
-            sign = _sign(term, parity, maps)
-            if sign:
-                if parity == ODD:
-                    sign *= odd_sign * koszul
-                per = targets.get(key)
-                if per is None:
-                    per = targets[key] = {}
-                per[j] = per.get(j, 0) + sign
+            if j is not None:
+                coeff = term_coefficient(term, parity, maps, odd_sign)
+                if coeff:
+                    per = targets.get(key)
+                    if per is None:
+                        per = targets[key] = {}
+                    per[j] = per.get(j, 0) + coeff
 
-        rounds = _cell_maps(self.genus, n, self.min_valence)
+        rounds = _cell_maps(self.genus, n, self.min_valence, visit, parity == ODD)
         e, layer = next(rounds)
         while e < lo:  # rounds below the range are grown, not read
             e, layer = next(rounds)
         for empty in range(lo, min(e, hi + 1)):  # below the chain's seeds
             yield empty, ([], 0), None
-        targets = None
         while e <= hi:
             cell = _split_by_zero(layer, parity) if self.possible(n, e) else ([], 0)
             layer = None  # the generator holds only the keys while it splits
             block = None
-            if targets is not None:
+            if e > self.e_min:
                 rows = {(c.sigma0, c.sigma1): i for i, c in enumerate(cell[0])}
                 block = [(rows[key], j, v) for key, per in targets.items() for j, v in per.items()]
             yield e, cell, block
             if e == hi:
                 return
-            targets = None
             if e >= self.e_min:  # blocks from E=e_min on
                 cols = {(c.sigma0, c.sigma1): j for j, c in enumerate(cell[0])}
-                targets = {}
-            e, layer = rounds.send(None if targets is None else visit)
+            targets = {}
+            e, layer = next(rounds)
 
     def operator(self, cls):
         """The part of the differential that ``chain`` does not give,
@@ -181,15 +172,10 @@ class ComplexSpec:
 class ComplexSlice:
     spec: ComplexSpec  # or gc2.GCSpec: build() reads e_min, e_max, cells,
                        # possible, chain, operator; cohomology() reads e_min,
-                       # e_max, degree, cells
-    bases: dict = field(default_factory=dict)       # e -> [OrientedClass]
-    cell_dims: dict = field(default_factory=dict)   # (n, e) -> nonzero count
-    zero_counts: dict = field(default_factory=dict) # (n, e) -> zero-class count
-    matrices: dict = field(default_factory=dict)    # e -> matrix basis[e] -> basis[e+1]
-    empty_edge: dict = field(default_factory=dict)  # e outside range -> empty?
-
-    def dim(self, e: int) -> int:
-        return len(self.bases.get(e, ()))
+                       # e_max, degree, cells, possible
+    cells: dict     # (n, e) -> (nonzero classes, zero count), e_min - 1 <= e <= e_max
+    matrices: dict  # e -> matrix basis[e] -> basis[e+1]
+    bases: dict     # e -> [OrientedClass], e_min <= e <= e_max
 
 
 def build(spec, cache: Cache = NO_CACHE) -> ComplexSlice:
@@ -201,13 +187,11 @@ def build(spec, cache: Cache = NO_CACHE) -> ComplexSlice:
 
     When every basis and matrix entry of spec loads from the cache, no
     chain runs; any miss walks every chain (``_walk``) and stores every
-    entry.  The layer above e_max is empty when counting rules out each of
-    its cells.  The layer below e_min is a round that each chain passes
+    entry.  The layer below e_min is a round that each chain passes
     through anyway, so it costs nothing more; its cells are kept out of
-    the bases, and it is empty when it holds no nonzero class."""
+    the bases."""
     if cache.enabled and not isinstance(spec, ComplexSpec):
         raise TypeError("a cache holds ribbon complexes only, not %s" % type(spec).__name__)
-    below, above = spec.e_min - 1, spec.e_max + 1
     found = _load(spec, cache)
     cells, matrices = _walk(spec) if found is None else found
     if found is None:
@@ -216,20 +200,13 @@ def build(spec, cache: Cache = NO_CACHE) -> ComplexSlice:
                 cache.store_basis(spec, n, e, *cell)
         for e, m in matrices.items():
             cache.store_matrix(spec, e, m)
-    sl = ComplexSlice(spec, matrices=matrices)
-    for e in range(spec.e_min, spec.e_max + 1):
-        sl.bases[e] = _layer(spec, cells, e)
-        for n in spec.cells(e):
-            sl.cell_dims[(n, e)] = len(cells[(n, e)][0])
-            sl.zero_counts[(n, e)] = cells[(n, e)][1]
-    sl.empty_edge[below] = not _layer(spec, cells, below)
-    sl.empty_edge[above] = not any(spec.possible(n, above) for n in spec.cells(above))
     for e in range(spec.e_min, spec.e_max - 1):
-        if not sl.matrices[e + 1].matmul(sl.matrices[e]).is_zero():
+        if not matrices[e + 1].matmul(matrices[e]).is_zero():
             raise DifferentialIdentityError(
                 "differential squared is nonzero between E=%d and E=%d" % (e, e + 2)
             )
-    return sl
+    bases = {e: _layer(spec, cells, e) for e in range(spec.e_min, spec.e_max + 1)}
+    return ComplexSlice(spec, cells, matrices, bases)
 
 
 def _layer(spec, cells, e: int) -> list:
@@ -288,8 +265,13 @@ def _walk(spec):
 
 
 def cohomology(sl: ComplexSlice) -> list[dict]:
-    """Per-edge-count cohomology rows with certification statuses."""
-    spec = sl.spec
+    """Per-edge-count cohomology rows with certification statuses.  The
+    layer below e_min is empty when it holds no nonzero class, and the one
+    above e_max when counting rules out each of its cells."""
+    spec, cells = sl.spec, sl.cells
+    above = spec.e_max + 1
+    empty_below = not _layer(spec, cells, spec.e_min - 1)
+    empty_above = not any(spec.possible(n, above) for n in spec.cells(above))
     rank_cache: dict = {}
 
     def ranks(e):
@@ -298,7 +280,7 @@ def cohomology(sl: ComplexSlice) -> list[dict]:
         m = sl.matrices.get(e)
         if m is not None:
             res = certified_rank(m)
-        elif sl.empty_edge.get(e + 1) or sl.empty_edge.get(e):
+        elif empty_below if e < spec.e_min else empty_above:
             res = (0, True)  # zero map out of or into a provably empty layer
         else:
             res = (None, False)
@@ -307,7 +289,7 @@ def cohomology(sl: ComplexSlice) -> list[dict]:
 
     rows = []
     for e in range(spec.e_min, spec.e_max + 1):
-        dim = sl.dim(e)
+        dim = len(sl.bases[e])
         r_in, in_cert = ranks(e - 1)
         r_out, out_cert = ranks(e)
         known = r_in is not None and r_out is not None
@@ -323,8 +305,8 @@ def cohomology(sl: ComplexSlice) -> list[dict]:
                 "degree": spec.degree(e),
                 "edges": e,
                 "dim": dim,
-                "cells": {n: sl.cell_dims[(n, e)] for n in spec.cells(e)},
-                "zero_classes": sum(sl.zero_counts[(n, e)] for n in spec.cells(e)),
+                "cells": {n: len(cells[(n, e)][0]) for n in spec.cells(e)},
+                "zero_classes": sum(cells[(n, e)][1] for n in spec.cells(e)),
                 "rank_in": r_in,
                 "rank_out": r_out,
                 "h": h,
@@ -335,14 +317,15 @@ def cohomology(sl: ComplexSlice) -> list[dict]:
 
 
 def euler(sl: ComplexSlice) -> dict:
-    """Alternating sums of cell dimensions, per boundary count and total,
-    with the sign convention (-1)^E."""
+    """Alternating sums of cell dimensions over the edge range, per
+    boundary count and total, with the sign convention (-1)^E."""
     per_n: dict = {}
     total = 0
-    for (n, e), d in sl.cell_dims.items():
-        s = (-1) ** e * d
-        per_n[n] = per_n.get(n, 0) + s
-        total += s
+    for (n, e), (nonzero, _) in sl.cells.items():
+        if e >= sl.spec.e_min:
+            s = (-1) ** e * len(nonzero)
+            per_n[n] = per_n.get(n, 0) + s
+            total += s
     return {"total": total, "per_boundary": dict(sorted(per_n.items()))}
 
 

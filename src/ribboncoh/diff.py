@@ -18,29 +18,32 @@ join (the cut boundary keeps the piece through 2E in place and the piece
 through 2E+1 is appended).  The new half-edges carry the largest labels,
 so every other item keeps its least label and its place; the sign is +1
 for even parity and, for odd parity, the parity of re-sorting the one
-changed list by least label.  ``canonical.to_oriented_classes`` reads the
-sign of the term graph's reference off its optimal relabelings.
+changed list by least label.  A vertex split carries one more sign in
+odd parity, the Koszul factor (-1)^B: the orientation word lists vertices
+before boundaries, so the appended vertex crosses the whole boundary
+block.  ``split_terms`` folds it into the odd sign.
 
-Each move has one raw-term builder (``delta_terms``, ``bridge_terms``;
-the enumerator's vertex-split rounds use ``delta_terms`` too) and one
-image path: the raw term graphs do not depend on parity, so
+``term_coefficient`` is the one place a raw term's sign is read.
+
+Each move has one raw-term builder (``delta_terms``, ``bridge_terms``)
+and one image path: the raw term graphs do not depend on parity, so
 ``delta_images`` and ``bridge_images`` give a class's image in every
 parity asked for from one canonical pass per raw term, and ``delta`` and
 ``bridge`` ask for the class's own parity.  ``bridge`` gives the corner
 block of every mw table; ``delta`` serves the le2 tables and the check
-suites, and is the oracle of the other tables' vertex-split blocks, which
-``complexes.build`` reads off the enumerator's split rounds with the same
-signs (``_sign`` of the raw term, times its odd sign and (-1)^B for odd
-parity).  Every call returns a fresh image; the module keeps no state
-between calls.  A caller that applies them to the same class more than
-once memoizes the images itself (``checks.identity_suite``, one entry
-per canonical pair serving every parity in scope).
+suites, and is the oracle of the other tables' vertex-split blocks.
+Those are read off the enumerator's split rounds, whose terms come from
+``split_terms`` too and whose coefficients ``complexes`` takes from
+``term_coefficient``.  Every call returns a fresh image; the module keeps
+no state between calls.  A caller that applies them to the same class
+more than once memoizes the images itself (``checks.identity_suite``,
+one entry per canonical pair serving every parity in scope).
 """
 from __future__ import annotations
 
 from itertools import combinations
 
-from .canonical import ODD, OrientedClass, _order_sign, to_oriented_classes
+from .canonical import ODD, OrientedClass, _canonical_data, _order_sign, _sign
 from .ribbon import (
     RibbonGraph,
     boundaries,
@@ -195,35 +198,47 @@ def bridge_terms(g: RibbonGraph, odd: bool = False):
             yield out, _order_sign(keys)
 
 
-def _images(raw_terms, parities, odd_koszul: int = 1) -> dict[int, FormalSum]:
-    """Canonicalize each raw (graph, sign) term once and add it in every
-    parity of parities, signed by its reference's sign against the
-    canonical one, times (odd parity only) its raw sign and odd_koszul.
-    raw_terms carry the odd-parity sign when ODD is in parities."""
+def split_terms(g: RibbonGraph, min_arc: int = 1, odd: bool = False):
+    """``delta_terms(g, min_arc, odd)`` with the Koszul factor (-1)^B of
+    odd parity folded into each odd sign.  B is constant under delta,
+    leaving delta^2 = 0 untouched, while the cross terms with the
+    corner-connecting operator acquire the sign that makes the two
+    differentials anticommute."""
+    terms = delta_terms(g, min_arc, odd)
+    if odd and len(boundaries(g)) % 2:
+        return ((term, -sign) for term, sign in terms)
+    return terms
+
+
+def term_coefficient(term: RibbonGraph, parity: int, maps, odd_sign: int) -> int:
+    """Coefficient of a raw term on the canonical reference of its class
+    in parity: ``_sign`` of the term graph's reference against it, read
+    off the class's optimal relabelings maps, times the term's odd sign
+    for odd parity; 0 when the class is zero."""
+    sign = _sign(term, parity, maps)
+    return sign * odd_sign if parity == ODD else sign
+
+
+def _images(raw_terms, parities) -> dict[int, FormalSum]:
+    """Canonicalize each raw (graph, odd sign) term once and add it in
+    every parity of parities with its ``term_coefficient``.  raw_terms
+    carry the odd-parity sign when ODD is in parities."""
     out = {parity: FormalSum() for parity in parities}
     for g, odd_sign in raw_terms:
-        for cls, ref_sign in to_oriented_classes(g, parities):
-            sign = odd_koszul * odd_sign if cls.parity == ODD else 1
-            out[cls.parity].add_term(cls, sign * ref_sign)
+        (t0, t1), maps = _canonical_data(g.sigma0, g.sigma1)
+        for parity in parities:
+            cls = OrientedClass(t0, t1, parity, False)
+            out[parity].add_term(cls, term_coefficient(g, parity, maps, odd_sign))
     return out
 
 
 def delta_images(g: RibbonGraph, parities, min_arc: int = 1) -> dict[int, FormalSum]:
     """Vertex-splitting differential of g's class in each parity of
     parities (a dict keyed by parity), summed over the cuts of
-    ``delta_terms(g, min_arc)``.  On a ge3 class, min_arc = 2 gives its
+    ``split_terms(g, min_arc)``.  On a ge3 class, min_arc = 2 gives its
     image in the ge3 sector term by term; since ge3 is a subcomplex, that
-    equals the full image.
-
-    Odd parity carries a Koszul factor (-1)^B: the orientation word lists
-    vertices before boundaries, so the appended vertex crosses the whole
-    boundary block.  B is constant under delta, leaving delta^2 = 0
-    untouched, while the cross terms with the corner-connecting operator
-    acquire the sign that makes the two differentials anticommute.
-    """
-    odd = ODD in parities
-    odd_b = odd and len(boundaries(g)) % 2 == 1
-    return _images(delta_terms(g, min_arc, odd), parities, -1 if odd_b else 1)
+    equals the full image."""
+    return _images(split_terms(g, min_arc, ODD in parities), parities)
 
 
 def bridge_images(g: RibbonGraph, parities) -> dict[int, FormalSum]:

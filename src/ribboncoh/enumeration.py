@@ -31,7 +31,7 @@ from .canonical import (
     _zero_flag,
 )
 from .canonical import is_minimal_form  # noqa: F401  (perfbench/tracer.py reads this name)
-from .diff import _add_chord, delta_terms
+from .diff import _add_chord, split_terms
 from .ribbon import RibbonGraph, boundaries, orbits
 
 
@@ -95,7 +95,7 @@ def _chord_moves(layer, genus: int, n_boundaries: int):
                     yield out.sigma0, out.sigma1
 
 
-def _cell_maps(genus: int, n_boundaries: int, min_valence: int):
+def _cell_maps(genus: int, n_boundaries: int, min_valence: int, visit=None, odd: bool = False):
     """The closure rounds of one (genus, n_boundaries) chain at valence
     floor min_valence, as a generator that never ends: it yields (E,
     round) for E = 2g + n - 1, 2g + n, ..., where round maps canonical
@@ -106,7 +106,7 @@ def _cell_maps(genus: int, n_boundaries: int, min_valence: int):
     One-vertex maps of (genus, n_boundaries) have 2g + n - 1 edges and grow
     from the loop one chord at a time.  Each later round splits every class
     of the one before into two vertices joined by a new edge, both arcs of
-    at least min_valence - 1 darts (``diff.delta_terms``); every map with
+    at least min_valence - 1 darts (``diff.split_terms``); every map with
     V >= 2 contracts along a non-loop edge to a map of the same genus and
     boundaries, so the rounds miss nothing.  The one exception is the
     single edge (genus 0, one boundary), which contracts to no vertex at
@@ -115,10 +115,11 @@ def _cell_maps(genus: int, n_boundaries: int, min_valence: int):
     after the first split every class is within the floor; a one-vertex
     cell is consistent only when 2E >= min_valence.
 
-    A consumer that sends a function visit instead of calling next has it
-    called as visit(source, term, odd_sign, key, maps) on every split term
-    of the next round: the canonical pair it was split from, the raw term
-    graph with its odd-parity sign, and the term's canonical pair and
+    visit, when given, is called as visit(source, term, odd_sign, key,
+    maps) on every split term that is one of ``delta``'s terms (both arcs
+    non-empty): the canonical pair it was split from, the raw term graph
+    with its odd sign (from ``diff.split_terms``: computed only when odd
+    is true, +1 otherwise), and the term's canonical pair and
     relabelings.  Only the keys of a round are held while the next one is
     split, so a consumer that reads a round's relabelings reads them
     before it asks for the next round.
@@ -133,14 +134,15 @@ def _cell_maps(genus: int, n_boundaries: int, min_valence: int):
         e = 2 * genus + n_boundaries - 1
     min_arc = max(min_valence - 1, 0)
     while True:
-        visit = yield e, layer
+        yield e, layer
         sources, layer = tuple(layer), {}
+        x = 2 * e  # the new dart, a vertex of its own after an empty-arc cut
         for src in sources:
-            for term, odd_sign in delta_terms(RibbonGraph(*src), min_arc, visit is not None):
+            for term, odd_sign in split_terms(RibbonGraph(*src), min_arc, odd):
                 key, maps = _canonical_data(term.sigma0, term.sigma1)
                 if key not in layer:
                     layer[key] = maps
-                if visit is not None:
+                if visit is not None and term.sigma0[x] != x:
                     visit(src, term, odd_sign, key, maps)
         e += 1
 

@@ -109,9 +109,10 @@ def test_structural_suite_computes_no_raw_sign(monkeypatch):
 
 def _identity_suite_counting(monkeypatch, parities):
     """identity_suite(SMALL) in the given parities, with the number of
-    canonicalization passes it made and the parities it read signs in."""
+    canonicalization passes it made and the parities it read signs in
+    (the image path reads both in ``diff``)."""
     calls, sign_parities = [0], set()
-    real_data, real_sign = canonical._canonical_data, canonical._sign
+    real_data, real_sign = diff._canonical_data, diff._sign
 
     def counted_data(s0, s1):
         calls[0] += 1
@@ -124,8 +125,8 @@ def _identity_suite_counting(monkeypatch, parities):
     def no_odd_raw_sign(keys):
         raise AssertionError("odd raw sign computed")
 
-    monkeypatch.setattr(canonical, "_canonical_data", counted_data)
-    monkeypatch.setattr(canonical, "_sign", recorded_sign)
+    monkeypatch.setattr(diff, "_canonical_data", counted_data)
+    monkeypatch.setattr(diff, "_sign", recorded_sign)
     if ODD not in parities:
         monkeypatch.setattr(diff, "_order_sign", no_odd_raw_sign)
     report = identity_suite(replace(SMALL, parities=parities))

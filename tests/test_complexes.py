@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from ribboncoh import cli, complexes
+from ribboncoh import cli, complexes, diff
 from ribboncoh.cache import Cache
 from ribboncoh.canonical import EVEN, ODD
 from ribboncoh.diff import FormalSum, bridge, delta
@@ -210,6 +210,32 @@ def test_build_whose_entries_all_hit_runs_no_chain(tmp_path, monkeypatch):
     warm = build(spec, cache=cache)
     assert warm.bases == cold.bases and warm.matrices == cold.matrices
     assert cohomology(warm) == cohomology(cold)
+
+
+def test_sub_range_of_a_cached_range_runs_no_chain(tmp_path, monkeypatch):
+    # an entry serves every E range inside the range that wrote it
+    cache = Cache(str(tmp_path))
+    build(ComplexSpec("mw", 0, 0, "ge3", 1, 6), cache=cache)
+    sub = ComplexSpec("mw", 0, 0, "ge3", 2, 5)
+    fresh = build(sub)
+
+    def no_rounds(*args):
+        raise AssertionError("walked a chain for a cached sub-range")
+
+    monkeypatch.setattr(complexes, "_cell_maps", no_rounds)
+    warm = build(sub, cache=cache)
+    assert warm.bases == fresh.bases and warm.matrices == fresh.matrices
+
+
+def test_even_table_sorts_no_odd_raw_sign(monkeypatch):
+    # the odd raw signs of the chain's split terms and the corner terms are
+    # sorted only for an odd table
+    def no_odd_raw_sign(keys):
+        raise AssertionError("odd raw sign computed")
+
+    monkeypatch.setattr(diff, "_order_sign", no_odd_raw_sign)
+    sl = build(ComplexSpec("mw", 1, 0, "ge3", 2, 5))
+    assert any(m.nnz for m in sl.matrices.values())
 
 
 def test_one_missing_basis_entry_rebuilds_every_entry(tmp_path, capsys):
