@@ -17,21 +17,24 @@ a disconnected one raises ``DisconnectedGraph`` from the walk.
 
 Orientations depend on the parity of the degree-shift integer d: an
 edge order for d even; a vertex order, boundary order, and a direction
-per edge for d odd.  A graph has exactly two: its reference orientation,
-which orders every kind of item by least half-edge label and directs
-each edge from its smaller label, and the opposite one.  So an
-orientation is a sign against the graph's own reference, and no
-orientation is stored: the builders in ``diff`` hand each raw term over
-as (graph, sign).
+per edge for d odd.  An orientation is written as a *word* (items,
+edges): the items in order, each a kind (0 for a vertex cycle, 1 for a
+boundary walk) with its darts, then the directed edges in order.  An
+even word lists no items.  A graph's reference word lists every vertex,
+then every boundary, each kind by least half-edge label, and every edge
+by least label, directed from it (``reference_word``).  No orientation
+is stored: the builders in ``diff`` hand each raw term over as (graph,
+word).
 
-Sign rule: relabel the reference orientation by a relabeling lab; its
-sign against the reference of the relabeled graph is the parity of
-sorting its items by least label (edges for even parity; vertices and
-boundaries for odd parity, times -1 per edge (a, b) with
-lab[a] > lab[b]).  Zero rule: a class is zero when some automorphism
-reverses its orientation, that is, exactly when two optimal relabelings
-of the one canonicalization pass give different signs, since their
-quotient is an automorphism of the canonical graph.
+Sign rule (``word_sign``, the one reader of ribbon signs): relabel a
+word by an optimal relabeling lab of its graph; its sign against the
+reference word of the canonical graph is the parity of sorting its edges
+by least label for even parity, and for odd parity the parity of sorting
+its items by (kind, least label), times -1 per edge (a, b) with lab[a] >
+lab[b].  Zero rule: a class is zero when some automorphism reverses its
+orientation, that is, exactly when two optimal relabelings of the one
+canonicalization pass give different signs, since their quotient is an
+automorphism of the canonical graph.
 """
 from __future__ import annotations
 
@@ -145,28 +148,30 @@ def _order_sign(keys) -> int:
     return perm_sign(sorted(range(len(keys)), key=keys.__getitem__))
 
 
-def _sign(g: RibbonGraph, parity: int, maps) -> int:
-    """Sign of g's reference orientation against the canonical reference,
-    read off the optimal relabelings maps of one canonicalization pass.
-
-    Relabeled by lab, the reference's sign against the reference of the
-    relabeled graph is the parity of sorting its items by least label,
-    times -1 per edge directed from the larger label for odd parity.  The
-    result is 0 when two relabelings disagree, since their quotient is an
-    automorphism reversing the orientation."""
+def reference_word(g: RibbonGraph, parity: int):
+    """g's reference word in parity: edges only for even parity."""
     es = edges(g)
     if parity == EVEN:
-        signs = {_order_sign([min(lab[a], lab[b]) for a, b in es]) for lab in maps}
-        return signs.pop() if len(signs) == 1 else 0
-    vs = vertices(g)
-    bs = boundaries(g)
+        return (), es
+    return [(0, v) for v in vertices(g)] + [(1, b) for b in boundaries(g)], es
+
+
+def word_sign(word, parity: int, maps) -> int:
+    """Sign of the orientation word against the canonical reference, read
+    off the optimal relabelings maps of its graph's canonicalization pass.
+    The result is 0 when two relabelings disagree, since their quotient is
+    an automorphism reversing the orientation."""
+    items, es = word
     signs = set()
     for lab in maps:
-        sign = _order_sign([min(lab[h] for h in v) for v in vs])
-        sign *= _order_sign([min(lab[h] for h in b) for b in bs])
-        for a, b in es:
-            if lab[a] > lab[b]:
-                sign = -sign
+        if parity == EVEN:
+            sign = _order_sign([min(lab[a], lab[b]) for a, b in es])
+        else:
+            n = len(lab)
+            sign = _order_sign([kind * n + min(lab[h] for h in darts) for kind, darts in items])
+            for a, b in es:
+                if lab[a] > lab[b]:
+                    sign = -sign
         signs.add(sign)
     return signs.pop() if len(signs) == 1 else 0
 
@@ -207,19 +212,20 @@ def _zero_flag(canon: RibbonGraph, parity: int, maps: list) -> bool:
     inv = [0] * len(maps[0])
     for h, x in enumerate(maps[0]):
         inv[x] = h
-    return _sign(canon, parity, [[lab[h] for h in inv] for lab in maps]) == 0
+    auts = [[lab[h] for h in inv] for lab in maps]
+    return word_sign(reference_word(canon, parity), parity, auts) == 0
 
 
 def to_oriented_class(g: RibbonGraph, parity: int) -> tuple[OrientedClass, int]:
-    """Canonicalize and read the sign of g's reference orientation against
-    the canonical reference off the optimal relabelings (``_sign``).
+    """Canonicalize and read the sign of g's reference word against the
+    canonical reference off the optimal relabelings (``word_sign``).
 
     Returns the class and the sign; the sign is meaningless (and returned
     as +1) when the class is zero.  g is not validated: it comes from a
     builder or was checked on entry.
     """
     (t0, t1), maps = _canonical_data(g.sigma0, g.sigma1)
-    sign = _sign(g, parity, maps)
+    sign = word_sign(reference_word(g, parity), parity, maps)
     return OrientedClass(t0, t1, parity, sign == 0), sign or 1
 
 

@@ -19,7 +19,7 @@ the differential into it that the chain gives) and ``operator(cls)`` (the
 rest of the differential, assembled from whole layers).  For kp and mw
 in the full and ge3 sectors the chain is one walk of the enumerator's
 closure rounds, and the vertex-splitting block sums the coefficients
-(``diff.term_coefficient``) of the split terms that are ``delta``'s raw
+(``canonical.word_sign``) of the split terms that are ``delta``'s raw
 terms: so each split term is canonicalized once, and the layer below the
 range, which the walk passes through, costs nothing more.  The corner
 move of mw, the le2 sector and gc2 assemble from ``operator``.
@@ -38,8 +38,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cache import NO_CACHE, Cache
-from .canonical import EVEN, ODD
-from .diff import FormalSum, bridge, delta, term_coefficient
+from .canonical import EVEN, ODD, word_sign
+from .diff import FormalSum, bridge, delta
 from .enumeration import EnumSpec, _cell_maps, _split_by_zero, le2_classes
 from .linalg import DifferentialIdentityError, SparseIntMatrix, assemble, certified_rank
 
@@ -117,8 +117,8 @@ class ComplexSpec:
 
         In the full and ge3 sectors the cells are the rounds of one
         ``enumeration._cell_maps`` chain.  The walk hands each of
-        ``delta``'s terms to a visitor, which sums its
-        ``diff.term_coefficient`` into the block per (target, source)."""
+        ``delta``'s terms to a visitor, which sums the sign of its word
+        (``canonical.word_sign``) into the block per (target, source)."""
         lo, hi = self.e_min - 1, self.e_max
         if self.sector == "le2":
             for e in range(lo, hi + 1):
@@ -127,10 +127,10 @@ class ComplexSpec:
         parity = self.parity
         cols, targets = {}, {}  # the source round's column index; its block
 
-        def visit(src, term, odd_sign, key, maps):
+        def visit(src, word, key, maps):
             j = cols.get(src)
             if j is not None:
-                coeff = term_coefficient(term, parity, maps, odd_sign)
+                coeff = word_sign(word, parity, maps)
                 if coeff:
                     per = targets.get(key)
                     if per is None:

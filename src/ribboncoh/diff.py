@@ -7,23 +7,19 @@ corners of the same boundary, splitting that boundary in two; it raises
 the edge and boundary counts by one and keeps the genus.
 
 Sign conventions (the literature leaves them to a choice; the d^2 = 0 and
-anticommutation suites pin ours): an orientation is plus or minus the
-graph's own reference (``canonical``), so each raw term is a pair
-(graph, sign).  The term's orientation is the class's reference with the
-new edge {2E, 2E+1} appended last to the edge order for even parity.  For
-odd parity the new edge is directed from 2E, and only the one list the
-move cuts changes: the vertex list for a split (the cut vertex keeps
-arc_a in place and arc_b is appended) or the boundary list for a corner
-join (the cut boundary keeps the piece through 2E in place and the piece
-through 2E+1 is appended).  The new half-edges carry the largest labels,
-so every other item keeps its least label and its place; the sign is +1
-for even parity and, for odd parity, the parity of re-sorting the one
-changed list by least label.  A vertex split carries one more sign in
-odd parity, the Koszul factor (-1)^B: the orientation word lists vertices
-before boundaries, so the appended vertex crosses the whole boundary
-block.  ``split_terms`` folds it into the odd sign.
-
-``term_coefficient`` is the one place a raw term's sign is read.
+anticommutation suites pin ours): each raw term is a pair (graph, word),
+its orientation written as a word (``canonical``) built from the
+parent's reference word by one rule.  The new edge {2E, 2E+1} goes last,
+directed from 2E.  For odd parity the move cuts one item, a vertex for a
+split and a boundary for a corner join: the cut item keeps its place
+with the piece through 2E, and the piece through 2E+1 goes to the end of
+the word; every other item is the parent's, grown by the new darts that
+enter it.  So a split's new vertex lands after every boundary, which
+gives the split its factor (-1)^B against the vertices-then-boundaries
+reference: B is constant under delta, leaving delta^2 = 0 untouched,
+while the cross terms with the corner-connecting operator acquire the
+sign that makes the two differentials anticommute.  An even word lists
+only the edges, and ``canonical.word_sign`` reads every coefficient.
 
 Each move has one raw-term builder (``delta_terms``, ``bridge_terms``)
 and one image path: the raw term graphs do not depend on parity, so
@@ -33,8 +29,7 @@ parity asked for from one canonical pass per raw term, and ``delta`` and
 block of every mw table; ``delta`` serves the le2 tables and the check
 suites, and is the oracle of the other tables' vertex-split blocks.
 Those are read off the enumerator's split rounds, whose terms come from
-``split_terms`` too and whose coefficients ``complexes`` takes from
-``term_coefficient``.  Every call returns a fresh image; the module keeps
+``delta_terms`` too.  Every call returns a fresh image; the module keeps
 no state between calls.  A caller that applies them to the same class
 more than once memoizes the images itself (``checks.identity_suite``,
 one entry per canonical pair serving every parity in scope).
@@ -43,10 +38,11 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .canonical import ODD, OrientedClass, _canonical_data, _order_sign, _sign
+from .canonical import ODD, OrientedClass, _canonical_data, word_sign
 from .ribbon import (
     RibbonGraph,
     boundaries,
+    edges,
     min_valence,
     vertices,
 )
@@ -155,90 +151,80 @@ def _cuts(cyc: tuple, min_arc: int = 1):
 
 
 def delta_terms(g: RibbonGraph, min_arc: int = 1, odd: bool = False):
-    """Raw vertex-splitting terms of g's class: (graph, sign) pairs, one per
+    """Raw vertex-splitting terms of g's class: (graph, word) pairs, one per
     way of cutting a vertex cycle into two arcs of at least min_arc darts
-    (``_cuts``).  The sign is the odd-parity one when odd is true and +1
-    (the even-parity one) otherwise.  min_arc = 2 leaves out exactly the
-    terms with a bivalent vertex when g has none: the ge3 sector's valence
-    floor, applied at the cut."""
-    n = g.n_half_edges
+    (``_cuts``).  The word lists odd items only when odd is true and both
+    arcs are non-empty, which every term of ``delta`` has.  min_arc = 2
+    leaves out exactly the terms with a bivalent vertex when g has none:
+    the ge3 sector's valence floor, applied at the cut."""
+    x, y = g.n_half_edges, g.n_half_edges + 1
+    es = edges(g) + [(x, y)]
     verts = vertices(g)
-    parent_keys = [v[0] for v in verts]
+    items = [(0, v) for v in verts]
     for vi, cyc in enumerate(verts):
         for arc_a, arc_b in _cuts(cyc, min_arc):
             out = _split_graph(g, arc_a, arc_b)
-            if not odd:
-                yield out, 1
+            if not (odd and arc_a and arc_b):
+                yield out, ((), es)
                 continue
-            keys = parent_keys.copy()
-            keys[vi] = min(arc_a, default=n)
-            keys.append(min(arc_b, default=n + 1))
-            yield out, _order_sign(keys)
+            word = items.copy()
+            word[vi] = (0, arc_a + (x,))
+            word += [(1, b) for b in boundaries(out)]  # in the parent's order
+            word.append((0, arc_b + (y,)))
+            yield out, (word, es)
 
 
 def bridge_terms(g: RibbonGraph, odd: bool = False):
-    """Raw corner-joining terms of g's class, signed as in ``delta_terms``:
-    one per unordered pair of distinct corners on a common boundary.  The
-    chord splits that boundary's walk b at the corners p < q: with their
-    walk positions sorted to i < j, one piece is b[i:j] and the other the
-    rest, and the piece through 2E+1 starts at p."""
+    """Raw corner-joining terms of g's class, as ``delta_terms``: one per
+    unordered pair of distinct corners on a common boundary.  The chord
+    splits that boundary's walk b at the corners p < q: with their walk
+    positions sorted to i < j, one piece is b[i:j] and the other the rest,
+    and the piece through 2E+1 starts at p."""
+    x, y = g.n_half_edges, g.n_half_edges + 1
+    es = edges(g) + [(x, y)]
     bounds = boundaries(g)
+    if odd:
+        verts = vertices(g)
+        at = {h: i for i, v in enumerate(verts) for h in v}
+        items = [(0, v) for v in verts] + [(1, b) for b in bounds]
     for bi, b in enumerate(bounds):
         pos = {h: i for i, h in enumerate(b)}
         for p, q in combinations(sorted(b), 2):
             out = _add_chord(g, p, q)  # distinct corners of one boundary
             if not odd:
-                yield out, 1
+                yield out, ((), es)
                 continue
             i, j = sorted((pos[p], pos[q]))
-            inner, outer = min(b[i:j]), min(b[:i] + b[j:])
-            keys = [c[0] for c in bounds]
-            keys[bi], y_key = (outer, inner) if pos[p] == i else (inner, outer)
-            keys.append(y_key)
-            yield out, _order_sign(keys)
-
-
-def split_terms(g: RibbonGraph, min_arc: int = 1, odd: bool = False):
-    """``delta_terms(g, min_arc, odd)`` with the Koszul factor (-1)^B of
-    odd parity folded into each odd sign.  B is constant under delta,
-    leaving delta^2 = 0 untouched, while the cross terms with the
-    corner-connecting operator acquire the sign that makes the two
-    differentials anticommute."""
-    terms = delta_terms(g, min_arc, odd)
-    if odd and len(boundaries(g)) % 2:
-        return ((term, -sign) for term, sign in terms)
-    return terms
-
-
-def term_coefficient(term: RibbonGraph, parity: int, maps, odd_sign: int) -> int:
-    """Coefficient of a raw term on the canonical reference of its class
-    in parity: ``_sign`` of the term graph's reference against it, read
-    off the class's optimal relabelings maps, times the term's odd sign
-    for odd parity; 0 when the class is zero."""
-    sign = _sign(term, parity, maps)
-    return sign * odd_sign if parity == ODD else sign
+            inner, outer = b[i:j], b[j:] + b[:i]
+            piece_x, piece_y = (outer, inner) if pos[p] == i else (inner, outer)
+            word = items.copy()
+            for c, z in ((p, x), (q, y)):
+                word[at[c]] = (0, word[at[c]][1] + (z,))
+            word[len(verts) + bi] = (1, piece_x + (x,))
+            word.append((1, piece_y + (y,)))
+            yield out, (word, es)
 
 
 def _images(raw_terms, parities) -> dict[int, FormalSum]:
-    """Canonicalize each raw (graph, odd sign) term once and add it in
-    every parity of parities with its ``term_coefficient``.  raw_terms
-    carry the odd-parity sign when ODD is in parities."""
+    """Canonicalize each raw (graph, word) term once and add it in every
+    parity of parities with its ``word_sign``.  raw_terms carry odd items
+    when ODD is in parities."""
     out = {parity: FormalSum() for parity in parities}
-    for g, odd_sign in raw_terms:
+    for g, word in raw_terms:
         (t0, t1), maps = _canonical_data(g.sigma0, g.sigma1)
         for parity in parities:
             cls = OrientedClass(t0, t1, parity, False)
-            out[parity].add_term(cls, term_coefficient(g, parity, maps, odd_sign))
+            out[parity].add_term(cls, word_sign(word, parity, maps))
     return out
 
 
 def delta_images(g: RibbonGraph, parities, min_arc: int = 1) -> dict[int, FormalSum]:
     """Vertex-splitting differential of g's class in each parity of
     parities (a dict keyed by parity), summed over the cuts of
-    ``split_terms(g, min_arc)``.  On a ge3 class, min_arc = 2 gives its
+    ``delta_terms(g, min_arc)``.  On a ge3 class, min_arc = 2 gives its
     image in the ge3 sector term by term; since ge3 is a subcomplex, that
     equals the full image."""
-    return _images(split_terms(g, min_arc, ODD in parities), parities)
+    return _images(delta_terms(g, min_arc, ODD in parities), parities)
 
 
 def bridge_images(g: RibbonGraph, parities) -> dict[int, FormalSum]:

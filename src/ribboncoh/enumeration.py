@@ -31,7 +31,7 @@ from .canonical import (
     _zero_flag,
 )
 from .canonical import is_minimal_form  # noqa: F401  (perfbench/tracer.py reads this name)
-from .diff import _add_chord, split_terms
+from .diff import _add_chord, delta_terms
 from .ribbon import RibbonGraph, boundaries, orbits
 
 
@@ -106,7 +106,7 @@ def _cell_maps(genus: int, n_boundaries: int, min_valence: int, visit=None, odd:
     One-vertex maps of (genus, n_boundaries) have 2g + n - 1 edges and grow
     from the loop one chord at a time.  Each later round splits every class
     of the one before into two vertices joined by a new edge, both arcs of
-    at least min_valence - 1 darts (``diff.split_terms``); every map with
+    at least min_valence - 1 darts (``diff.delta_terms``); every map with
     V >= 2 contracts along a non-loop edge to a map of the same genus and
     boundaries, so the rounds miss nothing.  The one exception is the
     single edge (genus 0, one boundary), which contracts to no vertex at
@@ -115,12 +115,11 @@ def _cell_maps(genus: int, n_boundaries: int, min_valence: int, visit=None, odd:
     after the first split every class is within the floor; a one-vertex
     cell is consistent only when 2E >= min_valence.
 
-    visit, when given, is called as visit(source, term, odd_sign, key,
-    maps) on every split term that is one of ``delta``'s terms (both arcs
-    non-empty): the canonical pair it was split from, the raw term graph
-    with its odd sign (from ``diff.split_terms``: computed only when odd
-    is true, +1 otherwise), and the term's canonical pair and
-    relabelings.  Only the keys of a round are held while the next one is
+    visit, when given, is called as visit(source, word, key, maps) on
+    every split term that is one of ``delta``'s terms (both arcs
+    non-empty): the canonical pair it was split from, the term's
+    orientation word (from ``diff.delta_terms``, with odd items only when
+    odd is true), and the term's canonical pair and relabelings.  Only the keys of a round are held while the next one is
     split, so a consumer that reads a round's relabelings reads them
     before it asks for the next round.
     """
@@ -138,12 +137,12 @@ def _cell_maps(genus: int, n_boundaries: int, min_valence: int, visit=None, odd:
         sources, layer = tuple(layer), {}
         x = 2 * e  # the new dart, a vertex of its own after an empty-arc cut
         for src in sources:
-            for term, odd_sign in split_terms(RibbonGraph(*src), min_arc, odd):
+            for term, word in delta_terms(RibbonGraph(*src), min_arc, odd):
                 key, maps = _canonical_data(term.sigma0, term.sigma1)
                 if key not in layer:
                     layer[key] = maps
                 if visit is not None and term.sigma0[x] != x:
-                    visit(src, term, odd_sign, key, maps)
+                    visit(src, word, key, maps)
         e += 1
 
 

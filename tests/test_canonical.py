@@ -9,12 +9,13 @@ from ribboncoh.canonical import (
     EVEN,
     ODD,
     _canonical_data,
-    _sign,
     _zero_flag,
     class_of,
     is_minimal_form,
     perm_sign,
+    reference_word,
     to_oriented_class,
+    word_sign,
 )
 from ribboncoh.checks import CheckBounds, iter_generators
 from ribboncoh.diff import _add_chord, _cuts, bridge_terms, delta_terms
@@ -347,37 +348,40 @@ def _bridge_payloads(x):
             )
 
 
-def _check_raw_term(out, sign, payload, parity):
-    # the builder's sign is the payload's sign against the term graph's
-    # reference; times that reference's sign against the canonical one, it
-    # is the payload transported to the canonical graph
-    assert sign == _oracle_sign(payload, _reference(out, parity))
-    cls, ref_sign = to_oriented_class(out, parity)
-    if cls.zero_flag:
-        return
+def _check_raw_term(out, word, payload, parity, koszul=1):
+    # the word's sign against the canonical reference is the payload
+    # transported to the canonical graph, times koszul; 0 on a zero class
+    cls, _ = to_oriented_class(out, parity)
     _, maps = _canonical_data(out.sigma0, out.sigma1)
+    if cls.zero_flag:
+        assert word_sign(word, parity, maps) == 0
+        return
     canon_ref = _reference(cls.graph, parity)
-    assert sign * ref_sign == _oracle_sign(_oracle_transport(payload, maps[0]), canon_ref)
+    want = _oracle_sign(_oracle_transport(payload, maps[0]), canon_ref)
+    assert word_sign(word, parity, maps) == koszul * want
 
 
 def test_raw_term_signs_match_payload_oracle():
     # every full and ge3 generator with E <= 4, g <= 2, both parities:
-    # each raw term of delta and bridge carries, as one sign, the explicit
-    # orientation payload the term is defined by
+    # each raw term of delta and bridge carries, as one word, the explicit
+    # orientation payload the term is defined by; an odd split also carries
+    # the Koszul factor (-1)^B, since its word lists the new vertex after
+    # every boundary
     bounds = CheckBounds(g_max=2, e_max_full=4, e_max_ge3=4, e_max_le2=4)
     n_terms = 0
     for spec, x in iter_generators(bounds):
         min_arc = 2 if spec.min_valence == 3 else 1
+        koszul = (-1) ** len(boundaries(x.graph)) if x.parity == ODD else 1
         terms = list(delta_terms(x.graph, min_arc, x.parity == ODD))
         payloads = list(_delta_payloads(x, min_arc, [out for out, _ in terms]))
-        for (out, sign), payload in zip(terms, payloads):
-            _check_raw_term(out, sign, payload, x.parity)
+        for (out, word), payload in zip(terms, payloads):
+            _check_raw_term(out, word, payload, x.parity, koszul)
         terms = list(bridge_terms(x.graph, x.parity == ODD))
         payloads = list(_bridge_payloads(x))
         assert len(terms) == len(payloads)
-        for (out, sign), (want_out, payload) in zip(terms, payloads):
+        for (out, word), (want_out, payload) in zip(terms, payloads):
             assert out == want_out
-            _check_raw_term(out, sign, payload, x.parity)
+            _check_raw_term(out, word, payload, x.parity)
         n_terms += len(payloads) + len(terms)
     assert n_terms > 1000
 
@@ -394,19 +398,20 @@ def test_orientation_sign_values(named_graphs):
             ref = _reference(g, parity)
             for a in automorphisms(g):
                 want = _oracle_sign(_oracle_transport(ref, a), ref)
-                assert _sign(g, parity, [a]) == want
+                assert word_sign(reference_word(g, parity), parity, [a]) == want
 
 
 def test_orientation_sign_is_multiplicative(theta0, dumbbell):
     for g in (theta0, dumbbell):
         for parity in (EVEN, ODD):
+            word = reference_word(g, parity)
             auts = automorphisms(g)
             for a in auts:
                 for b in auts:
                     ab = tuple(a[b[h]] for h in range(g.n_half_edges))
-                    assert _sign(g, parity, [ab]) == _sign(g, parity, [a]) * _sign(
-                        g, parity, [b]
-                    )
+                    assert word_sign(word, parity, [ab]) == word_sign(
+                        word, parity, [a]
+                    ) * word_sign(word, parity, [b])
 
 
 def test_zero_class_sign_is_one(theta0):

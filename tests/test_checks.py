@@ -27,8 +27,8 @@ def test_bounds_serialization():
 
 @pytest.mark.parametrize("parities", [(2,), (), (EVEN, EVEN), [EVEN, ODD]])
 def test_bounds_reject_bad_parities(parities):
-    # parity 2 would take the odd raw signs without the Koszul factor and
-    # fail the identity suite falsely, () would pass it with no generator,
+    # parity 2 would read words without odd items as odd ones and fail
+    # the identity suite falsely, () would pass it with no generator,
     # and a repeated parity would check every generator twice
     with pytest.raises(ValueError, match="parities"):
         replace(SMALL, parities=parities)
@@ -96,13 +96,22 @@ def test_images_do_not_depend_on_parity_scope():
                 assert both[p] == images(x.graph, (p,))[p]
 
 
-def test_structural_suite_computes_no_raw_sign(monkeypatch):
-    # the structural suite reads only the term graphs, so it never needs
-    # the odd-parity raw signs, not even for odd generators
-    def no_raw_sign(keys):
-        raise AssertionError("raw sign computed")
+def _no_odd_items(builder):
+    """builder, failing on any word it yields that lists odd items."""
 
-    monkeypatch.setattr(diff, "_order_sign", no_raw_sign)
+    def checked(*args):
+        for term, word in builder(*args):
+            assert not word[0], "odd items listed"
+            yield term, word
+
+    return checked
+
+
+def test_structural_suite_lists_no_odd_items(monkeypatch):
+    # the structural suite reads only the term graphs, so its builders never
+    # list the odd items of a word, not even for odd generators
+    monkeypatch.setattr(checks, "delta_terms", _no_odd_items(diff.delta_terms))
+    monkeypatch.setattr(checks, "bridge_terms", _no_odd_items(diff.bridge_terms))
     for parities in ((EVEN,), (ODD,)):
         assert structural_suite(replace(SMALL, parities=parities))["passed"]
 
@@ -110,25 +119,22 @@ def test_structural_suite_computes_no_raw_sign(monkeypatch):
 def _identity_suite_counting(monkeypatch, parities):
     """identity_suite(SMALL) in the given parities, with the number of
     canonicalization passes it made and the parities it read signs in
-    (the image path reads both in ``diff``)."""
+    (the image path reads both in ``diff``).  Without ODD in parities, a
+    word that lists odd items fails it."""
     calls, sign_parities = [0], set()
-    real_data, real_sign = diff._canonical_data, diff._sign
+    real_data, real_sign = diff._canonical_data, diff.word_sign
 
     def counted_data(s0, s1):
         calls[0] += 1
         return real_data(s0, s1)
 
-    def recorded_sign(g, parity, maps):
+    def recorded_sign(word, parity, maps):
         sign_parities.add(parity)
-        return real_sign(g, parity, maps)
-
-    def no_odd_raw_sign(keys):
-        raise AssertionError("odd raw sign computed")
+        assert ODD in parities or not word[0], "odd items listed"
+        return real_sign(word, parity, maps)
 
     monkeypatch.setattr(diff, "_canonical_data", counted_data)
-    monkeypatch.setattr(diff, "_sign", recorded_sign)
-    if ODD not in parities:
-        monkeypatch.setattr(diff, "_order_sign", no_odd_raw_sign)
+    monkeypatch.setattr(diff, "word_sign", recorded_sign)
     report = identity_suite(replace(SMALL, parities=parities))
     monkeypatch.undo()
     assert report["passed"] and report["generators"] > 0

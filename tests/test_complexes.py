@@ -7,7 +7,7 @@ import pytest
 
 from ribboncoh import cli, complexes, diff
 from ribboncoh.cache import Cache
-from ribboncoh.canonical import EVEN, ODD
+from ribboncoh.canonical import EVEN, ODD, word_sign
 from ribboncoh.diff import FormalSum, bridge, delta
 from ribboncoh.linalg import DifferentialIdentityError, SparseIntMatrix, assemble
 from ribboncoh.ribbon import boundaries
@@ -227,13 +227,15 @@ def test_sub_range_of_a_cached_range_runs_no_chain(tmp_path, monkeypatch):
     assert warm.bases == fresh.bases and warm.matrices == fresh.matrices
 
 
-def test_even_table_sorts_no_odd_raw_sign(monkeypatch):
-    # the odd raw signs of the chain's split terms and the corner terms are
-    # sorted only for an odd table
-    def no_odd_raw_sign(keys):
-        raise AssertionError("odd raw sign computed")
+def test_even_table_lists_no_odd_items(monkeypatch):
+    # the words of the chain's split terms and of the corner terms list odd
+    # items only for an odd table
+    def even_sign(word, parity, maps):
+        assert not word[0], "odd items listed"
+        return word_sign(word, parity, maps)
 
-    monkeypatch.setattr(diff, "_order_sign", no_odd_raw_sign)
+    monkeypatch.setattr(complexes, "word_sign", even_sign)
+    monkeypatch.setattr(diff, "word_sign", even_sign)
     sl = build(ComplexSpec("mw", 1, 0, "ge3", 2, 5))
     assert any(m.nnz for m in sl.matrices.values())
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ribboncoh import ribbon
 from ribboncoh.canonical import EVEN, ODD, class_of
 from ribboncoh.diff import (
     _add_chord,
@@ -11,8 +12,10 @@ from ribboncoh.diff import (
     FormalSum,
     apply_linear,
     bridge,
+    bridge_images,
     bridge_terms,
     delta,
+    delta_images,
     delta_terms,
     project_ge3,
 )
@@ -40,6 +43,36 @@ def small_generators(parity):
 @pytest.fixture(scope="module", params=(EVEN, ODD), ids=("even", "odd"))
 def generators(request):
     return small_generators(request.param)
+
+
+def test_images_walk_each_parent_a_fixed_number_of_times(monkeypatch):
+    # the builders list a parent's cycles once and build each term's word
+    # from them: the images walk a fixed number of orbits per parent,
+    # whatever its term count, but for at most one per odd split term
+    graphs = [cls.graph for parity in (EVEN, ODD) for cls in small_generators(parity)]
+    calls = [0]
+    real = ribbon.orbits
+
+    def counted(images):
+        calls[0] += 1
+        return real(images)
+
+    def walks(images, g, parities):
+        calls[0] = 0
+        images(g, parities)
+        return calls[0]
+
+    monkeypatch.setattr(ribbon, "orbits", counted)
+    fixed = {(delta_images, EVEN): set(), (bridge_images, EVEN): set(), (bridge_images, ODD): set()}
+    term_counts = set()
+    for g in graphs:
+        for images, parity in fixed:
+            fixed[images, parity].add(walks(images, g, (parity,)))
+        n_splits = len(list(delta_terms(g)))
+        term_counts.add((n_splits, len(list(bridge_terms(g)))))
+        assert walks(delta_images, g, (ODD,)) <= walks(delta_images, g, (EVEN,)) + n_splits
+    assert len(term_counts) > 5
+    assert all(len(counts) == 1 for counts in fixed.values())
 
 
 def test_attach_edge_shape(theta1):

@@ -5,6 +5,7 @@ from math import factorial
 
 import pytest
 
+from ribboncoh import diff, enumeration
 from ribboncoh.canonical import EVEN, ODD
 from ribboncoh.enumeration import (
     EnumSpec,
@@ -158,6 +159,28 @@ def _round(genus: int, n: int, e: int, mv: int) -> dict:
         if edges >= e:
             assert edges == e, (genus, n, e)
             return layer
+
+
+def test_empty_arc_cut_lists_no_odd_items(monkeypatch):
+    # the full-sector closure walk also cuts empty arcs, whose terms are not
+    # delta's: in an odd walk their words list no odd items, and the word
+    # of every term the visitor reads does
+    words, visited = [], []
+
+    def recorded(g, min_arc, odd):
+        for term, word in diff.delta_terms(g, min_arc, odd):
+            words.append((term, word))
+            yield term, word
+
+    monkeypatch.setattr(enumeration, "delta_terms", recorded)
+    rounds = _cell_maps(0, 1, 1, lambda src, word, key, maps: visited.append(word), True)
+    while next(rounds)[0] < 4:  # splits the rounds E = 1, 2, 3
+        pass
+    new_dart = [term.n_half_edges - 2 for term, _ in words]  # 2E, alone after an empty-arc cut
+    empty = [word for (term, word), x in zip(words, new_dart) if term.sigma0[x] == x]
+    assert empty and not any(items for items, _ in empty)
+    assert len(visited) == len(words) - len(empty)
+    assert all(items for items, _ in visited)
 
 
 def test_rooted_map_recurrence_values():
