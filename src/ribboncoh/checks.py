@@ -15,8 +15,10 @@ from fractions import Fraction
 import random
 
 from .canonical import EVEN, ODD
+from .complexes import ComplexSpec, build
 from .diff import (
     apply_linear,
+    bridge,
     bridge_images,
     bridge_terms,
     delta,
@@ -93,23 +95,13 @@ def iter_generators(bounds: CheckBounds):
             yield spec, cls
 
 
-def _spec_json(spec: EnumSpec) -> dict:
-    return {
-        "genus": spec.genus,
-        "boundaries": spec.boundaries,
-        "edges": spec.edges,
-        "min_valence": spec.min_valence,
-        "parity": spec.parity,
-    }
-
-
 def _violation(suite: str, spec: EnumSpec, cls, detail: str) -> dict:
-    return {
-        "suite": suite,
-        "spec": _spec_json(spec),
-        "generator": cls.content_hash(),
-        "detail": detail,
-    }
+    return {"suite": suite, "spec": asdict(spec), "generator": cls.content_hash(), "detail": detail}
+
+
+def _report(suite: str, violations: list, **counts) -> dict:
+    """A suite's report: its name, counts, violations and verdict."""
+    return {"suite": suite, **counts, "violations": violations, "passed": not violations}
 
 
 def _memoized(images_of, parities):
@@ -153,13 +145,7 @@ def identity_suite(bounds: CheckBounds) -> dict:
         return out
 
     violations = [v for item in gens for v in check(item)]
-    return {
-        "suite": "identities",
-        "bounds": bounds.to_json(),
-        "generators": len(gens),
-        "violations": violations,
-        "passed": not violations,
-    }
+    return _report("identities", violations, bounds=bounds.to_json(), generators=len(gens))
 
 
 def structural_suite(bounds: CheckBounds) -> dict:
@@ -192,13 +178,7 @@ def structural_suite(bounds: CheckBounds) -> dict:
         return out
 
     violations = [v for item in gens for v in check(item)]
-    return {
-        "suite": "structural",
-        "bounds": bounds.to_json(),
-        "generators": len(gens),
-        "violations": violations,
-        "passed": not violations,
-    }
+    return _report("structural", violations, bounds=bounds.to_json(), generators=len(gens))
 
 
 def oracle_suite(bounds: CheckBounds) -> dict:
@@ -215,32 +195,15 @@ def oracle_suite(bounds: CheckBounds) -> dict:
         fast_nz, fast_zero = enumerate_classes(spec)
         slow_nz, slow_zero = enumerate_bruteforce(spec)
         if [c.content_hash() for c in fast_nz] != [c.content_hash() for c in slow_nz]:
-            return [
-                {
-                    "suite": "enumeration_oracle",
-                    "spec": _spec_json(spec),
-                    "detail": "class sets differ: %d fast vs %d brute"
-                    % (len(fast_nz), len(slow_nz)),
-                }
-            ]
-        if fast_zero != slow_zero:
-            return [
-                {
-                    "suite": "enumeration_oracle",
-                    "spec": _spec_json(spec),
-                    "detail": "zero-class counts differ: %d vs %d" % (fast_zero, slow_zero),
-                }
-            ]
-        return []
+            detail = "class sets differ: %d fast vs %d brute" % (len(fast_nz), len(slow_nz))
+        elif fast_zero != slow_zero:
+            detail = "zero-class counts differ: %d vs %d" % (fast_zero, slow_zero)
+        else:
+            return []
+        return [{"suite": "enumeration_oracle", "spec": asdict(spec), "detail": detail}]
 
     violations = [v for spec in specs for v in check(spec)]
-    return {
-        "suite": "enumeration_oracle",
-        "bounds": bounds.to_json(),
-        "specs": len(specs),
-        "violations": violations,
-        "passed": not violations,
-    }
+    return _report("enumeration_oracle", violations, bounds=bounds.to_json(), specs=len(specs))
 
 
 def _dense_fraction_rank(m: SparseIntMatrix) -> int:
@@ -268,8 +231,9 @@ def _dense_fraction_rank(m: SparseIntMatrix) -> int:
 
 def rank_suite(trials: int = 40, seed: int = 20240901) -> dict:
     """Sparse fraction-free rank versus dense rational elimination and
-    two-prime modular ranks on seeded random matrices, plus one assembled
-    differential matrix."""
+    two-prime modular ranks on seeded random matrices, plus one differential
+    matrix that ``complexes.build`` gives, which must also equal the matrix
+    that the oracles ``delta`` and ``bridge`` assemble on its bases."""
     rng = random.Random(seed)
     mats = []
     for _ in range(trials):
@@ -279,9 +243,11 @@ def rank_suite(trials: int = 40, seed: int = 20240901) -> dict:
         for _ in range(rng.randint(0, max(rows * cols // 2, 0))):
             ent[(rng.randrange(rows), rng.randrange(cols))] = rng.randint(-20, 20)
         mats.append(SparseIntMatrix(rows, cols, tuple((r, c, v) for (r, c), v in ent.items())))
-    dom, _ = enumerate_classes(EnumSpec(1, 1, 3, 3, EVEN))
-    codom, _ = enumerate_classes(EnumSpec(1, 1, 4, 3, EVEN))
-    mats.append(assemble(dom, codom, delta))
+    # mw (g, d) = (1, 1) ge3 E 4 -> 5, 119x12, odd, with split and corner
+    # entries: d^2 = 0 holds with either block's sign flipped, the oracle not
+    sl = build(ComplexSpec("mw", 1, 1, "ge3", 3, 5))
+    mats.append(sl.matrices[4])
+    oracle = assemble(sl.bases[4], sl.bases[5], lambda c: delta(c, 2) + bridge(c))
 
     def check(m):
         r = rank(m)
@@ -296,12 +262,9 @@ def rank_suite(trials: int = 40, seed: int = 20240901) -> dict:
         return out
 
     violations = [v for m in mats for v in check(m)]
-    return {
-        "suite": "rank_oracle",
-        "matrices": len(mats),
-        "violations": violations,
-        "passed": not violations,
-    }
+    if sl.matrices[4] != oracle:
+        violations.append({"suite": "rank_oracle", "detail": "built matrix differs from delta + bridge"})
+    return _report("rank_oracle", violations, matrices=len(mats))
 
 
 def run_check(bounds: CheckBounds) -> dict:

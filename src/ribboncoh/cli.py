@@ -25,7 +25,7 @@ from .complexes import (
     render_table,
 )
 from .enumeration import EnumSpec, enumerate_classes, le2_classes
-from .linalg import DifferentialIdentityError
+from .linalg import AssemblyError, DifferentialIdentityError
 from .ribbon import RibbonGraph, check_valid, to_dot
 from .samples import NAMED
 
@@ -289,6 +289,9 @@ def main(argv=None) -> int:
         return 2
     except DifferentialIdentityError as exc:
         print("identity failure: %s" % exc, file=sys.stderr)
+        return 1
+    except AssemblyError as exc:
+        print("assembly failure: %s" % exc, file=sys.stderr)
         return 1
 
 

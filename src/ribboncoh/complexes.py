@@ -13,16 +13,18 @@ Two ribbon complex kinds share the machinery:
 
 The ordinary graph complex of ``gc2`` goes through the same ``build`` and
 ``cohomology``.  A spec of either flavor gives ``possible(n, e)``
-(whether counting alone leaves the cell room for a graph), ``chain(n)``
-(each cell of boundary count, or loop order, n in turn, with the block of
-the differential into it that the chain gives) and ``operator(cls)`` (the
-rest of the differential, assembled from whole layers).  For kp and mw
-in the full and ge3 sectors the chain is one walk of the enumerator's
-closure rounds, and the vertex-splitting block sums the coefficients
-(``canonical.word_sign``) of the split terms that are ``delta``'s raw
-terms: so each split term is canonicalized once, and the layer below the
-range, which the walk passes through, costs nothing more.  The corner
-move of mw, the le2 sector and gc2 assemble from ``operator``.
+(whether counting alone leaves the cell room for a graph) and
+``chain(n, below)``: each cell of boundary count, or loop order, n in
+turn, with every block of the differential into it.  One accumulator
+(``_add``) sums every ribbon block from ``diff``'s raw terms (graph,
+word), each term's coefficient the sign of its word
+(``canonical.word_sign``).  For kp and mw in the full and ge3 sectors the
+chain is one walk of the enumerator's closure rounds, and the vertex
+split takes the walk's split terms, which are ``delta``'s: so each split
+term is canonicalized once, and the layer below the range, which the walk
+passes through, costs nothing more.  le2's split takes ``delta_terms`` of
+the cell below, and mw's corner move ``bridge_terms``.  ``diff.delta``
+and ``diff.bridge`` are the oracles that built blocks are checked against.
 
 Cells are graded by edge count; the cohomological degree of a generator
 is k = -2 g d + E, with only parity(d) entering sign conventions.
@@ -38,10 +40,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cache import NO_CACHE, Cache
-from .canonical import EVEN, ODD, word_sign
-from .diff import FormalSum, bridge, delta
+from .canonical import EVEN, ODD, OrientedClass, _canonical_data, word_sign
+from .diff import bridge_terms, delta_terms
 from .enumeration import EnumSpec, _cell_maps, _split_by_zero, le2_classes
-from .linalg import DifferentialIdentityError, SparseIntMatrix, assemble, certified_rank
+from .linalg import AssemblyError, DifferentialIdentityError, SparseIntMatrix, certified_rank
 
 KINDS = ("kp", "mw")
 SECTORS = ("full", "ge3", "le2")
@@ -107,72 +109,102 @@ class ComplexSpec:
         # polygons (g=0, n=2)
         return self.sector != "le2" or (self.genus, n) in ((0, 1), (0, 2))
 
-    def chain(self, n: int):
-        """(e, (nonzero, zero), block) for e from e_min - 1 to e_max: the
-        (n, e) cell's nonzero classes and zero-class count, and the block
-        of the vertex split from the (n, e - 1) cell into it as (row, col,
-        coeff) triples within the two cells.  block is None at e_min and
-        below, and in the le2 sector, whose cells are built directly and
-        whose differential comes from ``operator``.
-
-        In the full and ge3 sectors the cells are the rounds of one
-        ``enumeration._cell_maps`` chain.  The walk hands each of
-        ``delta``'s terms to a visitor, which sums the sign of its word
-        (``canonical.word_sign``) into the block per (target, source)."""
-        lo, hi = self.e_min - 1, self.e_max
-        if self.sector == "le2":
-            for e in range(lo, hi + 1):
-                yield e, le2_classes(EnumSpec(self.genus, n, e, 1, self.parity)), None
-            return
-        parity = self.parity
-        cols, targets = {}, {}  # the source round's column index; its block
+    def chain(self, n: int, below: dict):
+        """(e, (nonzero, zero), blocks) for e from e_min - 1 to e_max: the
+        (n, e) cell's nonzero classes and zero-class count, and the blocks
+        of the differential into it from E=e_min on, keyed by the boundary
+        count m of their source cell (m, e - 1), as (row, col, coeff)
+        triples within the two cells.  The vertex split comes from the
+        (n, e - 1) cell: from the split terms of the chain's rounds
+        (``_rounds``), or in the le2 sector, whose cells are built directly,
+        from ``delta_terms``.  mw's corner move comes from ``bridge_terms``
+        of the (n - 1, e - 1) cell, which below, the cells walked so far,
+        holds."""
+        parity, odd = self.parity, self.parity == ODD
+        prev, cols, split = [], {}, {}  # the source cell, its column index; the split block
 
         def visit(src, word, key, maps):
             j = cols.get(src)
             if j is not None:
-                coeff = word_sign(word, parity, maps)
-                if coeff:
-                    per = targets.get(key)
-                    if per is None:
-                        per = targets[key] = {}
-                    per[j] = per.get(j, 0) + coeff
+                _add(split, j, word, key, maps, parity)
 
-        rounds = _cell_maps(self.genus, n, self.min_valence, visit, parity == ODD)
+        if self.sector == "le2":
+            es = range(self.e_min - 1, self.e_max + 1)
+            cells = ((e, le2_classes(EnumSpec(self.genus, n, e, 1, parity))) for e in es)
+        else:
+            cells = self._rounds(n, visit)
+        for e, cell in cells:
+            blocks = {}
+            if e > self.e_min:
+                rows = {(c.sigma0, c.sigma1): i for i, c in enumerate(cell[0])}
+                if self.sector == "le2":
+                    split = _terms_block(prev, lambda g: delta_terms(g, 1, odd), parity)
+                blocks[n] = _place(split, rows, parity)
+                source = below.get((n - 1, e - 1))
+                if self.kind == "mw" and source:
+                    corner = _terms_block(source[0], lambda g: bridge_terms(g, odd), parity)
+                    blocks[n - 1] = _place(corner, rows, parity)
+            yield e, cell, blocks
+            if e >= self.e_min:  # blocks from E=e_min on
+                prev, cols = cell[0], {(c.sigma0, c.sigma1): j for j, c in enumerate(cell[0])}
+            split = {}
+
+    def _rounds(self, n: int, visit):
+        """(e, (nonzero, zero)) for e from e_min - 1 to e_max, from the
+        rounds of one ``enumeration._cell_maps`` chain, whose walk hands
+        each of ``delta``'s terms to visit."""
+        lo, hi = self.e_min - 1, self.e_max
+        rounds = _cell_maps(self.genus, n, self.min_valence, visit, self.parity == ODD)
         e, layer = next(rounds)
         while e < lo:  # rounds below the range are grown, not read
             e, layer = next(rounds)
         for empty in range(lo, min(e, hi + 1)):  # below the chain's seeds
-            yield empty, ([], 0), None
+            yield empty, ([], 0)
         while e <= hi:
-            cell = _split_by_zero(layer, parity) if self.possible(n, e) else ([], 0)
+            cell = _split_by_zero(layer, self.parity) if self.possible(n, e) else ([], 0)
             layer = None  # the generator holds only the keys while it splits
-            block = None
-            if e > self.e_min:
-                rows = {(c.sigma0, c.sigma1): i for i, c in enumerate(cell[0])}
-                block = [(rows[key], j, v) for key, per in targets.items() for j, v in per.items()]
-            yield e, cell, block
+            yield e, cell
             if e == hi:
                 return
-            if e >= self.e_min:  # blocks from E=e_min on
-                cols = {(c.sigma0, c.sigma1): j for j, c in enumerate(cell[0])}
-            targets = {}
             e, layer = next(rounds)
 
-    def operator(self, cls):
-        """The part of the differential that ``chain`` does not give,
-        assembled from whole layers: the corner move of mw, and the vertex
-        split of the le2 sector, whose cells have no chain.  Both arcs of
-        its cut carry at least one dart."""
-        if self.sector == "le2":
-            return delta(cls)
-        return bridge(cls) if self.kind == "mw" else FormalSum()
+
+def _add(block: dict, j: int, word, key, maps, parity: int) -> None:
+    """Add a raw term of column j's class to block, target canonical pair
+    -> {column: coefficient}: the sign of its word read off the
+    relabelings maps of its canonical pair key (``canonical.word_sign``)."""
+    coeff = word_sign(word, parity, maps)
+    if coeff:
+        per = block.setdefault(key, {})
+        per[j] = per.get(j, 0) + coeff
+
+
+def _terms_block(classes, terms_of, parity: int) -> dict:
+    """The block (``_add``) of the raw terms that terms_of(graph) gives on
+    classes, each canonicalized on its own; column j is classes[j]."""
+    block: dict = {}
+    for j, cls in enumerate(classes):
+        for g, word in terms_of(cls.graph):
+            _add(block, j, word, *_canonical_data(g.sigma0, g.sigma1), parity)
+    return block
+
+
+def _place(block: dict, rows: dict, parity: int) -> list:
+    """block as (row, col, coeff) triples, rows mapping a canonical pair to
+    its row.  A target outside rows is a hard error (the cell is
+    under-enumerated)."""
+    try:
+        return [(rows[key], j, v) for key, per in block.items() for j, v in per.items()]
+    except KeyError as miss:
+        cls = OrientedClass(*miss.args[0], parity, False)
+        raise AssemblyError("image class %s not in codomain basis" % cls.content_hash()) from None
 
 
 @dataclass
 class ComplexSlice:
     spec: ComplexSpec  # or gc2.GCSpec: build() reads e_min, e_max, cells,
-                       # possible, chain, operator; cohomology() reads e_min,
-                       # e_max, degree, cells, possible
+                       # possible, chain; cohomology() reads e_min, e_max,
+                       # degree, cells, possible
     cells: dict     # (n, e) -> (nonzero classes, zero count), e_min - 1 <= e <= e_max
     matrices: dict  # e -> matrix basis[e] -> basis[e+1]
     bases: dict     # e -> [OrientedClass], e_min <= e <= e_max
@@ -239,28 +271,29 @@ def _walk(spec):
     """(cells, matrices): (n, e) -> (nonzero classes, zero count) for every
     cell from e_min - 1 to e_max, and e -> the differential's block from
     E=e, from one walk of each boundary count's chain (``spec.chain``).
-    The chains' blocks are placed by cell offset, and the rest of the
-    differential is assembled from ``spec.operator`` over whole layers."""
-    cells = {}
+    The chains run in increasing boundary count, so each finds the cells
+    of the ones before in cells, and their blocks are placed by cell
+    offset."""
+    cells, ids = {}, {}  # ids: (n, e) -> the cell's rows in bases[e]
     placed: dict = {}  # e -> classes of bases[e] in the cells walked so far
     entries: dict = {e: [] for e in range(spec.e_min, spec.e_max)}
     ns = {n for e in range(spec.e_min - 1, spec.e_max + 1) for n in spec.cells(e)}
     for n in sorted(ns):  # spec.cells(e) lists boundary counts in increasing order
-        prev = None
-        for e, cell, block in spec.chain(n):
+        for e, cell, blocks in spec.chain(n, cells):
             if n not in spec.cells(e):
                 continue
             cells[(n, e)] = cell
             start = placed.get(e, 0)
-            ids = list(range(start, start + len(cell[0])))  # one int object per class
-            placed[e] = start + len(ids)
-            if block:
-                entries[e - 1].extend((ids[r], prev[c], v) for r, c, v in block)
-            prev = ids
-    matrices = {}
-    for e in range(spec.e_min, spec.e_max):
-        rest = assemble(_layer(spec, cells, e), _layer(spec, cells, e + 1), spec.operator)
-        matrices[e] = SparseIntMatrix(rest.rows, rest.cols, tuple(entries.pop(e)) + rest.entries)
+            rows = ids[(n, e)] = list(range(start, start + len(cell[0])))  # one int object per class
+            placed[e] = start + len(rows)
+            for m, block in blocks.items():
+                if block:  # a source cell outside spec.cells(e - 1) is empty
+                    cols = ids[(m, e - 1)]
+                    entries[e - 1].extend((rows[r], cols[c], v) for r, c, v in block)
+    matrices = {  # each entry list is freed once its matrix is built (peak memory)
+        e: SparseIntMatrix(placed.get(e + 1, 0), placed.get(e, 0), tuple(entries.pop(e)))
+        for e in range(spec.e_min, spec.e_max)
+    }
     return cells, matrices
 
 

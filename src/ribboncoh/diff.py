@@ -21,18 +21,17 @@ while the cross terms with the corner-connecting operator acquire the
 sign that makes the two differentials anticommute.  An even word lists
 only the edges, and ``canonical.word_sign`` reads every coefficient.
 
-Each move has one raw-term builder (``delta_terms``, ``bridge_terms``)
-and one image path: the raw term graphs do not depend on parity, so
-``delta_images`` and ``bridge_images`` give a class's image in every
-parity asked for from one canonical pass per raw term, and ``delta`` and
-``bridge`` ask for the class's own parity.  ``bridge`` gives the corner
-block of every mw table; ``delta`` serves the le2 tables and the check
-suites, and is the oracle of the other tables' vertex-split blocks.
-Those are read off the enumerator's split rounds, whose terms come from
-``delta_terms`` too.  Every call returns a fresh image; the module keeps
-no state between calls.  A caller that applies them to the same class
-more than once memoizes the images itself (``checks.identity_suite``,
-one entry per canonical pair serving every parity in scope).
+Each move has one raw-term builder (``delta_terms``, ``bridge_terms``),
+from which ``complexes`` sums the blocks of every table, and one image
+path: the raw term graphs do not depend on parity, so ``delta_images``
+and ``bridge_images`` give a class's image in every parity asked for from
+one canonical pass per raw term, and ``delta`` and ``bridge`` ask for the
+class's own parity.  The images are oracles only: the check suites apply
+them, and compare a built matrix with them.  Every call returns a fresh
+image; the module keeps no state between calls.  A caller that applies
+them to the same class more than once memoizes the images itself
+(``checks.identity_suite``, one entry per canonical pair serving every
+parity in scope).
 """
 from __future__ import annotations
 

@@ -14,10 +14,10 @@ have valence at least 2, so at floor 1 the operator lacks every term
 that makes a univalent vertex.  gc_enumerate and gc_delta still take
 floor 1, for the sign tests.
 
-``GCSpec`` gives ``complexes.build`` the cells (a chain of cells each
-enumerated on its own), the counting bound and the operator, so gc2
-tables go through the same ``build`` and ``cohomology`` as the ribbon
-complexes.
+``GCSpec`` gives ``complexes.build`` the counting bound and the chain of
+cells, each enumerated on its own with the block of ``gc_delta`` into it,
+so gc2 tables go through the same ``build`` and ``cohomology`` as the
+ribbon complexes.
 """
 from __future__ import annotations
 
@@ -27,6 +27,7 @@ from itertools import combinations_with_replacement, permutations, product
 from .canonical import _order_sign
 from .complexes import build, cohomology
 from .diff import FormalSum
+from .linalg import assemble
 
 
 GC_LOOP_ORDER_GUARD = 4
@@ -257,15 +258,15 @@ class GCSpec:
         n_vertices = e - n + 1
         return n_vertices >= 1 and self.min_valence * n_vertices <= 2 * e
 
-    def chain(self, n: int):
-        """(e, (nonzero, zero), None) for e from e_min - 1 to e_max: each
-        cell is enumerated on its own, and the differential comes whole
-        from ``operator`` (``complexes.ComplexSpec.chain``)."""
+    def chain(self, n: int, below: dict):
+        """(e, (nonzero, zero), blocks) for e from e_min - 1 to e_max, as
+        ``complexes.ComplexSpec.chain``, below unread: each cell is
+        enumerated on its own, its block assembled from ``gc_delta``."""
+        prev, op = [], lambda x: gc_delta(x, self.min_valence)
         for e in range(self.e_min - 1, self.e_max + 1):
-            yield e, gc_enumerate(n, e, self.min_valence) if self.possible(n, e) else ([], 0), None
-
-    def operator(self, cls):
-        return gc_delta(cls, self.min_valence)
+            cell = gc_enumerate(n, e, self.min_valence) if self.possible(n, e) else ([], 0)
+            yield e, cell, {n: assemble(prev, cell[0], op).entries} if e > self.e_min else {}
+            prev = cell[0]
 
 
 def gc_cohomology(loop_order: int, d: int, e_range: tuple, min_valence: int = 3):

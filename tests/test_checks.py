@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from ribboncoh import canonical, checks, diff
+from ribboncoh import canonical, checks, complexes, diff
 from ribboncoh.canonical import EVEN, ODD
 from ribboncoh.checks import (
     CheckBounds,
@@ -222,3 +222,20 @@ def test_run_check_aggregates():
         "rank_oracle",
         "passed",
     }
+
+
+def test_rank_suite_compares_the_built_matrix_with_the_oracle(monkeypatch):
+    # a corner block with every sign flipped keeps d^2 = 0 and every
+    # cohomology table; only the comparison with delta + bridge sees it
+    real = complexes._terms_block
+
+    def negated(classes, terms_of, parity):
+        block = real(classes, terms_of, parity)
+        return {key: {j: -v for j, v in per.items()} for key, per in block.items()}
+
+    monkeypatch.setattr(complexes, "_terms_block", negated)
+    report = rank_suite(trials=0)
+    assert report["matrices"] == 1 and not report["passed"]
+    assert report["violations"] == [
+        {"suite": "rank_oracle", "detail": "built matrix differs from delta + bridge"}
+    ]

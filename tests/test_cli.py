@@ -368,6 +368,24 @@ def test_export_identity_failure(capsys, monkeypatch):
     assert "identity failure" in err
 
 
+def test_cohomology_assembly_failure(capsys, monkeypatch):
+    # a corner term that lands outside the codomain basis: each source's
+    # vertex splits, which stay at its boundary count
+    from ribboncoh import complexes, diff
+
+    def stray_terms(g, odd=False):
+        yield from diff.bridge_terms(g, odd)
+        yield from diff.delta_terms(g, 2, odd)
+
+    monkeypatch.setattr(complexes, "bridge_terms", stray_terms)
+    code, out, err = run(
+        capsys, "cohomology", "--kind", "mw", "-g", "0", "--sector", "ge3", "-E", "1..5", "--no-cache",
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("assembly failure: image class ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_export_basis_and_matrix(capsys):
     code, out, _ = run(
         capsys, "export", "--what", "basis", "--kind", "kp", "-g", "1", "-n", "1",
@@ -422,3 +440,25 @@ def test_even_matrix_export_digest(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "0be061e92986179cb4b55f5ea7bde0d3ca831c35c1f5f4860ef9d16229a25e2d"
     )
+
+
+# SHA-256 of two more matrix exports, frozen before the corner and le2 blocks
+# were read off the chain: an even mw matrix, whose corner block a sign
+# flip of that whole block changes, and the odd le2 paths
+MORE_MATRIX_DIGESTS = {
+    ("mw", "-g", "0", "--sector", "ge3", "-E", "1..6", "-d", "0"):
+        "fd5c66ccaf72c2101e1f047a347f405abf015b1be5573a5d4956426a903837aa",
+    ("kp", "-g", "0", "-n", "1", "--sector", "le2", "-E", "1..8", "-d", "1"):
+        "f235d2f8ac3682bbdb3b3439395219f4e38d5e3908ce8429d284b45e5731c9cc",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(MORE_MATRIX_DIGESTS), ids=" ".join)
+def test_more_matrix_export_digests(capsys, spec):
+    kind, *rest = spec
+    code, out, _ = run(
+        capsys, "export", "--what", "matrix", "--format", "triplet", "--no-cache",
+        "--kind", kind, *rest,
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == MORE_MATRIX_DIGESTS[spec]

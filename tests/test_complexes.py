@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from ribboncoh import cli, complexes, diff
+from ribboncoh import cli, complexes, diff, linalg
 from ribboncoh.cache import Cache
 from ribboncoh.canonical import EVEN, ODD, word_sign
 from ribboncoh.diff import FormalSum, bridge, delta
@@ -105,18 +105,47 @@ def test_mw_operator_uses_the_corner_move():
         )
 
 
-class BrokenCornerSpec(ComplexSpec):
-    def operator(self, cls):
-        # drop one term of the corner operator (the vertex split comes from
-        # the chain)
-        terms = sorted(bridge(cls).terms(), key=lambda t: t[0].content_hash())
-        return FormalSum(terms[1:])
+def test_build_detects_broken_operator(monkeypatch):
+    # drop one raw term of the corner move per source class, where complexes
+    # reads it (the vertex split comes from the chain): consecutive matrices
+    # no longer compose to zero
+    def broken(g, odd=False):
+        return list(diff.bridge_terms(g, odd))[1:]
 
-
-def test_build_detects_broken_operator():
-    # consecutive matrices of the broken operator no longer compose to zero
+    monkeypatch.setattr(complexes, "bridge_terms", broken)
     with pytest.raises(DifferentialIdentityError):
-        build(BrokenCornerSpec("mw", 0, 0, "ge3", 1, 5))
+        build(ComplexSpec("mw", 0, 0, "ge3", 1, 5))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ComplexSpec("kp", 1, 1, "ge3", 2, 5, boundaries=2),
+        ComplexSpec("kp", 0, 0, "full", 2, 5, boundaries=3),
+        ComplexSpec("mw", 0, 0, "ge3", 1, 5),
+        ComplexSpec("mw", 1, 1, "full", 2, 4),
+        ComplexSpec("kp", 0, 1, "le2", 1, 8, boundaries=1),
+        ComplexSpec("kp", 0, 0, "le2", 1, 8, boundaries=1),
+    ],
+    ids=ComplexSpec.content_key,
+)
+def test_ribbon_build_calls_neither_assemble_nor_formal_sums(spec):
+    # every ribbon block is summed from raw terms in complexes; assemble
+    # and FormalSum serve the oracles only
+    banned = {linalg.assemble.__code__, FormalSum.add_term.__code__}
+    met = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in banned:
+            met.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        sl = build(spec)
+    finally:
+        sys.setprofile(None)
+    assert met == []
+    assert any(m.nnz for m in sl.matrices.values())
 
 
 def test_lower_layer_with_zero_classes_only_is_empty():
@@ -235,7 +264,6 @@ def test_even_table_lists_no_odd_items(monkeypatch):
         return word_sign(word, parity, maps)
 
     monkeypatch.setattr(complexes, "word_sign", even_sign)
-    monkeypatch.setattr(diff, "word_sign", even_sign)
     sl = build(ComplexSpec("mw", 1, 0, "ge3", 2, 5))
     assert any(m.nnz for m in sl.matrices.values())
 

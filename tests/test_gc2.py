@@ -249,7 +249,7 @@ def test_cohomology_certified_with_zero_class_neighbor():
 def test_cache_is_refused_before_any_enumeration(tmp_path, monkeypatch):
     # cache entries are keyed by ribbon spec fields; a gc2 build with a
     # cache says so instead of failing inside the key, and enumerates nothing
-    def no_enumeration(self, n):
+    def no_enumeration(self, n, below):
         raise AssertionError("walked the cells of loop order %d" % n)
 
     monkeypatch.setattr(GCSpec, "chain", no_enumeration)
@@ -263,6 +263,18 @@ def test_odd_cohomology_digest():
     rows = gc_cohomology(3, 1, (3, 9))
     digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
     assert digest == "bf4d8fb67c916ba88f7b85dffcaca917fd5e2c75e36c50ddf10f28194330396f"
+
+
+def test_matrices_digest():
+    # SHA-256 of the matrices' triplet text, frozen before gc2's chain gave
+    # its blocks itself; at loop order 3 every block is empty, so this pins
+    # their shapes
+    sl = build(GCSpec(3, 0, 3, 8))
+    text = "".join(
+        "# d from E=%d\n%s" % (e, m.to_triplet_text()) for e, m in sorted(sl.matrices.items())
+    )
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "cab49946e2d87116b72cfeef1e1a7e19aa23960bc42a0ce1b79a70770b654ad6"
 
 
 def test_tables_need_a_valence_floor_of_two():
