@@ -7,13 +7,19 @@ smallest relabeled pair of permutation arrays.  The traversal is rigid, so
 the roots realising the minimum give exactly the automorphism group.
 
 Each graph is canonicalized in one pass and nothing is memoized.  The
-pass walks from each root once (``_traverse``): it labels the half-edges
-in discovery order and compares the key against the running best as it
-writes it (the rooted-code comparison of plantri, Brinkmann-McKay 2007),
-stopping at the first larger entry.  The key is built only for a new
-best.  The zero flag reads its automorphisms off that same pass.  The
-graph is trusted to be valid (``ribbon`` says where graphs are checked);
-a disconnected one raises ``DisconnectedGraph`` from the walk.
+pass first reads each root's head, the first two entries of its walk's
+t0, off the root's neighbourhood in O(1) (``_heads``: a cheap invariant
+before the full code, as in plantri, Brinkmann-McKay 2007), and walks
+only the roots with the least head, in root order; the others could
+never tie the best.  A walk (``_traverse``) is two plain loops: the
+first labels the half-edges in discovery order and compares each key
+entry with the running best as it writes it (plantri's rooted-code
+comparison), returning at the first larger t0 entry and breaking at the
+first smaller one; the second labels the rest without comparing.  The
+key is built only for a new best, off the walk's discovery order.  The
+zero flag reads its automorphisms off that same pass.  The graph is
+trusted to be valid (``ribbon`` says where graphs are checked); a
+disconnected one raises ``DisconnectedGraph`` from the walk.
 
 Orientations depend on the parity of the degree-shift integer d: an
 edge order for d even; a vertex order, boundary order, and a direction
@@ -54,48 +60,57 @@ EVEN, ODD = 0, 1
 
 def _traverse(s0: tuple, s1: tuple, root: int, best):
     """Walk from root once: label the half-edges in discovery order and
-    compare the walk's key against best = (k0, k1), the running best key,
-    entry by entry as it is written.  Returns (c, lab): c is -1 / 0 / +1
-    as the key is smaller than / equal to / larger than best, and lab the
-    labels old -> new.  The walk returns (1, None) at the first larger t0
-    entry; after the first smaller one it labels the rest without
-    comparing.  With best None it only labels, and c is -1."""
+    compare the walk's key against best = (k0, k1), the running best key.
+    Returns (c, lab, order): c is -1 / 0 / +1 as the key is smaller than /
+    equal to / larger than best, lab the labels old -> new and order the
+    half-edges in label order.  The first loop compares each t0 entry as it
+    is written and returns (1, None, None) at the first larger one; at the
+    first smaller one it breaks, and the second loop labels the rest
+    without comparing.  With best None only the second loop runs, and c is
+    -1."""
     n = len(s0)
     lab = [-1] * n
     lab[root] = 0
     order = [root]
-    cnt = 1
-    tied = best is not None  # t0 equals k0 so far
-    c = 0 if tied else -1  # t1 against k1, read only while t0 ties
-    k0, k1 = best or (None, None)
-    i = 0
-    while i < cnt:
-        h = order[i]
+    if best is not None:
+        k0, k1 = best
+        c = 0  # t1 against k1, read only while t0 ties
+        for i, h in enumerate(order):
+            x = s0[h]
+            v = lab[x]
+            if v < 0:
+                v = lab[x] = len(order)
+                order.append(x)
+            if v != k0[i]:
+                if v > k0[i]:
+                    return 1, None, None
+                break
+            x = s1[h]
+            v = lab[x]
+            if v < 0:
+                v = lab[x] = len(order)
+                order.append(x)
+            if c == 0 and v != k1[i]:
+                c = -1 if v < k1[i] else 1
+        else:
+            if len(order) < n:
+                raise DisconnectedGraph("canonical form requires a connected graph")
+            return c, lab, order
+    # this loop rescans from the root: the half-edges the first loop
+    # finished have both images labeled, so the discovery order is that of
+    # one walk
+    for h in order:
         x = s0[h]
-        v = lab[x]
-        if v < 0:
-            v = cnt
-            lab[x] = cnt
-            cnt += 1
+        if lab[x] < 0:
+            lab[x] = len(order)
             order.append(x)
-        if tied and v != k0[i]:
-            if v > k0[i]:
-                return 1, None
-            tied = False
-            c = -1
         x = s1[h]
-        v = lab[x]
-        if v < 0:
-            v = cnt
-            lab[x] = cnt
-            cnt += 1
+        if lab[x] < 0:
+            lab[x] = len(order)
             order.append(x)
-        if tied and c == 0 and v != k1[i]:
-            c = -1 if v < k1[i] else 1
-        i += 1
-    if cnt < n:
+    if len(order) < n:
         raise DisconnectedGraph("canonical form requires a connected graph")
-    return c, lab
+    return -1, lab, order
 
 
 def is_minimal_form(s0: tuple, s1: tuple) -> bool:
@@ -104,22 +119,43 @@ def is_minimal_form(s0: tuple, s1: tuple) -> bool:
     return all(_traverse(s0, s1, r, (s0, s1))[0] >= 0 for r in range(1, len(s0)))
 
 
+def _heads(s0: tuple, s1: tuple) -> list:
+    """Each root's head: the first two t0 entries (a, b) of its walk, coded
+    4a + b, in O(1) per root from its neighbourhood.  A univalent root r
+    has head (0, 1) if s1(r) is univalent too, else (0, 2).  Any other root
+    has (1, 0) if its vertex is bivalent, (1, 2) if s1(r) is s0(r) or
+    s0^2(r), and (1, 3) otherwise."""
+    heads = []
+    for r in range(len(s0)):
+        x = s0[r]
+        if x == r:
+            y = s1[r]
+            heads.append(1 if s0[y] == y else 2)
+        elif s0[x] == r:
+            heads.append(4)
+        else:
+            y = s1[r]
+            heads.append(6 if y == x or y == s0[x] else 7)
+    return heads
+
+
 def _canonical_data(s0: tuple, s1: tuple):
     """(canonical (t0,t1), list of relabelings old->canonical achieving it),
-    from one walk per root; the key is built only for a new best."""
-    n = len(s0)
+    from one walk per root with the least head, in root order.  A root
+    with a larger head can never tie the best, so the key and the
+    relabelings are those of a walk from every root.  The key is built
+    only for a new best, off the walk's own order."""
+    heads = _heads(s0, s1)
+    least = min(heads)
     best = maps = None
-    for root in range(n):
-        c, lab = _traverse(s0, s1, root, best)
+    for root, head in enumerate(heads):
+        if head != least:
+            continue
+        c, lab, order = _traverse(s0, s1, root, best)
         if c == 0:
             maps.append(lab)
         elif c < 0:
-            t0 = [0] * n
-            t1 = [0] * n
-            for h in range(n):
-                t0[lab[h]] = lab[s0[h]]
-                t1[lab[h]] = lab[s1[h]]
-            best = (tuple(t0), tuple(t1))
+            best = (tuple([lab[s0[h]] for h in order]), tuple([lab[s1[h]] for h in order]))
             maps = [lab]
     return best, maps
 
@@ -159,21 +195,24 @@ def reference_word(g: RibbonGraph, parity: int):
 def word_sign(word, parity: int, maps) -> int:
     """Sign of the orientation word against the canonical reference, read
     off the optimal relabelings maps of its graph's canonicalization pass.
-    The result is 0 when two relabelings disagree, since their quotient is
-    an automorphism reversing the orientation."""
+    The result is 0 at the first relabeling that disagrees with the first,
+    since their quotient is an automorphism reversing the orientation."""
     items, es = word
-    signs = set()
+    first = 0
     for lab in maps:
         if parity == EVEN:
-            sign = _order_sign([min(lab[a], lab[b]) for a, b in es])
+            sign = _order_sign([lab[a] if lab[a] < lab[b] else lab[b] for a, b in es])
         else:
             n = len(lab)
-            sign = _order_sign([kind * n + min(lab[h] for h in darts) for kind, darts in items])
+            sign = _order_sign([kind * n + min([lab[h] for h in darts]) for kind, darts in items])
             for a, b in es:
                 if lab[a] > lab[b]:
                     sign = -sign
-        signs.add(sign)
-    return signs.pop() if len(signs) == 1 else 0
+        if not first:
+            first = sign
+        elif sign != first:
+            return 0
+    return first
 
 
 @dataclass(frozen=True)

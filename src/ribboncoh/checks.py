@@ -156,7 +156,9 @@ def structural_suite(bounds: CheckBounds) -> dict:
     gens = list(iter_generators(bounds))
 
     def shape_of(g):
-        return (g.n_edges, len(vertices(g)), len(boundaries(g)), genus(g))
+        # g is connected: a generator is, and a term is checked first
+        v, b = len(vertices(g)), len(boundaries(g))
+        return (g.n_edges, v, b, genus(g, (v, b)))
 
     def check(item):
         spec, cls = item

@@ -163,14 +163,16 @@ def is_connected(g: RibbonGraph) -> bool:
     return count == n
 
 
-def genus(g: RibbonGraph) -> int:
-    """g = 1 + (E - V - B)/2 for a connected graph."""
-    if not is_connected(g):
-        raise DisconnectedGraph("genus requires a connected graph")
-    e = g.n_edges
-    v = len(vertices(g))
-    b = len(boundaries(g))
-    twice = e - v - b + 2
+def genus(g: RibbonGraph, counts: tuple | None = None) -> int:
+    """g = 1 + (E - V - B)/2 for a connected graph.  A caller that has just
+    counted g's vertices and boundaries, and knows g is connected, passes
+    them as counts = (V, B), and g is not walked again."""
+    if counts is None:
+        if not is_connected(g):
+            raise DisconnectedGraph("genus requires a connected graph")
+        counts = len(vertices(g)), len(boundaries(g))
+    v, b = counts
+    twice = g.n_edges - v - b + 2
     if twice % 2 != 0 or twice < 0:
         raise InvalidGraph("structural inconsistency: bad genus formula value")
     return twice // 2

@@ -1,6 +1,6 @@
 """Canonical labeling, automorphisms, orientation signs, zero flags."""
 from collections import deque, namedtuple
-from itertools import combinations, permutations, takewhile
+from itertools import chain, combinations, permutations, takewhile
 import random
 
 from hypothesis import given, settings, strategies as st
@@ -9,6 +9,7 @@ from ribboncoh.canonical import (
     EVEN,
     ODD,
     _canonical_data,
+    _heads,
     _zero_flag,
     class_of,
     is_minimal_form,
@@ -207,6 +208,36 @@ def test_minimal_form_rejects_non_canonical_normal_forms():
     assert rejected > 100
 
 
+def _full_sector_maps(e_max):
+    """Every map of the full sector with E <= e_max, zero classes
+    included: loops, univalent and bivalent vertices all occur."""
+    return [
+        RibbonGraph(*pair)
+        for genus in range(e_max // 2 + 1)
+        for n in range(1, e_max + 2 - 2 * genus)
+        for e, layer in takewhile(lambda r: r[0] <= e_max, _cell_maps(genus, n, 1))
+        if EnumSpec(genus, n, e, 1).is_consistent()[0]
+        for pair in layer
+    ]
+
+
+def test_heads_match_full_walks():
+    # every root of every full-sector map with E <= 4: the O(1) head is the
+    # first two t0 entries (a, b) of the root's full walk, coded 4a + b.
+    # The roots reach every head, and head (1, 2) both ways: s1(r) = s0(r)
+    # (a loop in one corner) and s1(r) = s0^2(r)
+    seen = set()
+    for g in _full_sector_maps(4):
+        s0, s1 = g.sigma0, g.sigma1
+        heads = _heads(s0, s1)
+        for r in range(g.n_half_edges):
+            (t0, _), _ = _full_relabel(g, r)
+            assert heads[r] == 4 * t0[0] + t0[1]
+            seen.add((t0[0], t0[1], s1[r] == s0[r], s1[r] == s0[s0[r]]))
+    assert {(a, b) for a, b, _, _ in seen} == {(0, 1), (0, 2), (1, 0), (1, 2), (1, 3)}
+    assert (1, 2, True, False) in seen and (1, 2, False, True) in seen
+
+
 def _parity_sign(perm):
     inversions = sum(
         perm[i] > perm[j] for i in range(len(perm)) for j in range(i + 1, len(perm))
@@ -384,6 +415,41 @@ def test_raw_term_signs_match_payload_oracle():
             _check_raw_term(out, word, payload, x.parity)
         n_terms += len(payloads) + len(terms)
     assert n_terms > 1000
+
+
+def _set_word_sign(word, parity, maps):
+    """The set-based reading of a word's sign: every optimal relabeling's
+    sign, by counting inversions, and 0 unless they all agree."""
+    items, es = word
+    signs = set()
+    for lab in maps:
+        if parity == EVEN:
+            sign = _parity_sign([min(lab[a], lab[b]) for a, b in es])
+        else:
+            n = len(lab)
+            sign = _parity_sign([kind * n + min(lab[h] for h in darts) for kind, darts in items])
+            sign *= (-1) ** sum(lab[a] > lab[b] for a, b in es)
+        signs.add(sign)
+    return signs.pop() if len(signs) == 1 else 0
+
+
+def test_word_sign_matches_set_oracle():
+    # the raw words of delta_terms and bridge_terms of every full-sector
+    # generator with E <= 4, g <= 2, each read in both parities: word_sign,
+    # which returns at the first relabeling that disagrees, agrees with the
+    # set of all signs.  Zero classes whose first two relabelings agree and
+    # a later one disagrees reach that return past the second map
+    bounds = CheckBounds(g_max=2, e_max_full=4, e_max_ge3=0, e_max_le2=0)
+    graphs = dict.fromkeys(x.graph for _, x in iter_generators(bounds))
+    late = 0
+    for g in graphs:
+        for out, word in chain(delta_terms(g, 1, True), bridge_terms(g, True)):
+            _, maps = _canonical_data(out.sigma0, out.sigma1)
+            for parity in (EVEN, ODD):
+                want = _set_word_sign(word, parity, maps)
+                assert word_sign(word, parity, maps) == want
+                late += want == 0 and _set_word_sign(word, parity, maps[:2]) != 0
+    assert late > 0
 
 
 def test_perm_sign():

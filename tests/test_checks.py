@@ -151,23 +151,47 @@ def test_one_canonical_pass_serves_both_parities(monkeypatch):
     assert both <= 0.55 * (even + odd)
 
 
-def test_one_traversal_per_root(monkeypatch):
-    # the canonical pass walks from each of the 2E roots exactly once: a
-    # root that ties or beats the running best is not walked again
+def _counting_walks(monkeypatch):
+    """Rebind canonical._traverse to record each walk's root; returns
+    the list the roots go to and the real walk."""
     real = canonical._traverse
-    calls = [0]
+    roots = []
 
     def counted(s0, s1, root, best):
-        calls[0] += 1
+        roots.append(root)
         return real(s0, s1, root, best)
 
     monkeypatch.setattr(canonical, "_traverse", counted)
+    return roots, real
+
+
+def test_walks_per_pass_are_the_least_head_roots(monkeypatch):
+    # the canonical pass walks once from each root whose head (the first
+    # two t0 entries of its own walk) is least, in root order, and from no
+    # other root
+    walked, real = _counting_walks(monkeypatch)
     gens = list(iter_generators(SMALL))
     assert gens
+    walks = darts = 0
     for _, cls in gens:
-        calls[0] = 0
-        canonical._canonical_data(cls.sigma0, cls.sigma1)
-        assert calls[0] == len(cls.sigma0)
+        s0, s1 = cls.sigma0, cls.sigma1
+        heads = []
+        for r in range(len(s0)):
+            _, lab, order = real(s0, s1, r, None)
+            heads.append((lab[s0[order[0]]], lab[s0[order[1]]]))
+        walked.clear()
+        canonical._canonical_data(s0, s1)
+        assert walked == [r for r, head in enumerate(heads) if head == min(heads)]
+        walks += len(walked)
+        darts += len(s0)
+    assert walks < darts
+
+
+def test_small_mw_build_walk_count(monkeypatch):
+    # pinned: the walks of one cold mw build (13,340 from every root)
+    walked, _ = _counting_walks(monkeypatch)
+    complexes.build(complexes.ComplexSpec("mw", 0, 0, "ge3", 1, 6))
+    assert len(walked) == 3949
 
 
 def test_structural_fault_injection_is_detected(monkeypatch):
