@@ -388,15 +388,19 @@ def calc1_expectation(d: int, window: tuple[int, int]) -> dict[int, int]:
     return table
 
 
-def calc1_offsets(rows: list[dict], d: int, search=range(-8, 9)) -> list[int]:
+OFFSET_SEARCH = range(-8, 9)
+
+
+def calc1_offsets(rows: list[dict], d: int) -> list[int]:
     """Global degree offsets o making the certified computed table agree
     with calc1_expectation at every certified degree (computed h at degree
-    k must equal the expected dimension at degree k - o)."""
+    k must equal the expected dimension at degree k - o), o within
+    OFFSET_SEARCH."""
     certified = {r["degree"]: r["h"] for r in rows if r["status"] == "certified"}
     if not certified:
-        return list(search)
+        return list(OFFSET_SEARCH)
     matches = []
-    for o in search:
+    for o in OFFSET_SEARCH:
         window = (min(certified) - o, max(certified) - o)
         expect = calc1_expectation(d, window)
         if all(expect.get(k - o, 0) == h for k, h in certified.items()):

@@ -5,14 +5,17 @@ an edge order, so a graph with a pair of parallel edges is zero (swapping
 them is a sign-reversing automorphism), and otherwise a class is zero iff
 some vertex automorphism induces an odd permutation of the edge set.
 
-The differential splits a vertex: incident edges are distributed over two
-new vertices joined by a fresh edge, which is appended last in the edge
-order.  Degree of a generator: |G| = 2d(V-1) + (1-2d)E.
+The vertex split, ``_splits``, is the one move that makes graphs: a
+vertex's half-edges are distributed over it and a new vertex joined to it
+by a fresh edge, which is appended last in the edge order.  The
+differential ``gc_delta`` sums the splits whose moved part is not empty,
+and ``gc_enumerate`` grows each cell from the rose (one vertex with L
+loops) by rounds of splits.  Degree of a generator: |G| = 2d(V-1) + (1-2d)E.
 
 Tables need a valence floor of at least 2: both new vertices of a split
-have valence at least 2, so at floor 1 the operator lacks every term
-that makes a univalent vertex.  gc_enumerate and gc_delta still take
-floor 1, for the sign tests.
+in ``gc_delta`` have valence at least 2, so at floor 1 the operator lacks
+every term that makes a univalent vertex.  gc_enumerate and gc_delta
+still take floor 1, for the sign tests.
 
 ``GCSpec`` gives ``complexes.build`` the counting bound and the chain of
 cells, each enumerated on its own with the block of ``gc_delta`` into it,
@@ -22,7 +25,7 @@ ribbon complexes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, permutations, product
+from itertools import permutations, product
 
 from .canonical import _order_sign
 from .complexes import build, cohomology
@@ -31,6 +34,15 @@ from .linalg import assemble
 
 
 GC_LOOP_ORDER_GUARD = 4
+
+
+def _valences(n_vertices: int, edges) -> list[int]:
+    """Valence of each vertex; a loop counts twice at its vertex."""
+    val = [0] * n_vertices
+    for a, b in edges:
+        val[a] += 1
+        val[b] += 1
+    return val
 
 
 @dataclass(frozen=True)
@@ -50,41 +62,20 @@ class GCGraph:
         object.__setattr__(self, "edges", tuple(sorted(self.edges)))
 
     def valences(self) -> list[int]:
-        val = [0] * self.n_vertices
-        for a, b in self.edges:
-            val[a] += 1
-            val[b] += 1
-        return val
-
-    def is_connected(self) -> bool:
-        if self.n_vertices == 0:
-            return False
-        adj = [[] for _ in range(self.n_vertices)]
-        for a, b in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.n_vertices
+        return _valences(self.n_vertices, self.edges)
 
 
-def _relabeled_edges(g: GCGraph, perm) -> tuple:
-    return tuple(sorted(tuple(sorted((perm[a], perm[b]))) for a, b in g.edges))
+def _relabeled_edges(edges, perm) -> tuple:
+    return tuple(sorted(tuple(sorted((perm[a], perm[b]))) for a, b in edges))
 
 
-def _degree_compatible_perms(g: GCGraph):
+def _degree_compatible_perms(n_vertices: int, edges):
     """Vertex permutations old->new that send the vertices of each valence
     onto one fixed block of positions, the blocks in increasing valence
     (the search space for canonicalization).  The blocks depend on the
     valence multiset alone, so every relabeling of a graph is searched over
     the same targets."""
-    val = g.valences()
+    val = _valences(n_vertices, edges)
     groups: dict[int, list[int]] = {}
     for v, d in enumerate(val):
         groups.setdefault(d, []).append(v)
@@ -95,21 +86,21 @@ def _degree_compatible_perms(g: GCGraph):
         blocks.append(range(start, start + len(pool)))
         start += len(pool)
     for parts in product(*(permutations(b) for b in blocks)):
-        perm = [0] * g.n_vertices
+        perm = [0] * n_vertices
         for pool, images in zip(pools, parts):
             for src, dst in zip(pool, images):
                 perm[src] = dst
         yield tuple(perm)
 
 
-def _gc_canonical_data(g: GCGraph) -> tuple[tuple, list[tuple]]:
+def _gc_canonical_data(n_vertices: int, edges) -> tuple[tuple, list[tuple]]:
     """(lexicographically minimal relabeled edge tuple over valence-
     sorting vertex permutations, every permutation old->new achieving
-    it in scan order), from one scan."""
+    it in scan order), from one scan; loops are allowed."""
     best = None
     perms = []
-    for perm in _degree_compatible_perms(g):
-        cand = _relabeled_edges(g, perm)
+    for perm in _degree_compatible_perms(n_vertices, edges):
+        cand = _relabeled_edges(edges, perm)
         if best is None or cand < best:
             best = cand
             perms = [perm]
@@ -125,10 +116,6 @@ class GCClass:
     n_vertices: int
     edges: tuple
     zero_flag: bool
-
-    @property
-    def graph(self) -> GCGraph:
-        return GCGraph(self.n_vertices, self.edges)
 
     def content_hash(self) -> str:
         import hashlib
@@ -155,20 +142,45 @@ def to_gc_class(g: GCGraph) -> tuple[GCClass, int]:
     """Canonicalize; compare the graph's sorted edge tuple, its reference
     order, against the canonical reference order.  The sign is +1 and
     meaningless for zero classes."""
-    best, perms = _gc_canonical_data(g)
+    best, perms = _gc_canonical_data(g.n_vertices, g.edges)
     sign = _gc_sign(g.edges, best, perms)
     return GCClass(g.n_vertices, best, sign == 0), sign or 1
 
 
-def _edge_multisets(n_vertices: int, n_edges: int):
-    pairs = [(a, b) for a in range(n_vertices) for b in range(a + 1, n_vertices)]
-    return combinations_with_replacement(pairs, n_edges)
+def _splits(n_vertices: int, edges, min_valence: int):
+    """Every split of every vertex v, loops allowed: v's half-edges go into
+    two parts, the part holding v's first half-edge stays at v and the
+    other moves to a new vertex, joined to v by a new edge listed last.
+    Yields (edge order, whether the moved part is empty) for the splits
+    that keep every valence >= min_valence.  An empty moved part makes a
+    univalent vertex, so it passes only at floor 1."""
+    nv = n_vertices
+    for v in range(n_vertices):
+        halves = [(i, s) for i, e in enumerate(edges) for s in (0, 1) if e[s] == v]
+        rest = halves[1:]
+        for mask in range(1 << len(rest)):
+            moved = {h for k, h in enumerate(rest) if not mask >> k & 1}
+            order = [
+                tuple(sorted(nv if (i, s) in moved else c for s, c in enumerate(e)))
+                for i, e in enumerate(edges)
+            ] + [(v, nv)]
+            if min(_valences(nv + 1, order)) >= min_valence:
+                yield order, not moved
 
 
 def gc_enumerate(loop_order: int, n_edges: int, min_valence: int = 3):
     """Nonzero classes plus zero-class count at the given loop order and
     edge count: connected loopless multigraphs, valences >= min_valence,
-    one representative per isomorphism class."""
+    one representative per isomorphism class.
+
+    The layer grows from the rose (one vertex with loop_order loops) by
+    n_vertices - 1 rounds of ``_splits``, each round's graphs deduplicated
+    by sorted, then by canonical edge tuple; graphs with loops are kept
+    between rounds and dropped at the end.  Contracting a non-loop edge
+    keeps the loop order and the valence floor (a + b - 2 >= f when
+    a, b >= f >= 2; at floor 1 a pendant edge is an empty moved part), and
+    turns the edge's parallel partners into loops, so every layer graph
+    contracts down to the rose."""
     if loop_order > GC_LOOP_ORDER_GUARD:
         raise ValueError(
             "loop order guard is %d, got %d" % (GC_LOOP_ORDER_GUARD, loop_order)
@@ -176,56 +188,32 @@ def gc_enumerate(loop_order: int, n_edges: int, min_valence: int = 3):
     n_vertices = n_edges - loop_order + 1
     if n_vertices < 1 or min_valence * n_vertices > 2 * n_edges:
         return [], 0
-    seen: dict = {}
-    for edges in _edge_multisets(n_vertices, n_edges):
-        g = GCGraph(n_vertices, edges)
-        if min(g.valences(), default=0) < min_valence:
-            continue
-        if not g.is_connected():
-            continue
-        best, perms = _gc_canonical_data(g)
-        if best not in seen:
-            seen[best] = _gc_sign(g.edges, best, perms) == 0
-    nonzero = [GCClass(n_vertices, edges, False) for edges, flag in seen.items() if not flag]
-    zero = len(seen) - len(nonzero)
+    layer = {((0, 0),) * loop_order} if loop_order >= 0 else set()
+    for n in range(1, n_vertices):
+        graphs = {tuple(sorted(o)) for g in layer for o, _ in _splits(n, g, min_valence)}
+        layer = {_gc_canonical_data(n + 1, edges)[0] for edges in graphs}
+    classes = [
+        to_gc_class(GCGraph(n_vertices, edges))[0]
+        for edges in layer
+        if all(a != b for a, b in edges)
+    ]
+    nonzero = [c for c in classes if not c.zero_flag]
     nonzero.sort(key=lambda c: c.content_hash())
-    return nonzero, zero
+    return nonzero, len(classes) - len(nonzero)
 
 
 def gc_delta(x: GCClass, min_valence: int = 3) -> FormalSum:
-    """Vertex splitting: distribute the incident edges of a vertex over
-    two new vertices joined by a fresh edge (both parts nonempty), with
-    the fresh edge appended last in the edge order.  The term's sign is
-    the parity of sorting that order into the graph's reference (its
-    sorted edge tuple) times the reference's sign against the canonical
-    one.  Projected to the min_valence sector (terms with a smaller
-    valence are dropped)."""
+    """Vertex splitting: the ``_splits`` of x whose moved part is not
+    empty, the fresh edge appended last in the edge order.  The term's
+    sign is the parity of sorting that order into the graph's reference
+    (its sorted edge tuple) times the reference's sign against the
+    canonical one.  Projected to the min_valence sector (terms with a
+    smaller valence are dropped)."""
     out = FormalSum()
-    g = x.graph
-    for v in range(g.n_vertices):
-        incident = [i for i, e in enumerate(g.edges) if v in e]
-        m = len(incident)
-        if m < 2:
-            continue
-        anchor = incident[0]
-        rest = incident[1:]
-        for mask in range(1 << len(rest)):
-            part_a = {anchor} | {rest[i] for i in range(len(rest)) if mask >> i & 1}
-            if len(part_a) == m:
-                continue
-            # vertex v becomes v (part A) and a fresh vertex nv (part B)
-            nv = g.n_vertices
-            new_edges = []
-            for i, (a, b) in enumerate(g.edges):
-                if v in (a, b) and i not in part_a:
-                    a, b = (nv if a == v else a), (nv if b == v else b)
-                new_edges.append(tuple(sorted((a, b))))
-            new_edges.append((v, nv))
-            ng = GCGraph(nv + 1, tuple(new_edges))
-            if min(ng.valences()) < min_valence:
-                continue
-            cls, sign = to_gc_class(ng)
-            out.add_term(cls, _order_sign(new_edges) * sign)
+    for order, empty in _splits(x.n_vertices, x.edges, min_valence):
+        if not empty:
+            cls, sign = to_gc_class(GCGraph(x.n_vertices + 1, order))
+            out.add_term(cls, _order_sign(order) * sign)
     return out
 
 

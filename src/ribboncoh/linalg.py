@@ -217,11 +217,11 @@ def rank_modp(m: SparseIntMatrix, p: int) -> int:
 CERTIFICATION_PRIMES = (1000003, 2000003)
 
 
-def certified_rank(m: SparseIntMatrix, primes=CERTIFICATION_PRIMES) -> tuple[int, bool]:
+def certified_rank(m: SparseIntMatrix) -> tuple[int, bool]:
     """(rational rank, certificate) with certification by agreement with
     modular ranks at independent large primes."""
     r = rank(m)
-    return r, all(rank_modp(m, p) == r for p in primes)
+    return r, all(rank_modp(m, p) == r for p in CERTIFICATION_PRIMES)
 
 
 class DifferentialIdentityError(ValueError):

@@ -4,7 +4,7 @@ import json
 import runpy
 import sys
 
-from itertools import combinations, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 from pathlib import Path
 
 import pytest
@@ -16,7 +16,6 @@ from ribboncoh.diff import FormalSum, apply_linear
 from ribboncoh.gc2 import (
     GCGraph,
     GCSpec,
-    _edge_multisets,
     _gc_canonical_data,
     gc_cohomology,
     gc_delta,
@@ -36,8 +35,40 @@ D2_GENERATORS = (
 
 def gc_canonical(g):
     """Canonical representative plus one optimal permutation old->new."""
-    best, perms = _gc_canonical_data(g)
+    best, perms = _gc_canonical_data(g.n_vertices, g.edges)
     return GCGraph(g.n_vertices, best), perms[0]
+
+
+def _edge_multisets(n_vertices, n_edges):
+    pairs = [(a, b) for a in range(n_vertices) for b in range(a + 1, n_vertices)]
+    return combinations_with_replacement(pairs, n_edges)
+
+
+def _is_connected(g):
+    seen, stack = {0}, [0]
+    while stack:
+        v = stack.pop()
+        for e in g.edges:
+            if v in e:
+                w = e[0] + e[1] - v
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+    return len(seen) == g.n_vertices
+
+
+def _scan_enumerate(loop_order, n_edges, min_valence):
+    """gc_enumerate by a scan of every edge multiset on V = E - L + 1
+    vertices (an oracle for the split closure): (sorted nonzero canonical
+    edge tuples, zero count)."""
+    seen = {}
+    n_vertices = n_edges - loop_order + 1
+    for edges in _edge_multisets(n_vertices, n_edges):
+        g = GCGraph(n_vertices, edges)
+        if min(g.valences()) >= min_valence and _is_connected(g):
+            cls, _ = to_gc_class(g)
+            seen[cls.edges] = cls.zero_flag
+    return sorted(e for e, zero in seen.items() if not zero), sum(seen.values())
 
 
 def _relabeled(edges, perm):
@@ -73,7 +104,6 @@ def test_graph_validation():
         GCGraph(2, ((0, 2),))  # out of range
     g = GCGraph(4, K4_EDGES)
     assert g.valences() == [3, 3, 3, 3]
-    assert g.is_connected()
     assert GCGraph(2, THETA_EDGES).edges == THETA_EDGES  # parallel edges repeat
 
 
@@ -131,10 +161,10 @@ def test_zero_flag_matches_automorphism_scan():
     for n_vertices, n_edges in ((2, 3), (3, 4), (3, 5), (4, 5), (4, 6)):
         for edges in _edge_multisets(n_vertices, n_edges):
             g = GCGraph(n_vertices, edges)
-            if not g.is_connected():
+            if not _is_connected(g):
                 continue
             cls, _ = to_gc_class(g)
-            canon = cls.graph
+            canon = GCGraph(cls.n_vertices, cls.edges)
             expected = _has_parallel_edges(canon) or any(
                 _edge_perm_sign(canon, a) < 0 for a in gc_automorphisms(canon)
             )
@@ -147,7 +177,7 @@ def _oracle_delta(x, min_valence):
     positions in the canonical edge tuple; a class with parallel edges or
     an edge-odd automorphism is zero."""
     out = FormalSum()
-    g = x.graph
+    g = GCGraph(x.n_vertices, x.edges)
     nv = g.n_vertices
     for v in range(nv):
         incident = [i for i, e in enumerate(g.edges) if v in e]
@@ -210,6 +240,28 @@ def test_enumerate_frozen():
     assert nz[0].edges == ((0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
+def test_closure_matches_multiset_scan():
+    # the split rounds from the rose find the classes and zero counts of
+    # the multiset scan in every cell with L <= 4 and E <= 6, floors 1 to 3
+    n_cells = 0
+    for loop_order in range(1, 5):
+        for n_edges in range(loop_order, 7):
+            for min_valence in (1, 2, 3):
+                nonzero, zero = gc_enumerate(loop_order, n_edges, min_valence)
+                assert (sorted(c.edges for c in nonzero), zero) == _scan_enumerate(
+                    loop_order, n_edges, min_valence
+                )
+                n_cells += 1
+    assert n_cells == 54
+
+
+def test_floor_two_layer_at_loop_order_three():
+    # E=8 on 6 vertices; its rounds hold 1, 5, 15, 41, 87 and 176 classes,
+    # loops included
+    nonzero, zero = gc_enumerate(3, 8, 2)
+    assert (len(nonzero), zero) == (4, 61)
+
+
 def test_guard():
     with pytest.raises(ValueError):
         gc_enumerate(5, 8)
@@ -265,16 +317,36 @@ def test_odd_cohomology_digest():
     assert digest == "bf4d8fb67c916ba88f7b85dffcaca917fd5e2c75e36c50ddf10f28194330396f"
 
 
+def _matrices_digest(sl):
+    """SHA-256 of a slice's matrices as triplet text, by source edge count."""
+    text = "".join(
+        "# d from E=%d\n%s" % (e, m.to_triplet_text()) for e, m in sorted(sl.matrices.items())
+    )
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def test_matrices_digest():
     # SHA-256 of the matrices' triplet text, frozen before gc2's chain gave
     # its blocks itself; at loop order 3 every block is empty, so this pins
     # their shapes
-    sl = build(GCSpec(3, 0, 3, 8))
-    text = "".join(
-        "# d from E=%d\n%s" % (e, m.to_triplet_text()) for e, m in sorted(sl.matrices.items())
-    )
-    digest = hashlib.sha256(text.encode()).hexdigest()
+    digest = _matrices_digest(build(GCSpec(3, 0, 3, 8)))
     assert digest == "cab49946e2d87116b72cfeef1e1a7e19aa23960bc42a0ce1b79a70770b654ad6"
+
+
+def test_signed_entry_at_loop_order_two():
+    # frozen from the multiset-scan code: the floor-2 block from E=5 (two
+    # triangles sharing an edge) has one entry, 2
+    assert build(GCSpec(2, 0, 2, 6, 2)).matrices[5].entries == ((0, 0, 2),)
+
+
+@pytest.mark.acceptance
+def test_signed_matrices_digest_at_floor_two():
+    # SHA-256 of the matrices' triplet text at loop order 3, floor 2, E 3..9,
+    # frozen from the multiset-scan code; the block from E=8 is 18x4 with 13
+    # entries in {-4, -2, -1, 1, 2, 6}
+    sl = build(GCSpec(3, 0, 3, 9, 2))
+    assert len(sl.matrices[8].entries) == 13
+    assert _matrices_digest(sl) == "bcba74c147af6e1a10819c41636c34f14a02c0d07fd2f54c6c94e54a166907e2"
 
 
 def test_tables_need_a_valence_floor_of_two():
