@@ -8,8 +8,8 @@ import argparse
 import sys
 
 from ribboncoh.cli import _parse_erange
-from ribboncoh.complexes import render_table
-from ribboncoh.gc2 import gc_cohomology
+from ribboncoh.complexes import build, cohomology, render_table
+from ribboncoh.gc2 import GCSpec
 
 
 def main() -> int:
@@ -21,8 +21,8 @@ def main() -> int:
     args = ap.parse_args()
 
     try:
-        e_range = _parse_erange(args.e_range)
-        rows = gc_cohomology(args.loop_order, args.d, e_range, args.min_valence)
+        e_min, e_max = _parse_erange(args.e_range)
+        rows = cohomology(build(GCSpec(args.loop_order, args.d, e_min, e_max, args.min_valence)))
     except ValueError as exc:
         print("invalid spec: %s" % exc, file=sys.stderr)
         return 2

@@ -15,7 +15,9 @@ The ordinary graph complex of ``gc2`` goes through the same ``build`` and
 ``cohomology``.  A spec of either flavor gives ``possible(n, e)``
 (whether counting alone leaves the cell room for a graph) and
 ``chain(n, below)``: each cell of boundary count, or loop order, n in
-turn, with every block of the differential into it.  One accumulator
+turn, with every block of the differential into it.  gc2's chain is one
+walk of its split rounds per loop order, which sums each block while it
+canonicalizes the round (``gc2.GCSpec.chain``).  One accumulator
 (``_add``) sums every ribbon block from ``diff``'s raw terms (graph,
 word), each term's coefficient the sign of its word
 (``canonical.word_sign``).  For kp and mw in the full and ge3 sectors the
@@ -23,8 +25,9 @@ chain is one walk of the enumerator's closure rounds, and the vertex
 split takes the walk's split terms, which are ``delta``'s: so each split
 term is canonicalized once, and the layer below the range, which the walk
 passes through, costs nothing more.  le2's split takes ``delta_terms`` of
-the cell below, and mw's corner move ``bridge_terms``.  ``diff.delta``
-and ``diff.bridge`` are the oracles that built blocks are checked against.
+the cell below, and mw's corner move ``bridge_terms``.  No build calls
+``linalg.assemble``: ``diff.delta`` and ``diff.bridge``, assembled, are
+the oracles that built blocks are checked against.
 
 Cells are graded by edge count; the cohomological degree of a generator
 is k = -2 g d + E, with only parity(d) entering sign conventions.

@@ -26,12 +26,19 @@ from which ``complexes`` sums the blocks of every table, and one image
 path: the raw term graphs do not depend on parity, so ``delta_images``
 and ``bridge_images`` give a class's image in every parity asked for from
 one canonical pass per raw term, and ``delta`` and ``bridge`` ask for the
-class's own parity.  The images are oracles only: the check suites apply
-them, and compare a built matrix with them.  Every call returns a fresh
-image; the module keeps no state between calls.  A caller that applies
-them to the same class more than once memoizes the images itself
-(``checks.identity_suite``, one entry per canonical pair serving every
-parity in scope).
+class's own parity.  An image is a plain dict, class -> nonzero int
+(``summed``).  The images are oracles only: the check suites apply them
+(``apply_linear``), and compare a built matrix with them.  Every call
+returns a fresh image; the module keeps no state between calls.  A caller
+that applies them to the same class more than once memoizes the images
+itself (``checks.identity_suite``, one entry per canonical pair serving
+every parity in scope).
+
+``delta``, ``bridge``, ``project_ge3``, ``apply_linear`` and
+``linalg.assemble`` have no caller on the build path.  They stay because
+the benchmark's tracer (``perfbench/tracer.py``) wraps each by name and
+fails when one is missing; the check suites and the tests use them as
+oracles.
 """
 from __future__ import annotations
 
@@ -45,64 +52,6 @@ from .ribbon import (
     min_valence,
     vertices,
 )
-
-
-class FormalSum:
-    """Finite integer linear combination of nonzero oriented classes."""
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms=None):
-        self._terms: dict[OrientedClass, int] = {}
-        if terms:
-            for cls, coeff in terms.items() if isinstance(terms, dict) else terms:
-                self.add_term(cls, coeff)
-
-    def add_term(self, cls: OrientedClass, coeff: int) -> None:
-        if not isinstance(coeff, int):
-            raise TypeError("coefficients are int, got %s" % type(coeff).__name__)
-        if cls.zero_flag or coeff == 0:
-            return
-        new = self._terms.get(cls, 0) + coeff
-        if new == 0:
-            self._terms.pop(cls, None)
-        else:
-            self._terms[cls] = new
-
-    def terms(self):
-        return self._terms.items()
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __add__(self, other: "FormalSum") -> "FormalSum":
-        out = FormalSum(dict(self._terms))
-        for cls, c in other._terms.items():
-            out.add_term(cls, c)
-        return out
-
-    def __rmul__(self, scalar: int) -> "FormalSum":
-        if not isinstance(scalar, int):
-            raise TypeError("scalars are int, got %s" % type(scalar).__name__)
-        out = FormalSum()
-        for cls, c in self._terms.items():
-            out.add_term(cls, scalar * c)
-        return out
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FormalSum) and self._terms == other._terms
-
-    def __repr__(self) -> str:
-        if not self._terms:
-            return "FormalSum(0)"
-        bits = [
-            "%s*%s" % (c, cls.content_hash()[:8])
-            for cls, c in sorted(self._terms.items(), key=lambda t: t[0].content_hash())
-        ]
-        return "FormalSum(" + " + ".join(bits) + ")"
 
 
 def _add_chord(g: RibbonGraph, c1: int, c2: int) -> RibbonGraph:
@@ -204,20 +153,30 @@ def bridge_terms(g: RibbonGraph, odd: bool = False):
             yield out, (word, es)
 
 
-def _images(raw_terms, parities) -> dict[int, FormalSum]:
+def summed(terms) -> dict:
+    """(class, coefficient) pairs summed into an image: class -> nonzero
+    int."""
+    out: dict = {}
+    for cls, c in terms:
+        out[cls] = out.get(cls, 0) + c
+    return {cls: c for cls, c in out.items() if c}
+
+
+def _images(raw_terms, parities) -> dict[int, dict]:
     """Canonicalize each raw (graph, word) term once and add it in every
     parity of parities with its ``word_sign``.  raw_terms carry odd items
     when ODD is in parities."""
-    out = {parity: FormalSum() for parity in parities}
+    out = {parity: [] for parity in parities}
     for g, word in raw_terms:
         (t0, t1), maps = _canonical_data(g.sigma0, g.sigma1)
         for parity in parities:
-            cls = OrientedClass(t0, t1, parity, False)
-            out[parity].add_term(cls, word_sign(word, parity, maps))
-    return out
+            coeff = word_sign(word, parity, maps)
+            if coeff:
+                out[parity].append((OrientedClass(t0, t1, parity, False), coeff))
+    return {parity: summed(terms) for parity, terms in out.items()}
 
 
-def delta_images(g: RibbonGraph, parities, min_arc: int = 1) -> dict[int, FormalSum]:
+def delta_images(g: RibbonGraph, parities, min_arc: int = 1) -> dict[int, dict]:
     """Vertex-splitting differential of g's class in each parity of
     parities (a dict keyed by parity), summed over the cuts of
     ``delta_terms(g, min_arc)``.  On a ge3 class, min_arc = 2 gives its
@@ -226,35 +185,28 @@ def delta_images(g: RibbonGraph, parities, min_arc: int = 1) -> dict[int, Formal
     return _images(delta_terms(g, min_arc, ODD in parities), parities)
 
 
-def bridge_images(g: RibbonGraph, parities) -> dict[int, FormalSum]:
+def bridge_images(g: RibbonGraph, parities) -> dict[int, dict]:
     """Corner-connecting differential of g's class in each parity of
     parities, as ``delta_images``."""
     return _images(bridge_terms(g, ODD in parities), parities)
 
 
-def delta(x: OrientedClass, min_arc: int = 1) -> FormalSum:
+def delta(x: OrientedClass, min_arc: int = 1) -> dict:
     """``delta_images`` of a nonzero class in its own parity."""
     return delta_images(x.graph, (x.parity,), min_arc)[x.parity]
 
 
-def bridge(x: OrientedClass) -> FormalSum:
+def bridge(x: OrientedClass) -> dict:
     """``bridge_images`` of a nonzero class in its own parity."""
     return bridge_images(x.graph, (x.parity,))[x.parity]
 
 
-def project_ge3(s: FormalSum) -> FormalSum:
+def project_ge3(s: dict) -> dict:
     """Drop every term containing a vertex of valence at most two: the
     reference that ``delta(x, min_arc=2)`` is tested against."""
-    out = FormalSum()
-    for cls, c in s.terms():
-        if min_valence(cls.graph) >= 3:
-            out.add_term(cls, c)
-    return out
+    return {cls: c for cls, c in s.items() if min_valence(cls.graph) >= 3}
 
 
-def apply_linear(op, s: FormalSum) -> FormalSum:
-    out = FormalSum()
-    for cls, c in s.terms():
-        for ocls, oc in op(cls).terms():
-            out.add_term(ocls, c * oc)
-    return out
+def apply_linear(op, s: dict) -> dict:
+    """The linear extension of op, class -> image, applied to the image s."""
+    return summed((o, c * oc) for cls, c in s.items() for o, oc in op(cls).items())

@@ -7,20 +7,21 @@ some vertex automorphism induces an odd permutation of the edge set.
 
 The vertex split, ``_splits``, is the one move that makes graphs: a
 vertex's half-edges are distributed over it and a new vertex joined to it
-by a fresh edge, which is appended last in the edge order.  The
-differential ``gc_delta`` sums the splits whose moved part is not empty,
-and ``gc_enumerate`` grows each cell from the rose (one vertex with L
-loops) by rounds of splits.  Degree of a generator: |G| = 2d(V-1) + (1-2d)E.
+by a fresh edge, which is appended last in the edge order.  One walk of
+split rounds per loop order (``_rounds``) grows every cell from the rose
+(one vertex with L loops), and its splits whose moved part is not empty
+are the differential's terms, so ``GCSpec.chain`` reads each cell and the
+block into it off the same round, as the ribbon chain does.  Degree of a
+generator: |G| = 2d(V-1) + (1-2d)E.
 
-Tables need a valence floor of at least 2: both new vertices of a split
-in ``gc_delta`` have valence at least 2, so at floor 1 the operator lacks
-every term that makes a univalent vertex.  gc_enumerate and gc_delta
-still take floor 1, for the sign tests.
+Tables need a valence floor of at least 2: both new vertices of a
+differential term have valence at least 2, so at floor 1 the operator
+lacks every term that makes a univalent vertex.  ``GCSpec`` refuses floor
+1; only ``_rounds`` takes it, for the enumeration tests.
 
-``GCSpec`` gives ``complexes.build`` the counting bound and the chain of
-cells, each enumerated on its own with the block of ``gc_delta`` into it,
-so gc2 tables go through the same ``build`` and ``cohomology`` as the
-ribbon complexes.
+``GCSpec`` gives ``complexes.build`` the counting bound and the chain, so
+gc2 tables go through the same ``build`` and ``cohomology`` as the ribbon
+complexes.
 """
 from __future__ import annotations
 
@@ -28,9 +29,6 @@ from dataclasses import dataclass
 from itertools import permutations, product
 
 from .canonical import _order_sign
-from .complexes import build, cohomology
-from .diff import FormalSum
-from .linalg import assemble
 
 
 GC_LOOP_ORDER_GUARD = 4
@@ -168,53 +166,45 @@ def _splits(n_vertices: int, edges, min_valence: int):
                 yield order, not moved
 
 
-def gc_enumerate(loop_order: int, n_edges: int, min_valence: int = 3):
-    """Nonzero classes plus zero-class count at the given loop order and
-    edge count: connected loopless multigraphs, valences >= min_valence,
-    one representative per isomorphism class.
-
-    The layer grows from the rose (one vertex with loop_order loops) by
-    n_vertices - 1 rounds of ``_splits``, each round's graphs deduplicated
-    by sorted, then by canonical edge tuple; graphs with loops are kept
-    between rounds and dropped at the end.  Contracting a non-loop edge
-    keeps the loop order and the valence floor (a + b - 2 >= f when
+def _rounds(loop_order: int, min_valence: int, visit=None):
+    """The split rounds of one loop order, as a generator that never ends
+    (shaped like ``enumeration._cell_maps``): it yields (E, layer) for E =
+    loop_order, loop_order + 1, ..., layer the canonical edge tuples of
+    every connected graph with E - loop_order + 1 vertices and valences >=
+    min_valence, loops and zero classes included.  The first round is the
+    rose; each later one is the ``_splits`` of the one before, every
+    distinct sorted edge tuple canonicalized once.  Contracting a non-loop
+    edge keeps the loop order and the valence floor (a + b - 2 >= f when
     a, b >= f >= 2; at floor 1 a pendant edge is an empty moved part), and
-    turns the edge's parallel partners into loops, so every layer graph
-    contracts down to the rose."""
-    if loop_order > GC_LOOP_ORDER_GUARD:
-        raise ValueError(
-            "loop order guard is %d, got %d" % (GC_LOOP_ORDER_GUARD, loop_order)
-        )
-    n_vertices = n_edges - loop_order + 1
-    if n_vertices < 1 or min_valence * n_vertices > 2 * n_edges:
-        return [], 0
-    layer = {((0, 0),) * loop_order} if loop_order >= 0 else set()
-    for n in range(1, n_vertices):
-        graphs = {tuple(sorted(o)) for g in layer for o, _ in _splits(n, g, min_valence)}
-        layer = {_gc_canonical_data(n + 1, edges)[0] for edges in graphs}
-    classes = [
-        to_gc_class(GCGraph(n_vertices, edges))[0]
-        for edges in layer
-        if all(a != b for a, b in edges)
-    ]
-    nonzero = [c for c in classes if not c.zero_flag]
-    nonzero.sort(key=lambda c: c.content_hash())
+    turns the edge's parallel partners into loops, so every graph contracts
+    down to the rose and the rounds miss nothing.
+
+    visit, when given, is called as visit(source, order, edges, best,
+    perms) on every split whose moved part is not empty: the canonical
+    tuple it splits, its edge order, that order sorted, and the sorted
+    tuple's ``_gc_canonical_data``."""
+    e, layer = loop_order, {((0, 0),) * loop_order}
+    while True:
+        yield e, layer
+        n_vertices = e - loop_order + 1
+        canon: dict = {}  # sorted edge tuple -> (best, perms)
+        for src in layer:
+            for order, empty in _splits(n_vertices, src, min_valence):
+                edges = tuple(sorted(order))
+                if edges not in canon:
+                    canon[edges] = _gc_canonical_data(n_vertices + 1, edges)
+                if visit is not None and not empty:
+                    visit(src, order, edges, *canon[edges])
+        layer = {best for best, _ in canon.values()}
+        e += 1
+
+
+def _cell(n_vertices: int, layer) -> tuple[list[GCClass], int]:
+    """A round's loopless classes: the nonzero ones by content hash, and
+    the zero-class count."""
+    classes = [to_gc_class(GCGraph(n_vertices, g))[0] for g in layer if all(a != b for a, b in g)]
+    nonzero = sorted((c for c in classes if not c.zero_flag), key=GCClass.content_hash)
     return nonzero, len(classes) - len(nonzero)
-
-
-def gc_delta(x: GCClass, min_valence: int = 3) -> FormalSum:
-    """Vertex splitting: the ``_splits`` of x whose moved part is not
-    empty, the fresh edge appended last in the edge order.  The term's
-    sign is the parity of sorting that order into the graph's reference
-    (its sorted edge tuple) times the reference's sign against the
-    canonical one.  Projected to the min_valence sector (terms with a
-    smaller valence are dropped)."""
-    out = FormalSum()
-    for order, empty in _splits(x.n_vertices, x.edges, min_valence):
-        if not empty:
-            cls, sign = to_gc_class(GCGraph(x.n_vertices + 1, order))
-            out.add_term(cls, _order_sign(order) * sign)
-    return out
 
 
 @dataclass(frozen=True)
@@ -233,6 +223,10 @@ class GCSpec:
             raise ValueError("gc2 tables need min_valence >= 2, got %d" % self.min_valence)
         if self.loop_order < 1 or self.e_min < 1 or self.e_max < self.e_min:
             raise ValueError("need loop_order >= 1 and 1 <= e_min <= e_max")
+        if self.loop_order > GC_LOOP_ORDER_GUARD:
+            raise ValueError(
+                "loop order guard is %d, got %d" % (GC_LOOP_ORDER_GUARD, self.loop_order)
+            )
 
     def degree(self, e: int) -> int:
         return 2 * self.d * (e - self.loop_order) + (1 - 2 * self.d) * e
@@ -248,19 +242,27 @@ class GCSpec:
 
     def chain(self, n: int, below: dict):
         """(e, (nonzero, zero), blocks) for e from e_min - 1 to e_max, as
-        ``complexes.ComplexSpec.chain``, below unread: each cell is
-        enumerated on its own, its block assembled from ``gc_delta``."""
-        prev, op = [], lambda x: gc_delta(x, self.min_valence)
+        ``complexes.ComplexSpec.chain``, below unread, from one walk of
+        ``_rounds``.  The block into cell e sums, over the splits of each
+        nonzero class at column j of cell e - 1, the sign of sorting the
+        split's edge order times the sorted tuple's ``_gc_sign``."""
+        cols, block = {}, {}  # the source cell's columns; target -> {column: coefficient}
+
+        def visit(src, order, edges, best, perms):
+            j = cols.get(src)
+            coeff = 0 if j is None else _order_sign(order) * _gc_sign(edges, best, perms)
+            if coeff:
+                per = block.setdefault(best, {})
+                per[j] = per.get(j, 0) + coeff
+
+        rounds = _rounds(n, self.min_valence, visit)
+        at, layer = next(rounds)
         for e in range(self.e_min - 1, self.e_max + 1):
-            cell = gc_enumerate(n, e, self.min_valence) if self.possible(n, e) else ([], 0)
-            yield e, cell, {n: assemble(prev, cell[0], op).entries} if e > self.e_min else {}
-            prev = cell[0]
-
-
-def gc_cohomology(loop_order: int, d: int, e_range: tuple, min_valence: int = 3):
-    """Per-degree cohomology of the fixed-loop-order slice; the grading is
-    |G| = 2d(V-1)+(1-2d)E, and edges within e_range index the cells.
-
-    Returns the row dicts of complexes.cohomology ordered by edge count."""
-    e_min, e_max = e_range
-    return cohomology(build(GCSpec(loop_order, d, e_min, e_max, min_valence)))
+            while at < e:
+                at, layer = next(rounds)
+            cell = _cell(e - n + 1, layer) if at == e and self.possible(n, e) else ([], 0)
+            rows = {c.edges: i for i, c in enumerate(cell[0])}
+            entries = [(rows[key], j, v) for key, per in block.items() for j, v in per.items()]
+            yield e, cell, {n: entries} if e > self.e_min else {}
+            cols = {c.edges: j for j, c in enumerate(cell[0])} if e >= self.e_min else {}
+            block = {}

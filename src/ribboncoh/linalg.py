@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd, isqrt
 
-from .diff import FormalSum
-
 
 class AssemblyError(ValueError):
     """An operator image left the span of the codomain basis."""
@@ -89,14 +87,13 @@ class SparseIntMatrix:
 
 
 def assemble(domain_basis, codomain_basis, operator) -> SparseIntMatrix:
-    """Matrix of a linear operator: column j expands operator(domain[j])
-    in the codomain basis.  Output classes missing from the codomain are a
+    """Matrix of a linear operator: column j expands operator(domain[j]),
+    a dict class -> int, in the codomain basis.  Output classes missing from the codomain are a
     hard error (the basis is under-enumerated)."""
     index = {cls: i for i, cls in enumerate(codomain_basis)}
     entries = []
     for j, cls in enumerate(domain_basis):
-        image: FormalSum = operator(cls)
-        for ocls, coeff in image.terms():
+        for ocls, coeff in operator(cls).items():
             row = index.get(ocls)
             if row is None:
                 raise AssemblyError(

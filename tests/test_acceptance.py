@@ -30,7 +30,7 @@ from ribboncoh.complexes import (
     euler,
 )
 from ribboncoh.enumeration import EnumSpec, enumerate_bruteforce, enumerate_classes
-from ribboncoh.gc2 import gc_cohomology, gc_enumerate
+from ribboncoh.gc2 import GCSpec
 
 FULL_BOUNDS = CheckBounds()  # full E<=4, trivalent-plus E<=5, low-valence E<=8
 
@@ -75,7 +75,7 @@ def mw_g1():
 
 @pytest.fixture(scope="module")
 def gc_rows():
-    return gc_cohomology(3, 0, (3, 8))
+    return cohomology(build(GCSpec(3, 0, 3, 8)))
 
 
 def test_criterion_1_identities(capsys):
@@ -202,10 +202,9 @@ def test_criterion_9_gc2(capsys, gc_rows):
     by_e = {r["edges"]: r for r in gc_rows}
     ok = all(r["status"] == "certified" for r in gc_rows)
     ok = ok and by_e[6]["h"] == 1 and all(by_e[e]["h"] == 0 for e in (3, 4, 5, 7, 8))
-    empty_low = all(gc_enumerate(1, e) == ([], 0) for e in range(1, 7))
-    theta_only = gc_enumerate(2, 3) == ([], 1) and all(
-        gc_enumerate(2, e)[0] == [] for e in range(1, 7)
-    )
+    empty_low = all(cell == ([], 0) for cell in build(GCSpec(1, 0, 1, 6)).cells.values())
+    loop_order_two = build(GCSpec(2, 0, 1, 6)).cells
+    theta_only = {ne: c for ne, c in loop_order_two.items() if c != ([], 0)} == {(2, 3): ([], 1)}
     ok = ok and empty_low and theta_only
     announce(capsys, 9, "ordinary graph complex", ok, "single class at loop order 3")
     assert empty_low and theta_only
@@ -231,7 +230,7 @@ def _suite_payload() -> bytes:
     for name, spec in DETERMINISM_SPECS.items():
         sl = build(spec)
         payload[name] = {"rows": cohomology(sl), "euler": euler(sl)}
-    payload["gc"] = gc_cohomology(3, 0, (3, 7))
+    payload["gc"] = cohomology(build(GCSpec(3, 0, 3, 7)))
     return json.dumps(payload, sort_keys=True).encode()
 
 

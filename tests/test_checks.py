@@ -14,7 +14,7 @@ from ribboncoh.checks import (
     run_check,
     structural_suite,
 )
-from ribboncoh.diff import FormalSum, bridge_images, delta_images
+from ribboncoh.diff import bridge_images, delta_images
 from ribboncoh.ribbon import RibbonGraph
 
 SMALL = CheckBounds(g_max=1, e_max_full=3, e_max_ge3=3, e_max_le2=5, e_max_oracle=3)
@@ -74,8 +74,8 @@ def test_fault_injection_is_detected(monkeypatch):
     def broken_bridge_images(g, parities):
         out = {}
         for parity, full in real(g, parities).items():
-            terms = sorted(full.terms(), key=lambda t: t[0].content_hash())
-            out[parity] = FormalSum(terms[1:]) if terms else full
+            terms = sorted(full.items(), key=lambda t: t[0].content_hash())
+            out[parity] = dict(terms[1:])
         return out
 
     monkeypatch.setattr(checks, "bridge_images", broken_bridge_images)
@@ -94,6 +94,17 @@ def test_images_do_not_depend_on_parity_scope():
             both = images(x.graph, (EVEN, ODD))
             for p in (EVEN, ODD):
                 assert both[p] == images(x.graph, (p,))[p]
+
+
+def test_images_have_nonzero_int_coefficients():
+    # coefficients are plain ints, and cancelled terms leave the image
+    n_terms = 0
+    for _, x in iter_generators(SMALL):
+        for images in (delta_images, bridge_images):
+            for image in images(x.graph, (EVEN, ODD)).values():
+                assert all(type(c) is int and c != 0 for c in image.values())
+                n_terms += len(image)
+    assert n_terms > 100
 
 
 def _no_odd_items(builder):

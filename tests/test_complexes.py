@@ -8,7 +8,8 @@ import pytest
 from ribboncoh import cli, complexes, diff, linalg
 from ribboncoh.cache import Cache
 from ribboncoh.canonical import EVEN, ODD, word_sign
-from ribboncoh.diff import FormalSum, bridge, delta
+from ribboncoh.diff import bridge, delta, summed
+from ribboncoh.gc2 import GCSpec
 from ribboncoh.linalg import DifferentialIdentityError, SparseIntMatrix, assemble
 from ribboncoh.ribbon import boundaries
 from ribboncoh.complexes import (
@@ -126,13 +127,14 @@ def test_build_detects_broken_operator(monkeypatch):
         ComplexSpec("mw", 1, 1, "full", 2, 4),
         ComplexSpec("kp", 0, 1, "le2", 1, 8, boundaries=1),
         ComplexSpec("kp", 0, 0, "le2", 1, 8, boundaries=1),
+        pytest.param(GCSpec(2, 0, 2, 8, 2), id="gc2|L2|d0|floor2|E2..8"),
     ],
     ids=ComplexSpec.content_key,
 )
 def test_ribbon_build_calls_neither_assemble_nor_formal_sums(spec):
-    # every ribbon block is summed from raw terms in complexes; assemble
-    # and FormalSum serve the oracles only
-    banned = {linalg.assemble.__code__, FormalSum.add_term.__code__}
+    # every ribbon block is summed from raw terms in complexes, and every
+    # gc2 block off its split rounds; assemble serves the oracles only
+    banned = {linalg.assemble.__code__}
     met = []
 
     def profile(frame, event, arg):
@@ -214,7 +216,7 @@ def test_chain_blocks_match_the_delta_oracle(spec):
     # sector the chain cuts empty arcs, which delta leaves out
     def op(cls):
         image = delta(cls, max(spec.min_valence - 1, 1))
-        return image + bridge(cls) if spec.kind == "mw" else image
+        return summed([*image.items(), *bridge(cls).items()]) if spec.kind == "mw" else image
 
     sl = build(spec)
     assert sorted(sl.matrices) == list(range(spec.e_min, spec.e_max))

@@ -9,24 +9,28 @@ from pathlib import Path
 
 import pytest
 
+from ribboncoh import gc2
 from ribboncoh.cache import Cache
 from ribboncoh.canonical import _order_sign, perm_sign
-from ribboncoh.complexes import build
-from ribboncoh.diff import FormalSum, apply_linear
+from ribboncoh.complexes import build, cohomology
+from ribboncoh.diff import apply_linear, summed
 from ribboncoh.gc2 import (
+    GCClass,
     GCGraph,
     GCSpec,
+    _cell,
     _gc_canonical_data,
-    gc_cohomology,
-    gc_delta,
-    gc_enumerate,
+    _gc_sign,
+    _rounds,
+    _splits,
     to_gc_class,
 )
+from ribboncoh.linalg import assemble
 
 K4_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 THETA_EDGES = ((0, 1), (0, 1), (0, 1))
 # floor-2 generators at loop order 3, E=8, on 6 vertices, whose images
-# under gc_delta have nonempty images themselves
+# under the differential have nonempty images themselves
 D2_GENERATORS = (
     ((0, 1), (0, 2), (1, 3), (1, 4), (2, 4), (3, 4), (3, 5), (4, 5)),
     ((0, 1), (0, 2), (0, 4), (1, 2), (2, 3), (2, 5), (3, 4), (4, 5)),
@@ -37,6 +41,16 @@ def gc_canonical(g):
     """Canonical representative plus one optimal permutation old->new."""
     best, perms = _gc_canonical_data(g.n_vertices, g.edges)
     return GCGraph(g.n_vertices, best), perms[0]
+
+
+def gc_cell(loop_order, n_edges, min_valence=3):
+    """The (nonzero classes, zero count) cell at the given loop order and
+    edge count, read off the split rounds (floor 1 included)."""
+    if n_edges < loop_order:
+        return [], 0
+    for e, layer in _rounds(loop_order, min_valence):
+        if e == n_edges:
+            return _cell(n_edges - loop_order + 1, layer)
 
 
 def _edge_multisets(n_vertices, n_edges):
@@ -58,7 +72,7 @@ def _is_connected(g):
 
 
 def _scan_enumerate(loop_order, n_edges, min_valence):
-    """gc_enumerate by a scan of every edge multiset on V = E - L + 1
+    """gc_cell by a scan of every edge multiset on V = E - L + 1
     vertices (an oracle for the split closure): (sorted nonzero canonical
     edge tuples, zero count)."""
     seen = {}
@@ -172,11 +186,11 @@ def test_zero_flag_matches_automorphism_scan():
 
 
 def _oracle_delta(x, min_valence):
-    """gc_delta by explicit edge orders: each split's order (the fresh
-    edge last) is pushed through one optimal permutation and read off its
-    positions in the canonical edge tuple; a class with parallel edges or
-    an edge-odd automorphism is zero."""
-    out = FormalSum()
+    """The differential by explicit edge orders: each split's order (the
+    fresh edge last) is pushed through one optimal permutation and read off
+    its positions in the canonical edge tuple; a class with parallel edges
+    or an edge-odd automorphism is zero."""
+    out = {}
     g = GCGraph(x.n_vertices, x.edges)
     nv = g.n_vertices
     for v in range(nv):
@@ -198,44 +212,73 @@ def _oracle_delta(x, min_valence):
                 pos = {e: i for i, e in enumerate(canon.edges)}
                 moved = [pos[tuple(sorted((perm[a], perm[b])))] for a, b in order]
                 cls, _ = to_gc_class(canon)
-                out.add_term(cls, perm_sign(moved))
-    return out
+                out[cls] = out.get(cls, 0) + perm_sign(moved)
+    return {cls: c for cls, c in out.items() if c}
 
 
 def test_edge_order_sign():
-    # every term's sign in gc_delta matches transporting its explicit edge
-    # order to the canonical graph
-    generators = [
-        (x, min_valence)
-        for loop_order, n_edges, min_valence in ((1, 5, 1), (2, 5, 2), (2, 6, 1), (3, 6, 3))
-        for x in gc_enumerate(loop_order, n_edges, min_valence)[0]
-    ] + [(to_gc_class(GCGraph(6, edges))[0], 2) for edges in D2_GENERATORS]
-    n_terms = 0
-    for x, min_valence in generators:
-        image = gc_delta(x, min_valence)
-        assert image == _oracle_delta(x, min_valence)
-        n_terms += len(image)
-    assert n_terms > 10
+    # every block the chain sums off the split rounds equals the one that
+    # transporting each split's explicit edge order to the canonical graph
+    # gives; the floor-2 block from E=5 at loop order 2 has an entry
+    n_blocks = 0
+    for spec in (GCSpec(2, 0, 2, 8, 2), GCSpec(3, 0, 3, 8, 2), GCSpec(3, 1, 3, 8, 3),
+                 GCSpec(4, 0, 4, 8, 3)):
+        sl = build(spec)
+        oracle = lambda x: _oracle_delta(x, spec.min_valence)
+        for e, m in sl.matrices.items():
+            assert m == assemble(sl.bases[e], sl.bases[e + 1], oracle), (spec, e)
+            n_blocks += bool(m.nnz)
+    assert n_blocks == 1
+
+
+def _canonical_passes(monkeypatch, spec):
+    """build(spec), and the calls of gc2._gc_canonical_data it makes."""
+    calls = [0]
+    real = gc2._gc_canonical_data
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(gc2, "_gc_canonical_data", counted)
+    return build(spec), calls[0]
+
+
+def test_chain_canonicalizes_each_round_once(monkeypatch):
+    # one walk of the rounds, each distinct sorted edge tuple canonicalized
+    # once, plus one pass per loopless class for its zero flag (655 when
+    # every cell regrew its rounds from the rose and the block was assembled)
+    assert _canonical_passes(monkeypatch, GCSpec(2, 0, 2, 8, 2))[1] == 325
+
+
+@pytest.mark.acceptance
+def test_chain_canonical_passes_at_floor_two(monkeypatch):
+    # as above, at loop order 3, E 3..9 (6,242 when every cell regrew its
+    # rounds); the block from E=8, 13 entries, matches the explicit
+    # edge-order oracle
+    sl, calls = _canonical_passes(monkeypatch, GCSpec(3, 0, 3, 9, 2))
+    assert calls == 3814
+    assert sl.matrices[8] == assemble(sl.bases[8], sl.bases[9], lambda x: _oracle_delta(x, 2))
 
 
 def test_enumerate_frozen():
     # loop order 1 is empty in the trivalent-plus convention
     for e in range(1, 7):
-        assert gc_enumerate(1, e) == ([], 0)
+        assert gc_cell(1, e) == ([], 0)
     # loop order 2: only the theta graph, zero by its parallel edges
-    assert gc_enumerate(2, 3) == ([], 1)
+    assert gc_cell(2, 3) == ([], 1)
     # loop order 3: one nonzero class (K4) at six edges
-    nz, z = gc_enumerate(3, 6)
+    nz, z = gc_cell(3, 6)
     assert len(nz) == 1 and z == 1
     assert nz[0].edges == K4_EDGES
-    assert gc_enumerate(3, 4) == ([], 1)
-    nz5, z5 = gc_enumerate(3, 5)
+    assert gc_cell(3, 4) == ([], 1)
+    nz5, z5 = gc_cell(3, 5)
     assert (len(nz5), z5) == (0, 1)
     # loop order 2, floor 2: two triangles sharing an edge is the one
     # nonzero class; a triangle and a bigon sharing a vertex, two bigons
     # joined by an edge, and a bigon joined by a path of three edges are
     # zero by their parallel edges
-    nz, z = gc_enumerate(2, 5, 2)
+    nz, z = gc_cell(2, 5, 2)
     assert len(nz) == 1 and z == 3
     assert nz[0].edges == ((0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
@@ -247,7 +290,7 @@ def test_closure_matches_multiset_scan():
     for loop_order in range(1, 5):
         for n_edges in range(loop_order, 7):
             for min_valence in (1, 2, 3):
-                nonzero, zero = gc_enumerate(loop_order, n_edges, min_valence)
+                nonzero, zero = gc_cell(loop_order, n_edges, min_valence)
                 assert (sorted(c.edges for c in nonzero), zero) == _scan_enumerate(
                     loop_order, n_edges, min_valence
                 )
@@ -258,29 +301,49 @@ def test_closure_matches_multiset_scan():
 def test_floor_two_layer_at_loop_order_three():
     # E=8 on 6 vertices; its rounds hold 1, 5, 15, 41, 87 and 176 classes,
     # loops included
-    nonzero, zero = gc_enumerate(3, 8, 2)
+    nonzero, zero = gc_cell(3, 8, 2)
     assert (len(nonzero), zero) == (4, 61)
 
 
 def test_guard():
-    with pytest.raises(ValueError):
-        gc_enumerate(5, 8)
+    # the guard is checked where the spec is validated, before any build
+    with pytest.raises(ValueError, match="^loop order guard is 4, got 5$"):
+        GCSpec(5, 0, 5, 8)
+
+
+def _split_image(x, min_valence):
+    """The chain's sign rule applied to one class: its splits whose moved
+    part is not empty, each the sign of sorting its edge order times the
+    sorted tuple's sign against the canonical one."""
+    terms = []
+    for order, empty in _splits(x.n_vertices, x.edges, min_valence):
+        if not empty:
+            edges = tuple(sorted(order))
+            best, perms = _gc_canonical_data(x.n_vertices + 1, edges)
+            cls = GCClass(x.n_vertices + 1, best, False)
+            terms.append((cls, _order_sign(order) * _gc_sign(edges, best, perms)))
+    return summed(terms)
 
 
 def test_delta_squared_zero():
+    # the chain's sign rule squares to zero on generators whose images have
+    # nonempty images themselves (no gc2 table in reach of the fast tier
+    # has two composable nonzero blocks); on the generators themselves it
+    # agrees with the explicit edge-order oracle
     def d(cls):
-        return gc_delta(cls, 2)
+        return _split_image(cls, 2)
 
     for edges in D2_GENERATORS:
         x, _ = to_gc_class(GCGraph(6, edges))
         assert not x.zero_flag
         image = d(x)
-        assert any(len(d(y)) for y, _ in image.terms())
-        assert apply_linear(d, image).is_zero()
+        assert image == _oracle_delta(x, 2)
+        assert any(d(y) for y in image)
+        assert apply_linear(d, image) == {}
 
 
 def test_cohomology_frozen():
-    rows = gc_cohomology(3, 0, (3, 8))
+    rows = cohomology(build(GCSpec(3, 0, 3, 8)))
     by_e = {r["edges"]: r for r in rows}
     assert all(r["status"] == "certified" for r in rows)
     assert by_e[6]["dim"] == 1 and by_e[6]["h"] == 1
@@ -291,7 +354,7 @@ def test_cohomology_frozen():
 def test_cohomology_certified_with_zero_class_neighbor():
     # E=5 holds zero classes only, so the rank into E=6 is 0 and the K4 row
     # is certified
-    rows = gc_cohomology(3, 0, (6, 8))
+    rows = cohomology(build(GCSpec(3, 0, 6, 8)))
     first = rows[0]
     assert first["edges"] == 6 and first["dim"] == 1
     assert first["status"] == "certified" and first["h"] == 1
@@ -312,7 +375,7 @@ def test_cache_is_refused_before_any_enumeration(tmp_path, monkeypatch):
 
 def test_odd_cohomology_digest():
     # SHA-256 of the d = 1 table, frozen from the payload-transport sign code
-    rows = gc_cohomology(3, 1, (3, 9))
+    rows = cohomology(build(GCSpec(3, 1, 3, 9)))
     digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
     assert digest == "bf4d8fb67c916ba88f7b85dffcaca917fd5e2c75e36c50ddf10f28194330396f"
 
@@ -352,9 +415,9 @@ def test_signed_matrices_digest_at_floor_two():
 def test_tables_need_a_valence_floor_of_two():
     # the split never makes a univalent vertex, so at floor 1 d o d != 0;
     # the first table raised DifferentialIdentityError at E 5->7
-    for args in ((1, 0, (2, 7), 1), (2, 0, (3, 8), 1)):
+    for args in ((1, 0, 2, 7, 1), (2, 0, 3, 8, 1)):
         with pytest.raises(ValueError, match="min_valence >= 2"):
-            gc_cohomology(*args)
+            cohomology(build(GCSpec(*args)))
 
 
 def _gc2_tables(monkeypatch, *argv):
