@@ -229,6 +229,11 @@ class OrientedClass:
     def graph(self) -> RibbonGraph:
         return RibbonGraph(self.sigma0, self.sigma1)
 
+    @property
+    def key(self) -> tuple:
+        """The canonical pair, which keys the class's rows and columns."""
+        return self.sigma0, self.sigma1
+
     def content_hash(self) -> str:
         payload = "%s|%s|%d|%d" % (self.sigma0, self.sigma1, self.parity, self.zero_flag)
         return hashlib.sha1(payload.encode()).hexdigest()

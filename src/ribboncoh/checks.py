@@ -232,16 +232,18 @@ def _dense_fraction_rank(m: SparseIntMatrix) -> int:
 
 
 RANK_SUITE_SEED = 20240901
+RANK_SUITE_TRIALS = 40
 
 
-def rank_suite(trials: int = 40) -> dict:
+def rank_suite() -> dict:
     """Sparse fraction-free rank versus dense rational elimination and
-    two-prime modular ranks on seeded random matrices, plus one differential
-    matrix that ``complexes.build`` gives, which must also equal the matrix
-    that the oracles ``delta`` and ``bridge`` assemble on its bases."""
+    two-prime modular ranks on RANK_SUITE_TRIALS seeded random matrices,
+    plus one differential matrix that ``complexes.build`` gives, which must
+    also equal the matrix that the oracles ``delta`` and ``bridge``
+    assemble on its bases."""
     rng = random.Random(RANK_SUITE_SEED)
     mats = []
-    for _ in range(trials):
+    for _ in range(RANK_SUITE_TRIALS):
         rows = rng.randint(0, 14)
         cols = rng.randint(0, 14)
         ent = {}

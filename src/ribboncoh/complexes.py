@@ -15,19 +15,20 @@ The ordinary graph complex of ``gc2`` goes through the same ``build`` and
 ``cohomology``.  A spec of either flavor gives ``possible(n, e)``
 (whether counting alone leaves the cell room for a graph) and
 ``chain(n, below)``: each cell of boundary count, or loop order, n in
-turn, with every block of the differential into it.  gc2's chain is one
-walk of its split rounds per loop order, which sums each block while it
-canonicalizes the round (``gc2.GCSpec.chain``).  One accumulator
-(``_add``) sums every ribbon block from ``diff``'s raw terms (graph,
-word), each term's coefficient the sign of its word
-(``canonical.word_sign``).  For kp and mw in the full and ge3 sectors the
-chain is one walk of the enumerator's closure rounds, and the vertex
-split takes the walk's split terms, which are ``delta``'s: so each split
-term is canonicalized once, and the layer below the range, which the walk
-passes through, costs nothing more.  le2's split takes ``delta_terms`` of
-the cell below, and mw's corner move ``bridge_terms``.  No build calls
-``linalg.assemble``: ``diff.delta`` and ``diff.bridge``, assembled, are
-the oracles that built blocks are checked against.
+turn, with every block of the differential into it.  One chain loop,
+``_chain``, serves every flavor: it walks one generator of rounds per n
+(``enumeration._cell_maps`` for kp and mw in the full and ge3 sectors,
+``enumeration._le2_rounds`` for le2, ``gc2._rounds`` for gc2), reads each
+cell off its round, and sums the vertex split's block into it from the
+split terms that the walk visits, with one accumulator (``_add``) and one
+placement (``_place``).  So each split term is canonicalized once, and
+the layer below the range, which the walk passes through, costs nothing
+more.  A ribbon term's coefficient is the sign of its word
+(``canonical.word_sign``), a gc2 term's that of its edge order
+(``gc2._gc_sign``).  mw's corner move is the one block made outside the
+walk: ``_terms_block`` over ``bridge_terms`` of the cell below.  No build
+calls ``linalg.assemble``: ``diff.delta`` and ``diff.bridge``, assembled,
+are the oracles that built blocks are checked against.
 
 Cells are graded by edge count; the cohomological degree of a generator
 is k = -2 g d + E, with only parity(d) entering sign conventions.
@@ -43,9 +44,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cache import NO_CACHE, Cache
-from .canonical import EVEN, ODD, OrientedClass, _canonical_data, word_sign
-from .diff import bridge_terms, delta_terms
-from .enumeration import EnumSpec, _cell_maps, _split_by_zero, le2_classes
+from .canonical import EVEN, ODD, _canonical_data, word_sign
+from .diff import bridge_terms
+from .enumeration import EnumSpec, _cell_maps, _le2_rounds, _split_by_zero
 from .linalg import AssemblyError, DifferentialIdentityError, SparseIntMatrix, certified_rank
 
 KINDS = ("kp", "mw")
@@ -113,101 +114,94 @@ class ComplexSpec:
         return self.sector != "le2" or (self.genus, n) in ((0, 1), (0, 2))
 
     def chain(self, n: int, below: dict):
-        """(e, (nonzero, zero), blocks) for e from e_min - 1 to e_max: the
-        (n, e) cell's nonzero classes and zero-class count, and the blocks
-        of the differential into it from E=e_min on, keyed by the boundary
-        count m of their source cell (m, e - 1), as (row, col, coeff)
-        triples within the two cells.  The vertex split comes from the
-        (n, e - 1) cell: from the split terms of the chain's rounds
-        (``_rounds``), or in the le2 sector, whose cells are built directly,
-        from ``delta_terms``.  mw's corner move comes from ``bridge_terms``
-        of the (n - 1, e - 1) cell, which below, the cells walked so far,
-        holds."""
+        """(e, (nonzero, zero), blocks) for e from e_min - 1 to e_max, as
+        ``_chain`` gives them from the rounds of ``enumeration._cell_maps``
+        (the le2 sector: ``enumeration._le2_rounds``), each split term's
+        coefficient the ``word_sign`` of its word.  mw adds the corner
+        block from the (n - 1, e - 1) cell, which below, the cells walked
+        so far, holds: from ``bridge_terms`` of its classes, keyed n - 1."""
         parity, odd = self.parity, self.parity == ODD
-        prev, cols, split = [], {}, {}  # the source cell, its column index; the split block
-
-        def visit(src, word, key, maps):
-            j = cols.get(src)
-            if j is not None:
-                _add(split, j, word, key, maps, parity)
-
         if self.sector == "le2":
-            es = range(self.e_min - 1, self.e_max + 1)
-            cells = ((e, le2_classes(EnumSpec(self.genus, n, e, 1, parity))) for e in es)
+            rounds = lambda visit: _le2_rounds(self.genus, n, visit, odd)
         else:
-            cells = self._rounds(n, visit)
-        for e, cell in cells:
-            blocks = {}
-            if e > self.e_min:
-                rows = {(c.sigma0, c.sigma1): i for i, c in enumerate(cell[0])}
-                if self.sector == "le2":
-                    split = _terms_block(prev, lambda g: delta_terms(g, 1, odd), parity)
-                blocks[n] = _place(split, rows, parity)
-                source = below.get((n - 1, e - 1))
-                if self.kind == "mw" and source:
-                    corner = _terms_block(source[0], lambda g: bridge_terms(g, odd), parity)
-                    blocks[n - 1] = _place(corner, rows, parity)
+            rounds = lambda visit: _cell_maps(self.genus, n, self.min_valence, visit, odd)
+        cells = _chain(self, n, rounds, lambda e, layer: _split_by_zero(layer, parity),
+                       lambda word, maps: word_sign(word, parity, maps))
+        for e, cell, blocks in cells:
+            source = below.get((n - 1, e - 1))
+            if self.kind == "mw" and e > self.e_min and source:
+                corner = _terms_block(source[0], lambda g: bridge_terms(g, odd), parity)
+                blocks[n - 1] = _place(corner, {c.key: i for i, c in enumerate(cell[0])})
             yield e, cell, blocks
-            if e >= self.e_min:  # blocks from E=e_min on
-                prev, cols = cell[0], {(c.sigma0, c.sigma1): j for j, c in enumerate(cell[0])}
-            split = {}
-
-    def _rounds(self, n: int, visit):
-        """(e, (nonzero, zero)) for e from e_min - 1 to e_max, from the
-        rounds of one ``enumeration._cell_maps`` chain, whose walk hands
-        each of ``delta``'s terms to visit."""
-        lo, hi = self.e_min - 1, self.e_max
-        rounds = _cell_maps(self.genus, n, self.min_valence, visit, self.parity == ODD)
-        e, layer = next(rounds)
-        while e < lo:  # rounds below the range are grown, not read
-            e, layer = next(rounds)
-        for empty in range(lo, min(e, hi + 1)):  # below the chain's seeds
-            yield empty, ([], 0)
-        while e <= hi:
-            cell = _split_by_zero(layer, self.parity) if self.possible(n, e) else ([], 0)
-            layer = None  # the generator holds only the keys while it splits
-            yield e, cell
-            if e == hi:
-                return
-            e, layer = next(rounds)
 
 
-def _add(block: dict, j: int, word, key, maps, parity: int) -> None:
-    """Add a raw term of column j's class to block, target canonical pair
-    -> {column: coefficient}: the sign of its word read off the
-    relabelings maps of its canonical pair key (``canonical.word_sign``)."""
-    coeff = word_sign(word, parity, maps)
+def _chain(spec, n: int, rounds, cell_of, sign):
+    """(e, (nonzero, zero), blocks) for e from e_min - 1 to e_max, from one
+    walk of rounds(visit): the (n, e) cell's nonzero classes and zero-class
+    count, and for e > e_min the vertex split's block into it from the
+    (n, e - 1) cell, as {n: (row, col, coeff) triples}.  rounds(visit) is a
+    generator shaped like ``enumeration._cell_maps``: it yields (E, layer)
+    for E up from its first round and, while it grows a layer, calls
+    visit(source, term, key, data) on the split terms of the one before.
+    cell_of(e, layer) reads a cell off its round, sign(term, data) a
+    term's coefficient; rows and columns are keyed by each class's
+    ``key``.  A cell below the first round, or one that counting rules
+    out, is empty."""
+    cols, block = {}, {}  # the source cell's columns; target key -> {column: coefficient}
+
+    def visit(src, term, key, data):
+        j = cols.get(src)
+        if j is not None:
+            _add(block, j, key, sign(term, data))
+
+    walk = rounds(visit)
+    at, layer = next(walk)
+    for e in range(spec.e_min - 1, spec.e_max + 1):
+        while at < e:  # rounds below the range are grown, not read
+            at, layer = next(walk)
+        cell = cell_of(e, layer) if at == e and spec.possible(n, e) else ([], 0)
+        if at == e:  # the generator holds only the keys while it splits
+            layer = None
+        index = {c.key: i for i, c in enumerate(cell[0])}
+        yield e, cell, {n: _place(block, index)} if e > spec.e_min else {}
+        cols, block = index if e >= spec.e_min else {}, {}
+
+
+def _add(block: dict, j: int, key, coeff: int) -> None:
+    """Add coeff at (target key, column j) of block, target key ->
+    {column: coefficient}."""
     if coeff:
         per = block.setdefault(key, {})
         per[j] = per.get(j, 0) + coeff
 
 
 def _terms_block(classes, terms_of, parity: int) -> dict:
-    """The block (``_add``) of the raw terms that terms_of(graph) gives on
-    classes, each canonicalized on its own; column j is classes[j]."""
+    """The corner block (``_add``) of the raw terms that terms_of(graph)
+    gives on classes, each canonicalized on its own and its coefficient
+    the ``word_sign`` of its word; column j is classes[j]."""
     block: dict = {}
     for j, cls in enumerate(classes):
         for g, word in terms_of(cls.graph):
-            _add(block, j, word, *_canonical_data(g.sigma0, g.sigma1), parity)
+            key, maps = _canonical_data(g.sigma0, g.sigma1)
+            _add(block, j, key, word_sign(word, parity, maps))
     return block
 
 
-def _place(block: dict, rows: dict, parity: int) -> list:
-    """block as (row, col, coeff) triples, rows mapping a canonical pair to
+def _place(block: dict, rows: dict) -> list:
+    """block as (row, col, coeff) triples, rows mapping a target key to
     its row.  A target outside rows is a hard error (the cell is
     under-enumerated)."""
     try:
         return [(rows[key], j, v) for key, per in block.items() for j, v in per.items()]
     except KeyError as miss:
-        cls = OrientedClass(*miss.args[0], parity, False)
-        raise AssemblyError("image class %s not in codomain basis" % cls.content_hash()) from None
+        raise AssemblyError("image class %s not in codomain basis" % (miss.args[0],)) from None
 
 
 @dataclass
 class ComplexSlice:
-    spec: ComplexSpec  # or gc2.GCSpec: build() reads e_min, e_max, cells,
-                       # possible, chain; cohomology() reads e_min, e_max,
-                       # degree, cells, possible
+    spec: ComplexSpec  # or gc2.GCSpec: build() and the shared _chain read
+                       # e_min, e_max, cells, possible, chain; cohomology()
+                       # reads those and degree
     cells: dict     # (n, e) -> (nonzero classes, zero count), e_min - 1 <= e <= e_max
     matrices: dict  # e -> matrix basis[e] -> basis[e+1]
     bases: dict     # e -> [OrientedClass], e_min <= e <= e_max

@@ -9,7 +9,9 @@ Two independent code paths, neither of which keeps state between calls:
   add one vertex and one edge each, so the chain yields every edge count in
   turn, each round a whole cell.  Every candidate is canonicalized once and
   deduplicated by its canonical form; the same pass gives its automorphisms
-  and its zero flag.  ``enumerate_classes`` takes the round at its edge
+  and its zero flag.  The low-valence sector has rounds of the same shape
+  (``_le2_rounds``), the one path or polygon at each edge count.
+  ``enumerate_classes`` and ``le2_classes`` take the round at their edge
   count; ``complexes.build`` walks each chain once and reads the
   vertex-splitting differential off the split terms of its rounds;
 * the brute-force oracle scans every vertex permutation on labeled
@@ -119,10 +121,10 @@ def _cell_maps(genus: int, n_boundaries: int, min_valence: int, visit=None, odd:
     every split term that is one of ``delta``'s terms (both arcs
     non-empty): the canonical pair it was split from, the term's
     orientation word (from ``diff.delta_terms``, with odd items only when
-    odd is true), and the term's canonical pair and relabelings.  Only the keys of a round are held while the next one is
-    split, so a consumer that reads a round's relabelings reads them
-    before it asks for the next round.
-    """
+    odd is true), and the term's canonical pair and relabelings.  Only the
+    keys of a round are held while the next one is split, so a consumer
+    that reads a round's relabelings reads them before it asks for the
+    next round."""
     if (genus, n_boundaries) == (0, 1):
         layer = _canonical_layer([((0, 1), (1, 0))])
         e = 1
@@ -256,24 +258,34 @@ def path_graph(n_edges: int) -> RibbonGraph:
     return RibbonGraph(tuple(s0), tuple(s1))
 
 
-def le2_classes(spec: EnumSpec) -> tuple[list[OrientedClass], int]:
-    """Classes of the all-low-valence sector (every vertex valence <= 2).
+def _le2_rounds(genus: int, n_boundaries: int, visit=None, odd: bool = False):
+    """The rounds of the all-low-valence sector at (genus, n_boundaries),
+    shaped like ``_cell_maps``: a generator that never ends, yielding (E,
+    round) for E = 1, 2, ...  Connected graphs with every valence at most
+    two are the paths (genus 0, one boundary) and the polygons (genus 0,
+    two boundaries), so each round is the path or polygon with E edges,
+    built directly, and other (genus, n_boundaries) have empty rounds.
+    visit, when given, is called as in ``_cell_maps`` on ``delta_terms``'s
+    terms (both arcs non-empty) of each round's class."""
+    shape = {(0, 1): path_graph, (0, 2): polygon_graph}.get((genus, n_boundaries))
+    e = 1
+    while True:
+        graphs = [shape(e)] if shape else []
+        layer = _canonical_layer((g.sigma0, g.sigma1) for g in graphs)
+        yield e, layer
+        if visit is not None:
+            for src in layer:
+                for term, word in delta_terms(RibbonGraph(*src), 1, odd):
+                    visit(src, word, *_canonical_data(term.sigma0, term.sigma1))
+        e += 1
 
-    Connected graphs with all valences at most two are exactly the paths
-    (genus 0, one boundary) and the polygons (genus 0, two boundaries), so
-    the sector is constructed directly; the generic enumerator serves as
-    an oracle for this at small sizes.
-    """
-    ok, _ = spec.is_consistent()
-    if not ok:
+
+def le2_classes(spec: EnumSpec) -> tuple[list[OrientedClass], int]:
+    """Classes of the all-low-valence sector (every vertex valence <= 2),
+    read off the round of ``_le2_rounds`` at the spec's edge count; the
+    generic enumerator serves as an oracle for this at small sizes."""
+    if not spec.is_consistent()[0]:
         return [], 0
-    if spec.genus != 0:
-        return [], 0
-    if spec.boundaries == 1 and spec.n_vertices == spec.edges + 1:
-        graphs = [path_graph(spec.edges)]
-    elif spec.boundaries == 2 and spec.n_vertices == spec.edges:
-        graphs = [polygon_graph(spec.edges)]
-    else:
-        return [], 0
-    cell = _canonical_layer((g.sigma0, g.sigma1) for g in graphs)
-    return _split_by_zero(cell, spec.parity)
+    for e, cell in _le2_rounds(spec.genus, spec.boundaries):
+        if e == spec.edges:
+            return _split_by_zero(cell, spec.parity)

@@ -9,19 +9,16 @@ The vertex split, ``_splits``, is the one move that makes graphs: a
 vertex's half-edges are distributed over it and a new vertex joined to it
 by a fresh edge, which is appended last in the edge order.  One walk of
 split rounds per loop order (``_rounds``) grows every cell from the rose
-(one vertex with L loops), and its splits whose moved part is not empty
-are the differential's terms, so ``GCSpec.chain`` reads each cell and the
-block into it off the same round, as the ribbon chain does.  Degree of a
-generator: |G| = 2d(V-1) + (1-2d)E.
+(one vertex with L loops); its splits whose moved part is not empty are
+the differential's terms, and each class's layer entry gives its zero
+flag.  ``GCSpec.chain`` is the shared chain loop ``complexes._chain`` over
+those rounds, as the ribbon chains are, each term's sign that of its edge
+order (``_gc_sign``).  Degree of a generator: |G| = 2d(V-1) + (1-2d)E.
 
 Tables need a valence floor of at least 2: both new vertices of a
 differential term have valence at least 2, so at floor 1 the operator
 lacks every term that makes a univalent vertex.  ``GCSpec`` refuses floor
 1; only ``_rounds`` takes it, for the enumeration tests.
-
-``GCSpec`` gives ``complexes.build`` the counting bound and the chain, so
-gc2 tables go through the same ``build`` and ``cohomology`` as the ribbon
-complexes.
 """
 from __future__ import annotations
 
@@ -29,6 +26,7 @@ from dataclasses import dataclass
 from itertools import permutations, product
 
 from .canonical import _order_sign
+from .complexes import _chain
 
 
 GC_LOOP_ORDER_GUARD = 4
@@ -41,26 +39,6 @@ def _valences(n_vertices: int, edges) -> list[int]:
         val[a] += 1
         val[b] += 1
     return val
-
-
-@dataclass(frozen=True)
-class GCGraph:
-    """Loopless multigraph on vertices 0..n_vertices-1; edges is a sorted
-    tuple of sorted vertex pairs (parallel edges repeat)."""
-
-    n_vertices: int
-    edges: tuple
-
-    def __post_init__(self):
-        for a, b in self.edges:
-            if a == b:
-                raise ValueError("loop edges are not allowed")
-            if not (0 <= a < b < self.n_vertices):
-                raise ValueError("edge endpoints out of range or unsorted")
-        object.__setattr__(self, "edges", tuple(sorted(self.edges)))
-
-    def valences(self) -> list[int]:
-        return _valences(self.n_vertices, self.edges)
 
 
 def _relabeled_edges(edges, perm) -> tuple:
@@ -115,6 +93,11 @@ class GCClass:
     edges: tuple
     zero_flag: bool
 
+    @property
+    def key(self) -> tuple:
+        """The canonical edge tuple, which keys the class's rows and columns."""
+        return self.edges
+
     def content_hash(self) -> str:
         import hashlib
 
@@ -122,27 +105,16 @@ class GCClass:
         return hashlib.sha1(payload.encode()).hexdigest()
 
 
-def _gc_sign(edges: tuple, best: tuple, perms: list[tuple]) -> int:
-    """Sign of the sorted edge tuple edges against the canonical edge
-    tuple best, read off the optimal permutations perms by the sort-sign
-    rule of ``canonical``; 0 for a zero class: parallel edges, or two
-    permutations that disagree (their quotient is an edge-odd
-    automorphism)."""
-    if len(set(best)) != len(best):
+def _gc_sign(order, perms: list[tuple]) -> int:
+    """Sign of the edge order order against the canonical edge tuple, read
+    off the optimal permutations perms of order's sorted tuple: the sign of
+    sorting order relabeled (``canonical._order_sign``).  0 for a zero
+    class: parallel edges, or two permutations that disagree (their
+    quotient is an edge-odd automorphism)."""
+    if len(set(order)) != len(order):
         return 0
-    signs = {
-        _order_sign([tuple(sorted((p[a], p[b]))) for a, b in edges]) for p in perms
-    }
+    signs = {_order_sign([tuple(sorted((p[a], p[b]))) for a, b in order]) for p in perms}
     return signs.pop() if len(signs) == 1 else 0
-
-
-def to_gc_class(g: GCGraph) -> tuple[GCClass, int]:
-    """Canonicalize; compare the graph's sorted edge tuple, its reference
-    order, against the canonical reference order.  The sign is +1 and
-    meaningless for zero classes."""
-    best, perms = _gc_canonical_data(g.n_vertices, g.edges)
-    sign = _gc_sign(g.edges, best, perms)
-    return GCClass(g.n_vertices, best, sign == 0), sign or 1
 
 
 def _splits(n_vertices: int, edges, min_valence: int):
@@ -169,40 +141,45 @@ def _splits(n_vertices: int, edges, min_valence: int):
 def _rounds(loop_order: int, min_valence: int, visit=None):
     """The split rounds of one loop order, as a generator that never ends
     (shaped like ``enumeration._cell_maps``): it yields (E, layer) for E =
-    loop_order, loop_order + 1, ..., layer the canonical edge tuples of
-    every connected graph with E - loop_order + 1 vertices and valences >=
-    min_valence, loops and zero classes included.  The first round is the
-    rose; each later one is the ``_splits`` of the one before, every
-    distinct sorted edge tuple canonicalized once.  Contracting a non-loop
-    edge keeps the loop order and the valence floor (a + b - 2 >= f when
-    a, b >= f >= 2; at floor 1 a pendant edge is an empty moved part), and
-    turns the edge's parallel partners into loops, so every graph contracts
-    down to the rose and the rounds miss nothing.
+    loop_order, loop_order + 1, ..., layer mapping the canonical edge tuple
+    of every connected graph with E - loop_order + 1 vertices and valences
+    >= min_valence, loops and zero classes included, to (the first sorted
+    edge tuple that met it, that tuple's optimal permutations).  The first
+    round is the rose; each later one is the ``_splits`` of the one before,
+    every distinct sorted edge tuple canonicalized once.  Contracting a
+    non-loop edge keeps the loop order and the valence floor (a + b - 2 >=
+    f when a, b >= f >= 2; at floor 1 a pendant edge is an empty moved
+    part), and turns the edge's parallel partners into loops, so every
+    graph contracts down to the rose and the rounds miss nothing.
 
-    visit, when given, is called as visit(source, order, edges, best,
-    perms) on every split whose moved part is not empty: the canonical
-    tuple it splits, its edge order, that order sorted, and the sorted
-    tuple's ``_gc_canonical_data``."""
-    e, layer = loop_order, {((0, 0),) * loop_order}
+    visit, when given, is called as visit(source, order, key, perms) on
+    every split whose moved part is not empty: the canonical tuple it
+    splits, its edge order, and its canonical tuple and the optimal
+    permutations of its sorted tuple.  Only the keys of a round are held
+    while the next one is split."""
+    rose = ((0, 0),) * loop_order
+    e, layer = loop_order, {rose: (rose, [(0,)])}
     while True:
         yield e, layer
         n_vertices = e - loop_order + 1
-        canon: dict = {}  # sorted edge tuple -> (best, perms)
-        for src in layer:
+        sources, layer = tuple(layer), {}
+        canon: dict = {}  # sorted edge tuple -> (canonical tuple, perms)
+        for src in sources:
             for order, empty in _splits(n_vertices, src, min_valence):
                 edges = tuple(sorted(order))
                 if edges not in canon:
-                    canon[edges] = _gc_canonical_data(n_vertices + 1, edges)
+                    best, perms = canon[edges] = _gc_canonical_data(n_vertices + 1, edges)
+                    layer.setdefault(best, (edges, perms))
                 if visit is not None and not empty:
-                    visit(src, order, edges, *canon[edges])
-        layer = {best for best, _ in canon.values()}
+                    visit(src, order, *canon[edges])
         e += 1
 
 
 def _cell(n_vertices: int, layer) -> tuple[list[GCClass], int]:
     """A round's loopless classes: the nonzero ones by content hash, and
-    the zero-class count."""
-    classes = [to_gc_class(GCGraph(n_vertices, g))[0] for g in layer if all(a != b for a, b in g)]
+    the zero-class count, each zero flag read off its layer entry."""
+    classes = [GCClass(n_vertices, key, not _gc_sign(*entry))
+               for key, entry in layer.items() if all(a != b for a, b in key)]
     nonzero = sorted((c for c in classes if not c.zero_flag), key=GCClass.content_hash)
     return nonzero, len(classes) - len(nonzero)
 
@@ -242,27 +219,7 @@ class GCSpec:
 
     def chain(self, n: int, below: dict):
         """(e, (nonzero, zero), blocks) for e from e_min - 1 to e_max, as
-        ``complexes.ComplexSpec.chain``, below unread, from one walk of
-        ``_rounds``.  The block into cell e sums, over the splits of each
-        nonzero class at column j of cell e - 1, the sign of sorting the
-        split's edge order times the sorted tuple's ``_gc_sign``."""
-        cols, block = {}, {}  # the source cell's columns; target -> {column: coefficient}
-
-        def visit(src, order, edges, best, perms):
-            j = cols.get(src)
-            coeff = 0 if j is None else _order_sign(order) * _gc_sign(edges, best, perms)
-            if coeff:
-                per = block.setdefault(best, {})
-                per[j] = per.get(j, 0) + coeff
-
-        rounds = _rounds(n, self.min_valence, visit)
-        at, layer = next(rounds)
-        for e in range(self.e_min - 1, self.e_max + 1):
-            while at < e:
-                at, layer = next(rounds)
-            cell = _cell(e - n + 1, layer) if at == e and self.possible(n, e) else ([], 0)
-            rows = {c.edges: i for i, c in enumerate(cell[0])}
-            entries = [(rows[key], j, v) for key, per in block.items() for j, v in per.items()]
-            yield e, cell, {n: entries} if e > self.e_min else {}
-            cols = {c.edges: j for j, c in enumerate(cell[0])} if e >= self.e_min else {}
-            block = {}
+        ``complexes.ComplexSpec.chain``, below unread: ``complexes._chain``
+        over ``_rounds``, each split's coefficient its ``_gc_sign``."""
+        return _chain(self, n, lambda visit: _rounds(n, self.min_valence, visit),
+                      lambda e, layer: _cell(e - n + 1, layer), _gc_sign)

@@ -6,6 +6,7 @@ import pytest
 from ribboncoh import canonical, checks, complexes, diff
 from ribboncoh.canonical import EVEN, ODD
 from ribboncoh.checks import (
+    RANK_SUITE_TRIALS,
     CheckBounds,
     identity_suite,
     iter_generators,
@@ -63,7 +64,7 @@ def test_oracle_suite_passes():
 
 
 def test_rank_suite_passes():
-    assert rank_suite(trials=10)["passed"]
+    assert rank_suite()["passed"]
 
 
 def test_fault_injection_is_detected(monkeypatch):
@@ -269,8 +270,8 @@ def test_rank_suite_compares_the_built_matrix_with_the_oracle(monkeypatch):
         return {key: {j: -v for j, v in per.items()} for key, per in block.items()}
 
     monkeypatch.setattr(complexes, "_terms_block", negated)
-    report = rank_suite(trials=0)
-    assert report["matrices"] == 1 and not report["passed"]
+    report = rank_suite()
+    assert report["matrices"] == RANK_SUITE_TRIALS + 1 and not report["passed"]
     assert report["violations"] == [
         {"suite": "rank_oracle", "detail": "built matrix differs from delta + bridge"}
     ]

@@ -201,6 +201,7 @@ ORACLE_SPECS = [
         ("kp", 1, 1, "full", 1, 4),
         ("kp", 0, 4, "ge3", 3, 6),
         ("kp", 1, 2, "ge3", 2, 5),
+        ("kp", 0, 1, "le2", 1, 8),
         ("mw", 0, None, "full", 1, 5),
         ("mw", 1, None, "full", 3, 5),
         ("mw", 0, None, "ge3", 2, 6),
@@ -211,9 +212,10 @@ ORACLE_SPECS = [
 
 @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=ComplexSpec.content_key)
 def test_chain_blocks_match_the_delta_oracle(spec):
-    # every block read off the chain's split rounds equals the matrix that
-    # delta (plus bridge for mw) assembles on the same bases; in the full
-    # sector the chain cuts empty arcs, which delta leaves out
+    # every block read off the chain's split rounds (le2: the path rounds)
+    # equals the matrix that delta (plus bridge for mw) assembles on the
+    # same bases; in the full sector the chain cuts empty arcs, which delta
+    # leaves out
     def op(cls):
         image = delta(cls, max(spec.min_valence - 1, 1))
         return summed([*image.items(), *bridge(cls).items()]) if spec.kind == "mw" else image
