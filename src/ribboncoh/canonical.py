@@ -8,16 +8,17 @@ the roots realising the minimum give exactly the automorphism group.
 
 Each graph is canonicalized in one pass and nothing is memoized.  The
 pass first reads each root's head, the first two entries of its walk's
-t0, off the root's neighbourhood in O(1) (``_heads``: a cheap invariant
-before the full code, as in plantri, Brinkmann-McKay 2007), and walks
-only the roots with the least head, in root order; the others could
-never tie the best.  A walk (``_traverse``) is two plain loops: the
-first labels the half-edges in discovery order and compares each key
-entry with the running best as it writes it (plantri's rooted-code
-comparison), returning at the first larger t0 entry and breaking at the
-first smaller one; the second labels the rest without comparing.  The
-key is built only for a new best, off the walk's discovery order.  The
-zero flag reads its automorphisms off that same pass.  The graph is
+t0, off the root's neighbourhood in O(1), keeping the roots with the
+least head in one loop (``_least_head_roots``: a cheap invariant before
+the full code, as in plantri, Brinkmann-McKay 2007), and walks only
+those, in root order; the others could never tie the best.  A walk
+(``_traverse``) is two plain loops: the first labels the half-edges in
+discovery order and compares each key entry with the running best as it
+writes it (plantri's rooted-code comparison), returning at the first
+larger t0 entry and breaking at the first smaller one; the second labels
+the rest without comparing.  The key is built only for a new best, off
+the walk's discovery order.  The zero flag reads its automorphisms off
+that same pass.  The graph is
 trusted to be valid (``ribbon`` says where graphs are checked); a
 disconnected one raises ``DisconnectedGraph`` from the walk.
 
@@ -119,38 +120,39 @@ def is_minimal_form(s0: tuple, s1: tuple) -> bool:
     return all(_traverse(s0, s1, r, (s0, s1))[0] >= 0 for r in range(1, len(s0)))
 
 
-def _heads(s0: tuple, s1: tuple) -> list:
-    """Each root's head: the first two t0 entries (a, b) of its walk, coded
-    4a + b, in O(1) per root from its neighbourhood.  A univalent root r
-    has head (0, 1) if s1(r) is univalent too, else (0, 2).  Any other root
-    has (1, 0) if its vertex is bivalent, (1, 2) if s1(r) is s0(r) or
-    s0^2(r), and (1, 3) otherwise."""
-    heads = []
+def _least_head_roots(s0: tuple, s1: tuple) -> list:
+    """The roots whose head is least, in root order.  A root's head is the
+    first two t0 entries (a, b) of its walk, coded 4a + b, read in O(1)
+    from its neighbourhood.  A univalent root r has head (0, 1) if s1(r)
+    is univalent too, else (0, 2).  Any other root has (1, 0) if its
+    vertex is bivalent, (1, 2) if s1(r) is s0(r) or s0^2(r), and (1, 3)
+    otherwise."""
+    least, roots = 8, []
     for r in range(len(s0)):
         x = s0[r]
         if x == r:
             y = s1[r]
-            heads.append(1 if s0[y] == y else 2)
+            head = 1 if s0[y] == y else 2
         elif s0[x] == r:
-            heads.append(4)
+            head = 4
         else:
             y = s1[r]
-            heads.append(6 if y == x or y == s0[x] else 7)
-    return heads
+            head = 6 if y == x or y == s0[x] else 7
+        if head < least:
+            least, roots = head, [r]
+        elif head == least:
+            roots.append(r)
+    return roots
 
 
 def _canonical_data(s0: tuple, s1: tuple):
     """(canonical (t0,t1), list of relabelings old->canonical achieving it),
-    from one walk per root with the least head, in root order.  A root
-    with a larger head can never tie the best, so the key and the
-    relabelings are those of a walk from every root.  The key is built
-    only for a new best, off the walk's own order."""
-    heads = _heads(s0, s1)
-    least = min(heads)
+    from one walk per root with the least head (``_least_head_roots``), in
+    root order.  A root with a larger head can never tie the best, so the
+    key and the relabelings are those of a walk from every root.  The key
+    is built only for a new best, off the walk's own order."""
     best = maps = None
-    for root, head in enumerate(heads):
-        if head != least:
-            continue
+    for root in _least_head_roots(s0, s1):
         c, lab, order = _traverse(s0, s1, root, best)
         if c == 0:
             maps.append(lab)

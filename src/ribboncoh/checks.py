@@ -33,7 +33,14 @@ from .enumeration import (
     enumerate_classes,
     le2_classes,
 )
-from .linalg import SparseIntMatrix, assemble, rank, rank_modp, CERTIFICATION_PRIMES
+from .linalg import (
+    CERTIFICATION_PRIMES,
+    SparseIntMatrix,
+    assemble,
+    certified_rank,
+    rank,
+    rank_modp,
+)
 from .ribbon import boundaries, genus, is_connected, validate, vertices
 
 
@@ -237,7 +244,8 @@ RANK_SUITE_TRIALS = 40
 
 def rank_suite() -> dict:
     """Sparse fraction-free rank versus dense rational elimination and
-    two-prime modular ranks on RANK_SUITE_TRIALS seeded random matrices,
+    two-prime modular ranks, and the certified rank (a proof, or its
+    fallback) versus all three, on RANK_SUITE_TRIALS seeded random matrices,
     plus one differential matrix that ``complexes.build`` gives, which must
     also equal the matrix that the oracles ``delta`` and ``bridge``
     assemble on its bases."""
@@ -264,9 +272,13 @@ def rank_suite() -> dict:
             out.append({"suite": "rank_oracle", "detail": "dense oracle disagrees"})
         if r != rank(m.transpose()):
             out.append({"suite": "rank_oracle", "detail": "transpose rank differs"})
+        agree = True
         for p in CERTIFICATION_PRIMES:
             if rank_modp(m, p) != r:
+                agree = False
                 out.append({"suite": "rank_oracle", "detail": "mod-%d rank differs" % p})
+        if certified_rank(m) != (r, agree):
+            out.append({"suite": "rank_oracle", "detail": "certified rank differs"})
         return out
 
     violations = [v for m in mats for v in check(m)]

@@ -26,16 +26,22 @@ the layer below the range, which the walk passes through, costs nothing
 more.  A ribbon term's coefficient is the sign of its word
 (``canonical.word_sign``), a gc2 term's that of its edge order
 (``gc2._gc_sign``).  mw's corner move is the one block made outside the
-walk: ``_terms_block`` over ``bridge_terms`` of the cell below.  No build
-calls ``linalg.assemble``: ``diff.delta`` and ``diff.bridge``, assembled,
-are the oracles that built blocks are checked against.
+walk: ``_terms_block`` over ``bridge_terms`` of the cell below.  The mw
+chains run in increasing boundary count, and each grows its first round,
+the one-vertex cell, from the one before (``enumeration._chord_round``):
+its chords between two corners are the corner terms into it, so the
+round reuses their canonical data and canonicalizes only the loops and
+the zero classes' chords.  No build calls ``linalg.assemble``:
+``diff.delta`` and ``diff.bridge``, assembled, are the oracles that built
+blocks are checked against.
 
 Cells are graded by edge count; the cohomological degree of a generator
 is k = -2 g d + E, with only parity(d) entering sign conventions.
 
 A degree is *certified* when both neighboring layers are complete, either
-inside the edge range or empty, and the two ranks pass the modular
-cross-check; otherwise it is reported truncated or provisional.  The layer
+inside the edge range or empty, and both ranks are certified
+(``linalg.certified_rank``: proved, or else checked against two modular
+ranks); otherwise it is reported truncated or provisional.  The layer
 above the range is empty when counting rules out each of its cells; the
 layer below it is enumerated, and is empty when it holds no nonzero class.
 """
@@ -46,7 +52,14 @@ from dataclasses import dataclass
 from .cache import NO_CACHE, Cache
 from .canonical import EVEN, ODD, _canonical_data, word_sign
 from .diff import bridge_terms
-from .enumeration import EnumSpec, _cell_maps, _le2_rounds, _split_by_zero
+from .enumeration import (
+    EnumSpec,
+    _cell_maps,
+    _chord_round,
+    _first_round,
+    _le2_rounds,
+    _split_by_zero,
+)
 from .linalg import AssemblyError, DifferentialIdentityError, SparseIntMatrix, certified_rank
 
 KINDS = ("kp", "mw")
@@ -113,29 +126,52 @@ class ComplexSpec:
         # polygons (g=0, n=2)
         return self.sector != "le2" or (self.genus, n) in ((0, 1), (0, 2))
 
-    def chain(self, n: int, below: dict):
+    def chain(self, n: int, below: dict, firsts: dict):
         """(e, (nonzero, zero), blocks) for e from e_min - 1 to e_max, as
         ``_chain`` gives them from the rounds of ``enumeration._cell_maps``
         (the le2 sector: ``enumeration._le2_rounds``), each split term's
         coefficient the ``word_sign`` of its word.  mw adds the corner
         block from the (n - 1, e - 1) cell, which below, the cells walked
-        so far, holds: from ``bridge_terms`` of its classes, keyed n - 1."""
+        so far, holds: from ``bridge_terms`` of its classes, keyed n - 1.
+
+        firsts maps a boundary count to its chain's first round; this chain
+        reads the one before it and leaves its own.  An mw chain's first
+        round, its one-vertex cell, grows from the one before it by a chord
+        inside one boundary (``enumeration._chord_round``), and each such
+        chord between two corners is a corner term of a nonzero class of
+        the cell below, unless that class is zero: the corner block into
+        the first round is made first, and the round reuses the canonical
+        data of its terms."""
         parity, odd = self.parity, self.parity == ODD
+        terms_of = lambda g: bridge_terms(g, odd)
+        cell_of = lambda e, layer: _split_by_zero(layer, parity)
+        sign = lambda word, maps: word_sign(word, parity, maps)
         if self.sector == "le2":
-            rounds = lambda visit: _le2_rounds(self.genus, n, visit, odd)
-        else:
-            rounds = lambda visit: _cell_maps(self.genus, n, self.min_valence, visit, odd)
-        cells = _chain(self, n, rounds, lambda e, layer: _split_by_zero(layer, parity),
-                       lambda word, maps: word_sign(word, parity, maps))
-        for e, cell, blocks in cells:
+            return _chain(self, n, lambda visit: _le2_rounds(self.genus, n, visit, odd), cell_of, sign)
+
+        def corner(e, known=None):
             source = below.get((n - 1, e - 1))
-            if self.kind == "mw" and e > self.e_min and source:
-                corner = _terms_block(source[0], lambda g: bridge_terms(g, odd), parity)
-                blocks[n - 1] = _place(corner, {c.key: i for i, c in enumerate(cell[0])})
-            yield e, cell, blocks
+            if self.kind != "mw" or e <= self.e_min or source is None:
+                return {}
+            return {n - 1: _terms_block(source[0], terms_of, parity, known)}
+
+        before = firsts.pop(n - 1, None)
+        e0 = 2 * self.genus + n - 1  # the first round's edge count
+        extra = corner
+        # the loop, the first round of (0, 2), does not grow from the single edge
+        if self.kind == "mw" and before is not None and (self.genus, n) != (0, 2):
+            known: dict = {}
+            ahead = corner(e0, known)
+            first = _chord_round(before, known=known)
+            extra = lambda e: ahead if e == e0 else corner(e)
+        else:
+            first = _first_round(self.genus, n)
+        firsts[n] = first
+        rounds = lambda visit: _cell_maps(self.genus, n, self.min_valence, visit, odd, first)
+        return _chain(self, n, rounds, cell_of, sign, extra)
 
 
-def _chain(spec, n: int, rounds, cell_of, sign):
+def _chain(spec, n: int, rounds, cell_of, sign, extra=lambda e: {}):
     """(e, (nonzero, zero), blocks) for e from e_min - 1 to e_max, from one
     walk of rounds(visit): the (n, e) cell's nonzero classes and zero-class
     count, and for e > e_min the vertex split's block into it from the
@@ -145,8 +181,10 @@ def _chain(spec, n: int, rounds, cell_of, sign):
     visit(source, term, key, data) on the split terms of the one before.
     cell_of(e, layer) reads a cell off its round, sign(term, data) a
     term's coefficient; rows and columns are keyed by each class's
-    ``key``.  A cell below the first round, or one that counting rules
-    out, is empty."""
+    ``key``.  extra(e) gives more blocks into the (n, e) cell, {source
+    boundary count: block as ``_add`` sums it}, placed by the same rows.
+    A cell below the first round, or one that counting rules out, is
+    empty."""
     cols, block = {}, {}  # the source cell's columns; target key -> {column: coefficient}
 
     def visit(src, term, key, data):
@@ -163,7 +201,10 @@ def _chain(spec, n: int, rounds, cell_of, sign):
         if at == e:  # the generator holds only the keys while it splits
             layer = None
         index = {c.key: i for i, c in enumerate(cell[0])}
-        yield e, cell, {n: _place(block, index)} if e > spec.e_min else {}
+        blocks = {m: _place(b, index) for m, b in extra(e).items()}
+        if e > spec.e_min:
+            blocks[n] = _place(block, index)
+        yield e, cell, blocks
         cols, block = index if e >= spec.e_min else {}, {}
 
 
@@ -175,14 +216,17 @@ def _add(block: dict, j: int, key, coeff: int) -> None:
         per[j] = per.get(j, 0) + coeff
 
 
-def _terms_block(classes, terms_of, parity: int) -> dict:
+def _terms_block(classes, terms_of, parity: int, known=None) -> dict:
     """The corner block (``_add``) of the raw terms that terms_of(graph)
     gives on classes, each canonicalized on its own and its coefficient
-    the ``word_sign`` of its word; column j is classes[j]."""
+    the ``word_sign`` of its word; column j is classes[j].  known, when
+    given, collects each raw (sigma0, sigma1) pair's canonical data."""
     block: dict = {}
     for j, cls in enumerate(classes):
         for g, word in terms_of(cls.graph):
-            key, maps = _canonical_data(g.sigma0, g.sigma1)
+            key, maps = data = _canonical_data(g.sigma0, g.sigma1)
+            if known is not None:
+                known[g.sigma0, g.sigma1] = data
             _add(block, j, key, word_sign(word, parity, maps))
     return block
 
@@ -269,14 +313,15 @@ def _walk(spec):
     cell from e_min - 1 to e_max, and e -> the differential's block from
     E=e, from one walk of each boundary count's chain (``spec.chain``).
     The chains run in increasing boundary count, so each finds the cells
-    of the ones before in cells, and their blocks are placed by cell
-    offset."""
+    of the ones before in cells, and the first round of the one before it
+    in firsts; their blocks are placed by cell offset."""
     cells, ids = {}, {}  # ids: (n, e) -> the cell's rows in bases[e]
+    firsts: dict = {}  # n -> the first round of the n chain, for the chain after it
     placed: dict = {}  # e -> classes of bases[e] in the cells walked so far
     entries: dict = {e: [] for e in range(spec.e_min, spec.e_max)}
     ns = {n for e in range(spec.e_min - 1, spec.e_max + 1) for n in spec.cells(e)}
     for n in sorted(ns):  # spec.cells(e) lists boundary counts in increasing order
-        for e, cell, blocks in spec.chain(n, cells):
+        for e, cell, blocks in spec.chain(n, cells, firsts):
             if n not in spec.cells(e):
                 continue
             cells[(n, e)] = cell

@@ -5,11 +5,12 @@ Two independent code paths, neither of which keeps state between calls:
 * the fast enumerator walks one chain of closure rounds per (genus,
   boundaries, valence floor) under the package's own moves
   (``_cell_maps``): the one-vertex maps of the genus and boundary count
-  grow from the loop one chord at a time, and rounds of vertex splits then
-  add one vertex and one edge each, so the chain yields every edge count in
-  turn, each round a whole cell.  Every candidate is canonicalized once and
-  deduplicated by its canonical form; the same pass gives its automorphisms
-  and its zero flag.  The low-valence sector has rounds of the same shape
+  grow from the loop one chord at a time, each chord adding a boundary or
+  trading two boundaries for a handle (``_first_round``), and rounds of
+  vertex splits then add one vertex and one edge each, so the chain yields
+  every edge count in turn, each round a whole cell.  Every candidate is
+  canonicalized once and deduplicated by its canonical form; the same pass
+  gives its automorphisms and its zero flag.  The low-valence sector has rounds of the same shape
   (``_le2_rounds``), the one path or polygon at each edge count.
   ``enumerate_classes`` and ``le2_classes`` take the round at their edge
   count; ``complexes.build`` walks each chain once and reads the
@@ -24,7 +25,7 @@ the fast path past the oracle's reach in ``tests/test_enumeration.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations, combinations_with_replacement, permutations
 
 from .canonical import (
     EVEN,
@@ -60,44 +61,68 @@ class EnumSpec:
         return True, ""
 
 
-def _canonical_layer(raw_pairs) -> dict:
+def _canonical_layer(raw_pairs, known=None) -> dict:
     """Canonical pair -> optimal relabelings, one entry per isomorphism
     class among the raw (sigma0, sigma1) pairs.  The relabelings come from
     the one ``_canonical_data`` call that first met the class, so their
-    number is |Aut| and they give the zero flag."""
+    number is |Aut| and they give the zero flag.  known, when given, maps
+    raw pairs to the ``_canonical_data`` a caller has already computed."""
     layer = {}
-    for s0, s1 in raw_pairs:
-        key, maps = _canonical_data(s0, s1)
+    for raw in raw_pairs:
+        key, maps = known[raw] if known and raw in known else _canonical_data(*raw)
         if key not in layer:
             layer[key] = maps
     return layer
 
 
-def _chord_moves(layer, genus: int, n_boundaries: int):
-    """Every one-vertex map with one more chord (``diff._add_chord``) that
-    can still reach genus ``genus`` with ``n_boundaries`` boundaries.  A
-    chord inside one boundary (a loop in a corner, or two corners of one
-    walk) adds a boundary; a chord across two boundaries merges them and
-    adds a handle.  So along the moves neither the genus nor genus +
-    boundaries ever falls, and a map past either target bound is dropped."""
-    for s0, s1 in layer:
-        g = RibbonGraph(s0, s1)
-        walks = boundaries(g)
-        walk = {h: i for i, b in enumerate(walks) for h in b}
-        n = len(walks)
-        g_here = (g.n_edges + 1 - n) // 2
-        for c1 in range(len(s0)):
-            for c2 in range(c1, len(s0)):
-                if c1 == c2 or walk[c1] == walk[c2]:
-                    g_new, n_new = g_here, n + 1
-                else:
-                    g_new, n_new = g_here + 1, n - 1
-                if g_new <= genus and n_new <= n_boundaries + genus - g_new:
-                    out = _add_chord(g, c1, c2)
-                    yield out.sigma0, out.sigma1
+def _chord_round(layer, join: bool = False, known=None) -> dict:
+    """The canonical layer of the one-vertex maps with one more chord
+    (``diff._add_chord``) than those of layer.  With join, every chord
+    between two corners on different boundaries: they merge, and the
+    genus grows by one.  Otherwise every chord inside one boundary, a loop
+    in each corner included: it splits the boundary, and the genus stays.
+    The chords between two distinct corners are ``diff.bridge_terms``'s,
+    whose canonical data known (as in ``_canonical_layer``) may hold."""
+
+    def raw_pairs():
+        for src in layer:
+            g = RibbonGraph(*src)
+            walks = boundaries(g)
+            if join:
+                walk = {h: i for i, b in enumerate(walks) for h in b}
+                pairs = [(a, b) for a, b in combinations(range(len(src[0])), 2) if walk[a] != walk[b]]
+            else:
+                pairs = [pq for b in walks for pq in combinations_with_replacement(sorted(b), 2)]
+            for c1, c2 in pairs:
+                out = _add_chord(g, c1, c2)
+                yield out.sigma0, out.sigma1
+
+    return _canonical_layer(raw_pairs(), known)
 
 
-def _cell_maps(genus: int, n_boundaries: int, min_valence: int, visit=None, odd: bool = False):
+def _first_round(genus: int, n_boundaries: int) -> dict:
+    """The first round of the (genus, n_boundaries) chain: the single edge
+    for (0, 1), else the one-vertex maps, with 2g + n - 1 edges.  They grow
+    from the loop, the one-vertex map of (0, 2), one chord at a time
+    (``_chord_round``): (g, 2) -> (g + 1, 1) by a chord joining the two
+    boundaries, and (g, n) -> (g, n + 1) by a chord inside one.  Each
+    one-vertex map of (g, n) with n >= 2 loses a boundary when an edge
+    between two boundaries is deleted, and one of (g, 1) with g >= 1
+    becomes a map of (g - 1, 2) when any edge is, so the path misses
+    nothing."""
+    if (genus, n_boundaries) == (0, 1):
+        return _canonical_layer([((0, 1), (1, 0))])
+    layer = _canonical_layer([((1, 0), (1, 0))])
+    g, n = 0, 2
+    while (g, n) != (genus, n_boundaries):
+        join = g < genus and n == 2
+        layer = _chord_round(layer, join)
+        g, n = (g + 1, 1) if join else (g, n + 1)
+    return layer
+
+
+def _cell_maps(genus: int, n_boundaries: int, min_valence: int, visit=None, odd: bool = False,
+               first=None):
     """The closure rounds of one (genus, n_boundaries) chain at valence
     floor min_valence, as a generator that never ends: it yields (E,
     round) for E = 2g + n - 1, 2g + n, ..., where round maps canonical
@@ -105,17 +130,16 @@ def _cell_maps(genus: int, n_boundaries: int, min_valence: int, visit=None, odd:
     (genus, n_boundaries, E) cell, zero classes included, whenever that
     cell is consistent.
 
-    One-vertex maps of (genus, n_boundaries) have 2g + n - 1 edges and grow
-    from the loop one chord at a time.  Each later round splits every class
-    of the one before into two vertices joined by a new edge, both arcs of
-    at least min_valence - 1 darts (``diff.delta_terms``); every map with
-    V >= 2 contracts along a non-loop edge to a map of the same genus and
-    boundaries, so the rounds miss nothing.  The one exception is the
-    single edge (genus 0, one boundary), which contracts to no vertex at
-    all and seeds its chain directly.  A split gives both new vertices
-    valence >= min_valence and a contraction keeps the valence floor, so
-    after the first split every class is within the floor; a one-vertex
-    cell is consistent only when 2E >= min_valence.
+    The first round is first when given, else ``_first_round``: the
+    one-vertex maps, or for (0, 1) the single edge, which contracts to no
+    vertex at all and seeds its chain directly.  Each later round splits
+    every class of the one before into two vertices joined by a new edge,
+    both arcs of at least min_valence - 1 darts (``diff.delta_terms``);
+    every map with V >= 2 contracts along a non-loop edge to a map of the
+    same genus and boundaries, so the rounds miss nothing.  A split gives
+    both new vertices valence >= min_valence and a contraction keeps the
+    valence floor, so after the first split every class is within the
+    floor; a one-vertex cell is consistent only when 2E >= min_valence.
 
     visit, when given, is called as visit(source, word, key, maps) on
     every split term that is one of ``delta``'s terms (both arcs
@@ -125,14 +149,8 @@ def _cell_maps(genus: int, n_boundaries: int, min_valence: int, visit=None, odd:
     keys of a round are held while the next one is split, so a consumer
     that reads a round's relabelings reads them before it asks for the
     next round."""
-    if (genus, n_boundaries) == (0, 1):
-        layer = _canonical_layer([((0, 1), (1, 0))])
-        e = 1
-    else:
-        layer = _canonical_layer([((1, 0), (1, 0))])
-        for _ in range(2 * genus + n_boundaries - 2):
-            layer = _canonical_layer(_chord_moves(layer, genus, n_boundaries))
-        e = 2 * genus + n_boundaries - 1
+    layer = _first_round(genus, n_boundaries) if first is None else first
+    e = 1 if (genus, n_boundaries) == (0, 1) else 2 * genus + n_boundaries - 1
     min_arc = max(min_valence - 1, 0)
     while True:
         yield e, layer
@@ -150,11 +168,13 @@ def _cell_maps(genus: int, n_boundaries: int, min_valence: int, visit=None, odd:
 
 def _split_by_zero(cell: dict, parity: int):
     """Nonzero classes sorted by content hash, and the zero-class count, of
-    a canonical pair -> optimal relabelings mapping."""
+    a canonical pair -> optimal relabelings mapping.  A class with one
+    optimal relabeling has no automorphism but the identity, so it is not
+    zero."""
     nonzero = []
     zero = 0
     for (t0, t1), maps in cell.items():
-        if _zero_flag(RibbonGraph(t0, t1), parity, maps):
+        if len(maps) > 1 and _zero_flag(RibbonGraph(t0, t1), parity, maps):
             zero += 1
         else:
             nonzero.append(OrientedClass(t0, t1, parity, False))
@@ -258,20 +278,25 @@ def path_graph(n_edges: int) -> RibbonGraph:
     return RibbonGraph(tuple(s0), tuple(s1))
 
 
+def _le2_layer(genus: int, n_boundaries: int, e: int) -> dict:
+    """The round of the all-low-valence sector at (genus, n_boundaries, e):
+    connected graphs with every valence at most two are the paths (genus
+    0, one boundary) and the polygons (genus 0, two boundaries), so it holds
+    the path or polygon with e edges, and nothing at any other (genus,
+    n_boundaries)."""
+    shape = {(0, 1): path_graph, (0, 2): polygon_graph}.get((genus, n_boundaries))
+    return _canonical_layer((g.sigma0, g.sigma1) for g in ([shape(e)] if shape else []))
+
+
 def _le2_rounds(genus: int, n_boundaries: int, visit=None, odd: bool = False):
     """The rounds of the all-low-valence sector at (genus, n_boundaries),
     shaped like ``_cell_maps``: a generator that never ends, yielding (E,
-    round) for E = 1, 2, ...  Connected graphs with every valence at most
-    two are the paths (genus 0, one boundary) and the polygons (genus 0,
-    two boundaries), so each round is the path or polygon with E edges,
-    built directly, and other (genus, n_boundaries) have empty rounds.
-    visit, when given, is called as in ``_cell_maps`` on ``delta_terms``'s
-    terms (both arcs non-empty) of each round's class."""
-    shape = {(0, 1): path_graph, (0, 2): polygon_graph}.get((genus, n_boundaries))
+    ``_le2_layer``) for E = 1, 2, ...  visit, when given, is called as in
+    ``_cell_maps`` on ``delta_terms``'s terms (both arcs non-empty) of each
+    round's class."""
     e = 1
     while True:
-        graphs = [shape(e)] if shape else []
-        layer = _canonical_layer((g.sigma0, g.sigma1) for g in graphs)
+        layer = _le2_layer(genus, n_boundaries, e)
         yield e, layer
         if visit is not None:
             for src in layer:
@@ -282,10 +307,8 @@ def _le2_rounds(genus: int, n_boundaries: int, visit=None, odd: bool = False):
 
 def le2_classes(spec: EnumSpec) -> tuple[list[OrientedClass], int]:
     """Classes of the all-low-valence sector (every vertex valence <= 2),
-    read off the round of ``_le2_rounds`` at the spec's edge count; the
-    generic enumerator serves as an oracle for this at small sizes."""
+    read off ``_le2_layer`` at the spec's edge count; the generic
+    enumerator serves as an oracle for this at small sizes."""
     if not spec.is_consistent()[0]:
         return [], 0
-    for e, cell in _le2_rounds(spec.genus, spec.boundaries):
-        if e == spec.edges:
-            return _split_by_zero(cell, spec.parity)
+    return _split_by_zero(_le2_layer(spec.genus, spec.boundaries, spec.edges), spec.parity)

@@ -13,9 +13,18 @@ row queued at a length it has since left is skipped the same way.
 ``rank`` works over the integers, clearing the column by the cross
 multiples that the gcd of the two entries leaves and dividing each new row
 by the gcd of its entries; ``rank_modp`` works modulo a prime.  The two
-keep separate loops on purpose: ``rank_modp`` is the certification oracle
-of ``rank``, and a fault in one shared loop would pass both.  No floating
-point anywhere.
+keep separate loops on purpose: ``rank_modp`` is the oracle of ``rank``,
+and a fault in one shared loop would pass both.
+
+``certified_rank`` proves a rank from one elimination modulo the first
+certification prime, by the same rule in a loop of its own
+(``_pivots_modp``), which keeps its echelon rows.  Its kernel vectors,
+lifted to the rationals by rational reconstruction (Wang 1981; Dixon,
+Numer. Math. 1982) and checked to satisfy M K = 0 over the integers,
+bound the rank from above; the pivot minor, of full rank under
+``rank_modp`` at the second prime, bounds it from below.  The exact
+``rank`` and the two modular ranks are its fallback, and the oracles that
+``checks.rank_suite`` compares it with.  No floating point anywhere.
 """
 from __future__ import annotations
 
@@ -36,19 +45,16 @@ class SparseIntMatrix:
     def __post_init__(self):
         if not all(isinstance(n, int) and n >= 0 for n in (self.rows, self.cols)):
             raise ValueError("matrix dimensions must be non-negative integers")
-        ent = []
-        seen = set()
         for r, c, v in self.entries:
             if not (isinstance(r, int) and isinstance(c, int) and isinstance(v, int)):
                 raise ValueError("matrix indices and entries must be integers")
             if not (0 <= r < self.rows and 0 <= c < self.cols):
                 raise ValueError("entry index out of range")
-            if (r, c) in seen:
+        ent = sorted(self.entries)
+        for a, b in zip(ent, ent[1:]):  # sorted, so a repeated (row, col) is adjacent
+            if a[0] == b[0] and a[1] == b[1]:
                 raise ValueError("duplicate entry")
-            seen.add((r, c))
-            if v != 0:
-                ent.append((r, c, v))
-        object.__setattr__(self, "entries", tuple(sorted(ent)))
+        object.__setattr__(self, "entries", tuple((r, c, v) for r, c, v in ent if v))
 
     @property
     def nnz(self) -> int:
@@ -214,9 +220,150 @@ def rank_modp(m: SparseIntMatrix, p: int) -> int:
 CERTIFICATION_PRIMES = (1000003, 2000003)
 
 
+def _pivots_modp(m: SparseIntMatrix, p: int) -> list:
+    """``rank_modp``'s elimination, recording each pivot as (original row,
+    column, the pivot row scaled to 1 at the column), in pivot order.  A
+    pivot row holds no earlier pivot's column, so the rows are an echelon
+    form.  A loop of its own: ``rank_modp`` checks what it finds."""
+    rows = [{c: v % p for c, v in r.items() if v % p} for r in m.row_dicts()]
+    holders = [[] for _ in range(m.cols)]  # column -> rows listed as holding it
+    by_len = [[] for _ in range(m.cols + 1)]  # length -> rows queued at it
+    for i, r in enumerate(rows):
+        for c in r:
+            holders[c].append(i)
+        by_len[len(r)].append(i)
+    pivots = []
+    short = 1
+    while short <= m.cols:
+        if not by_len[short]:
+            short += 1
+            continue
+        i = by_len[short].pop()
+        pivot_row = rows[i]
+        if len(pivot_row) != short:  # queued at a length it has since left
+            continue
+        rows[i] = {}
+        pc = min(pivot_row, key=lambda c: (len(holders[c]), c))
+        pv_inv = pow(pivot_row[pc], p - 2, p)
+        pivot = {c: v * pv_inv % p for c, v in pivot_row.items()}
+        pivots.append((i, pc, pivot))
+        for j in holders[pc]:
+            r = rows[j]
+            w = r.get(pc)
+            if w is None:  # a row that has lost the column, or the pivot row
+                continue
+            for c, v in pivot.items():
+                if c not in r:
+                    r[c] = -v * w % p
+                    holders[c].append(j)
+                else:
+                    nv = (r[c] - v * w) % p
+                    if nv:
+                        r[c] = nv
+                    else:
+                        del r[c]
+            if r:
+                by_len[len(r)].append(j)
+                short = min(short, len(r))
+        holders[pc] = []
+    return pivots
+
+
+def _kernel_modp(pivots: list, p: int) -> dict:
+    """Pivot column -> {free column f: entry mod p} of the kernel vector
+    that is 1 at f and 0 at every other free column, by back-substitution
+    through the echelon rows of ``_pivots_modp`` in reverse pivot order."""
+    kernel: dict = {}
+    for _, pc, row in reversed(pivots):
+        x: dict = {}
+        for c, v in row.items():
+            if c == pc:
+                continue
+            later = kernel.get(c)  # a later pivot's column, else a free one
+            if later is None:
+                x[c] = (x.get(c, 0) - v) % p
+                continue
+            for f, w in later.items():
+                x[f] = (x.get(f, 0) - v * w) % p
+        kernel[pc] = {f: w for f, w in x.items() if w}
+    return kernel
+
+
+def _lift(a: int, p: int, bound: int):
+    """(n, d) with n = a d mod p, |n| <= bound and 0 < d <= bound, n and d
+    coprime, or None: rational reconstruction by the extended Euclidean
+    algorithm (Wang 1981), unique when 2 bound^2 < p."""
+    r0, r1, t0, t1 = p, a, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if abs(t1) > bound or gcd(r1, t1) != 1:
+        return None
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
+
+
+def _proved_rank(m: SparseIntMatrix):
+    """The rational rank of m, proved, or None.  One elimination mod the
+    first certification prime gives r pivots and a kernel vector mod p per
+    free column.  Each entry lifts to a rational by ``_lift``; cleared of
+    denominators, the vectors are integral, independent (each is zero at
+    every free column but its own) and must satisfy M K = 0 over Z, which
+    proves rank <= r.  The r x r minor of m at the pivot rows and columns
+    must have full rank mod the second prime (``rank_modp``, which shares
+    no code with the elimination), which proves rank >= r.  None when a
+    lift fails, M K != 0 or the minor is singular."""
+    p, q = CERTIFICATION_PRIMES
+    bound = isqrt(p // 2)
+    pivots = _pivots_modp(m, p)
+    kernel = _kernel_modp(pivots, p)
+    at_row = {i: k for k, (i, _, _) in enumerate(pivots)}
+    at_col = {c: k for k, (_, c, _) in enumerate(pivots)}
+    del pivots  # the echelon rows
+    vectors = {f: {f: 1} for f in range(m.cols) if f not in at_col}  # free column -> vector mod p
+    for c, x in kernel.items():
+        for f, w in x.items():
+            vectors[f][c] = w
+    del kernel
+    by_col: dict = {}  # column c -> (k, K[c, k]) for the nonzero entries of K's row c
+    for k, vec in enumerate(vectors.values()):
+        lifted = [(c, _lift(w, p, bound)) for c, w in vec.items()]
+        if any(frac is None for _, frac in lifted):
+            return None
+        scale = 1
+        for _, (_, d) in lifted:
+            scale = scale * d // gcd(scale, d)
+        for c, (n, d) in lifted:  # the vector cleared of denominators
+            by_col.setdefault(c, []).append((k, n * (scale // d)))
+    del vectors
+    image: dict = {}  # row r of M K, vector -> entry
+    row = 0
+    for r, c, v in m.entries:  # sorted by row
+        if r != row:
+            if any(image.values()):
+                return None
+            image, row = {}, r
+        for k, x in by_col.get(c, ()):
+            image[k] = image.get(k, 0) + v * x
+    if any(image.values()):
+        return None
+    minor = tuple(
+        (at_row[r], at_col[c], v) for r, c, v in m.entries if r in at_row and c in at_col
+    )
+    r = len(at_row)
+    return r if rank_modp(SparseIntMatrix(r, r, minor), q) == r else None
+
+
 def certified_rank(m: SparseIntMatrix) -> tuple[int, bool]:
-    """(rational rank, certificate) with certification by agreement with
-    modular ranks at independent large primes."""
+    """(rational rank, certificate).  A rank that ``_proved_rank`` proves
+    is certified.  That is the bit of the fallback too: a proved rank r is
+    the rank at the second prime (the minor puts it at least r, and no
+    modular rank exceeds the rational one) and, as the elimination's pivot
+    count, at the first.  When the proof fails (a lift beyond its bound,
+    M K != 0, a singular pivot minor) the rank is the exact ``rank``, and
+    it is certified when both modular ranks agree with it."""
+    r = _proved_rank(m)
+    if r is not None:
+        return r, True
     r = rank(m)
     return r, all(rank_modp(m, p) == r for p in CERTIFICATION_PRIMES)
 

@@ -9,7 +9,7 @@ from ribboncoh.canonical import (
     EVEN,
     ODD,
     _canonical_data,
-    _heads,
+    _least_head_roots,
     _zero_flag,
     class_of,
     is_minimal_form,
@@ -222,18 +222,19 @@ def _full_sector_maps(e_max):
 
 
 def test_heads_match_full_walks():
-    # every root of every full-sector map with E <= 4: the O(1) head is the
-    # first two t0 entries (a, b) of the root's full walk, coded 4a + b.
-    # The roots reach every head, and head (1, 2) both ways: s1(r) = s0(r)
-    # (a loop in one corner) and s1(r) = s0^2(r)
+    # every root of every full-sector map with E <= 4: the roots kept are
+    # those whose full walk's first two t0 entries (a, b), the head, are
+    # least, in root order.  The roots reach every head, and head (1, 2)
+    # both ways: s1(r) = s0(r) (a loop in one corner) and s1(r) = s0^2(r)
     seen = set()
     for g in _full_sector_maps(4):
         s0, s1 = g.sigma0, g.sigma1
-        heads = _heads(s0, s1)
+        heads = []
         for r in range(g.n_half_edges):
             (t0, _), _ = _full_relabel(g, r)
-            assert heads[r] == 4 * t0[0] + t0[1]
+            heads.append((t0[0], t0[1]))
             seen.add((t0[0], t0[1], s1[r] == s0[r], s1[r] == s0[s0[r]]))
+        assert _least_head_roots(s0, s1) == [r for r, h in enumerate(heads) if h == min(heads)]
     assert {(a, b) for a, b, _, _ in seen} == {(0, 1), (0, 2), (1, 0), (1, 2), (1, 3)}
     assert (1, 2, True, False) in seen and (1, 2, False, True) in seen
 

@@ -9,6 +9,7 @@ from ribboncoh import cli, complexes, diff, linalg
 from ribboncoh.cache import Cache
 from ribboncoh.canonical import EVEN, ODD, word_sign
 from ribboncoh.diff import bridge, delta, summed
+from ribboncoh.enumeration import _first_round
 from ribboncoh.gc2 import GCSpec
 from ribboncoh.linalg import DifferentialIdentityError, SparseIntMatrix, assemble
 from ribboncoh.ribbon import boundaries
@@ -225,6 +226,48 @@ def test_chain_blocks_match_the_delta_oracle(spec):
     for e, m in sl.matrices.items():
         assert m == assemble(sl.bases[e], sl.bases[e + 1], op), e
     assert any(m.nnz for m in sl.matrices.values())
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ComplexSpec("mw", 0, 0, "ge3", 1, 7),
+        ComplexSpec("mw", 1, 0, "ge3", 2, 7),
+        ComplexSpec("kp", 1, 0, "ge3", 2, 7, boundaries=1),
+    ],
+    ids=ComplexSpec.content_key,
+)
+def test_tables_take_no_exact_rank(spec, monkeypatch):
+    # every rank of the fixed mw and kp tables is proved by one modular
+    # elimination, with the rows of the exact rank and two modular ranks
+    def no_rank(m):
+        raise AssertionError("exact rank on the build path")
+
+    monkeypatch.setattr(linalg, "rank", no_rank)
+    sl = build(spec)
+    rows = cohomology(sl)
+    monkeypatch.undo()
+    monkeypatch.setattr(linalg, "_proved_rank", lambda m: None)
+    assert cohomology(sl) == rows
+
+
+def test_mw_chains_hand_on_their_first_rounds(monkeypatch):
+    # each mw chain after the first grows its one-vertex cell from the one
+    # before: the cell is the one the boundary-count path grows alone
+    firsts = []
+    real = complexes._cell_maps
+
+    def recorded(genus, n, min_valence, visit, odd, first):
+        firsts.append((genus, n, first))
+        return real(genus, n, min_valence, visit, odd, first)
+
+    monkeypatch.setattr(complexes, "_cell_maps", recorded)
+    for d in (0, 1):
+        build(ComplexSpec("mw", 1, d, "ge3", 2, 6))
+        build(ComplexSpec("mw", 0, d, "full", 1, 5))
+    assert len(firsts) == 2 * (5 + 6)
+    for genus, n, first in firsts:
+        assert first.keys() == _first_round(genus, n).keys(), (genus, n)
 
 
 def _cache_files(path, kind):

@@ -9,7 +9,10 @@ from ribboncoh import diff, enumeration
 from ribboncoh.canonical import EVEN, ODD
 from ribboncoh.enumeration import (
     EnumSpec,
+    _canonical_layer,
     _cell_maps,
+    _first_round,
+    _split_by_zero,
     enumerate_bruteforce,
     enumerate_cell,
     enumerate_classes,
@@ -18,6 +21,7 @@ from ribboncoh.enumeration import (
     polygon_graph,
 )
 from ribboncoh.ribbon import (
+    RibbonGraph,
     boundaries,
     genus,
     min_valence,
@@ -159,6 +163,52 @@ def _round(genus: int, n: int, e: int, mv: int) -> dict:
         if edges >= e:
             assert edges == e, (genus, n, e)
             return layer
+
+
+def _chord_moves(layer, genus: int, n_boundaries: int):
+    """Oracle: every one-vertex map with one more chord (``diff._add_chord``)
+    that can still reach genus ``genus`` with ``n_boundaries`` boundaries.
+    A chord inside one boundary (a loop in a corner, or two corners of one
+    walk) adds a boundary; a chord across two boundaries merges them and
+    adds a handle.  So along the moves neither the genus nor genus +
+    boundaries ever falls, and a map past either target bound is
+    dropped."""
+    for s0, s1 in layer:
+        g = RibbonGraph(s0, s1)
+        walks = boundaries(g)
+        walk = {h: i for i, b in enumerate(walks) for h in b}
+        n = len(walks)
+        g_here = (g.n_edges + 1 - n) // 2
+        for c1 in range(len(s0)):
+            for c2 in range(c1, len(s0)):
+                if c1 == c2 or walk[c1] == walk[c2]:
+                    g_new, n_new = g_here, n + 1
+                else:
+                    g_new, n_new = g_here + 1, n - 1
+                if g_new <= genus and n_new <= n_boundaries + genus - g_new:
+                    out = diff._add_chord(g, c1, c2)
+                    yield out.sigma0, out.sigma1
+
+
+def test_first_rounds_match_the_chord_closure():
+    # the boundary-count path gives the same one-vertex cells as every
+    # reachable chord from the loop, 2g + n - 2 rounds of them: the same
+    # classes, automorphism counts and zero flags, for g <= 2 and E <= 7
+    sizes = []
+    for genus in range(3):
+        for n in range(1, 9 - 2 * genus):
+            if (genus, n) == (0, 1):
+                continue
+            oracle = _canonical_layer([((1, 0), (1, 0))])
+            for _ in range(2 * genus + n - 2):
+                oracle = _canonical_layer(_chord_moves(oracle, genus, n))
+            layer = _first_round(genus, n)
+            assert layer.keys() == oracle.keys(), (genus, n)
+            assert all(len(layer[k]) == len(maps) for k, maps in oracle.items())
+            for parity in (EVEN, ODD):
+                assert _split_by_zero(layer, parity) == _split_by_zero(oracle, parity)
+            sizes.append(len(layer))
+    assert len(sizes) == 17 and max(sizes) == 4758
 
 
 def test_empty_arc_cut_lists_no_odd_items(monkeypatch):

@@ -13,6 +13,7 @@ from ribboncoh.linalg import (
     CERTIFICATION_PRIMES,
     AssemblyError,
     SparseIntMatrix,
+    _proved_rank,
     assemble,
     certified_rank,
     is_probable_prime,
@@ -191,6 +192,34 @@ def test_rank_modp_divergence():
         assert rank_modp(m, p) == 0
         assert rank_modp(m, q) == 1
         assert certified_rank(m) == (1, False)
+
+
+def test_proof_falls_back_on_a_lift_beyond_its_bound():
+    # the kernel vector (-1000, 1) has an entry past isqrt(p / 2) = 707: no
+    # proof, and the rank certifies by the two modular ranks' agreement
+    m = SparseIntMatrix(1, 2, ((0, 0, 1), (0, 1, 1000)))
+    assert _proved_rank(m) is None
+    assert certified_rank(m) == (1, True)
+
+
+def test_proof_falls_back_on_a_singular_pivot_minor():
+    # the kernel lifts to (-2, 1) and M K = 0, but the pivot minor [q]
+    # vanishes mod q: the rank drops at q, so the fallback does not certify
+    q = CERTIFICATION_PRIMES[1]
+    m = SparseIntMatrix(1, 2, ((0, 0, q), (0, 1, 2 * q)))
+    assert _proved_rank(m) is None
+    assert certified_rank(m) == (1, False)
+
+
+def test_proved_rank_is_the_exact_rank():
+    # on the sparse test matrices, full rank and rank-deficient alike, the
+    # proof gives the exact rank or nothing (a kernel entry past the lift
+    # bound: 2 of these 24)
+    mats = _sparse_test_matrices()
+    proved = [_proved_rank(m) for m in mats]
+    assert all(r is None or r == rank(m) for r, m in zip(proved, mats))
+    assert sum(r is not None for r in proved) == 22
+    assert any(r is not None and r < min(m.rows, m.cols) for r, m in zip(proved, mats))
 
 
 def test_rank_modp_rejects_composite():
