@@ -14,8 +14,8 @@ Two ribbon complex kinds share the machinery:
 The ordinary graph complex of ``gc2`` goes through the same ``build`` and
 ``cohomology``.  A spec of either flavor gives ``possible(n, e)``
 (whether counting alone leaves the cell room for a graph) and
-``chain(n, below)``: each cell of boundary count, or loop order, n in
-turn, with every block of the differential into it.  One chain loop,
+``chain()``: every cell, in increasing boundary count, or loop order, n,
+with every block of the differential into it.  One chain loop,
 ``_chain``, serves every flavor: it walks one generator of rounds per n
 (``enumeration._cell_maps`` for kp and mw in the full and ge3 sectors,
 ``enumeration._le2_rounds`` for le2, ``gc2._rounds`` for gc2), reads each
@@ -26,12 +26,13 @@ the layer below the range, which the walk passes through, costs nothing
 more.  A ribbon term's coefficient is the sign of its word
 (``canonical.word_sign``), a gc2 term's that of its edge order
 (``gc2._gc_sign``).  mw's corner move is the one block made outside the
-walk: ``_terms_block`` over ``bridge_terms`` of the cell below.  The mw
-chains run in increasing boundary count, and each grows its first round,
-the one-vertex cell, from the one before (``enumeration._chord_round``):
-its chords between two corners are the corner terms into it, so the
-round reuses their canonical data and canonicalizes only the loops and
-the zero classes' chords.  No build calls ``linalg.assemble``:
+walk: ``_terms_block`` over ``bridge_terms`` of the cell below, which
+``ComplexSpec.chain`` keeps from the chain before.  The first rounds of
+the ribbon chains, their one-vertex cells, come from one walk of
+``enumeration._first_rounds``, which grows each from the one before it by
+chords: those between two corners are the corner terms into it, so the
+corner block into a first round reuses their canonical data, and nothing
+is canonicalized twice.  No build calls ``linalg.assemble``:
 ``diff.delta`` and ``diff.bridge``, assembled, are the oracles that built
 blocks are checked against.
 
@@ -52,14 +53,7 @@ from dataclasses import dataclass
 from .cache import NO_CACHE, Cache
 from .canonical import EVEN, ODD, _canonical_data, word_sign
 from .diff import bridge_terms
-from .enumeration import (
-    EnumSpec,
-    _cell_maps,
-    _chord_round,
-    _first_round,
-    _le2_rounds,
-    _split_by_zero,
-)
+from .enumeration import EnumSpec, _cell_maps, _first_rounds, _le2_rounds, _split_by_zero
 from .linalg import AssemblyError, DifferentialIdentityError, SparseIntMatrix, certified_rank
 
 KINDS = ("kp", "mw")
@@ -126,65 +120,57 @@ class ComplexSpec:
         # polygons (g=0, n=2)
         return self.sector != "le2" or (self.genus, n) in ((0, 1), (0, 2))
 
-    def chain(self, n: int, below: dict, firsts: dict):
-        """(e, (nonzero, zero), blocks) for e from e_min - 1 to e_max, as
-        ``_chain`` gives them from the rounds of ``enumeration._cell_maps``
+    def chain(self):
+        """(n, e, (nonzero, zero), blocks) for every cell with e_min - 1 <=
+        e <= e_max and n in cells(e), in increasing boundary count n: per
+        n, ``_chain`` over ``enumeration._cell_maps`` from the n chain's
+        first round, which one walk of ``enumeration._first_rounds`` gives
         (the le2 sector: ``enumeration._le2_rounds``), each split term's
-        coefficient the ``word_sign`` of its word.  mw adds the corner
-        block from the (n - 1, e - 1) cell, which below, the cells walked
-        so far, holds: from ``bridge_terms`` of its classes, keyed n - 1.
-
-        firsts maps a boundary count to its chain's first round; this chain
-        reads the one before it and leaves its own.  An mw chain's first
-        round, its one-vertex cell, grows from the one before it by a chord
-        inside one boundary (``enumeration._chord_round``), and each such
-        chord between two corners is a corner term of a nonzero class of
-        the cell below, unless that class is zero: the corner block into
-        the first round is made first, and the round reuses the canonical
-        data of its terms."""
+        coefficient the ``word_sign`` of its word.  blocks maps n to the
+        vertex split's block from the (n, e - 1) cell, and for mw n - 1 to
+        the corner block from the (n - 1, e - 1) cell that the chain before
+        left: ``_terms_block`` on its classes, which reads the canonical
+        data of its terms into a first round off the walk's chords."""
         parity, odd = self.parity, self.parity == ODD
-        terms_of = lambda g: bridge_terms(g, odd)
         cell_of = lambda e, layer: _split_by_zero(layer, parity)
         sign = lambda word, maps: word_sign(word, parity, maps)
-        if self.sector == "le2":
-            return _chain(self, n, lambda visit: _le2_rounds(self.genus, n, visit, odd), cell_of, sign)
+        seeds, m, chords = _first_rounds(self.genus), 0, None
+        below: dict = {}  # e -> nonzero classes of the chain before's cell at e
+        for n in self.cells(self.e_max):  # every boundary count, in increasing order
+            if self.sector == "le2":
+                rounds = lambda visit: _le2_rounds(self.genus, n, visit, odd)
+            else:
+                while m < n:  # kp skips the first rounds below its boundary count
+                    m, e0, first, chords = next(seeds)
+                rounds = lambda visit: _cell_maps(e0, first, self.min_valence, visit, odd)
+            here = {}
+            for e, cell, rows, split in _chain(self, n, rounds, cell_of, sign):
+                if n not in self.cells(e):
+                    continue
+                blocks = {}
+                source = below.get(e - 1)
+                if self.kind == "mw" and e > self.e_min and source is not None:
+                    blocks[n - 1] = _place(_terms_block(source, parity, chords if e == e0 else None), rows)
+                blocks[n] = split
+                here[e] = cell[0]
+                if chords:  # read by the corner block into the first round only (peak memory)
+                    chords.clear()
+                yield n, e, cell, blocks
+            below = here
 
-        def corner(e, known=None):
-            source = below.get((n - 1, e - 1))
-            if self.kind != "mw" or e <= self.e_min or source is None:
-                return {}
-            return {n - 1: _terms_block(source[0], terms_of, parity, known)}
 
-        before = firsts.pop(n - 1, None)
-        e0 = 2 * self.genus + n - 1  # the first round's edge count
-        extra = corner
-        # the loop, the first round of (0, 2), does not grow from the single edge
-        if self.kind == "mw" and before is not None and (self.genus, n) != (0, 2):
-            known: dict = {}
-            ahead = corner(e0, known)
-            first = _chord_round(before, known=known)
-            extra = lambda e: ahead if e == e0 else corner(e)
-        else:
-            first = _first_round(self.genus, n)
-        firsts[n] = first
-        rounds = lambda visit: _cell_maps(self.genus, n, self.min_valence, visit, odd, first)
-        return _chain(self, n, rounds, cell_of, sign, extra)
-
-
-def _chain(spec, n: int, rounds, cell_of, sign, extra=lambda e: {}):
-    """(e, (nonzero, zero), blocks) for e from e_min - 1 to e_max, from one
-    walk of rounds(visit): the (n, e) cell's nonzero classes and zero-class
-    count, and for e > e_min the vertex split's block into it from the
-    (n, e - 1) cell, as {n: (row, col, coeff) triples}.  rounds(visit) is a
+def _chain(spec, n: int, rounds, cell_of, sign):
+    """(e, (nonzero, zero), rows, split) for e from e_min - 1 to e_max,
+    from one walk of rounds(visit): the (n, e) cell's nonzero classes and
+    zero-class count, rows mapping each nonzero class's ``key`` to its row,
+    and the vertex split's block into it from the (n, e - 1) cell as (row,
+    col, coeff) triples, empty for e <= e_min.  rounds(visit) is a
     generator shaped like ``enumeration._cell_maps``: it yields (E, layer)
     for E up from its first round and, while it grows a layer, calls
     visit(source, term, key, data) on the split terms of the one before.
     cell_of(e, layer) reads a cell off its round, sign(term, data) a
-    term's coefficient; rows and columns are keyed by each class's
-    ``key``.  extra(e) gives more blocks into the (n, e) cell, {source
-    boundary count: block as ``_add`` sums it}, placed by the same rows.
-    A cell below the first round, or one that counting rules out, is
-    empty."""
+    term's coefficient.  A cell below the first round, or one that
+    counting rules out, is empty."""
     cols, block = {}, {}  # the source cell's columns; target key -> {column: coefficient}
 
     def visit(src, term, key, data):
@@ -200,12 +186,9 @@ def _chain(spec, n: int, rounds, cell_of, sign, extra=lambda e: {}):
         cell = cell_of(e, layer) if at == e and spec.possible(n, e) else ([], 0)
         if at == e:  # the generator holds only the keys while it splits
             layer = None
-        index = {c.key: i for i, c in enumerate(cell[0])}
-        blocks = {m: _place(b, index) for m, b in extra(e).items()}
-        if e > spec.e_min:
-            blocks[n] = _place(block, index)
-        yield e, cell, blocks
-        cols, block = index if e >= spec.e_min else {}, {}
+        rows = {c.key: i for i, c in enumerate(cell[0])}
+        yield e, cell, rows, _place(block, rows)
+        cols, block = rows if e >= spec.e_min else {}, {}
 
 
 def _add(block: dict, j: int, key, coeff: int) -> None:
@@ -216,17 +199,17 @@ def _add(block: dict, j: int, key, coeff: int) -> None:
         per[j] = per.get(j, 0) + coeff
 
 
-def _terms_block(classes, terms_of, parity: int, known=None) -> dict:
-    """The corner block (``_add``) of the raw terms that terms_of(graph)
-    gives on classes, each canonicalized on its own and its coefficient
-    the ``word_sign`` of its word; column j is classes[j].  known, when
-    given, collects each raw (sigma0, sigma1) pair's canonical data."""
+def _terms_block(classes, parity: int, known=None) -> dict:
+    """The corner block (``_add``) of the raw terms that ``bridge_terms``
+    gives on classes, column j classes[j], each term's coefficient the
+    ``word_sign`` of its word.  A term's canonical data is known's entry
+    for its raw (sigma0, sigma1) pair when known holds one, else its own
+    ``_canonical_data`` pass."""
     block: dict = {}
     for j, cls in enumerate(classes):
-        for g, word in terms_of(cls.graph):
-            key, maps = data = _canonical_data(g.sigma0, g.sigma1)
-            if known is not None:
-                known[g.sigma0, g.sigma1] = data
+        for g, word in bridge_terms(cls.graph, parity == ODD):
+            raw = g.sigma0, g.sigma1
+            key, maps = known[raw] if known and raw in known else _canonical_data(*raw)
             _add(block, j, key, word_sign(word, parity, maps))
     return block
 
@@ -243,9 +226,9 @@ def _place(block: dict, rows: dict) -> list:
 
 @dataclass
 class ComplexSlice:
-    spec: ComplexSpec  # or gc2.GCSpec: build() and the shared _chain read
-                       # e_min, e_max, cells, possible, chain; cohomology()
-                       # reads those and degree
+    spec: ComplexSpec  # or gc2.GCSpec: build() reads e_min, e_max, cells,
+                       # possible and chain(), the shared _chain e_min,
+                       # e_max and possible; cohomology() reads degree too
     cells: dict     # (n, e) -> (nonzero classes, zero count), e_min - 1 <= e <= e_max
     matrices: dict  # e -> matrix basis[e] -> basis[e+1]
     bases: dict     # e -> [OrientedClass], e_min <= e <= e_max
@@ -311,27 +294,20 @@ def _load(spec, cache: Cache):
 def _walk(spec):
     """(cells, matrices): (n, e) -> (nonzero classes, zero count) for every
     cell from e_min - 1 to e_max, and e -> the differential's block from
-    E=e, from one walk of each boundary count's chain (``spec.chain``).
-    The chains run in increasing boundary count, so each finds the cells
-    of the ones before in cells, and the first round of the one before it
-    in firsts; their blocks are placed by cell offset."""
+    E=e, from one walk of ``spec.chain()``, its blocks placed by cell
+    offset."""
     cells, ids = {}, {}  # ids: (n, e) -> the cell's rows in bases[e]
-    firsts: dict = {}  # n -> the first round of the n chain, for the chain after it
     placed: dict = {}  # e -> classes of bases[e] in the cells walked so far
     entries: dict = {e: [] for e in range(spec.e_min, spec.e_max)}
-    ns = {n for e in range(spec.e_min - 1, spec.e_max + 1) for n in spec.cells(e)}
-    for n in sorted(ns):  # spec.cells(e) lists boundary counts in increasing order
-        for e, cell, blocks in spec.chain(n, cells, firsts):
-            if n not in spec.cells(e):
-                continue
-            cells[(n, e)] = cell
-            start = placed.get(e, 0)
-            rows = ids[(n, e)] = list(range(start, start + len(cell[0])))  # one int object per class
-            placed[e] = start + len(rows)
-            for m, block in blocks.items():
-                if block:  # a source cell outside spec.cells(e - 1) is empty
-                    cols = ids[(m, e - 1)]
-                    entries[e - 1].extend((rows[r], cols[c], v) for r, c, v in block)
+    for n, e, cell, blocks in spec.chain():
+        cells[(n, e)] = cell
+        start = placed.get(e, 0)
+        rows = ids[(n, e)] = list(range(start, start + len(cell[0])))  # one int object per class
+        placed[e] = start + len(rows)
+        for m, block in blocks.items():
+            if block:  # a source cell outside spec.cells(e - 1) is empty
+                cols = ids[(m, e - 1)]
+                entries[e - 1].extend((rows[r], cols[c], v) for r, c, v in block)
     matrices = {  # each entry list is freed once its matrix is built (peak memory)
         e: SparseIntMatrix(placed.get(e + 1, 0), placed.get(e, 0), tuple(entries.pop(e)))
         for e in range(spec.e_min, spec.e_max)
@@ -347,26 +323,20 @@ def cohomology(sl: ComplexSlice) -> list[dict]:
     above = spec.e_max + 1
     empty_below = not _layer(spec, cells, spec.e_min - 1)
     empty_above = not any(spec.possible(n, above) for n in spec.cells(above))
-    rank_cache: dict = {}
-
-    def ranks(e):
-        if e in rank_cache:
-            return rank_cache[e]
+    ranks = {}  # e -> (rank, certified) of the map out of the layer at e
+    for e in range(spec.e_min - 1, spec.e_max + 1):
         m = sl.matrices.get(e)
         if m is not None:
-            res = certified_rank(m)
+            ranks[e] = certified_rank(m)
         elif empty_below if e < spec.e_min else empty_above:
-            res = (0, True)  # zero map out of or into a provably empty layer
+            ranks[e] = (0, True)  # zero map out of or into a provably empty layer
         else:
-            res = (None, False)
-        rank_cache[e] = res
-        return res
-
+            ranks[e] = (None, False)
     rows = []
     for e in range(spec.e_min, spec.e_max + 1):
         dim = len(sl.bases[e])
-        r_in, in_cert = ranks(e - 1)
-        r_out, out_cert = ranks(e)
+        r_in, in_cert = ranks[e - 1]
+        r_out, out_cert = ranks[e]
         known = r_in is not None and r_out is not None
         h = dim - r_in - r_out if known else None
         if not known:

@@ -4,13 +4,16 @@ Two independent code paths, neither of which keeps state between calls:
 
 * the fast enumerator walks one chain of closure rounds per (genus,
   boundaries, valence floor) under the package's own moves
-  (``_cell_maps``): the one-vertex maps of the genus and boundary count
-  grow from the loop one chord at a time, each chord adding a boundary or
-  trading two boundaries for a handle (``_first_round``), and rounds of
-  vertex splits then add one vertex and one edge each, so the chain yields
-  every edge count in turn, each round a whole cell.  Every candidate is
-  canonicalized once and deduplicated by its canonical form; the same pass
-  gives its automorphisms and its zero flag.  The low-valence sector has rounds of the same shape
+  (``_cell_maps``).  One walk per genus (``_first_rounds``) grows the
+  first rounds, the one-vertex maps of each boundary count in turn, from
+  the loop one chord at a time, each chord adding a boundary or trading
+  two boundaries for a handle; it hands out the canonical data of the
+  chords between two corners with each round, since they are the corner
+  terms into it.  Rounds of vertex splits then add one vertex and one
+  edge each, so a chain yields every edge count in turn, each round a
+  whole cell.  Every candidate is canonicalized once and deduplicated by
+  its canonical form; the same pass gives its automorphisms and its zero
+  flag.  The low-valence sector has rounds of the same shape
   (``_le2_rounds``), the one path or polygon at each edge count.
   ``enumerate_classes`` and ``le2_classes`` take the round at their edge
   count; ``complexes.build`` walks each chain once and reads the
@@ -61,85 +64,94 @@ class EnumSpec:
         return True, ""
 
 
-def _canonical_layer(raw_pairs, known=None) -> dict:
+def _canonical_layer(raw_pairs) -> dict:
     """Canonical pair -> optimal relabelings, one entry per isomorphism
     class among the raw (sigma0, sigma1) pairs.  The relabelings come from
     the one ``_canonical_data`` call that first met the class, so their
-    number is |Aut| and they give the zero flag.  known, when given, maps
-    raw pairs to the ``_canonical_data`` a caller has already computed."""
+    number is |Aut| and they give the zero flag."""
     layer = {}
     for raw in raw_pairs:
-        key, maps = known[raw] if known and raw in known else _canonical_data(*raw)
+        key, maps = _canonical_data(*raw)
         if key not in layer:
             layer[key] = maps
     return layer
 
 
-def _chord_round(layer, join: bool = False, known=None) -> dict:
-    """The canonical layer of the one-vertex maps with one more chord
-    (``diff._add_chord``) than those of layer.  With join, every chord
-    between two corners on different boundaries: they merge, and the
-    genus grows by one.  Otherwise every chord inside one boundary, a loop
-    in each corner included: it splits the boundary, and the genus stays.
-    The chords between two distinct corners are ``diff.bridge_terms``'s,
-    whose canonical data known (as in ``_canonical_layer``) may hold."""
+def _chord_round(layer, join: bool = False) -> tuple[dict, dict]:
+    """(round, chords): round is the canonical layer of the one-vertex maps
+    with one more chord (``diff._add_chord``) than those of layer.  With
+    join, every chord between two corners on different boundaries: they
+    merge, and the genus grows by one.  Otherwise every chord inside one
+    boundary, a loop in each corner included: it splits the boundary, and
+    the genus stays; chords then maps the raw (sigma0, sigma1) pair of each
+    chord between two distinct corners, ``diff.bridge_terms``'s terms on
+    layer, to its ``_canonical_data``."""
+    out, chords = {}, {}
+    for src in layer:
+        g = RibbonGraph(*src)
+        walks = boundaries(g)
+        if join:
+            walk = {h: i for i, b in enumerate(walks) for h in b}
+            pairs = [(a, b) for a, b in combinations(range(len(src[0])), 2) if walk[a] != walk[b]]
+        else:
+            pairs = [pq for b in walks for pq in combinations_with_replacement(sorted(b), 2)]
+        for c1, c2 in pairs:
+            new = _add_chord(g, c1, c2)
+            raw = new.sigma0, new.sigma1
+            key, maps = data = _canonical_data(*raw)
+            if key not in out:
+                out[key] = maps
+            if c1 != c2 and not join:
+                chords[raw] = data
+    return out, chords
 
-    def raw_pairs():
-        for src in layer:
-            g = RibbonGraph(*src)
-            walks = boundaries(g)
-            if join:
-                walk = {h: i for i, b in enumerate(walks) for h in b}
-                pairs = [(a, b) for a, b in combinations(range(len(src[0])), 2) if walk[a] != walk[b]]
-            else:
-                pairs = [pq for b in walks for pq in combinations_with_replacement(sorted(b), 2)]
-            for c1, c2 in pairs:
-                out = _add_chord(g, c1, c2)
-                yield out.sigma0, out.sigma1
 
-    return _canonical_layer(raw_pairs(), known)
-
-
-def _first_round(genus: int, n_boundaries: int) -> dict:
-    """The first round of the (genus, n_boundaries) chain: the single edge
-    for (0, 1), else the one-vertex maps, with 2g + n - 1 edges.  They grow
-    from the loop, the one-vertex map of (0, 2), one chord at a time
-    (``_chord_round``): (g, 2) -> (g + 1, 1) by a chord joining the two
-    boundaries, and (g, n) -> (g, n + 1) by a chord inside one.  Each
-    one-vertex map of (g, n) with n >= 2 loses a boundary when an edge
-    between two boundaries is deleted, and one of (g, 1) with g >= 1
-    becomes a map of (g - 1, 2) when any edge is, so the path misses
-    nothing."""
-    if (genus, n_boundaries) == (0, 1):
-        return _canonical_layer([((0, 1), (1, 0))])
-    layer = _canonical_layer([((1, 0), (1, 0))])
-    g, n = 0, 2
-    while (g, n) != (genus, n_boundaries):
+def _first_rounds(genus: int):
+    """(n, E, round, chords) for n = 1, 2, ...: round is the first round of
+    the (genus, n) chain, the single edge for (0, 1), else the one-vertex
+    maps, with E = 2g + n - 1 edges (1 for the single edge), and chords is
+    ``_chord_round``'s for the round grown from the one of n - 1 (empty
+    where the round does not grow from that one).  The rounds grow from the
+    loop, the one-vertex map of (0, 2), one chord at a time: (g, 2) ->
+    (g + 1, 1) by a chord joining the two boundaries, up to the genus, and
+    (g, n) -> (g, n + 1) by a chord inside one.  Each one-vertex map of (g,
+    n) with n >= 2 loses a boundary when an edge between two boundaries is
+    deleted, and one of (g, 1) with g >= 1 becomes a map of (g - 1, 2) when
+    any edge is, so the path misses nothing."""
+    if genus == 0:
+        yield 1, 1, _canonical_layer([((0, 1), (1, 0))]), {}
+    g, n, layer, chords = 0, 2, _canonical_layer([((1, 0), (1, 0))]), {}
+    while True:
+        if g == genus:
+            yield n, 2 * g + n - 1, layer, chords
         join = g < genus and n == 2
-        layer = _chord_round(layer, join)
+        layer, chords = _chord_round(layer, join)
         g, n = (g + 1, 1) if join else (g, n + 1)
-    return layer
 
 
-def _cell_maps(genus: int, n_boundaries: int, min_valence: int, visit=None, odd: bool = False,
-               first=None):
+def _first_round(genus: int, n_boundaries: int) -> tuple[int, dict]:
+    """(E, round): the first round of the (genus, n_boundaries) chain, as
+    ``_first_rounds`` grows it."""
+    return next((e, layer) for n, e, layer, _ in _first_rounds(genus) if n == n_boundaries)
+
+
+def _cell_maps(e: int, layer: dict, min_valence: int, visit=None, odd: bool = False):
     """The closure rounds of one (genus, n_boundaries) chain at valence
-    floor min_valence, as a generator that never ends: it yields (E,
-    round) for E = 2g + n - 1, 2g + n, ..., where round maps canonical
-    pair -> optimal relabelings for every isomorphism class of the
-    (genus, n_boundaries, E) cell, zero classes included, whenever that
-    cell is consistent.
+    floor min_valence, from its first round layer at e edges
+    (``_first_round``), as a generator that never ends: it yields (E,
+    round) for E = e, e + 1, ..., where round maps canonical pair ->
+    optimal relabelings for every isomorphism class of the (genus,
+    n_boundaries, E) cell, zero classes included, whenever that cell is
+    consistent.
 
-    The first round is first when given, else ``_first_round``: the
-    one-vertex maps, or for (0, 1) the single edge, which contracts to no
-    vertex at all and seeds its chain directly.  Each later round splits
-    every class of the one before into two vertices joined by a new edge,
-    both arcs of at least min_valence - 1 darts (``diff.delta_terms``);
-    every map with V >= 2 contracts along a non-loop edge to a map of the
-    same genus and boundaries, so the rounds miss nothing.  A split gives
-    both new vertices valence >= min_valence and a contraction keeps the
-    valence floor, so after the first split every class is within the
-    floor; a one-vertex cell is consistent only when 2E >= min_valence.
+    Each round after the first splits every class of the one before into
+    two vertices joined by a new edge, both arcs of at least min_valence -
+    1 darts (``diff.delta_terms``); every map with V >= 2 contracts along a
+    non-loop edge to a map of the same genus and boundaries, so the rounds
+    miss nothing.  A split gives both new vertices valence >= min_valence
+    and a contraction keeps the valence floor, so after the first split
+    every class is within the floor; a one-vertex cell is consistent only
+    when 2E >= min_valence.
 
     visit, when given, is called as visit(source, word, key, maps) on
     every split term that is one of ``delta``'s terms (both arcs
@@ -149,8 +161,6 @@ def _cell_maps(genus: int, n_boundaries: int, min_valence: int, visit=None, odd:
     keys of a round are held while the next one is split, so a consumer
     that reads a round's relabelings reads them before it asks for the
     next round."""
-    layer = _first_round(genus, n_boundaries) if first is None else first
-    e = 1 if (genus, n_boundaries) == (0, 1) else 2 * genus + n_boundaries - 1
     min_arc = max(min_valence - 1, 0)
     while True:
         yield e, layer
@@ -188,7 +198,7 @@ def enumerate_classes(spec: EnumSpec) -> tuple[list[OrientedClass], int]:
     ok, _note = spec.is_consistent()
     if not ok:
         return [], 0
-    for e, cell in _cell_maps(spec.genus, spec.boundaries, spec.min_valence):
+    for e, cell in _cell_maps(*_first_round(spec.genus, spec.boundaries), spec.min_valence):
         if e == spec.edges:
             return _split_by_zero(cell, spec.parity)
 

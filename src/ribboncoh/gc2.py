@@ -217,10 +217,12 @@ class GCSpec:
         n_vertices = e - n + 1
         return n_vertices >= 1 and self.min_valence * n_vertices <= 2 * e
 
-    def chain(self, n: int, below: dict, firsts: dict):
-        """(e, (nonzero, zero), blocks) for e from e_min - 1 to e_max, as
-        ``complexes.ComplexSpec.chain``, below and firsts unread:
+    def chain(self):
+        """(n, e, (nonzero, zero), blocks) for e from e_min - 1 to e_max, n
+        the loop order, as ``complexes.ComplexSpec.chain``:
         ``complexes._chain`` over ``_rounds``, each split's coefficient its
         ``_gc_sign``."""
-        return _chain(self, n, lambda visit: _rounds(n, self.min_valence, visit),
-                      lambda e, layer: _cell(e - n + 1, layer), _gc_sign)
+        n = self.loop_order
+        for e, cell, _rows, split in _chain(self, n, lambda visit: _rounds(n, self.min_valence, visit),
+                                            lambda e, layer: _cell(e - n + 1, layer), _gc_sign):
+            yield n, e, cell, {n: split}

@@ -20,7 +20,7 @@ from ribboncoh.canonical import (
 )
 from ribboncoh.checks import CheckBounds, iter_generators
 from ribboncoh.diff import _add_chord, _cuts, bridge_terms, delta_terms
-from ribboncoh.enumeration import EnumSpec, _cell_maps
+from ribboncoh.enumeration import EnumSpec, _cell_maps, _first_round
 from ribboncoh.ribbon import RibbonGraph, boundaries, edges, is_connected, vertices
 
 # brute-checked automorphism group orders (free action on rooted darts)
@@ -137,7 +137,7 @@ def _small_classes():
         for mv in (1, 2, 3)
         for genus in (0, 1)
         for n in range(1, 5 - 2 * genus)  # every (genus, n) with 2g + n - 1 <= 3
-        for e, layer in takewhile(lambda r: r[0] <= 3, _cell_maps(genus, n, mv))
+        for e, layer in takewhile(lambda r: r[0] <= 3, _cell_maps(*_first_round(genus, n), mv))
     }
     return [
         RibbonGraph(*pair)
@@ -215,7 +215,7 @@ def _full_sector_maps(e_max):
         RibbonGraph(*pair)
         for genus in range(e_max // 2 + 1)
         for n in range(1, e_max + 2 - 2 * genus)
-        for e, layer in takewhile(lambda r: r[0] <= e_max, _cell_maps(genus, n, 1))
+        for e, layer in takewhile(lambda r: r[0] <= e_max, _cell_maps(*_first_round(genus, n), 1))
         if EnumSpec(genus, n, e, 1).is_consistent()[0]
         for pair in layer
     ]

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from ribboncoh import cli, complexes, diff, linalg
+from ribboncoh import canonical, cli, complexes, diff, enumeration, linalg
 from ribboncoh.cache import Cache
 from ribboncoh.canonical import EVEN, ODD, word_sign
 from ribboncoh.diff import bridge, delta, summed
@@ -252,22 +252,53 @@ def test_tables_take_no_exact_rank(spec, monkeypatch):
 
 
 def test_mw_chains_hand_on_their_first_rounds(monkeypatch):
-    # each mw chain after the first grows its one-vertex cell from the one
-    # before: the cell is the one the boundary-count path grows alone
+    # each mw chain starts from its one-vertex cell, in increasing boundary
+    # count: the cell that the boundary-count path grows alone
     firsts = []
     real = complexes._cell_maps
 
-    def recorded(genus, n, min_valence, visit, odd, first):
-        firsts.append((genus, n, first))
-        return real(genus, n, min_valence, visit, odd, first)
+    def recorded(e, first, min_valence, visit, odd):
+        firsts.append((e, first))
+        return real(e, first, min_valence, visit, odd)
 
     monkeypatch.setattr(complexes, "_cell_maps", recorded)
+    expected = []
     for d in (0, 1):
-        build(ComplexSpec("mw", 1, d, "ge3", 2, 6))
-        build(ComplexSpec("mw", 0, d, "full", 1, 5))
-    assert len(firsts) == 2 * (5 + 6)
-    for genus, n, first in firsts:
-        assert first.keys() == _first_round(genus, n).keys(), (genus, n)
+        for spec, top in ((ComplexSpec("mw", 1, d, "ge3", 2, 6), 5), (ComplexSpec("mw", 0, d, "full", 1, 5), 6)):
+            build(spec)
+            expected += [(spec.genus, n) for n in range(1, top + 1)]
+    assert len(firsts) == len(expected) == 2 * (5 + 6)
+    for (e, first), (genus, n) in zip(firsts, expected):
+        e0, layer = _first_round(genus, n)
+        assert e == e0 and first.keys() == layer.keys(), (genus, n)
+
+
+@pytest.mark.parametrize(
+    "spec, passes, chord_rounds",
+    [
+        (ComplexSpec("mw", 1, 0, "ge3", 2, 6), 5793, 5),
+        (ComplexSpec("mw", 0, 1, "full", 1, 5), 2046, 4),
+        (ComplexSpec("kp", 1, 0, "ge3", 2, 6, boundaries=3), 1140, 3),
+    ],
+    ids=["mw-g1-ge3", "mw-g0-full-odd", "kp-g1-n3"],
+)
+def test_builds_grow_each_first_round_once(spec, passes, chord_rounds, monkeypatch):
+    # pinned: a regrown first round, or a corner term into a first round
+    # canonicalized twice, raises a count
+    counts = {"passes": 0, "chord_rounds": 0}
+
+    def counted(name, real):
+        def wrapper(*args):
+            counts[name] += 1
+            return real(*args)
+        return wrapper
+
+    data = counted("passes", canonical._canonical_data)
+    for module in (enumeration, complexes, diff):
+        monkeypatch.setattr(module, "_canonical_data", data)
+    monkeypatch.setattr(enumeration, "_chord_round", counted("chord_rounds", enumeration._chord_round))
+    build(spec)
+    assert counts == {"passes": passes, "chord_rounds": chord_rounds}
 
 
 def _cache_files(path, kind):

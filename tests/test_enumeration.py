@@ -12,6 +12,7 @@ from ribboncoh.enumeration import (
     _canonical_layer,
     _cell_maps,
     _first_round,
+    _first_rounds,
     _split_by_zero,
     enumerate_bruteforce,
     enumerate_cell,
@@ -159,7 +160,7 @@ def _rooted_map_counts(g_max: int, e_max: int) -> dict:
 def _round(genus: int, n: int, e: int, mv: int) -> dict:
     """The round at e edges of the (genus, n) chain at floor mv: canonical
     pair -> optimal relabelings for every class of the cell."""
-    for edges, layer in _cell_maps(genus, n, mv):
+    for edges, layer in _cell_maps(*_first_round(genus, n), mv):
         if edges >= e:
             assert edges == e, (genus, n, e)
             return layer
@@ -202,13 +203,36 @@ def test_first_rounds_match_the_chord_closure():
             oracle = _canonical_layer([((1, 0), (1, 0))])
             for _ in range(2 * genus + n - 2):
                 oracle = _canonical_layer(_chord_moves(oracle, genus, n))
-            layer = _first_round(genus, n)
+            e, layer = _first_round(genus, n)
+            assert e == 2 * genus + n - 1
             assert layer.keys() == oracle.keys(), (genus, n)
             assert all(len(layer[k]) == len(maps) for k, maps in oracle.items())
             for parity in (EVEN, ODD):
                 assert _split_by_zero(layer, parity) == _split_by_zero(oracle, parity)
             sizes.append(len(layer))
     assert len(sizes) == 17 and max(sizes) == 4758
+
+
+def test_first_round_chords_are_the_corner_terms_of_the_round_before():
+    # each first round after the loop grows from the one before by chords,
+    # and those between two distinct corners are exactly bridge_terms's on
+    # every class of that round, zero classes included, each with the
+    # canonical data of its own pass
+    checked = 0
+    for genus in range(3):
+        before = None
+        for n, e, layer, chords in _first_rounds(genus):
+            if n >= 2 and (genus, n) != (0, 2):
+                assert e == 2 * genus + n - 1
+                raws = [(t.sigma0, t.sigma1) for src in before
+                        for t, _ in diff.bridge_terms(RibbonGraph(*src))]
+                assert len(raws) == len(set(raws)) == len(chords)
+                assert all(chords[raw] == enumeration._canonical_data(*raw) for raw in raws)
+                checked += len(raws)
+            if n == 7 - 2 * genus:
+                break
+            before = layer
+    assert checked == 2461  # every first round with E <= 6
 
 
 def test_empty_arc_cut_lists_no_odd_items(monkeypatch):
@@ -223,7 +247,7 @@ def test_empty_arc_cut_lists_no_odd_items(monkeypatch):
             yield term, word
 
     monkeypatch.setattr(enumeration, "delta_terms", recorded)
-    rounds = _cell_maps(0, 1, 1, lambda src, word, key, maps: visited.append(word), True)
+    rounds = _cell_maps(*_first_round(0, 1), 1, lambda src, word, key, maps: visited.append(word), True)
     while next(rounds)[0] < 4:  # splits the rounds E = 1, 2, 3
         pass
     new_dart = [term.n_half_edges - 2 for term, _ in words]  # 2E, alone after an empty-arc cut

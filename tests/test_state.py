@@ -15,6 +15,7 @@ import ribboncoh
 from ribboncoh.checks import CheckBounds, run_check
 from ribboncoh.complexes import ComplexSpec, build, cohomology
 from ribboncoh.enumeration import EnumSpec, enumerate_classes
+from ribboncoh.gc2 import GCSpec
 
 
 def _module_state():
@@ -33,6 +34,8 @@ def test_no_state_survives_a_call():
     before = _module_state()
     cohomology(build(ComplexSpec("mw", 0, sector="ge3", e_min=1, e_max=5)))
     cohomology(build(ComplexSpec("kp", 1, sector="ge3", e_min=2, e_max=4, boundaries=1)))
+    cohomology(build(ComplexSpec("kp", 1, sector="ge3", e_min=2, e_max=5, boundaries=3)))
+    cohomology(build(GCSpec(3, 0, 3, 8, 2)))
     bounds = CheckBounds(g_max=1, e_max_full=2, e_max_ge3=3, e_max_le2=3, e_max_oracle=2)
     assert run_check(bounds)["passed"]
     assert _module_state() == before
