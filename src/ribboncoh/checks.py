@@ -28,6 +28,7 @@ from .diff import (
 )
 from .enumeration import (
     BRUTE_FORCE_DART_LIMIT,
+    LE2_CELLS,
     EnumSpec,
     enumerate_bruteforce,
     enumerate_classes,
@@ -89,8 +90,8 @@ def iter_specs(bounds: CheckBounds):
                 for n in range(1, e + 2 - 2 * g):
                     yield EnumSpec(g, n, e, 3, parity), "ge3"
         for e in range(bounds.e_max_full + 1, bounds.e_max_le2 + 1):
-            for n in (1, 2):
-                yield EnumSpec(0, n, e, 1, parity), "le2"
+            for g, n in LE2_CELLS:
+                yield EnumSpec(g, n, e, 1, parity), "le2"
 
 
 def iter_generators(bounds: CheckBounds):

@@ -6,7 +6,7 @@ Two ribbon complex kinds share the machinery:
   splitting; sectors: full, ge3 (the subcomplex of graphs with every
   valence at least 3, whose operator cuts only arcs of at least two
   darts), le2 (the low-valence subcomplex, spanned by paths and
-  polygons);
+  polygons, whose operator cuts only arcs of at most one dart);
 * ``mw``: fixed genus, all boundary counts aggregated, differential is
   vertex splitting plus corner connecting (delta raises E keeping n,
   the corner move raises E and n together); sectors full and ge3.
@@ -17,8 +17,8 @@ The ordinary graph complex of ``gc2`` goes through the same ``build`` and
 ``chain()``: every cell, in increasing boundary count, or loop order, n,
 with every block of the differential into it.  One chain loop,
 ``_chain``, serves every flavor: it walks one generator of rounds per n
-(``enumeration._cell_maps`` for kp and mw in the full and ge3 sectors,
-``enumeration._le2_rounds`` for le2, ``gc2._rounds`` for gc2), reads each
+(``enumeration._cell_maps`` for kp and mw, with each arc of a cut capped
+at one dart in le2, ``gc2._rounds`` for gc2), reads each
 cell off its round, and sums the vertex split's block into it from the
 split terms that the walk visits, with one accumulator (``_add``) and one
 placement (``_place``).  So each split term is canonicalized once, and
@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from .cache import NO_CACHE, Cache
 from .canonical import EVEN, ODD, _canonical_data, word_sign
 from .diff import bridge_terms
-from .enumeration import EnumSpec, _cell_maps, _first_rounds, _le2_rounds, _split_by_zero
+from .enumeration import LE2_CELLS, EnumSpec, _cell_maps, _first_rounds, _split_by_zero
 from .linalg import AssemblyError, DifferentialIdentityError, SparseIntMatrix, certified_rank
 
 KINDS = ("kp", "mw")
@@ -92,6 +92,11 @@ class ComplexSpec:
     def min_valence(self) -> int:
         return 3 if self.sector == "ge3" else 1
 
+    @property
+    def max_arc(self) -> int | None:
+        """The cap on each arc of a split: one dart in le2, else none."""
+        return 1 if self.sector == "le2" else None
+
     def degree(self, e: int) -> int:
         return -2 * self.genus * self.d + e
 
@@ -116,17 +121,15 @@ class ComplexSpec:
         """Whether counting alone leaves the (n, e) cell room for a graph."""
         if not EnumSpec(self.genus, n, e, self.min_valence).is_consistent()[0]:
             return False
-        # all-low-valence connected graphs are paths (g=0, n=1) and
-        # polygons (g=0, n=2)
-        return self.sector != "le2" or (self.genus, n) in ((0, 1), (0, 2))
+        return self.sector != "le2" or (self.genus, n) in LE2_CELLS
 
     def chain(self):
         """(n, e, (nonzero, zero), blocks) for every cell with e_min - 1 <=
         e <= e_max and n in cells(e), in increasing boundary count n: per
         n, ``_chain`` over ``enumeration._cell_maps`` from the n chain's
         first round, which one walk of ``enumeration._first_rounds`` gives
-        (the le2 sector: ``enumeration._le2_rounds``), each split term's
-        coefficient the ``word_sign`` of its word.  blocks maps n to the
+        (no round where counting rules out every cell), each arc capped at
+        ``max_arc`` darts, each term's coefficient its ``word_sign``.  blocks maps n to the
         vertex split's block from the (n, e - 1) cell, and for mw n - 1 to
         the corner block from the (n - 1, e - 1) cell that the chain before
         left: ``_terms_block`` on its classes, which reads the canonical
@@ -137,12 +140,11 @@ class ComplexSpec:
         seeds, m, chords = _first_rounds(self.genus), 0, None
         below: dict = {}  # e -> nonzero classes of the chain before's cell at e
         for n in self.cells(self.e_max):  # every boundary count, in increasing order
-            if self.sector == "le2":
-                rounds = lambda visit: _le2_rounds(self.genus, n, visit, odd)
-            else:
+            e0, first = self.e_max + 1, {}  # a round above the range: every cell empty
+            if any(self.possible(n, e) for e in range(self.e_min - 1, self.e_max + 1)):
                 while m < n:  # kp skips the first rounds below its boundary count
                     m, e0, first, chords = next(seeds)
-                rounds = lambda visit: _cell_maps(e0, first, self.min_valence, visit, odd)
+            rounds = lambda visit: _cell_maps(e0, first, self.min_valence, visit, odd, self.max_arc)
             here = {}
             for e, cell, rows, split in _chain(self, n, rounds, cell_of, sign):
                 if n not in self.cells(e):
@@ -384,15 +386,16 @@ def modular_dims(k: int) -> tuple[int, int]:
 
 def calc1_expectation(d: int, window: tuple[int, int]) -> dict[int, int]:
     """Expected genus-1 cohomology dimensions per degree: one class in
-    degree 2+2d, and 2*dim S_{n+1} + dim Eis_{n+1} in degree 2(n+d)-1 for
-    every n >= 3, restricted to the window."""
+    degree 2-2d, and 2*dim S_{n+1} + dim Eis_{n+1} in degree 2(n-d)-1 for
+    every n >= 3, restricted to the window: d moves each degree by -2d, as
+    in ``ComplexSpec.degree`` at genus 1."""
     lo, hi = window
     table = {k: 0 for k in range(lo, hi + 1)}
-    if lo <= 2 + 2 * d <= hi:
-        table[2 + 2 * d] += 1
+    if lo <= 2 - 2 * d <= hi:
+        table[2 - 2 * d] += 1
     n = 3
-    while 2 * (n + d) - 1 <= hi:
-        deg = 2 * (n + d) - 1
+    while 2 * (n - d) - 1 <= hi:
+        deg = 2 * (n - d) - 1
         if deg >= lo:
             s, eis = modular_dims(n + 1)
             table[deg] += 2 * s + eis

@@ -87,30 +87,33 @@ def _split_graph(g: RibbonGraph, arc_a: tuple, arc_b: tuple) -> RibbonGraph:
     return RibbonGraph(tuple(s0), tuple(s1))
 
 
-def _cuts(cyc: tuple, min_arc: int = 1):
+def _cuts(cyc: tuple, min_arc: int = 1, max_arc: int | None = None):
     """Every way of cutting a vertex cycle into two cyclically-contiguous
-    arcs (arc_a, arc_b) of at least min_arc darts each.  arc_a = cyc[i:j]
-    never wraps; with min_arc = 0 an empty arc_a (j == i) takes every
-    rotation of the other arc."""
+    arcs (arc_a, arc_b) of min_arc to max_arc (default: any) darts each.
+    arc_a = cyc[i:j] never wraps; with min_arc = 0 an empty arc_a (j == i)
+    takes every rotation of the other arc."""
     m = len(cyc)
+    cap = m if max_arc is None else max_arc
+    lo, hi = max(min_arc, m - cap), min(m - min_arc, cap) + 1  # j - i in range(lo, hi)
     for i in range(m):
-        for j in range(i + min_arc, min(m, m - min_arc + i + 1)):
+        for j in range(i + lo, min(m, i + hi)):
             yield cyc[i:j], cyc[j:] + cyc[:i]
 
 
-def delta_terms(g: RibbonGraph, min_arc: int = 1, odd: bool = False):
+def delta_terms(g: RibbonGraph, min_arc: int = 1, odd: bool = False, max_arc: int | None = None):
     """Raw vertex-splitting terms of g's class: (graph, word) pairs, one per
-    way of cutting a vertex cycle into two arcs of at least min_arc darts
-    (``_cuts``).  The word lists odd items only when odd is true and both
-    arcs are non-empty, which every term of ``delta`` has.  min_arc = 2
-    leaves out exactly the terms with a bivalent vertex when g has none:
-    the ge3 sector's valence floor, applied at the cut."""
+    way of cutting a vertex cycle into two arcs of at least min_arc and at
+    most max_arc darts (``_cuts``).  The word lists odd items only when odd
+    is true and both arcs are non-empty, which every term of ``delta`` has.
+    min_arc = 2 leaves out exactly the terms with a bivalent vertex when g
+    has none: the ge3 sector's valence floor, applied at the cut; max_arc =
+    1 is the le2 sector's ceiling of two in the same way."""
     x, y = g.n_half_edges, g.n_half_edges + 1
     es = edges(g) + [(x, y)]
     verts = vertices(g)
     items = [(0, v) for v in verts]
     for vi, cyc in enumerate(verts):
-        for arc_a, arc_b in _cuts(cyc, min_arc):
+        for arc_a, arc_b in _cuts(cyc, min_arc, max_arc):
             out = _split_graph(g, arc_a, arc_b)
             if not (odd and arc_a and arc_b):
                 yield out, ((), es)

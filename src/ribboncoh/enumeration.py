@@ -13,8 +13,8 @@ Two independent code paths, neither of which keeps state between calls:
   edge each, so a chain yields every edge count in turn, each round a
   whole cell.  Every candidate is canonicalized once and deduplicated by
   its canonical form; the same pass gives its automorphisms and its zero
-  flag.  The low-valence sector has rounds of the same shape
-  (``_le2_rounds``), the one path or polygon at each edge count.
+  flag.  The low-valence sector walks the same rounds with each arc of a
+  cut capped at one dart, growing paths and polygons (``LE2_CELLS``).
   ``enumerate_classes`` and ``le2_classes`` take the round at their edge
   count; ``complexes.build`` walks each chain once and reads the
   vertex-splitting differential off the split terms of its rounds;
@@ -135,7 +135,7 @@ def _first_round(genus: int, n_boundaries: int) -> tuple[int, dict]:
     return next((e, layer) for n, e, layer, _ in _first_rounds(genus) if n == n_boundaries)
 
 
-def _cell_maps(e: int, layer: dict, min_valence: int, visit=None, odd: bool = False):
+def _cell_maps(e: int, layer: dict, min_valence: int, visit=None, odd: bool = False, max_arc: int | None = None):
     """The closure rounds of one (genus, n_boundaries) chain at valence
     floor min_valence, from its first round layer at e edges
     (``_first_round``), as a generator that never ends: it yields (E,
@@ -153,6 +153,10 @@ def _cell_maps(e: int, layer: dict, min_valence: int, visit=None, odd: bool = Fa
     every class is within the floor; a one-vertex cell is consistent only
     when 2E >= min_valence.
 
+    max_arc = 1 caps both arcs at one dart: the (0, 1) and (0, 2) chains
+    then grow the paths and the polygons (``LE2_CELLS``), and any other
+    chain's first round, one vertex of valence >= 4, splits into nothing.
+
     visit, when given, is called as visit(source, word, key, maps) on
     every split term that is one of ``delta``'s terms (both arcs
     non-empty): the canonical pair it was split from, the term's
@@ -167,7 +171,7 @@ def _cell_maps(e: int, layer: dict, min_valence: int, visit=None, odd: bool = Fa
         sources, layer = tuple(layer), {}
         x = 2 * e  # the new dart, a vertex of its own after an empty-arc cut
         for src in sources:
-            for term, word in delta_terms(RibbonGraph(*src), min_arc, odd):
+            for term, word in delta_terms(RibbonGraph(*src), min_arc, odd, max_arc):
                 key, maps = _canonical_data(term.sigma0, term.sigma1)
                 if key not in layer:
                     layer[key] = maps
@@ -192,15 +196,19 @@ def _split_by_zero(cell: dict, parity: int):
     return nonzero, zero
 
 
+def _read_cell(spec: EnumSpec, max_arc: int | None = None) -> tuple[list[OrientedClass], int]:
+    """The spec's cell, read off the ``_cell_maps`` rounds of its chain."""
+    if not spec.is_consistent()[0]:
+        return [], 0
+    for e, cell in _cell_maps(*_first_round(spec.genus, spec.boundaries), spec.min_valence, max_arc=max_arc):
+        if e == spec.edges:
+            return _split_by_zero(cell, spec.parity)
+
+
 def enumerate_classes(spec: EnumSpec) -> tuple[list[OrientedClass], int]:
     """One nonzero class per isomorphism type matching the spec, plus the
     count of classes killed by a sign-reversing automorphism."""
-    ok, _note = spec.is_consistent()
-    if not ok:
-        return [], 0
-    for e, cell in _cell_maps(*_first_round(spec.genus, spec.boundaries), spec.min_valence):
-        if e == spec.edges:
-            return _split_by_zero(cell, spec.parity)
+    return _read_cell(spec)
 
 
 def enumerate_cell(spec: EnumSpec) -> tuple[list[OrientedClass], int]:
@@ -256,69 +264,13 @@ def _permutation_scan(spec: EnumSpec):
         yield s0, s1
 
 
-def polygon_graph(n_edges: int) -> RibbonGraph:
-    """The n-gon: vertices 0..n-1 all 2-valent, edge i joining vertex i to
-    vertex i+1 (mod n); n=1 degenerates to the loop."""
-    if n_edges < 1:
-        raise ValueError("polygon needs at least one edge")
-    n = 2 * n_edges
-    s0 = list(range(n))
-    s1 = list(range(n))
-    for i in range(n_edges):
-        a, b = 2 * i, 2 * i + 1  # darts at vertex i
-        s0[a], s0[b] = b, a
-        partner = 2 * ((i + 1) % n_edges)
-        s1[b] = partner
-        s1[partner] = b
-    return RibbonGraph(tuple(s0), tuple(s1))
-
-
-def path_graph(n_edges: int) -> RibbonGraph:
-    """The path with n_edges edges: univalent ends, 2-valent interior."""
-    if n_edges < 1:
-        raise ValueError("path needs at least one edge")
-    n = 2 * n_edges
-    s0 = list(range(n))
-    s1 = list(range(n))
-    for j in range(n_edges):
-        s1[2 * j], s1[2 * j + 1] = 2 * j + 1, 2 * j  # edge j: darts 2j, 2j+1
-    for v in range(1, n_edges):
-        a, b = 2 * v - 1, 2 * v  # interior vertex v
-        s0[a], s0[b] = b, a
-    return RibbonGraph(tuple(s0), tuple(s1))
-
-
-def _le2_layer(genus: int, n_boundaries: int, e: int) -> dict:
-    """The round of the all-low-valence sector at (genus, n_boundaries, e):
-    connected graphs with every valence at most two are the paths (genus
-    0, one boundary) and the polygons (genus 0, two boundaries), so it holds
-    the path or polygon with e edges, and nothing at any other (genus,
-    n_boundaries)."""
-    shape = {(0, 1): path_graph, (0, 2): polygon_graph}.get((genus, n_boundaries))
-    return _canonical_layer((g.sigma0, g.sigma1) for g in ([shape(e)] if shape else []))
-
-
-def _le2_rounds(genus: int, n_boundaries: int, visit=None, odd: bool = False):
-    """The rounds of the all-low-valence sector at (genus, n_boundaries),
-    shaped like ``_cell_maps``: a generator that never ends, yielding (E,
-    ``_le2_layer``) for E = 1, 2, ...  visit, when given, is called as in
-    ``_cell_maps`` on ``delta_terms``'s terms (both arcs non-empty) of each
-    round's class."""
-    e = 1
-    while True:
-        layer = _le2_layer(genus, n_boundaries, e)
-        yield e, layer
-        if visit is not None:
-            for src in layer:
-                for term, word in delta_terms(RibbonGraph(*src), 1, odd):
-                    visit(src, word, *_canonical_data(term.sigma0, term.sigma1))
-        e += 1
+LE2_CELLS = ((0, 1), (0, 2))  # (genus, boundaries) of the paths and of the polygons
 
 
 def le2_classes(spec: EnumSpec) -> tuple[list[OrientedClass], int]:
-    """Classes of the all-low-valence sector (every vertex valence <= 2),
-    read off ``_le2_layer`` at the spec's edge count; the generic
-    enumerator serves as an oracle for this at small sizes."""
-    if not spec.is_consistent()[0]:
+    """Classes of the all-low-valence sector (every vertex valence <= 2):
+    ``enumerate_classes`` with each arc of a cut capped at one dart, and
+    empty outside ``LE2_CELLS``, where that reads the one-vertex round."""
+    if (spec.genus, spec.boundaries) not in LE2_CELLS:
         return [], 0
-    return _split_by_zero(_le2_layer(spec.genus, spec.boundaries, spec.edges), spec.parity)
+    return _read_cell(spec, 1)

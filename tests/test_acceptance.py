@@ -63,14 +63,13 @@ def kp11():
 
 @pytest.fixture(scope="module")
 def mw_g0():
-    sp = ComplexSpec("mw", 0, 0, "ge3", 1, 8)
-    return cohomology(build(sp))
+    # d -> rows: even to E = 8, odd to E = 7, so each is certified one below
+    return {d: cohomology(build(ComplexSpec("mw", 0, d, "ge3", 1, 8 - d))) for d in (0, 1)}
 
 
 @pytest.fixture(scope="module")
 def mw_g1():
-    sp = ComplexSpec("mw", 1, 0, "ge3", 2, 7)
-    return cohomology(build(sp))
+    return {d: cohomology(build(ComplexSpec("mw", 1, d, "ge3", 2, 7))) for d in (0, 1)}
 
 
 @pytest.fixture(scope="module")
@@ -135,12 +134,18 @@ def test_criterion_4_loop_classes(capsys, le2_tables):
 
 
 def test_criterion_5_mw_genus0_acyclic(capsys, mw_g0):
-    by_e = {r["edges"]: r for r in mw_g0}
-    ok = all(by_e[e]["status"] == "certified" and by_e[e]["h"] == 0 for e in range(1, 8))
-    announce(capsys, 5, "genus-0 combined acyclicity", ok, "h = 0 certified, degrees 1..7")
-    for e in range(1, 8):
-        assert by_e[e]["status"] == "certified", e
-        assert by_e[e]["h"] == 0, e
+    tops = {0: 7, 1: 6}  # the last certified E of each parity
+    by_e = {d: {r["edges"]: r for r in rows} for d, rows in mw_g0.items()}
+    ok = all(
+        by_e[d][e]["status"] == "certified" and by_e[d][e]["h"] == 0
+        for d, top in tops.items()
+        for e in range(1, top + 1)
+    )
+    announce(capsys, 5, "genus-0 combined acyclicity", ok, "h = 0 certified, E 1..7 (d = 0), 1..6 (d = 1)")
+    for d, top in tops.items():
+        for e in range(1, top + 1):
+            assert by_e[d][e]["status"] == "certified", (d, e)
+            assert by_e[d][e]["h"] == 0, (d, e)
 
 
 def test_criterion_6_kp_11(capsys, kp11):
@@ -168,25 +173,29 @@ def test_criterion_6_kp_11(capsys, kp11):
 
 
 def test_criterion_7_genus1_expected_dims(capsys, mw_g1):
-    offsets = calc1_offsets(mw_g1, 0)
-    certified = [r for r in mw_g1 if r["status"] == "certified"]
-    ok = len(offsets) >= 1 and len(certified) >= 5
-    detail = "offsets %s over certified degrees %s" % (
-        offsets, [r["degree"] for r in certified],
-    )
+    # a table of d has the rows of the table of d's parity, each degree
+    # read off ComplexSpec.degree at d: one offset must align every d
+    offsets = {}
+    for d in range(-3, 4):
+        spec = ComplexSpec("mw", 1, d, "ge3", 2, 7)
+        offsets[d] = calc1_offsets([dict(r, degree=spec.degree(r["edges"])) for r in mw_g1[d % 2]], d)
+    h_by_e = {
+        d: {r["edges"]: r["h"] for r in rows if r["status"] == "certified"}
+        for d, rows in mw_g1.items()
+    }
+    ok = all(o == [1] for o in offsets.values()) and h_by_e[0] == h_by_e[1]
+    detail = "offsets %s for d = -3..3 over certified E %s" % (offsets[0], sorted(h_by_e[0]))
     announce(capsys, 7, "genus-1 expected dimensions", ok, detail)
-    assert len(certified) >= 5
-    # a single constant offset aligns every certified degree
-    assert offsets == [1]
-    # frozen certified values behind the match
-    by_deg = {r["degree"]: r["h"] for r in certified}
-    assert by_deg == {2: 0, 3: 1, 4: 0, 5: 0, 6: 1}
+    # a single constant offset aligns every certified degree, for every d
+    assert offsets == {d: [1] for d in range(-3, 4)}
+    # frozen certified values behind the match, the same in both parities
+    assert h_by_e[0] == h_by_e[1] == {2: 0, 3: 1, 4: 0, 5: 0, 6: 1}
 
 
 def test_criterion_8_rank_certification(capsys, le2_tables, kp11, mw_g0, mw_g1):
     # every rank used in suites 4-7 must have passed the two-prime check:
     # no row with computed cohomology may be merely provisional
-    tables = [le2_tables[1], le2_tables[2], kp11[1], mw_g0, mw_g1]
+    tables = [le2_tables[1], le2_tables[2], kp11[1], *mw_g0.values(), *mw_g1.values()]
     provisional = [
         (r["edges"], r["status"])
         for rows in tables

@@ -83,6 +83,27 @@ def test_le2_polygon_table():
     assert by_e[6]["status"] == "truncated"
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ComplexSpec("kp", 1, 0, "le2", 1, 4, boundaries=1),
+        ComplexSpec("kp", 0, 0, "le2", 1, 4, boundaries=3),
+        ComplexSpec("kp", 4, 0, "le2", 1, 6, boundaries=1),
+        ComplexSpec("kp", 3, 0, "full", 1, 4, boundaries=2),
+    ],
+    ids=ComplexSpec.content_key,
+)
+def test_chain_that_counting_rules_out_grows_no_round(spec, monkeypatch):
+    # le2 off its cells (whose chains start at one vertex of valence >= 4)
+    # and an E range below the first round: every cell is empty, and no
+    # one-vertex round up to the genus is grown for them
+    def no_chords(*args):
+        raise AssertionError("grew a first round")
+
+    monkeypatch.setattr(enumeration, "_chord_round", no_chords)
+    assert all(cell == ([], 0) for cell in build(spec).cells.values())
+
+
 def test_mw_small_build():
     sp = ComplexSpec("mw", 0, 0, "ge3", 1, 5)
     rows = cohomology(build(sp))
@@ -213,10 +234,9 @@ ORACLE_SPECS = [
 
 @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=ComplexSpec.content_key)
 def test_chain_blocks_match_the_delta_oracle(spec):
-    # every block read off the chain's split rounds (le2: the path rounds)
-    # equals the matrix that delta (plus bridge for mw) assembles on the
-    # same bases; in the full sector the chain cuts empty arcs, which delta
-    # leaves out
+    # every block read off the chain's split rounds equals the matrix that
+    # delta (plus bridge for mw) assembles on the same bases; in the full
+    # and le2 sectors the chain cuts empty arcs, which delta leaves out
     def op(cls):
         image = delta(cls, max(spec.min_valence - 1, 1))
         return summed([*image.items(), *bridge(cls).items()]) if spec.kind == "mw" else image
@@ -257,9 +277,9 @@ def test_mw_chains_hand_on_their_first_rounds(monkeypatch):
     firsts = []
     real = complexes._cell_maps
 
-    def recorded(e, first, min_valence, visit, odd):
+    def recorded(e, first, *args):
         firsts.append((e, first))
-        return real(e, first, min_valence, visit, odd)
+        return real(e, first, *args)
 
     monkeypatch.setattr(complexes, "_cell_maps", recorded)
     expected = []
@@ -386,7 +406,11 @@ def test_calc1_expectation_frozen():
     }
     # weight 12 cusp form enters at n = 11, degree 21: 2*1 + 1 = 3
     assert calc1_expectation(0, (21, 21)) == {21: 3}
-    assert calc1_expectation(1, (4, 4)) == {4: 1}
+    # d moves every degree by -2d, as ComplexSpec.degree does at genus 1
+    assert calc1_expectation(1, (0, 7)) == {0: 1, 1: 0, 2: 0, 3: 1, 4: 0, 5: 0, 6: 0, 7: 1}
+    for d in (-3, -1, 2):
+        shifted = calc1_expectation(d, (1 - 2 * d, 21 - 2 * d))
+        assert shifted == {k - 2 * d: v for k, v in calc1_expectation(0, (1, 21)).items()}
 
 
 def test_calc1_offsets():

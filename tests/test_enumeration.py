@@ -1,12 +1,13 @@
 """Enumeration: frozen census values, oracle agreement, closed-form
 counts, low-valence sector."""
 from fractions import Fraction
+from itertools import islice
 from math import factorial
 
 import pytest
 
 from ribboncoh import diff, enumeration
-from ribboncoh.canonical import EVEN, ODD
+from ribboncoh.canonical import EVEN, ODD, class_of
 from ribboncoh.enumeration import (
     EnumSpec,
     _canonical_layer,
@@ -18,8 +19,6 @@ from ribboncoh.enumeration import (
     enumerate_cell,
     enumerate_classes,
     le2_classes,
-    path_graph,
-    polygon_graph,
 )
 from ribboncoh.ribbon import (
     RibbonGraph,
@@ -241,8 +240,8 @@ def test_empty_arc_cut_lists_no_odd_items(monkeypatch):
     # of every term the visitor reads does
     words, visited = [], []
 
-    def recorded(g, min_arc, odd):
-        for term, word in diff.delta_terms(g, min_arc, odd):
+    def recorded(g, *args):
+        for term, word in diff.delta_terms(g, *args):
             words.append((term, word))
             yield term, word
 
@@ -335,6 +334,46 @@ def test_ge3_cells_match_harer_zagier():
         assert total == _orbifold_euler(g, n) / factorial(n), (g, n)
 
 
+def polygon_graph(n_edges: int) -> RibbonGraph:
+    """The n-gon: vertices 0..n-1 all 2-valent, edge i joining vertex i to
+    vertex i+1 (mod n); n=1 degenerates to the loop."""
+    if n_edges < 1:
+        raise ValueError("polygon needs at least one edge")
+    n = 2 * n_edges
+    s0 = list(range(n))
+    s1 = list(range(n))
+    for i in range(n_edges):
+        a, b = 2 * i, 2 * i + 1  # darts at vertex i
+        s0[a], s0[b] = b, a
+        partner = 2 * ((i + 1) % n_edges)
+        s1[b] = partner
+        s1[partner] = b
+    return RibbonGraph(tuple(s0), tuple(s1))
+
+
+def path_graph(n_edges: int) -> RibbonGraph:
+    """The path with n_edges edges: univalent ends, 2-valent interior."""
+    if n_edges < 1:
+        raise ValueError("path needs at least one edge")
+    n = 2 * n_edges
+    s0 = list(range(n))
+    s1 = list(range(n))
+    for j in range(n_edges):
+        s1[2 * j], s1[2 * j + 1] = 2 * j + 1, 2 * j  # edge j: darts 2j, 2j+1
+    for v in range(1, n_edges):
+        a, b = 2 * v - 1, 2 * v  # interior vertex v
+        s0[a], s0[b] = b, a
+    return RibbonGraph(tuple(s0), tuple(s1))
+
+
+def _classes_of(graphs, parity):
+    """Nonzero classes sorted by content hash, and the zero-class count,
+    of pairwise non-isomorphic graphs, each read through ``class_of``."""
+    classes = [class_of(g, parity) for g in graphs]
+    nonzero = sorted((c for c in classes if not c.zero_flag), key=lambda c: c.content_hash())
+    return nonzero, len(classes) - len(nonzero)
+
+
 def test_path_and_polygon_shapes():
     for k in range(1, 7):
         p = path_graph(k)
@@ -352,16 +391,24 @@ def test_path_and_polygon_shapes():
 
 
 def test_le2_against_generic_enumerator():
-    # filter the full enumeration down to max valence <= 2 and compare
-    for e in range(1, 5):
+    # every low-valence cell, zero classes counted, against two oracles: the
+    # path or polygon with E edges, and, up to E = 6, the full sector's
+    # closure rounds filtered to valence at most two
+    shapes = {(0, 1): path_graph, (0, 2): polygon_graph}
+    for g in (0, 1):
         for n in (1, 2, 3):
-            spec = EnumSpec(0, n, e, 1, EVEN)
-            direct = le2_classes(spec)
-            nonzero, _ = enumerate_classes(spec)
-            filtered = [c for c in nonzero if max(valences(c.graph)) <= 2]
-            assert [c.content_hash() for c in direct[0]] == [
-                c.content_hash() for c in filtered
-            ]
+            e0, first = _first_round(g, n)
+            low = {
+                e: [RibbonGraph(*key) for key in layer if max(valences(RibbonGraph(*key))) <= 2]
+                for e, layer in islice(_cell_maps(e0, first, 1), 7 - e0)  # E = e0..6
+            }
+            for e in range(1, 11):
+                shape = [shapes[g, n](e)] if (g, n) in shapes else []
+                for parity in (EVEN, ODD):
+                    direct = le2_classes(EnumSpec(g, n, e, 1, parity))
+                    assert direct == _classes_of(shape, parity), (g, n, e, parity)
+                    if e <= 6:
+                        assert direct == _classes_of(low.get(e, []), parity), (g, n, e, parity)
 
 
 def test_le2_survivor_pattern():
@@ -374,5 +421,6 @@ def test_le2_survivor_pattern():
 
 
 def test_le2_empty_off_sector():
-    assert le2_classes(EnumSpec(1, 1, 3, 1, EVEN)) == ([], 0)
-    assert le2_classes(EnumSpec(0, 3, 3, 1, EVEN)) == ([], 0)
+    # at E = 2 the rounds of (1, 1) and (0, 3) are one four-valent vertex
+    for g, n, e in ((1, 1, 2), (1, 1, 3), (0, 3, 2), (0, 3, 3)):
+        assert le2_classes(EnumSpec(g, n, e, 1, EVEN)) == ([], 0)
