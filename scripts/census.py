@@ -7,7 +7,7 @@ Example:
 import argparse
 
 from ribboncoh.canonical import EVEN, ODD
-from ribboncoh.enumeration import EnumSpec, enumerate_classes
+from ribboncoh.enumeration import cells
 
 
 def main() -> int:
@@ -19,18 +19,18 @@ def main() -> int:
     args = ap.parse_args()
     parity = EVEN if args.parity == "even" else ODD
 
+    grid = {}  # E -> [(n, nonzero, zero)], from one walk of the genus's chains
+    for n, e, nonzero, zero in cells(args.genus, args.min_valence, parity, args.e_max):
+        grid.setdefault(e, []).append((n, len(nonzero), zero))
+
     print("genus %d, min valence %d, %s parity" % (args.genus, args.min_valence, args.parity))
     print("%4s %4s %10s %10s" % ("E", "n", "nonzero", "zero"))
     for e in range(1, args.e_max + 1):
         total_nz = total_z = 0
-        for n in range(1, e + 2 - 2 * args.genus):
-            spec = EnumSpec(args.genus, n, e, args.min_valence, parity)
-            if not spec.is_consistent()[0]:
-                continue
-            nonzero, zero = enumerate_classes(spec)
-            total_nz += len(nonzero)
+        for n, nonzero, zero in grid.get(e, []):
+            total_nz += nonzero
             total_z += zero
-            print("%4d %4d %10d %10d" % (e, n, len(nonzero), zero))
+            print("%4d %4d %10d %10d" % (e, n, nonzero, zero))
         print("%4d %4s %10d %10d  (layer total)" % (e, "*", total_nz, total_z))
     return 0
 

@@ -26,14 +26,7 @@ from .diff import (
     delta_terms,
     summed,
 )
-from .enumeration import (
-    BRUTE_FORCE_DART_LIMIT,
-    LE2_CELLS,
-    EnumSpec,
-    enumerate_bruteforce,
-    enumerate_classes,
-    le2_classes,
-)
+from .enumeration import BRUTE_FORCE_DART_LIMIT, EnumSpec, cells, enumerate_bruteforce
 from .linalg import (
     CERTIFICATION_PRIMES,
     SparseIntMatrix,
@@ -78,30 +71,21 @@ class CheckBounds:
         return asdict(self)
 
 
-def iter_specs(bounds: CheckBounds):
-    """All (EnumSpec, sector) pairs inside the bounds."""
-    for parity in bounds.parities:
-        for e in range(1, bounds.e_max_full + 1):
-            for g in range(0, min(bounds.g_max, e // 2) + 1):
-                for n in range(1, e + 2 - 2 * g):
-                    yield EnumSpec(g, n, e, 1, parity), "full"
-        for e in range(1, bounds.e_max_ge3 + 1):
-            for g in range(0, min(bounds.g_max, e // 2) + 1):
-                for n in range(1, e + 2 - 2 * g):
-                    yield EnumSpec(g, n, e, 3, parity), "ge3"
-        for e in range(bounds.e_max_full + 1, bounds.e_max_le2 + 1):
-            for g, n in LE2_CELLS:
-                yield EnumSpec(g, n, e, 1, parity), "le2"
-
-
 def iter_generators(bounds: CheckBounds):
-    for spec, sector in iter_specs(bounds):
-        if sector == "le2":
-            nonzero, _ = le2_classes(spec)
-        else:
-            nonzero, _ = enumerate_classes(spec)
-        for cls in nonzero:
-            yield spec, cls
+    """(EnumSpec, class) for every nonzero generator inside the bounds, from
+    one ``cells`` walk per (parity, sector, genus)."""
+    sectors = (  # (valence floor, max_arc, E range) of full, ge3 and le2
+        (1, None, 1, bounds.e_max_full),
+        (3, None, 1, bounds.e_max_ge3),
+        (1, 1, bounds.e_max_full + 1, bounds.e_max_le2),
+    )
+    for parity in bounds.parities:
+        for floor, max_arc, e_min, e_max in sectors:
+            for g in range(bounds.g_max + 1):
+                for n, e, nonzero, _ in cells(g, floor, parity, e_max, max_arc):
+                    if e >= e_min:
+                        spec = EnumSpec(g, n, e, floor, parity)
+                        yield from ((spec, cls) for cls in nonzero)
 
 
 def _violation(suite: str, spec: EnumSpec, cls, detail: str) -> dict:
@@ -193,16 +177,23 @@ def structural_suite(bounds: CheckBounds) -> dict:
 
 def oracle_suite(bounds: CheckBounds) -> dict:
     """Fast enumerator versus brute-force permutation scan, every spec
-    with E <= e_max_oracle, all valence floors."""
+    with E <= e_max_oracle, all valence floors: the fast side is one
+    ``cells`` walk per (floor, genus), and a spec it skips is empty."""
     specs = []
     for e in range(1, bounds.e_max_oracle + 1):
         for g in range(0, e // 2 + 1):
             for n in range(1, e + 2 - 2 * g):
                 for mv in (1, 2, 3):
                     specs.append(EnumSpec(g, n, e, mv, EVEN))
+    fast = {
+        EnumSpec(g, n, e, mv, EVEN): (nonzero, zero)
+        for mv in (1, 2, 3)
+        for g in range(bounds.e_max_oracle // 2 + 1)
+        for n, e, nonzero, zero in cells(g, mv, EVEN, bounds.e_max_oracle)
+    }
 
     def check(spec):
-        fast_nz, fast_zero = enumerate_classes(spec)
+        fast_nz, fast_zero = fast.get(spec, ([], 0))
         slow_nz, slow_zero = enumerate_bruteforce(spec)
         if [c.content_hash() for c in fast_nz] != [c.content_hash() for c in slow_nz]:
             detail = "class sets differ: %d fast vs %d brute" % (len(fast_nz), len(slow_nz))

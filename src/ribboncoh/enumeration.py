@@ -15,8 +15,10 @@ Two independent code paths, neither of which keeps state between calls:
   its canonical form; the same pass gives its automorphisms and its zero
   flag.  The low-valence sector walks the same rounds with each arc of a
   cut capped at one dart, growing paths and polygons (``LE2_CELLS``).
-  ``enumerate_classes`` and ``le2_classes`` take the round at their edge
-  count; ``complexes.build`` walks each chain once and reads the
+  ``cells`` walks every chain of a genus once, up to an edge bound, and
+  yields each cell in turn; every sweep over cells reads it, and
+  ``enumerate_classes`` and ``le2_classes`` keep the one cell at their
+  edge count.  ``complexes.build`` walks each chain once and reads the
   vertex-splitting differential off the split terms of its rounds;
 * the brute-force oracle scans every vertex permutation on labeled
   half-edges against the fixed edge pairing and deduplicates by canonical
@@ -28,14 +30,9 @@ the fast path past the oracle's reach in ``tests/test_enumeration.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, islice, permutations
 
-from .canonical import (
-    EVEN,
-    OrientedClass,
-    _canonical_data,
-    _zero_flag,
-)
+from .canonical import EVEN, OrientedClass, _canonical_data, _zero_flag
 from .canonical import is_minimal_form  # noqa: F401  (perfbench/tracer.py reads this name)
 from .diff import _add_chord, delta_terms
 from .ribbon import RibbonGraph, boundaries, orbits
@@ -129,18 +126,12 @@ def _first_rounds(genus: int):
         g, n = (g + 1, 1) if join else (g, n + 1)
 
 
-def _first_round(genus: int, n_boundaries: int) -> tuple[int, dict]:
-    """(E, round): the first round of the (genus, n_boundaries) chain, as
-    ``_first_rounds`` grows it."""
-    return next((e, layer) for n, e, layer, _ in _first_rounds(genus) if n == n_boundaries)
-
-
 def _cell_maps(e: int, layer: dict, min_valence: int, visit=None, odd: bool = False, max_arc: int | None = None):
     """The closure rounds of one (genus, n_boundaries) chain at valence
-    floor min_valence, from its first round layer at e edges
-    (``_first_round``), as a generator that never ends: it yields (E,
-    round) for E = e, e + 1, ..., where round maps canonical pair ->
-    optimal relabelings for every isomorphism class of the (genus,
+    floor min_valence, from its first round layer at e edges (as
+    ``_first_rounds`` yields it), as a generator that never ends: it
+    yields (E, round) for E = e, e + 1, ..., where round maps canonical
+    pair -> optimal relabelings for every isomorphism class of the (genus,
     n_boundaries, E) cell, zero classes included, whenever that cell is
     consistent.
 
@@ -196,19 +187,42 @@ def _split_by_zero(cell: dict, parity: int):
     return nonzero, zero
 
 
-def _read_cell(spec: EnumSpec, max_arc: int | None = None) -> tuple[list[OrientedClass], int]:
-    """The spec's cell, read off the ``_cell_maps`` rounds of its chain."""
-    if not spec.is_consistent()[0]:
-        return [], 0
-    for e, cell in _cell_maps(*_first_round(spec.genus, spec.boundaries), spec.min_valence, max_arc=max_arc):
-        if e == spec.edges:
-            return _split_by_zero(cell, spec.parity)
+LE2_CELLS = ((0, 1), (0, 2))  # (genus, boundaries) of the paths and of the polygons
+
+
+def cells(genus: int, min_valence: int, parity: int, e_max: int, max_arc: int | None = None, boundaries: int | None = None):
+    """(n, E, nonzero, zero) for every consistent cell of the genus at the
+    valence floor with E <= e_max, by increasing n, then E, as
+    ``_split_by_zero`` reads it.  One ``_first_rounds`` walk hands each n
+    chain its first round, and each chain's ``_cell_maps`` rounds are
+    walked once, up to e_max and no further.  With boundaries, only that
+    n; with max_arc = 1, only the n of ``LE2_CELLS``.  No first round past
+    the last n read is grown."""
+    wanted = [
+        n for n in range(1, e_max + 2 - 2 * genus)  # V >= 1 at E = e_max
+        if boundaries in (None, n) and (max_arc != 1 or (genus, n) in LE2_CELLS)
+    ]
+    if genus < 0 or not wanted:
+        return
+    for n, e0, first, _ in _first_rounds(genus):
+        if n in wanted:
+            for e, layer in islice(_cell_maps(e0, first, min_valence, max_arc=max_arc), e_max + 1 - e0):
+                if EnumSpec(genus, n, e, min_valence).is_consistent()[0]:
+                    yield (n, e, *_split_by_zero(layer, parity))
+        if n == wanted[-1]:
+            return
+
+
+def _cell(spec: EnumSpec, max_arc: int | None = None) -> tuple[list[OrientedClass], int]:
+    """The spec's cell, read off the end of its chain's ``cells`` walk."""
+    walk = cells(spec.genus, spec.min_valence, spec.parity, spec.edges, max_arc, spec.boundaries)
+    return next(((nonzero, zero) for _, e, nonzero, zero in walk if e == spec.edges), ([], 0))
 
 
 def enumerate_classes(spec: EnumSpec) -> tuple[list[OrientedClass], int]:
     """One nonzero class per isomorphism type matching the spec, plus the
     count of classes killed by a sign-reversing automorphism."""
-    return _read_cell(spec)
+    return _cell(spec)
 
 
 def enumerate_cell(spec: EnumSpec) -> tuple[list[OrientedClass], int]:
@@ -264,13 +278,8 @@ def _permutation_scan(spec: EnumSpec):
         yield s0, s1
 
 
-LE2_CELLS = ((0, 1), (0, 2))  # (genus, boundaries) of the paths and of the polygons
-
-
 def le2_classes(spec: EnumSpec) -> tuple[list[OrientedClass], int]:
     """Classes of the all-low-valence sector (every vertex valence <= 2):
     ``enumerate_classes`` with each arc of a cut capped at one dart, and
-    empty outside ``LE2_CELLS``, where that reads the one-vertex round."""
-    if (spec.genus, spec.boundaries) not in LE2_CELLS:
-        return [], 0
-    return _read_cell(spec, 1)
+    so empty outside ``LE2_CELLS``."""
+    return _cell(spec, 1)

@@ -1,6 +1,6 @@
 """Canonical labeling, automorphisms, orientation signs, zero flags."""
 from collections import deque, namedtuple
-from itertools import chain, combinations, permutations, takewhile
+from itertools import chain, combinations, islice, permutations, takewhile
 import random
 
 from hypothesis import given, settings, strategies as st
@@ -20,7 +20,7 @@ from ribboncoh.canonical import (
 )
 from ribboncoh.checks import CheckBounds, iter_generators
 from ribboncoh.diff import _add_chord, _cuts, bridge_terms, delta_terms
-from ribboncoh.enumeration import EnumSpec, _cell_maps, _first_round
+from ribboncoh.enumeration import EnumSpec, _cell_maps, _first_rounds
 from ribboncoh.ribbon import RibbonGraph, boundaries, edges, is_connected, vertices
 
 # brute-checked automorphism group orders (free action on rooted darts)
@@ -136,8 +136,8 @@ def _small_classes():
         (e, mv, genus, n): layer
         for mv in (1, 2, 3)
         for genus in (0, 1)
-        for n in range(1, 5 - 2 * genus)  # every (genus, n) with 2g + n - 1 <= 3
-        for e, layer in takewhile(lambda r: r[0] <= 3, _cell_maps(*_first_round(genus, n), mv))
+        for n, e0, first, _ in islice(_first_rounds(genus), 4 - 2 * genus)  # 2g + n - 1 <= 3
+        for e, layer in takewhile(lambda r: r[0] <= 3, _cell_maps(e0, first, mv))
     }
     return [
         RibbonGraph(*pair)
@@ -214,8 +214,8 @@ def _full_sector_maps(e_max):
     return [
         RibbonGraph(*pair)
         for genus in range(e_max // 2 + 1)
-        for n in range(1, e_max + 2 - 2 * genus)
-        for e, layer in takewhile(lambda r: r[0] <= e_max, _cell_maps(*_first_round(genus, n), 1))
+        for n, e0, first, _ in islice(_first_rounds(genus), e_max + 1 - 2 * genus)
+        for e, layer in takewhile(lambda r: r[0] <= e_max, _cell_maps(e0, first, 1))
         if EnumSpec(genus, n, e, 1).is_consistent()[0]
         for pair in layer
     ]

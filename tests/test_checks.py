@@ -1,9 +1,10 @@
 """Verification suites: clean passes at small bounds, fault injection."""
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
-from ribboncoh import canonical, checks, complexes, diff
+from ribboncoh import canonical, checks, complexes, diff, enumeration
 from ribboncoh.canonical import EVEN, ODD
 from ribboncoh.checks import (
     RANK_SUITE_TRIALS,
@@ -16,6 +17,7 @@ from ribboncoh.checks import (
     structural_suite,
 )
 from ribboncoh.diff import bridge_images, delta_images
+from ribboncoh.enumeration import LE2_CELLS, EnumSpec, enumerate_classes, le2_classes
 from ribboncoh.ribbon import RibbonGraph
 
 SMALL = CheckBounds(g_max=1, e_max_full=3, e_max_ge3=3, e_max_le2=5, e_max_oracle=3)
@@ -46,6 +48,64 @@ def test_generators_in_scope():
     for spec, cls in gens:
         assert spec.edges <= 5
         assert not cls.zero_flag
+
+
+def _per_spec_generators(bounds):
+    """Oracle: (spec, class) from one single-cell read per spec, every spec
+    inside the bounds listed by hand, sector by sector."""
+    specs = []
+    for parity in bounds.parities:
+        for e in range(1, bounds.e_max_full + 1):
+            for g in range(0, min(bounds.g_max, e // 2) + 1):
+                for n in range(1, e + 2 - 2 * g):
+                    specs.append((EnumSpec(g, n, e, 1, parity), enumerate_classes))
+        for e in range(1, bounds.e_max_ge3 + 1):
+            for g in range(0, min(bounds.g_max, e // 2) + 1):
+                for n in range(1, e + 2 - 2 * g):
+                    specs.append((EnumSpec(g, n, e, 3, parity), enumerate_classes))
+        for e in range(bounds.e_max_full + 1, bounds.e_max_le2 + 1):
+            for g, n in LE2_CELLS:
+                specs.append((EnumSpec(g, n, e, 1, parity), le2_classes))
+    return [(spec, cls) for spec, read in specs for cls in read(spec)[0]]
+
+
+@pytest.mark.parametrize(
+    "bounds, generators",
+    [(SMALL, 44), (CheckBounds(e_max_ge3=4, e_max_oracle=3), 262)],
+    ids=["small", "check-workload"],
+)
+def test_generators_match_per_spec_reads(bounds, generators):
+    # the walk yields the same (spec, class) multiset as one read per spec,
+    # in another order
+    def hashed(gens):
+        return Counter((spec, cls.content_hash()) for spec, cls in gens)
+
+    walked = hashed(iter_generators(bounds))
+    assert walked == hashed(_per_spec_generators(bounds))
+    assert sum(walked.values()) == generators
+
+
+@pytest.mark.parametrize(
+    "suite, walks, chord_rounds",
+    [(lambda: list(iter_generators(SMALL)), 10, 16), (lambda: oracle_suite(SMALL), 6, 12)],
+    ids=["generators", "oracle"],
+)
+def test_sweeps_walk_each_chain_once(suite, walks, chord_rounds, monkeypatch):
+    # pinned: one first-round walk per (parity, sector, genus) of the
+    # generators and per (floor, genus) of the oracle; regrowing a chain
+    # per cell raises both counts
+    counts = {"walks": 0, "chord_rounds": 0}
+
+    def counted(name, real):
+        def wrapper(*args):
+            counts[name] += 1
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(enumeration, "_first_rounds", counted("walks", enumeration._first_rounds))
+    monkeypatch.setattr(enumeration, "_chord_round", counted("chord_rounds", enumeration._chord_round))
+    suite()
+    assert counts == {"walks": walks, "chord_rounds": chord_rounds}
 
 
 def test_identity_suite_passes():

@@ -9,12 +9,13 @@ import pytest
 from ribboncoh import diff, enumeration
 from ribboncoh.canonical import EVEN, ODD, class_of
 from ribboncoh.enumeration import (
+    LE2_CELLS,
     EnumSpec,
     _canonical_layer,
     _cell_maps,
-    _first_round,
     _first_rounds,
     _split_by_zero,
+    cells,
     enumerate_bruteforce,
     enumerate_cell,
     enumerate_classes,
@@ -43,16 +44,14 @@ CENSUS_G1_MV3_EVEN = {(1, 2): 0, (1, 3): 1, (2, 3): 2, (2, 4): 5, (3, 4): 7}
 
 def basis_table(genus, e_max, min_valence, parity=EVEN):
     """Nonzero-class counts over the (boundaries, edges) grid at fixed
-    genus; n is bounded by E + 1 - 2g."""
-    table = {}
-    for e in range(1, e_max + 1):
-        for n in range(1, e + 2 - 2 * genus):
-            spec = EnumSpec(genus, n, e, min_valence, parity)
-            if not spec.is_consistent()[0]:
-                continue
-            nonzero, _ = enumerate_classes(spec)
-            table[(n, e)] = len(nonzero)
-    return table
+    genus, from one ``cells`` walk."""
+    return {(n, e): len(nonzero) for n, e, nonzero, _ in cells(genus, min_valence, parity, e_max)}
+
+
+def _first_round(genus, n_boundaries):
+    """(E, round): the first round of the (genus, n_boundaries) chain, as
+    ``_first_rounds`` grows it."""
+    return next((e, layer) for n, e, layer, _ in _first_rounds(genus) if n == n_boundaries)
 
 
 def test_spec_consistency():
@@ -127,6 +126,29 @@ def test_enumerate_cell_matches_full_run():
     for spec in (EnumSpec(0, 2, 4, 1, EVEN), EnumSpec(1, 2, 4, 3, ODD)):
         assert enumerate_cell(spec)[0] == enumerate_classes(spec)[0]
         assert enumerate_cell(spec)[1] == enumerate_classes(spec)[1]
+
+
+def test_cells_match_the_single_cell_readers():
+    # every cell of one walk equals the cell that enumerate_classes (or, under
+    # the le2 cap, le2_classes) reads alone, and every consistent spec that
+    # the walk skips is empty: g <= 2, floors 1..3, both parities, E <= 5,
+    # and the le2 cap to E = 8
+    read = 0
+    for g in range(3):
+        for parity in (EVEN, ODD):
+            sweeps = [(mv, 5, None, enumerate_classes) for mv in (1, 2, 3)] + [(1, 8, 1, le2_classes)]
+            for mv, e_max, max_arc, single in sweeps:
+                walk = {(n, e): (nonzero, zero) for n, e, nonzero, zero in cells(g, mv, parity, e_max, max_arc)}
+                for e in range(1, e_max + 1):
+                    for n in range(1, e + 2 - 2 * g):
+                        spec = EnumSpec(g, n, e, mv, parity)
+                        if (n, e) in walk:
+                            assert walk[n, e] == single(spec), spec
+                            read += 1
+                        elif spec.is_consistent()[0]:
+                            assert single(spec) == ([], 0), spec
+                            assert max_arc == 1 and (g, n) not in LE2_CELLS, spec
+    assert read == 192
 
 
 def _rooted_map_counts(g_max: int, e_max: int) -> dict:
