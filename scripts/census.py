@@ -7,7 +7,7 @@ Example:
 import argparse
 
 from ribboncoh.canonical import EVEN, ODD
-from ribboncoh.enumeration import cells
+from ribboncoh.enumeration import _split_by_zero, cells
 
 
 def main() -> int:
@@ -20,7 +20,8 @@ def main() -> int:
     parity = EVEN if args.parity == "even" else ODD
 
     grid = {}  # E -> [(n, nonzero, zero)], from one walk of the genus's chains
-    for n, e, nonzero, zero in cells(args.genus, args.min_valence, parity, args.e_max):
+    for n, e, layer in cells(args.genus, args.min_valence, args.e_max):
+        nonzero, zero = _split_by_zero(layer, parity)
         grid.setdefault(e, []).append((n, len(nonzero), zero))
 
     print("genus %d, min valence %d, %s parity" % (args.genus, args.min_valence, args.parity))

@@ -26,7 +26,7 @@ from .diff import (
     delta_terms,
     summed,
 )
-from .enumeration import BRUTE_FORCE_DART_LIMIT, EnumSpec, cells, enumerate_bruteforce
+from .enumeration import BRUTE_FORCE_DART_LIMIT, EnumSpec, _split_by_zero, cells, enumerate_bruteforce
 from .linalg import (
     CERTIFICATION_PRIMES,
     SparseIntMatrix,
@@ -72,20 +72,19 @@ class CheckBounds:
 
 
 def iter_generators(bounds: CheckBounds):
-    """(EnumSpec, class) for every nonzero generator inside the bounds, from
-    one ``cells`` walk per (parity, sector, genus)."""
+    """(EnumSpec, class) for every nonzero generator inside the bounds, by
+    (sector, genus, n, E, parity): one ``cells`` walk per (sector, genus)."""
     sectors = (  # (valence floor, max_arc, E range) of full, ge3 and le2
         (1, None, 1, bounds.e_max_full),
         (3, None, 1, bounds.e_max_ge3),
         (1, 1, bounds.e_max_full + 1, bounds.e_max_le2),
     )
-    for parity in bounds.parities:
-        for floor, max_arc, e_min, e_max in sectors:
-            for g in range(bounds.g_max + 1):
-                for n, e, nonzero, _ in cells(g, floor, parity, e_max, max_arc):
-                    if e >= e_min:
-                        spec = EnumSpec(g, n, e, floor, parity)
-                        yield from ((spec, cls) for cls in nonzero)
+    for floor, max_arc, e_min, e_max in sectors:
+        for g in range(bounds.g_max + 1):
+            for n, e, layer in cells(g, floor, e_max, max_arc):
+                for parity in bounds.parities if e >= e_min else ():
+                    spec = EnumSpec(g, n, e, floor, parity)
+                    yield from ((spec, cls) for cls in _split_by_zero(layer, parity)[0])
 
 
 def _violation(suite: str, spec: EnumSpec, cls, detail: str) -> dict:
@@ -186,10 +185,10 @@ def oracle_suite(bounds: CheckBounds) -> dict:
                 for mv in (1, 2, 3):
                     specs.append(EnumSpec(g, n, e, mv, EVEN))
     fast = {
-        EnumSpec(g, n, e, mv, EVEN): (nonzero, zero)
+        EnumSpec(g, n, e, mv, EVEN): _split_by_zero(layer, EVEN)
         for mv in (1, 2, 3)
         for g in range(bounds.e_max_oracle // 2 + 1)
-        for n, e, nonzero, zero in cells(g, mv, EVEN, bounds.e_max_oracle)
+        for n, e, layer in cells(g, mv, bounds.e_max_oracle)
     }
 
     def check(spec):

@@ -16,9 +16,9 @@ Two independent code paths, neither of which keeps state between calls:
   flag.  The low-valence sector walks the same rounds with each arc of a
   cut capped at one dart, growing paths and polygons (``LE2_CELLS``).
   ``cells`` walks every chain of a genus once, up to an edge bound, and
-  yields each cell in turn; every sweep over cells reads it, and
-  ``enumerate_classes`` and ``le2_classes`` keep the one cell at their
-  edge count.  ``complexes.build`` walks each chain once and reads the
+  yields each cell's round in no parity; a reader splits only the cells
+  it keeps, in the parities it wants (``enumerate_classes`` one).
+  ``complexes.build`` walks each chain once and reads the
   vertex-splitting differential off the split terms of its rounds;
 * the brute-force oracle scans every vertex permutation on labeled
   half-edges against the fixed edge pairing and deduplicates by canonical
@@ -190,14 +190,15 @@ def _split_by_zero(cell: dict, parity: int):
 LE2_CELLS = ((0, 1), (0, 2))  # (genus, boundaries) of the paths and of the polygons
 
 
-def cells(genus: int, min_valence: int, parity: int, e_max: int, max_arc: int | None = None, boundaries: int | None = None):
-    """(n, E, nonzero, zero) for every consistent cell of the genus at the
-    valence floor with E <= e_max, by increasing n, then E, as
-    ``_split_by_zero`` reads it.  One ``_first_rounds`` walk hands each n
-    chain its first round, and each chain's ``_cell_maps`` rounds are
-    walked once, up to e_max and no further.  With boundaries, only that
-    n; with max_arc = 1, only the n of ``LE2_CELLS``.  No first round past
-    the last n read is grown."""
+def cells(genus: int, min_valence: int, e_max: int, max_arc: int | None = None, boundaries: int | None = None):
+    """(n, E, round) for every consistent cell of the genus at the valence
+    floor with E <= e_max, by increasing n, then E, round as ``_cell_maps``
+    yields it: a reader splits each cell it keeps (``_split_by_zero``), in
+    every parity it wants, before it asks for the next.  One walk of
+    ``_first_rounds`` hands each n chain its first round, and each chain's
+    rounds are walked once, up to e_max and no further.  With boundaries,
+    only that n; with max_arc = 1, only the n of ``LE2_CELLS``.  No first
+    round past the last n read is grown."""
     wanted = [
         n for n in range(1, e_max + 2 - 2 * genus)  # V >= 1 at E = e_max
         if boundaries in (None, n) and (max_arc != 1 or (genus, n) in LE2_CELLS)
@@ -208,15 +209,15 @@ def cells(genus: int, min_valence: int, parity: int, e_max: int, max_arc: int | 
         if n in wanted:
             for e, layer in islice(_cell_maps(e0, first, min_valence, max_arc=max_arc), e_max + 1 - e0):
                 if EnumSpec(genus, n, e, min_valence).is_consistent()[0]:
-                    yield (n, e, *_split_by_zero(layer, parity))
+                    yield n, e, layer
         if n == wanted[-1]:
             return
 
 
 def _cell(spec: EnumSpec, max_arc: int | None = None) -> tuple[list[OrientedClass], int]:
-    """The spec's cell, read off the end of its chain's ``cells`` walk."""
-    walk = cells(spec.genus, spec.min_valence, spec.parity, spec.edges, max_arc, spec.boundaries)
-    return next(((nonzero, zero) for _, e, nonzero, zero in walk if e == spec.edges), ([], 0))
+    """The spec's cell, the only one of its ``cells`` walk that is split."""
+    walk = cells(spec.genus, spec.min_valence, spec.edges, max_arc, spec.boundaries)
+    return next((_split_by_zero(layer, spec.parity) for _, e, layer in walk if e == spec.edges), ([], 0))
 
 
 def enumerate_classes(spec: EnumSpec) -> tuple[list[OrientedClass], int]:

@@ -87,13 +87,17 @@ def test_generators_match_per_spec_reads(bounds, generators):
 
 @pytest.mark.parametrize(
     "suite, walks, chord_rounds",
-    [(lambda: list(iter_generators(SMALL)), 10, 16), (lambda: oracle_suite(SMALL), 6, 12)],
-    ids=["generators", "oracle"],
+    [
+        (lambda: list(iter_generators(SMALL)), 5, 8),
+        (lambda: oracle_suite(SMALL), 6, 12),
+        (lambda: run_check(CheckBounds(e_max_ge3=4, e_max_oracle=3)), 20, 52),
+    ],
+    ids=["generators", "oracle", "check-workload"],
 )
 def test_sweeps_walk_each_chain_once(suite, walks, chord_rounds, monkeypatch):
-    # pinned: one first-round walk per (parity, sector, genus) of the
-    # generators and per (floor, genus) of the oracle; regrowing a chain
-    # per cell raises both counts
+    # pinned: one first-round walk per (sector, genus) of the generators,
+    # serving every parity, and per (floor, genus) of the oracle; walking
+    # once per parity, or regrowing a chain per cell, raises both counts
     counts = {"walks": 0, "chord_rounds": 0}
 
     def counted(name, real):

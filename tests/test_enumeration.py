@@ -44,8 +44,8 @@ CENSUS_G1_MV3_EVEN = {(1, 2): 0, (1, 3): 1, (2, 3): 2, (2, 4): 5, (3, 4): 7}
 
 def basis_table(genus, e_max, min_valence, parity=EVEN):
     """Nonzero-class counts over the (boundaries, edges) grid at fixed
-    genus, from one ``cells`` walk."""
-    return {(n, e): len(nonzero) for n, e, nonzero, _ in cells(genus, min_valence, parity, e_max)}
+    genus, from one ``cells`` walk, each cell split in the parity."""
+    return {(n, e): len(_split_by_zero(layer, parity)[0]) for n, e, layer in cells(genus, min_valence, e_max)}
 
 
 def _first_round(genus, n_boundaries):
@@ -128,22 +128,45 @@ def test_enumerate_cell_matches_full_run():
         assert enumerate_cell(spec)[1] == enumerate_classes(spec)[1]
 
 
+def test_single_cell_read_splits_only_its_cell(monkeypatch):
+    # the (1, 2) chain at floor 1 passes its E = 3 and 4 cells on the way to
+    # E = 5; splitting them too makes 3 splits and 23 zero flags
+    counts = {"_split_by_zero": 0, "_zero_flag": 0}
+
+    def counted(name):
+        real = getattr(enumeration, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(enumeration, name, counted(name))
+    enumerate_classes(EnumSpec(1, 2, 5, 1))
+    assert counts == {"_split_by_zero": 1, "_zero_flag": 16}
+
+
 def test_cells_match_the_single_cell_readers():
-    # every cell of one walk equals the cell that enumerate_classes (or, under
-    # the le2 cap, le2_classes) reads alone, and every consistent spec that
-    # the walk skips is empty: g <= 2, floors 1..3, both parities, E <= 5,
-    # and the le2 cap to E = 8
+    # every cell of one walk, split in either parity, equals the cell that
+    # enumerate_classes (or, under the le2 cap, le2_classes) reads alone, and
+    # every consistent spec that the walk skips is empty: g <= 2, floors
+    # 1..3, both parities, E <= 5, and the le2 cap to E = 8
     read = 0
+    sweeps = [(mv, 5, None, enumerate_classes) for mv in (1, 2, 3)] + [(1, 8, 1, le2_classes)]
     for g in range(3):
-        for parity in (EVEN, ODD):
-            sweeps = [(mv, 5, None, enumerate_classes) for mv in (1, 2, 3)] + [(1, 8, 1, le2_classes)]
-            for mv, e_max, max_arc, single in sweeps:
-                walk = {(n, e): (nonzero, zero) for n, e, nonzero, zero in cells(g, mv, parity, e_max, max_arc)}
+        for mv, e_max, max_arc, single in sweeps:
+            walk = {
+                (n, e, parity): _split_by_zero(layer, parity)
+                for n, e, layer in cells(g, mv, e_max, max_arc)
+                for parity in (EVEN, ODD)
+            }
+            for parity in (EVEN, ODD):
                 for e in range(1, e_max + 1):
                     for n in range(1, e + 2 - 2 * g):
                         spec = EnumSpec(g, n, e, mv, parity)
-                        if (n, e) in walk:
-                            assert walk[n, e] == single(spec), spec
+                        if (n, e, parity) in walk:
+                            assert walk[n, e, parity] == single(spec), spec
                             read += 1
                         elif spec.is_consistent()[0]:
                             assert single(spec) == ([], 0), spec
