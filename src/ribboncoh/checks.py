@@ -3,7 +3,8 @@ invariants, enumeration oracle agreement, and rank oracle agreement.
 
 Every suite returns a JSON-able report naming the first violating
 generator, so a failure is actionable and a fault injected by the test
-harness is pinpointed.
+harness is pinpointed.  The identity and structural suites check one list
+of generators, which ``run_check`` walks once (``iter_generators``).
 
 The suites run serially: the work is pure Python, so under the
 interpreter lock a thread pool only added overhead.
@@ -111,19 +112,17 @@ def _memoized(images_of, parities):
     return image
 
 
-def identity_suite(bounds: CheckBounds) -> dict:
+def identity_suite(bounds: CheckBounds, gens: list) -> dict:
     """delta^2 = 0, the corner operator squared = 0, and the
-    anticommutator = 0 on every nonzero generator in scope.  Images are
-    reused (the squares apply each operator again to image terms), so both
-    operators are memoized for the length of this one call, by canonical
-    pair.  One canonical pass per raw term serves every parity in scope
-    (``diff.delta_images``, ``diff.bridge_images``)."""
+    anticommutator = 0 on every (spec, class) of gens (``iter_generators``).
+    Images are reused (the squares apply each operator again to image
+    terms), so both operators are memoized for the length of this one call,
+    by canonical pair.  One canonical pass per raw term serves every parity
+    in scope (``diff.delta_images``, ``diff.bridge_images``)."""
     d_op = _memoized(delta_images, bounds.parities)
     b_op = _memoized(bridge_images, bounds.parities)
-    gens = list(iter_generators(bounds))
 
-    def check(item):
-        spec, cls = item
+    def check(spec, cls):
         out = []
         dx = d_op(cls)
         bx = b_op(cls)
@@ -135,24 +134,22 @@ def identity_suite(bounds: CheckBounds) -> dict:
             out.append(_violation("anticommutator", spec, cls, "delta and corner op do not anticommute"))
         return out
 
-    violations = [v for item in gens for v in check(item)]
+    violations = [v for spec, cls in gens for v in check(spec, cls)]
     return _report("identities", violations, bounds=bounds.to_json(), generators=len(gens))
 
 
-def structural_suite(bounds: CheckBounds) -> dict:
-    """Raw-term invariants: vertex splitting adds one edge and one vertex
-    keeping boundaries and genus; corner connecting adds one edge and one
-    boundary keeping vertices and genus; every term is a valid connected
-    graph."""
-    gens = list(iter_generators(bounds))
+def structural_suite(bounds: CheckBounds, gens: list) -> dict:
+    """Raw-term invariants on every (spec, class) of gens, the generators
+    of bounds: vertex splitting adds one edge and one vertex keeping
+    boundaries and genus; corner connecting adds one edge and one boundary
+    keeping vertices and genus; every term is a valid connected graph."""
 
     def shape_of(g):
         # g is connected: a generator is, and a term is checked first
         v, b = len(vertices(g)), len(boundaries(g))
         return (g.n_edges, v, b, genus(g, (v, b)))
 
-    def check(item):
-        spec, cls = item
+    def check(spec, cls):
         e0, v0, b0, g0 = shape_of(cls.graph)
         term_sets = (
             ("delta_terms", delta_terms(cls.graph), (e0 + 1, v0 + 1, b0, g0)),
@@ -170,7 +167,7 @@ def structural_suite(bounds: CheckBounds) -> dict:
                     out.append(_violation(name, spec, cls, detail))
         return out
 
-    violations = [v for item in gens for v in check(item)]
+    violations = [v for spec, cls in gens for v in check(spec, cls)]
     return _report("structural", violations, bounds=bounds.to_json(), generators=len(gens))
 
 
@@ -279,10 +276,11 @@ def rank_suite() -> dict:
 
 
 def run_check(bounds: CheckBounds) -> dict:
-    """All four suites."""
+    """All four suites, the identity and structural ones on one generator walk."""
+    gens = list(iter_generators(bounds))
     report = {
-        "identities": identity_suite(bounds),
-        "structural": structural_suite(bounds),
+        "identities": identity_suite(bounds, gens),
+        "structural": structural_suite(bounds, gens),
         "enumeration_oracle": oracle_suite(bounds),
         "rank_oracle": rank_suite(),
     }

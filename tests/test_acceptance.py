@@ -18,6 +18,7 @@ from ribboncoh.canonical import EVEN
 from ribboncoh.checks import (
     CheckBounds,
     identity_suite,
+    iter_generators,
     oracle_suite,
     run_check,
     structural_suite,
@@ -43,6 +44,12 @@ def announce(capsys, num, name, ok, detail=""):
         if detail:
             line += "  (%s)" % detail
         print(line)
+
+
+@pytest.fixture(scope="module")
+def full_generators():
+    # criteria 1 and 2 check one list, as run_check does
+    return list(iter_generators(FULL_BOUNDS))
 
 
 @pytest.fixture(scope="module")
@@ -77,8 +84,8 @@ def gc_rows():
     return cohomology(build(GCSpec(3, 0, 3, 8)))
 
 
-def test_criterion_1_identities(capsys):
-    report = identity_suite(FULL_BOUNDS)
+def test_criterion_1_identities(capsys, full_generators):
+    report = identity_suite(FULL_BOUNDS, full_generators)
     ok = report["passed"]
     announce(
         capsys, 1, "differential identities", ok,
@@ -88,8 +95,8 @@ def test_criterion_1_identities(capsys):
     assert ok
 
 
-def test_criterion_2_structural(capsys):
-    report = structural_suite(FULL_BOUNDS)
+def test_criterion_2_structural(capsys, full_generators):
+    report = structural_suite(FULL_BOUNDS, full_generators)
     ok = report["passed"]
     announce(capsys, 2, "term shape invariants", ok, "%d generators" % report["generators"])
     assert report["violations"] == []

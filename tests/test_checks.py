@@ -90,14 +90,15 @@ def test_generators_match_per_spec_reads(bounds, generators):
     [
         (lambda: list(iter_generators(SMALL)), 5, 8),
         (lambda: oracle_suite(SMALL), 6, 12),
-        (lambda: run_check(CheckBounds(e_max_ge3=4, e_max_oracle=3)), 20, 52),
+        (lambda: run_check(CheckBounds(e_max_ge3=4, e_max_oracle=3)), 13, 34),
     ],
     ids=["generators", "oracle", "check-workload"],
 )
 def test_sweeps_walk_each_chain_once(suite, walks, chord_rounds, monkeypatch):
     # pinned: one first-round walk per (sector, genus) of the generators,
-    # serving every parity, and per (floor, genus) of the oracle; walking
-    # once per parity, or regrowing a chain per cell, raises both counts
+    # serving every parity and both generator suites, and per (floor,
+    # genus) of the oracle; walking once per parity or per suite, or
+    # regrowing a chain per cell, raises both counts
     counts = {"walks": 0, "chord_rounds": 0}
 
     def counted(name, real):
@@ -113,14 +114,14 @@ def test_sweeps_walk_each_chain_once(suite, walks, chord_rounds, monkeypatch):
 
 
 def test_identity_suite_passes():
-    report = identity_suite(SMALL)
+    report = identity_suite(SMALL, list(iter_generators(SMALL)))
     assert report["passed"]
     assert report["generators"] > 0
     assert report["violations"] == []
 
 
 def test_structural_suite_passes():
-    assert structural_suite(SMALL)["passed"]
+    assert structural_suite(SMALL, list(iter_generators(SMALL)))["passed"]
 
 
 def test_oracle_suite_passes():
@@ -144,7 +145,7 @@ def test_fault_injection_is_detected(monkeypatch):
         return out
 
     monkeypatch.setattr(checks, "bridge_images", broken_bridge_images)
-    report = identity_suite(SMALL)
+    report = identity_suite(SMALL, list(iter_generators(SMALL)))
     assert not report["passed"]
     v = report["violations"][0]
     assert v["suite"] in ("bridge_squared", "anticommutator")
@@ -189,7 +190,8 @@ def test_structural_suite_lists_no_odd_items(monkeypatch):
     monkeypatch.setattr(checks, "delta_terms", _no_odd_items(diff.delta_terms))
     monkeypatch.setattr(checks, "bridge_terms", _no_odd_items(diff.bridge_terms))
     for parities in ((EVEN,), (ODD,)):
-        assert structural_suite(replace(SMALL, parities=parities))["passed"]
+        bounds = replace(SMALL, parities=parities)
+        assert structural_suite(bounds, list(iter_generators(bounds)))["passed"]
 
 
 def _identity_suite_counting(monkeypatch, parities):
@@ -209,9 +211,11 @@ def _identity_suite_counting(monkeypatch, parities):
         assert ODD in parities or not word[0], "odd items listed"
         return real_sign(word, parity, maps)
 
+    bounds = replace(SMALL, parities=parities)
+    gens = list(iter_generators(bounds))
     monkeypatch.setattr(diff, "_canonical_data", counted_data)
     monkeypatch.setattr(diff, "word_sign", recorded_sign)
-    report = identity_suite(replace(SMALL, parities=parities))
+    report = identity_suite(bounds, gens)
     monkeypatch.undo()
     assert report["passed"] and report["generators"] > 0
     return calls[0], sign_parities
@@ -283,7 +287,7 @@ def test_structural_fault_injection_is_detected(monkeypatch):
 
     monkeypatch.setattr(checks, "delta_terms", broken_terms)
     monkeypatch.setattr(checks, "bridge_terms", broken_terms)
-    report = structural_suite(SMALL)
+    report = structural_suite(SMALL, list(iter_generators(SMALL)))
     assert not report["passed"]
     violations = report["violations"]
     assert len(violations) == 4 * report["generators"]
@@ -316,6 +320,8 @@ def test_oracle_zero_count_mismatch_names_spec(monkeypatch):
 def test_run_check_aggregates():
     report = run_check(SMALL)
     assert report["passed"]
+    generators = len(list(iter_generators(SMALL)))
+    assert report["identities"]["generators"] == report["structural"]["generators"] == generators == 44
     assert set(report) == {
         "identities",
         "structural",

@@ -2,7 +2,8 @@
 import pytest
 
 from ribboncoh import ribbon
-from ribboncoh.canonical import EVEN, ODD, class_of
+from ribboncoh.canonical import EVEN, ODD, class_of, to_oriented_class
+from ribboncoh.checks import CheckBounds, iter_generators
 from ribboncoh.diff import (
     _add_chord,
     _cuts,
@@ -18,10 +19,12 @@ from ribboncoh.diff import (
 )
 from ribboncoh.enumeration import EnumSpec, enumerate_classes
 from ribboncoh.ribbon import (
+    RibbonGraph,
     boundaries,
     genus,
     is_connected,
     min_valence,
+    sigma2,
     validate,
     vertices,
 )
@@ -187,3 +190,31 @@ def test_apply_linear_is_linear():
         assert doubled == {c: 2 * v for c, v in apply_linear(bridge, s).items()}
         n_images += bool(doubled)
     assert n_images > 5
+
+
+def _dual(g):
+    """The dual ribbon graph (sigma2, sigma1): g's boundary walks are its
+    vertices and g's vertices its boundary walks."""
+    return RibbonGraph(sigma2(g), g.sigma1)
+
+
+def test_corner_move_is_the_duals_vertex_split_in_even_parity():
+    # a chord between two corners of one boundary of g is a cut of the
+    # dual's vertex for that boundary into two nonempty arcs: in even
+    # parity the corner image of g is the split image of its dual pushed
+    # back through the dual, term for term, on every generator of check's
+    # default scope (the odd half needs a sign per parent)
+    gens = dict.fromkeys(x for _, x in iter_generators(CheckBounds(parities=(EVEN,))))
+    assert len(gens) == 330
+    nonzero = 0
+    for x in gens:
+        g, dual = x.graph, _dual(x.graph)
+        assert len(list(bridge_terms(g))) == len(list(delta_terms(dual, 1)))
+        pushed = summed(
+            (cls, c * sign)
+            for split, c in delta_images(dual, (EVEN,), 1)[EVEN].items()
+            for cls, sign in [to_oriented_class(_dual(split.graph), EVEN)]
+        )
+        assert bridge_images(g, (EVEN,))[EVEN] == pushed
+        nonzero += bool(pushed)
+    assert nonzero == 318
