@@ -38,14 +38,16 @@ word by an optimal relabeling lab of its graph; its sign against the
 reference word of the canonical graph is the parity of sorting its edges
 by least label for even parity, and for odd parity the parity of sorting
 its items by (kind, least label), times -1 per edge (a, b) with lab[a] >
-lab[b].  Zero rule: a class is zero when some automorphism reverses its
-orientation, that is, exactly when two optimal relabelings of the one
-canonicalization pass give different signs, since their quotient is an
-automorphism of the canonical graph.
+lab[b].  The parity of a sort is that of the keys' inversion count
+(``_order_sign``).  Zero rule: a class is zero when some automorphism
+reverses its orientation, that is, exactly when two optimal relabelings
+of the one canonicalization pass give different signs, since their
+quotient is an automorphism of the canonical graph.
 """
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect
 from dataclasses import dataclass
 
 from .ribbon import (
@@ -162,28 +164,17 @@ def _canonical_data(s0: tuple, s1: tuple):
     return best, maps
 
 
-def perm_sign(perm: list[int]) -> int:
-    """Sign of a permutation given as an image list."""
-    n = len(perm)
-    seen = [False] * n
-    sign = 1
-    for i in range(n):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 def _order_sign(keys) -> int:
-    """Parity of the permutation that sorts distinct keys."""
-    return perm_sign(sorted(range(len(keys)), key=keys.__getitem__))
+    """Parity of the permutation that sorts distinct keys: -1 when the
+    keys hold an odd number of inversions, counted by inserting each key
+    into the sorted list of the keys before it."""
+    before = []
+    inversions = 0
+    for k in keys:
+        i = bisect(before, k)
+        inversions += len(before) - i
+        before.insert(i, k)
+    return -1 if inversions & 1 else 1
 
 
 def reference_word(g: RibbonGraph, parity: int):
@@ -206,7 +197,7 @@ def word_sign(word, parity: int, maps) -> int:
             sign = _order_sign([lab[a] if lab[a] < lab[b] else lab[b] for a, b in es])
         else:
             n = len(lab)
-            sign = _order_sign([kind * n + min([lab[h] for h in darts]) for kind, darts in items])
+            sign = _order_sign([kind * n + min(map(lab.__getitem__, darts)) for kind, darts in items])
             for a, b in es:
                 if lab[a] > lab[b]:
                     sign = -sign
@@ -217,7 +208,7 @@ def word_sign(word, parity: int, maps) -> int:
     return first
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrientedClass:
     """Canonical isomorphism-class representative with its reference
     orientation implied; zero_flag marks sign-reversing symmetry."""

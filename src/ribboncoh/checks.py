@@ -97,16 +97,22 @@ def _report(suite: str, violations: list, **counts) -> dict:
     return {"suite": suite, **counts, "violations": violations, "passed": not violations}
 
 
-def _memoized(images_of, parities):
+def _memoized(images_of, parities, classes: dict):
     """images_of(graph, parities) as an operator on classes, memoized for
     as long as the returned function lives: the first class of a canonical
-    pair met in any parity fills its images in every parity in scope."""
+    pair met in any parity fills its images in every parity in scope.
+    Every class of a stored image goes through classes, a table of one
+    object per class and parity that the operators of one suite share, so
+    the cache holds each class once however many images it is in."""
     memo = {}
 
     def image(cls):
         key = (cls.sigma0, cls.sigma1)
         if key not in memo:
-            memo[key] = images_of(cls.graph, parities)
+            memo[key] = {
+                parity: {classes.setdefault(c, c): v for c, v in terms.items()}
+                for parity, terms in images_of(cls.graph, parities).items()
+            }
         return memo[key][cls.parity]
 
     return image
@@ -117,10 +123,12 @@ def identity_suite(bounds: CheckBounds, gens: list) -> dict:
     anticommutator = 0 on every (spec, class) of gens (``iter_generators``).
     Images are reused (the squares apply each operator again to image
     terms), so both operators are memoized for the length of this one call,
-    by canonical pair.  One canonical pass per raw term serves every parity
-    in scope (``diff.delta_images``, ``diff.bridge_images``)."""
-    d_op = _memoized(delta_images, bounds.parities)
-    b_op = _memoized(bridge_images, bounds.parities)
+    by canonical pair, and share one table of classes: the cache holds one
+    object per class and parity.  One canonical pass per raw term serves
+    every parity in scope (``diff.delta_images``, ``diff.bridge_images``)."""
+    classes = {}
+    d_op = _memoized(delta_images, bounds.parities, classes)
+    b_op = _memoized(bridge_images, bounds.parities, classes)
 
     def check(spec, cls):
         out = []

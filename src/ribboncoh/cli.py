@@ -4,7 +4,8 @@ Subcommands: enumerate (list classes of a cell), check (identity and
 oracle suites), cohomology (build a complex and print its table), export
 (graphs, bases, matrices in the documented formats).
 
-Exit codes: 0 success, 1 identity/internal failure, 2 usage error.
+Exit codes: 0 success, 1 identity/internal failure or a closed stdout,
+2 usage error.
 """
 from __future__ import annotations
 
@@ -283,7 +284,16 @@ def main(argv=None) -> int:
         "export": cmd_export,
     }[args.command]
     try:
-        return handler(args)
+        code = handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (``| head``): send what is left to
+        # devnull, so that the flush at exit does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except UsageError as exc:
         print(exc, file=sys.stderr)
         return 2

@@ -21,18 +21,26 @@ while the cross terms with the corner-connecting operator acquire the
 sign that makes the two differentials anticommute.  An even word lists
 only the edges, and ``canonical.word_sign`` reads every coefficient.
 
+A builder lists the parent's cycles once and grows each term's items
+from them.  A split's boundary walks are the parent's: cutting a vertex
+into (arc_a, 2E) and (arc_b, 2E+1) puts 2E into the walk right after
+sigma1(arc_a[0]) and 2E+1 right after sigma1(arc_b[0]), and leaves every
+other walk as it is.  Each walk keeps its least dart, the dart it starts
+at, and its place, so the list is the term's own ``boundaries`` in order.
+
 Each move has one raw-term builder (``delta_terms``, ``bridge_terms``),
 from which ``complexes`` sums the blocks of every table, and one image
 path: the raw term graphs do not depend on parity, so ``delta_images``
 and ``bridge_images`` give a class's image in every parity asked for from
 one canonical pass per raw term, and ``delta`` and ``bridge`` ask for the
-class's own parity.  An image is a plain dict, class -> nonzero int
-(``summed``).  The images are oracles only: the check suites apply them
+class's own parity.  An image is a plain dict, class -> nonzero int,
+with one class per target: the raw terms are added up by canonical pair
+first.  The images are oracles only: the check suites apply them
 (``apply_linear``), and compare a built matrix with them.  Every call
 returns a fresh image; the module keeps no state between calls.  A caller
 that applies them to the same class more than once memoizes the images
 itself (``checks.identity_suite``, one entry per canonical pair serving
-every parity in scope).
+every parity in scope, and one class object per class and parity).
 
 ``delta``, ``bridge``, ``project_ge3``, ``apply_linear`` and
 ``linalg.assemble`` have no caller on the build path.  They stay because
@@ -104,14 +112,21 @@ def delta_terms(g: RibbonGraph, min_arc: int = 1, odd: bool = False, max_arc: in
     """Raw vertex-splitting terms of g's class: (graph, word) pairs, one per
     way of cutting a vertex cycle into two arcs of at least min_arc and at
     most max_arc darts (``_cuts``).  The word lists odd items only when odd
-    is true and both arcs are non-empty, which every term of ``delta`` has.
-    min_arc = 2 leaves out exactly the terms with a bivalent vertex when g
-    has none: the ge3 sector's valence floor, applied at the cut; max_arc =
-    1 is the le2 sector's ceiling of two in the same way."""
+    is true and both arcs are non-empty, which every term of ``delta`` has;
+    its boundary walks are the parent's, grown by the new darts (see the
+    module docstring).  min_arc = 2 leaves out exactly the terms with a
+    bivalent vertex when g has none: the ge3 sector's valence floor, applied
+    at the cut; max_arc = 1 is the le2 sector's ceiling of two in the same
+    way."""
     x, y = g.n_half_edges, g.n_half_edges + 1
+    s1 = g.sigma1
     es = edges(g) + [(x, y)]
     verts = vertices(g)
     items = [(0, v) for v in verts]
+    if odd:
+        bounds = boundaries(g)
+        at = {h: len(verts) + i for i, b in enumerate(bounds) for h in b}
+        items += [(1, b) for b in bounds]
     for vi, cyc in enumerate(verts):
         for arc_a, arc_b in _cuts(cyc, min_arc, max_arc):
             out = _split_graph(g, arc_a, arc_b)
@@ -120,7 +135,12 @@ def delta_terms(g: RibbonGraph, min_arc: int = 1, odd: bool = False, max_arc: in
                 continue
             word = items.copy()
             word[vi] = (0, arc_a + (x,))
-            word += [(1, b) for b in boundaries(out)]  # in the parent's order
+            for arc, z in ((arc_a, x), (arc_b, y)):
+                p = s1[arc[0]]
+                k = at[p]
+                b = word[k][1]
+                i = b.index(p) + 1
+                word[k] = (1, b[:i] + (z,) + b[i:])
             word.append((0, arc_b + (y,)))
             yield out, (word, es)
 
@@ -167,16 +187,21 @@ def summed(terms) -> dict:
 
 def _images(raw_terms, parities) -> dict[int, dict]:
     """Canonicalize each raw (graph, word) term once and add it in every
-    parity of parities with its ``word_sign``.  raw_terms carry odd items
-    when ODD is in parities."""
-    out = {parity: [] for parity in parities}
+    parity of parities with its ``word_sign``, by canonical pair; each
+    nonzero target becomes one class.  raw_terms carry odd items when ODD
+    is in parities."""
+    out = {parity: {} for parity in parities}
     for g, word in raw_terms:
-        (t0, t1), maps = _canonical_data(g.sigma0, g.sigma1)
+        key, maps = _canonical_data(g.sigma0, g.sigma1)
         for parity in parities:
             coeff = word_sign(word, parity, maps)
             if coeff:
-                out[parity].append((OrientedClass(t0, t1, parity, False), coeff))
-    return {parity: summed(terms) for parity, terms in out.items()}
+                acc = out[parity]
+                acc[key] = acc.get(key, 0) + coeff
+    return {
+        parity: {OrientedClass(t0, t1, parity, False): c for (t0, t1), c in acc.items() if c}
+        for parity, acc in out.items()
+    }
 
 
 def delta_images(g: RibbonGraph, parities, min_arc: int = 1) -> dict[int, dict]:

@@ -10,10 +10,10 @@ from ribboncoh.canonical import (
     ODD,
     _canonical_data,
     _least_head_roots,
+    _order_sign,
     _zero_flag,
     class_of,
     is_minimal_form,
-    perm_sign,
     reference_word,
     to_oriented_class,
     word_sign,
@@ -22,6 +22,27 @@ from ribboncoh.checks import CheckBounds, iter_generators
 from ribboncoh.diff import _add_chord, _cuts, bridge_terms, delta_terms
 from ribboncoh.enumeration import EnumSpec, _cell_maps, _first_rounds
 from ribboncoh.ribbon import RibbonGraph, boundaries, edges, is_connected, vertices
+
+
+def perm_sign(perm: list[int]) -> int:
+    """Sign of a permutation given as an image list, from its cycle type:
+    the reference that ``_order_sign`` is checked against."""
+    n = len(perm)
+    seen = [False] * n
+    sign = 1
+    for i in range(n):
+        if seen[i]:
+            continue
+        j = i
+        length = 0
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
+
 
 # brute-checked automorphism group orders (free action on rooted darts)
 AUT_ORDERS = {
@@ -457,6 +478,18 @@ def test_perm_sign():
     assert perm_sign([0, 1, 2]) == 1
     assert perm_sign([1, 0, 2]) == -1
     assert perm_sign([1, 2, 0]) == 1
+
+
+def test_order_sign_counts_inversions():
+    # the inversion count's parity against the sign of the sorting
+    # permutation, on distinct int keys and on distinct tuple keys (gc2's)
+    rng = random.Random(20261020)
+    for _ in range(500):
+        n = rng.randint(0, 12)
+        keys = rng.sample(range(-50, 50), n)
+        if rng.random() < 0.5:
+            keys = [(k // 10, k % 10) for k in keys]
+        assert _order_sign(keys) == perm_sign(sorted(range(n), key=keys.__getitem__))
 
 
 def test_orientation_sign_values(named_graphs):

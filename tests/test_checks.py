@@ -1,6 +1,8 @@
 """Verification suites: clean passes at small bounds, fault injection."""
 from collections import Counter
 from dataclasses import replace
+import hashlib
+import json
 
 import pytest
 
@@ -171,6 +173,19 @@ def test_images_have_nonzero_int_coefficients():
                 assert all(type(c) is int and c != 0 for c in image.values())
                 n_terms += len(image)
     assert n_terms > 100
+
+
+def test_memoized_images_hold_one_object_per_class():
+    # the two operators of one identity suite share a table of classes:
+    # equal classes in any image, of either operator, are one object
+    classes = {}
+    ops = [checks._memoized(images, (EVEN, ODD), classes) for images in (delta_images, bridge_images)]
+    seen = {}
+    for _, x in iter_generators(SMALL):
+        for op in ops:
+            for image in (op(x), *(op(c) for c in op(x))):
+                assert all(seen.setdefault(c, c) is c for c in image)
+    assert len(seen) > 100 and seen.keys() <= classes.keys()
 
 
 def _no_odd_items(builder):
@@ -346,3 +361,19 @@ def test_rank_suite_compares_the_built_matrix_with_the_oracle(monkeypatch):
     assert report["violations"] == [
         {"suite": "rank_oracle", "detail": "built matrix differs from delta + bridge"}
     ]
+
+
+# SHA-256 of the JSON report at default bounds per parity scope, as
+# `check --format json --parity both|even|odd` prints it
+DEFAULT_BOUNDS_DIGESTS = {
+    (EVEN, ODD): "7d82dc1ef9906e1a29d64068df67698208a56a74e20fa52140b4944784d13b2e",
+    (EVEN,): "0d2d2c395c66cd164da17320dbac84ea52eaa805d649ceadc6c149555225817f",
+    (ODD,): "9d67319614898e88f2b3a9d0a8d939fc0cc61f7aa866db3ade12f2daa3f36e3a",
+}
+
+
+@pytest.mark.acceptance
+@pytest.mark.parametrize("parities", list(DEFAULT_BOUNDS_DIGESTS), ids=("both", "even", "odd"))
+def test_check_payload_at_default_bounds(parities):
+    payload = json.dumps(run_check(CheckBounds(parities=parities)), sort_keys=True) + "\n"
+    assert hashlib.sha256(payload.encode()).hexdigest() == DEFAULT_BOUNDS_DIGESTS[parities]

@@ -1,9 +1,13 @@
 """Command-line interface: exit codes, output formats."""
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import ribboncoh
 from ribboncoh import cli
 from ribboncoh.checks import CheckBounds
 from ribboncoh.cli import main, _parse_erange
@@ -65,6 +69,23 @@ def test_check_json(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["passed"]
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    # as `ribboncoh enumerate ... | head -c 100` once the reader has gone:
+    # the child's stdout is a pipe whose read end is already closed
+    src = os.path.dirname(os.path.dirname(ribboncoh.__file__))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        child = subprocess.run(
+            [sys.executable, "-m", "ribboncoh.cli", "enumerate", "-g", "1", "-n", "1", "-E", "5", "--format", "json"],
+            stdout=write_end, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert child.returncode == 1
+    assert b"Traceback" not in child.stderr and b"BrokenPipeError" not in child.stderr
 
 
 def test_check_rejects_oracle_bound_before_any_work(capsys, monkeypatch):

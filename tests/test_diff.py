@@ -28,6 +28,7 @@ from ribboncoh.ribbon import (
     validate,
     vertices,
 )
+from test_checks import SMALL
 
 
 def small_generators(parity):
@@ -47,8 +48,8 @@ def generators(request):
 
 def test_images_walk_each_parent_a_fixed_number_of_times(monkeypatch):
     # the builders list a parent's cycles once and build each term's word
-    # from them: the images walk a fixed number of orbits per parent,
-    # whatever its term count, but for at most one per odd split term
+    # from them, an odd split's boundary walks included: the images walk a
+    # fixed number of orbits per parent, whatever its term count
     graphs = [cls.graph for parity in (EVEN, ODD) for cls in small_generators(parity)]
     calls = [0]
     real = ribbon.orbits
@@ -63,16 +64,25 @@ def test_images_walk_each_parent_a_fixed_number_of_times(monkeypatch):
         return calls[0]
 
     monkeypatch.setattr(ribbon, "orbits", counted)
-    fixed = {(delta_images, EVEN): set(), (bridge_images, EVEN): set(), (bridge_images, ODD): set()}
+    fixed = {(images, parity): set() for images in (delta_images, bridge_images) for parity in (EVEN, ODD)}
     term_counts = set()
     for g in graphs:
         for images, parity in fixed:
             fixed[images, parity].add(walks(images, g, (parity,)))
-        n_splits = len(list(delta_terms(g)))
-        term_counts.add((n_splits, len(list(bridge_terms(g)))))
-        assert walks(delta_images, g, (ODD,)) <= walks(delta_images, g, (EVEN,)) + n_splits
+        term_counts.add((len(list(delta_terms(g))), len(list(bridge_terms(g)))))
     assert len(term_counts) > 5
     assert all(len(counts) == 1 for counts in fixed.values())
+
+
+def test_odd_split_walks_are_the_terms_boundaries():
+    # an odd split word's boundary items, grown from the parent's walks,
+    # are the term's own boundary walks in orbits order
+    terms = 0
+    for g in dict.fromkeys(cls.graph for _, cls in iter_generators(SMALL)):
+        for out, (items, _) in delta_terms(g, odd=True):
+            assert [darts for kind, darts in items if kind == 1] == boundaries(out)
+            terms += 1
+    assert terms > 100
 
 
 def test_attach_edge_shape(theta1):

@@ -12,7 +12,7 @@ import pytest
 
 from ribboncoh import gc2
 from ribboncoh.cache import Cache
-from ribboncoh.canonical import _order_sign, perm_sign
+from ribboncoh.canonical import _order_sign
 from ribboncoh.complexes import build, cohomology
 from ribboncoh.diff import apply_linear, summed
 from ribboncoh.gc2 import (
@@ -26,6 +26,7 @@ from ribboncoh.gc2 import (
     _valences,
 )
 from ribboncoh.linalg import AssemblyError, assemble
+from test_canonical import perm_sign
 
 K4_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 THETA_EDGES = ((0, 1), (0, 1), (0, 1))
