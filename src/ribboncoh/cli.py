@@ -26,7 +26,7 @@ from .complexes import (
     render_table,
 )
 from .enumeration import EnumSpec, enumerate_classes, le2_classes
-from .linalg import AssemblyError, DifferentialIdentityError
+from .linalg import AssemblyError, DifferentialIdentityError, RankProofError
 from .ribbon import RibbonGraph, check_valid, to_dot
 from .samples import NAMED
 
@@ -302,6 +302,9 @@ def main(argv=None) -> int:
         return 1
     except AssemblyError as exc:
         print("assembly failure: %s" % exc, file=sys.stderr)
+        return 1
+    except RankProofError as exc:
+        print("proof failure: %s" % exc, file=sys.stderr)
         return 1
 
 

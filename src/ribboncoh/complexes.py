@@ -40,9 +40,8 @@ Cells are graded by edge count; the cohomological degree of a generator
 is k = -2 g d + E, with only parity(d) entering sign conventions.
 
 A degree is *certified* when both neighboring layers are complete, either
-inside the edge range or empty, and both ranks are certified
-(``linalg.certified_rank``: proved, or else checked against two modular
-ranks); otherwise it is reported truncated or provisional.  The layer
+inside the edge range or empty, so that both ranks are known, each proved
+by ``linalg.certified_rank``; otherwise it is reported truncated.  The layer
 above the range is empty when counting rules out each of its cells; the
 layer below it is enumerated, and is empty when it holds no nonzero class.
 """
@@ -325,28 +324,20 @@ def cohomology(sl: ComplexSlice) -> list[dict]:
     above = spec.e_max + 1
     empty_below = not _layer(spec, cells, spec.e_min - 1)
     empty_above = not any(spec.possible(n, above) for n in spec.cells(above))
-    ranks = {}  # e -> (rank, certified) of the map out of the layer at e
+    ranks = {}  # e -> proved rank of the map out of the layer at e, or None
     for e in range(spec.e_min - 1, spec.e_max + 1):
         m = sl.matrices.get(e)
         if m is not None:
             ranks[e] = certified_rank(m)
         elif empty_below if e < spec.e_min else empty_above:
-            ranks[e] = (0, True)  # zero map out of or into a provably empty layer
+            ranks[e] = 0  # zero map out of or into a provably empty layer
         else:
-            ranks[e] = (None, False)
+            ranks[e] = None
     rows = []
     for e in range(spec.e_min, spec.e_max + 1):
         dim = len(sl.bases[e])
-        r_in, in_cert = ranks[e - 1]
-        r_out, out_cert = ranks[e]
+        r_in, r_out = ranks[e - 1], ranks[e]
         known = r_in is not None and r_out is not None
-        h = dim - r_in - r_out if known else None
-        if not known:
-            status = "truncated"
-        elif in_cert and out_cert:
-            status = "certified"
-        else:
-            status = "provisional"
         rows.append(
             {
                 "degree": spec.degree(e),
@@ -356,8 +347,8 @@ def cohomology(sl: ComplexSlice) -> list[dict]:
                 "zero_classes": sum(cells[(n, e)][1] for n in spec.cells(e)),
                 "rank_in": r_in,
                 "rank_out": r_out,
-                "h": h,
-                "status": status,
+                "h": dim - r_in - r_out if known else None,
+                "status": "certified" if known else "truncated",
             }
         )
     return rows

@@ -16,15 +16,15 @@ by the gcd of its entries; ``rank_modp`` works modulo a prime.  The two
 keep separate loops on purpose: ``rank_modp`` is the oracle of ``rank``,
 and a fault in one shared loop would pass both.
 
-``certified_rank`` proves a rank from one elimination modulo the first
-certification prime, by the same rule in a loop of its own
-(``_pivots_modp``), which keeps its echelon rows.  Its kernel vectors,
-lifted to the rationals by rational reconstruction (Wang 1981; Dixon,
-Numer. Math. 1982) and checked to satisfy M K = 0 over the integers,
-bound the rank from above; the pivot minor, of full rank under
-``rank_modp`` at the second prime, bounds it from below.  The exact
-``rank`` and the two modular ranks are its fallback, and the oracles that
-``checks.rank_suite`` compares it with.  No floating point anywhere.
+``certified_rank`` proves a rank from one elimination modulo a lift prime,
+by the same rule in a loop of its own (``_pivots_modp``), which keeps its
+echelon rows.  Its kernel vectors, lifted to the rationals by rational
+reconstruction (Wang 1981; Dixon, Numer. Math. 1982) and checked to
+satisfy M K = 0 over the integers, bound the rank from above.  The pivot
+count, a rank mod p, never exceeds the rational rank; the pivot minor, of
+full rank under ``rank_modp`` at the minor prime, guards that lower bound
+against a fault of ``_pivots_modp``, with ``rank_modp``, which shares no
+code with it, as the judge.  No floating point anywhere.
 """
 from __future__ import annotations
 
@@ -110,7 +110,8 @@ def assemble(domain_basis, codomain_basis, operator) -> SparseIntMatrix:
 
 
 def rank(m: SparseIntMatrix) -> int:
-    """Exact rank over the rationals, fraction-free elimination."""
+    """Exact rank over the rationals, fraction-free elimination: the rank
+    suite's oracle, here while the benchmark tracer wraps it (ROADMAP item 1)."""
     rows = m.row_dicts()
     holders = [[] for _ in range(m.cols)]  # column -> rows listed as holding it
     by_len = [[] for _ in range(m.cols + 1)]  # length -> rows queued at it
@@ -217,7 +218,8 @@ def rank_modp(m: SparseIntMatrix, p: int) -> int:
     return rnk
 
 
-CERTIFICATION_PRIMES = (1000003, 2000003)
+CERTIFICATION_PRIMES = (1000003, 2000003)  # the first lift prime, the minor prime
+RETRY_PRIME = 2**61 - 1  # the second lift prime: a Mersenne prime, too large to trial-divide
 
 
 def _pivots_modp(m: SparseIntMatrix, p: int) -> list:
@@ -302,17 +304,16 @@ def _lift(a: int, p: int, bound: int):
     return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
-def _proved_rank(m: SparseIntMatrix):
+def _proved_rank(m: SparseIntMatrix, p: int):
     """The rational rank of m, proved, or None.  One elimination mod the
-    first certification prime gives r pivots and a kernel vector mod p per
-    free column.  Each entry lifts to a rational by ``_lift``; cleared of
-    denominators, the vectors are integral, independent (each is zero at
-    every free column but its own) and must satisfy M K = 0 over Z, which
-    proves rank <= r.  The r x r minor of m at the pivot rows and columns
-    must have full rank mod the second prime (``rank_modp``, which shares
-    no code with the elimination), which proves rank >= r.  None when a
-    lift fails, M K != 0 or the minor is singular."""
-    p, q = CERTIFICATION_PRIMES
+    lift prime p gives r pivots and a kernel vector mod p per free column.
+    Each entry lifts to a rational by ``_lift``; cleared of denominators,
+    the vectors are integral, independent (each is zero at every free
+    column but its own) and must satisfy M K = 0 over Z, which proves
+    rank <= r.  The r x r minor at the pivot rows and columns must have
+    full rank mod the minor prime, which proves rank >= r.  Neither bound
+    rests on p being prime.  None when a lift fails, M K != 0 or the minor
+    is singular."""
     bound = isqrt(p // 2)
     pivots = _pivots_modp(m, p)
     kernel = _kernel_modp(pivots, p)
@@ -350,22 +351,22 @@ def _proved_rank(m: SparseIntMatrix):
         (at_row[r], at_col[c], v) for r, c, v in m.entries if r in at_row and c in at_col
     )
     r = len(at_row)
-    return r if rank_modp(SparseIntMatrix(r, r, minor), q) == r else None
+    return r if rank_modp(SparseIntMatrix(r, r, minor), CERTIFICATION_PRIMES[1]) == r else None
 
 
-def certified_rank(m: SparseIntMatrix) -> tuple[int, bool]:
-    """(rational rank, certificate).  A rank that ``_proved_rank`` proves
-    is certified.  That is the bit of the fallback too: a proved rank r is
-    the rank at the second prime (the minor puts it at least r, and no
-    modular rank exceeds the rational one) and, as the elimination's pivot
-    count, at the first.  When the proof fails (a lift beyond its bound,
-    M K != 0, a singular pivot minor) the rank is the exact ``rank``, and
-    it is certified when both modular ranks agree with it."""
-    r = _proved_rank(m)
-    if r is not None:
-        return r, True
-    r = rank(m)
-    return r, all(rank_modp(m, p) == r for p in CERTIFICATION_PRIMES)
+class RankProofError(ArithmeticError):
+    """A rank that no lift prime proves."""
+
+
+def certified_rank(m: SparseIntMatrix) -> int:
+    """The rational rank of m, proved by ``_proved_rank`` at the first lift
+    prime or else, retried with the larger lift bound, at RETRY_PRIME.
+    RankProofError when both fail: no rank is returned unproved."""
+    for p in (CERTIFICATION_PRIMES[0], RETRY_PRIME):
+        r = _proved_rank(m, p)
+        if r is not None:
+            return r
+    raise RankProofError("no proof of the rank of a %d x %d matrix" % (m.rows, m.cols))
 
 
 class DifferentialIdentityError(ValueError):

@@ -2,9 +2,10 @@
 
 Each test computes its result, prints a single `[criterion N] ... PASS/FAIL`
 line directly to the terminal (bypassing capture), and then asserts.  The
-heavy cohomology tables are shared through module-scoped fixtures; the
-full module takes about a minute, most of it in the identity suite
-(criterion 1) and the brute-force oracle (criterion 3).
+heavy cohomology tables are shared through module-scoped fixtures, and
+criteria 1-3 read their suites from one ``run_check`` report at default
+bounds (full E<=4, trivalent-plus E<=5, low-valence E<=8), a session
+fixture that the ``check`` payload digest shares.
 """
 import json
 import os
@@ -15,14 +16,7 @@ import pytest
 
 import ribboncoh
 from ribboncoh.canonical import EVEN
-from ribboncoh.checks import (
-    CheckBounds,
-    identity_suite,
-    iter_generators,
-    oracle_suite,
-    run_check,
-    structural_suite,
-)
+from ribboncoh.checks import CheckBounds, run_check
 from ribboncoh.complexes import (
     ComplexSpec,
     build,
@@ -33,8 +27,6 @@ from ribboncoh.complexes import (
 from ribboncoh.enumeration import EnumSpec, enumerate_bruteforce, enumerate_classes
 from ribboncoh.gc2 import GCSpec
 
-FULL_BOUNDS = CheckBounds()  # full E<=4, trivalent-plus E<=5, low-valence E<=8
-
 pytestmark = pytest.mark.acceptance
 
 
@@ -44,12 +36,6 @@ def announce(capsys, num, name, ok, detail=""):
         if detail:
             line += "  (%s)" % detail
         print(line)
-
-
-@pytest.fixture(scope="module")
-def full_generators():
-    # criteria 1 and 2 check one list, as run_check does
-    return list(iter_generators(FULL_BOUNDS))
 
 
 @pytest.fixture(scope="module")
@@ -84,8 +70,8 @@ def gc_rows():
     return cohomology(build(GCSpec(3, 0, 3, 8)))
 
 
-def test_criterion_1_identities(capsys, full_generators):
-    report = identity_suite(FULL_BOUNDS, full_generators)
+def test_criterion_1_identities(capsys, default_check_report):
+    report = default_check_report["identities"]
     ok = report["passed"]
     announce(
         capsys, 1, "differential identities", ok,
@@ -95,16 +81,16 @@ def test_criterion_1_identities(capsys, full_generators):
     assert ok
 
 
-def test_criterion_2_structural(capsys, full_generators):
-    report = structural_suite(FULL_BOUNDS, full_generators)
+def test_criterion_2_structural(capsys, default_check_report):
+    report = default_check_report["structural"]
     ok = report["passed"]
     announce(capsys, 2, "term shape invariants", ok, "%d generators" % report["generators"])
     assert report["violations"] == []
     assert ok
 
 
-def test_criterion_3_enumeration_oracle(capsys):
-    report = oracle_suite(FULL_BOUNDS)
+def test_criterion_3_enumeration_oracle(capsys, default_check_report):
+    report = default_check_report["enumeration_oracle"]
     ok = report["passed"]
     # sampled ten-half-edge specs on top of the exhaustive small scan
     mismatches = []
@@ -200,8 +186,8 @@ def test_criterion_7_genus1_expected_dims(capsys, mw_g1):
 
 
 def test_criterion_8_rank_certification(capsys, le2_tables, kp11, mw_g0, mw_g1):
-    # every rank used in suites 4-7 must have passed the two-prime check:
-    # no row with computed cohomology may be merely provisional
+    # every rank used in suites 4-7 must be proved: no row with computed
+    # cohomology may be anything but certified
     tables = [le2_tables[1], le2_tables[2], kp11[1], *mw_g0.values(), *mw_g1.values()]
     provisional = [
         (r["edges"], r["status"])

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from ribboncoh import canonical, checks, complexes, diff, enumeration
+from ribboncoh import canonical, checks, complexes, diff, enumeration, linalg
 from ribboncoh.canonical import EVEN, ODD
 from ribboncoh.checks import (
     RANK_SUITE_TRIALS,
@@ -363,6 +363,15 @@ def test_rank_suite_compares_the_built_matrix_with_the_oracle(monkeypatch):
     ]
 
 
+def test_rank_suite_reports_a_rank_without_proof(monkeypatch):
+    # a rank that no lift prime proves is a violation in the report, which
+    # ``check`` still prints, not an exception
+    monkeypatch.setattr(linalg, "_proved_rank", lambda m, p: None)
+    report = rank_suite()
+    assert report["matrices"] == RANK_SUITE_TRIALS + 1 and not report["passed"]
+    assert report["violations"] == [{"suite": "rank_oracle", "detail": "no proof"}] * report["matrices"]
+
+
 # SHA-256 of the JSON report at default bounds per parity scope, as
 # `check --format json --parity both|even|odd` prints it
 DEFAULT_BOUNDS_DIGESTS = {
@@ -374,6 +383,9 @@ DEFAULT_BOUNDS_DIGESTS = {
 
 @pytest.mark.acceptance
 @pytest.mark.parametrize("parities", list(DEFAULT_BOUNDS_DIGESTS), ids=("both", "even", "odd"))
-def test_check_payload_at_default_bounds(parities):
-    payload = json.dumps(run_check(CheckBounds(parities=parities)), sort_keys=True) + "\n"
+def test_check_payload_at_default_bounds(parities, request):
+    # both parities is the default, whose report the acceptance criteria share
+    both = parities == CheckBounds().parities
+    report = request.getfixturevalue("default_check_report") if both else run_check(CheckBounds(parities=parities))
+    payload = json.dumps(report, sort_keys=True) + "\n"
     assert hashlib.sha256(payload.encode()).hexdigest() == DEFAULT_BOUNDS_DIGESTS[parities]

@@ -407,6 +407,18 @@ def test_cohomology_assembly_failure(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_cohomology_proof_failure(capsys, monkeypatch):
+    from ribboncoh import linalg
+
+    monkeypatch.setattr(linalg, "_proved_rank", lambda m, p: None)
+    code, out, err = run(
+        capsys, "cohomology", "--kind", "mw", "-g", "0", "--sector", "ge3", "-E", "1..5", "--no-cache",
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("proof failure: no proof of the rank") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_export_basis_and_matrix(capsys):
     code, out, _ = run(
         capsys, "export", "--what", "basis", "--kind", "kp", "-g", "1", "-n", "1",

@@ -260,16 +260,24 @@ def test_chain_blocks_match_the_delta_oracle(spec):
 )
 def test_tables_take_no_exact_rank(spec, monkeypatch):
     # every rank of the fixed mw and kp tables is proved by one modular
-    # elimination, with the rows of the exact rank and two modular ranks
+    # elimination at the first lift prime: no exact rank and no retry, and
+    # a rank that no proof reaches stops the table
     def no_rank(m):
         raise AssertionError("exact rank on the build path")
 
+    real = linalg._proved_rank
+
+    def no_retry(m, p):
+        assert p != linalg.RETRY_PRIME, "a retried proof on the build path"
+        return real(m, p)
+
     monkeypatch.setattr(linalg, "rank", no_rank)
+    monkeypatch.setattr(linalg, "_proved_rank", no_retry)
     sl = build(spec)
-    rows = cohomology(sl)
-    monkeypatch.undo()
-    monkeypatch.setattr(linalg, "_proved_rank", lambda m: None)
-    assert cohomology(sl) == rows
+    cohomology(sl)
+    monkeypatch.setattr(linalg, "_proved_rank", lambda m, p: None)
+    with pytest.raises(linalg.RankProofError):
+        cohomology(sl)
 
 
 def test_mw_chains_hand_on_their_first_rounds(monkeypatch):

@@ -11,7 +11,9 @@ from ribboncoh.diff import delta
 from ribboncoh.enumeration import EnumSpec, enumerate_classes
 from ribboncoh.linalg import (
     CERTIFICATION_PRIMES,
+    RETRY_PRIME,
     AssemblyError,
+    RankProofError,
     SparseIntMatrix,
     _proved_rank,
     assemble,
@@ -176,6 +178,9 @@ def test_certification_primes_are_large_primes():
     for p in CERTIFICATION_PRIMES:
         assert p > 10**6
         assert is_probable_prime(p)
+    # the retry's lift prime is too large to vet by trial division: a
+    # Mersenne prime, which a Fermat witness does not refute
+    assert RETRY_PRIME == 2**61 - 1 and pow(3, RETRY_PRIME - 1, RETRY_PRIME) == 1
 
 
 def test_is_probable_prime():
@@ -183,43 +188,51 @@ def test_is_probable_prime():
     assert not is_probable_prime(1) and not is_probable_prime(1000001)
 
 
-def test_rank_modp_divergence():
-    # the matrix [[p]] has rational rank 1 but rank 0 mod p: certification
-    # fails whichever of the two primes the rank drops at
-    for p, q in (CERTIFICATION_PRIMES, CERTIFICATION_PRIMES[::-1]):
-        m = SparseIntMatrix(1, 1, ((0, 0, p),))
+def test_rank_drop_at_a_prime_proves_at_the_retry_or_raises():
+    # [[p]] has rational rank 1 but rank 0 mod p.  At the lift prime its
+    # kernel vector fails M K = 0, and the retry proves rank 1; at the
+    # minor prime its pivot minor vanishes on both tries, so no rank returns
+    p, q = CERTIFICATION_PRIMES
+    for prime in (p, q):
+        m = SparseIntMatrix(1, 1, ((0, 0, prime),))
         assert rank(m) == 1
-        assert rank_modp(m, p) == 0
-        assert rank_modp(m, q) == 1
-        assert certified_rank(m) == (1, False)
+        assert rank_modp(m, prime) == 0
+        assert _proved_rank(m, p) is None
+    assert certified_rank(SparseIntMatrix(1, 1, ((0, 0, p),))) == 1
+    with pytest.raises(RankProofError):
+        certified_rank(SparseIntMatrix(1, 1, ((0, 0, q),)))
 
 
-def test_proof_falls_back_on_a_lift_beyond_its_bound():
-    # the kernel vector (-1000, 1) has an entry past isqrt(p / 2) = 707: no
-    # proof, and the rank certifies by the two modular ranks' agreement
+def test_proof_retries_a_lift_beyond_its_bound():
+    # the kernel vector (-1000, 1) has an entry past isqrt(p / 2) = 707 at
+    # the first lift prime, and within the bound at the retry
     m = SparseIntMatrix(1, 2, ((0, 0, 1), (0, 1, 1000)))
-    assert _proved_rank(m) is None
-    assert certified_rank(m) == (1, True)
+    assert _proved_rank(m, CERTIFICATION_PRIMES[0]) is None
+    assert _proved_rank(m, RETRY_PRIME) == 1
+    assert certified_rank(m) == 1
 
 
-def test_proof_falls_back_on_a_singular_pivot_minor():
+def test_proof_raises_on_a_singular_pivot_minor():
     # the kernel lifts to (-2, 1) and M K = 0, but the pivot minor [q]
-    # vanishes mod q: the rank drops at q, so the fallback does not certify
+    # vanishes mod q on both tries: no rank is returned unproved
     q = CERTIFICATION_PRIMES[1]
     m = SparseIntMatrix(1, 2, ((0, 0, q), (0, 1, 2 * q)))
-    assert _proved_rank(m) is None
-    assert certified_rank(m) == (1, False)
+    assert _proved_rank(m, CERTIFICATION_PRIMES[0]) is None
+    with pytest.raises(RankProofError):
+        certified_rank(m)
 
 
 def test_proved_rank_is_the_exact_rank():
     # on the sparse test matrices, full rank and rank-deficient alike, the
     # proof gives the exact rank or nothing (a kernel entry past the lift
-    # bound: 2 of these 24)
+    # bound: 2 of these 24), and the retry proves those two
     mats = _sparse_test_matrices()
-    proved = [_proved_rank(m) for m in mats]
-    assert all(r is None or r == rank(m) for r, m in zip(proved, mats))
+    exact = [rank(m) for m in mats]
+    proved = [_proved_rank(m, CERTIFICATION_PRIMES[0]) for m in mats]
+    assert all(r is None or r == e for r, e in zip(proved, exact))
     assert sum(r is not None for r in proved) == 22
     assert any(r is not None and r < min(m.rows, m.cols) for r, m in zip(proved, mats))
+    assert [certified_rank(m) for m in mats] == exact
 
 
 def test_rank_modp_rejects_composite():
@@ -231,9 +244,7 @@ def test_certified_rank_on_differential():
     dom, _ = enumerate_classes(EnumSpec(1, 1, 3, 3, EVEN))
     codom, _ = enumerate_classes(EnumSpec(1, 1, 4, 3, EVEN))
     m = assemble(dom, codom, delta)
-    r, cert = certified_rank(m)
-    assert cert
-    assert r == _dense_fraction_rank(m)
+    assert certified_rank(m) == _dense_fraction_rank(m)
 
 
 def test_assemble_detects_missing_codomain():
@@ -266,3 +277,4 @@ def test_rank_matches_dense_oracle(m):
     assert r == _dense_fraction_rank(m)
     assert r == rank(m.transpose())
     assert all(rank_modp(m, p) <= r for p in CERTIFICATION_PRIMES)
+    assert certified_rank(m) == r
