@@ -24,12 +24,11 @@ recomputed.  Writes are atomic (temp file then rename).
 from __future__ import annotations
 
 import glob
-import hashlib
 import json
 import os
 import tempfile
 
-from .canonical import EVEN, ODD, OrientedClass
+from .canonical import EVEN, ODD, OrientedClass, sha1, sha256
 from .linalg import SparseIntMatrix
 from .ribbon import RibbonGraph, check_valid
 
@@ -39,10 +38,10 @@ DEFAULT_CACHE_DIR = ".cache/ribboncoh"
 
 def _source_digest() -> str:
     """SHA-256 over the names and SHA-256s of the package's .py files."""
-    h = hashlib.sha256()
+    h = sha256()
     for path in sorted(glob.glob(os.path.join(os.path.dirname(__file__), "*.py"))):
         with open(path, "rb") as f:
-            file_digest = hashlib.sha256(f.read()).hexdigest()
+            file_digest = sha256(f.read()).hexdigest()
         h.update(("%s %s\n" % (os.path.basename(path), file_digest)).encode())
     return h.hexdigest()
 
@@ -53,7 +52,7 @@ def default_cache_dir() -> str:
 
 def spec_hash(payload: dict) -> str:
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha1(text.encode()).hexdigest()
+    return sha1(text.encode()).hexdigest()
 
 
 def entry_key(kind: str, spec, at) -> dict:
@@ -156,7 +155,7 @@ class Cache:
 
 
 def _header(kind: str, body: str) -> str:
-    return "# ribboncoh %s sha256=%s" % (kind, hashlib.sha256(body.encode()).hexdigest())
+    return "# ribboncoh %s sha256=%s" % (kind, sha256(body.encode()).hexdigest())
 
 
 NO_CACHE = Cache(None)

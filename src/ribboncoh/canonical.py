@@ -46,9 +46,21 @@ quotient is an automorphism of the canonical graph.
 """
 from __future__ import annotations
 
-import hashlib
 from bisect import bisect
 from dataclasses import dataclass
+
+# Every digest of the package (content hashes, cache names and headers)
+# comes from these two.  They are the interpreter's built-in SHA code:
+# importing hashlib loads OpenSSL's libcrypto, about 3.5 MB of resident
+# memory in every run, for the same digests of the same bytes.
+try:
+    from _sha1 import sha1
+    try:
+        from _sha2 import sha256  # Python 3.12 and later
+    except ImportError:
+        from _sha256 import sha256
+except ImportError:  # an interpreter built without them
+    from hashlib import sha1, sha256
 
 from .ribbon import (
     RibbonGraph,
@@ -229,7 +241,7 @@ class OrientedClass:
 
     def content_hash(self) -> str:
         payload = "%s|%s|%d|%d" % (self.sigma0, self.sigma1, self.parity, self.zero_flag)
-        return hashlib.sha1(payload.encode()).hexdigest()
+        return sha1(payload.encode()).hexdigest()
 
     def to_json(self) -> dict:
         return {

@@ -19,13 +19,22 @@ Tables need a valence floor of at least 2: both new vertices of a
 differential term have valence at least 2, so at floor 1 the operator
 lacks every term that makes a univalent vertex.  ``GCSpec`` refuses floor
 1; only ``_rounds`` takes it, for the enumeration tests.
+
+What checks the sign rule: ``complexes.build``'s D_{E+1}·D_E = 0 check
+never meets two composable nonzero gc2 blocks in any table that the tests
+or CI build.  At floor 2, E up to 9, loop order 2 has nonzero blocks from
+E=5 and E=8 only, loop order 3 from E=8 only and loop order 4 none (at
+floor 3 neither); past the guard, loop order 5 at floor 3, E 5..12, has
+one (from E=10).  So d² = 0 holds trivially there, and ``_gc_sign`` is
+checked only against the tests' own copy of the differential
+(``_split_image`` in tests/test_gc2.py), composed on two E=8 generators.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations, product
 
-from .canonical import _order_sign
+from .canonical import _order_sign, sha1
 from .complexes import _chain
 
 
@@ -99,10 +108,8 @@ class GCClass:
         return self.edges
 
     def content_hash(self) -> str:
-        import hashlib
-
         payload = "gc2|%d|%s|%d" % (self.n_vertices, self.edges, self.zero_flag)
-        return hashlib.sha1(payload.encode()).hexdigest()
+        return sha1(payload.encode()).hexdigest()
 
 
 def _gc_sign(order, perms: list[tuple]) -> int:

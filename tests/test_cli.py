@@ -8,10 +8,11 @@ import sys
 import pytest
 
 import ribboncoh
-from ribboncoh import cli
+from ribboncoh import checks, cli
 from ribboncoh.checks import CheckBounds
 from ribboncoh.cli import main, _parse_erange
 from ribboncoh.complexes import ComplexSpec
+from ribboncoh.linalg import AssemblyError, DifferentialIdentityError
 
 
 def run(capsys, *argv):
@@ -495,3 +496,58 @@ def test_more_matrix_export_digests(capsys, spec):
     )
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == MORE_MATRIX_DIGESTS[spec]
+
+
+# SHA-256 of the printed content hashes: `enumerate --format json` over a grid
+# of cells (its classes in content-hash order, each with its "hash" field) and
+# two basis exports, frozen before the hash functions left hashlib
+ENUMERATE_GRID = [
+    ("-g", str(g), "-n", str(n), "-E", str(e), "--sector", sector, "--parity", parity)
+    for g in (0, 1) for n in (1, 2, 3) for e in range(1, 6)
+    for sector in ("full", "ge3", "le2") for parity in ("even", "odd")
+]
+ENUMERATE_GRID_DIGEST = "7653fef90ef471c2b2b17c05ab79bdc82baa20baf4ca12c7a6cb3b10835dbef3"
+BASIS_HASH_DIGESTS = {
+    "0": "09b3e09d5d7ffe375c6f63d34c95be17d52a675baca27bd5c8c469073e4350d9",
+    "1": "351010ad8ffabb8053e566c8ddaeb5c7e14fa73939654c1c927d05d61fc58771",
+}
+
+
+def test_enumerate_grid_hash_digest(capsys):
+    chunks = []
+    for argv in ENUMERATE_GRID:
+        main(["enumerate", "--format", "json", *argv])
+        chunks.append(capsys.readouterr().out)
+    assert len(chunks) == 180
+    assert hashlib.sha256("".join(chunks).encode()).hexdigest() == ENUMERATE_GRID_DIGEST
+
+
+@pytest.mark.parametrize("d", sorted(BASIS_HASH_DIGESTS))
+def test_basis_export_hash_digest(capsys, d):
+    code, out, _ = run(
+        capsys, "export", "--what", "basis", "--kind", "mw", "-g", "1", "--sector", "ge3",
+        "-E", "2..5", "-d", d, "--no-cache",
+    )
+    assert code == 0
+    assert '"hash": ' in out
+    assert hashlib.sha256(out.encode()).hexdigest() == BASIS_HASH_DIGESTS[d]
+
+
+@pytest.mark.parametrize("error", [DifferentialIdentityError, AssemblyError])
+def test_check_prints_its_report_when_the_rank_suite_build_fails(capsys, monkeypatch, error):
+    def failing_build(spec, cache=None):
+        raise error("differential squared is nonzero between E=3 and E=5")
+
+    monkeypatch.setattr(checks, "build", failing_build)
+    code, out, err = run(
+        capsys, "check", "--g-max", "0", "--e-max", "2", "--e-max-ge3", "2",
+        "--e-max-le2", "3", "--e-max-oracle", "2", "--format", "json",
+    )
+    assert code == 1 and err == ""
+    report = json.loads(out)
+    assert not report["passed"] and report["identities"]["passed"]
+    assert report["rank_oracle"]["matrices"] == checks.RANK_SUITE_TRIALS
+    assert report["rank_oracle"]["violations"] == [{
+        "suite": "rank_oracle",
+        "detail": "%s: differential squared is nonzero between E=3 and E=5" % error.__name__,
+    }]
