@@ -1,13 +1,12 @@
-"""Self-verification suites: differential identities, structural term
-invariants, enumeration oracle agreement, and rank oracle agreement.
+"""Self-verification suites: D^2 = 0, structural term invariants,
+enumeration oracle agreement, and rank oracle agreement.
 
 Every suite returns a JSON-able report naming the first violating
 generator, so a failure is actionable and a fault injected by the test
 harness is pinpointed.  The identity and structural suites check one list
-of generators, which ``run_check`` walks once (``iter_generators``).
-
-The suites run serially: the work is pure Python, so under the
-interpreter lock a thread pool only added overhead.
+of generators, which ``run_check`` walks once (``iter_generators``).  The
+suites run serially: the work is pure Python, so under the interpreter
+lock a thread pool only added overhead.
 """
 from __future__ import annotations
 
@@ -100,14 +99,13 @@ def _report(suite: str, violations: list, **counts) -> dict:
     return {"suite": suite, **counts, "violations": violations, "passed": not violations}
 
 
-def _memoized(images_of, parities, classes: dict):
+def _memoized(images_of, parities):
     """images_of(graph, parities) as an operator on classes, memoized for
     as long as the returned function lives: the first class of a canonical
-    pair met in any parity fills its images in every parity in scope.
-    Every class of a stored image goes through classes, a table of one
-    object per class and parity that the operators of one suite share, so
-    the cache holds each class once however many images it is in."""
-    memo = {}
+    pair met in any parity fills its images in every parity in scope, and
+    each class of a stored image is held once, as one object per class and
+    parity, however many images it is in."""
+    memo, classes = {}, {}
 
     def image(cls):
         key = (cls.sigma0, cls.sigma1)
@@ -122,28 +120,30 @@ def _memoized(images_of, parities, classes: dict):
 
 
 def identity_suite(bounds: CheckBounds, gens: list) -> dict:
-    """delta^2 = 0, the corner operator squared = 0, and the
-    anticommutator = 0 on every (spec, class) of gens (``iter_generators``).
-    Images are reused (the squares apply each operator again to image
-    terms), so both operators are memoized for the length of this one call,
-    by canonical pair, and share one table of classes: the cache holds one
-    object per class and parity.  One canonical pass per raw term serves
-    every parity in scope (``diff.delta_images``, ``diff.bridge_images``)."""
-    classes = {}
-    d_op = _memoized(delta_images, bounds.parities, classes)
-    b_op = _memoized(bridge_images, bounds.parities, classes)
+    """D^2 = 0 on every (spec, class) x of gens (``iter_generators``), for
+    D = delta + the corner operator, memoized by canonical pair for this one
+    call; one canonical pass per raw term serves every parity in scope.  A
+    nonzero D^2(x) is split by each term's boundary count minus x's, which
+    relies on the grading that the structural suite checks (delta keeps
+    it, the corner operator adds one): offset 0 is delta^2, 2 the corner
+    operator squared, and any other offset the anticommutator."""
+
+    def d_images(g, parities):
+        d, b = delta_images(g, parities), bridge_images(g, parities)
+        return {parity: summed([*d[parity].items(), *b[parity].items()]) for parity in parities}
+
+    op = _memoized(d_images, bounds.parities)
+    details = {
+        "delta_squared": "delta(delta(x)) != 0",
+        "bridge_squared": "corner op squared != 0",
+        "anticommutator": "delta and corner op do not anticommute",
+    }
 
     def check(spec, cls):
-        out = []
-        dx = d_op(cls)
-        bx = b_op(cls)
-        if apply_linear(d_op, dx):
-            out.append(_violation("delta_squared", spec, cls, "delta(delta(x)) != 0"))
-        if apply_linear(b_op, bx):
-            out.append(_violation("bridge_squared", spec, cls, "corner op squared != 0"))
-        if summed([*apply_linear(d_op, bx).items(), *apply_linear(b_op, dx).items()]):
-            out.append(_violation("anticommutator", spec, cls, "delta and corner op do not anticommute"))
-        return out
+        b0 = len(boundaries(cls.graph))
+        offsets = {len(boundaries(c.graph)) - b0 for c in apply_linear(op, op(cls))}
+        parts = {{0: "delta_squared", 2: "bridge_squared"}.get(k, "anticommutator") for k in offsets}
+        return [_violation(name, spec, cls, detail) for name, detail in details.items() if name in parts]
 
     violations = [v for spec, cls in gens for v in check(spec, cls)]
     return _report("identities", violations, bounds=bounds.to_json(), generators=len(gens))

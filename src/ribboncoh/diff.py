@@ -6,8 +6,8 @@ boundaries and genus.  ``bridge`` attaches a new edge between two distinct
 corners of the same boundary, splitting that boundary in two; it raises
 the edge and boundary counts by one and keeps the genus.
 
-Sign conventions (the literature leaves them to a choice; the d^2 = 0 and
-anticommutation suites pin ours): each raw term is a pair (graph, word),
+Sign conventions (the literature leaves them to a choice; the identity
+suite's D^2 = 0 pins ours): each raw term is a pair (graph, word),
 its orientation written as a word (``canonical``) built from the
 parent's reference word by one rule.  The new edge {2E, 2E+1} goes last,
 directed from 2E.  For odd parity the move cuts one item, a vertex for a
@@ -39,8 +39,9 @@ first.  The images are oracles only: the check suites apply them
 (``apply_linear``), and compare a built matrix with them.  Every call
 returns a fresh image; the module keeps no state between calls.  A caller
 that applies them to the same class more than once memoizes the images
-itself (``checks.identity_suite``, one entry per canonical pair serving
-every parity in scope, and one class object per class and parity).
+itself (``checks.identity_suite``, one entry per canonical pair holding
+D's image, the sum of both images, in every parity in scope, and one
+class object per class and parity).
 
 ``delta``, ``bridge``, ``project_ge3``, ``apply_linear`` and
 ``linalg.assemble`` have no caller on the build path.  They stay because

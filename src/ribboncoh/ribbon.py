@@ -66,7 +66,7 @@ def _is_permutation(images: tuple) -> bool:
     n = len(images)
     seen = [False] * n
     for x in images:
-        if not isinstance(x, int) or x < 0 or x >= n or seen[x]:
+        if type(x) is not int or x < 0 or x >= n or seen[x]:
             return False
         seen[x] = True
     return True

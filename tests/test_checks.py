@@ -20,7 +20,7 @@ from ribboncoh.checks import (
 )
 from ribboncoh.diff import bridge_images, delta_images
 from ribboncoh.enumeration import LE2_CELLS, EnumSpec, enumerate_classes, le2_classes
-from ribboncoh.ribbon import RibbonGraph
+from ribboncoh.ribbon import RibbonGraph, boundaries
 
 SMALL = CheckBounds(g_max=1, e_max_full=3, e_max_ge3=3, e_max_le2=5, e_max_oracle=3)
 
@@ -134,24 +134,58 @@ def test_rank_suite_passes():
     assert rank_suite()["passed"]
 
 
-def test_fault_injection_is_detected(monkeypatch):
-    # corrupt the corner operator by dropping one term in every parity; the
-    # identity suite must fail and name a generator
-    real = checks.bridge_images
+def _dropping_one_term(real):
+    """real, an images function, with the term of least content hash
+    dropped from every image in every parity."""
 
-    def broken_bridge_images(g, parities):
+    def broken(g, parities):
         out = {}
         for parity, full in real(g, parities).items():
             terms = sorted(full.items(), key=lambda t: t[0].content_hash())
             out[parity] = dict(terms[1:])
         return out
 
-    monkeypatch.setattr(checks, "bridge_images", broken_bridge_images)
+    return broken
+
+
+@pytest.mark.parametrize(
+    "images, violations, suites",
+    [
+        ("bridge_images", 46, {"anticommutator", "bridge_squared"}),
+        ("delta_images", 42, {"anticommutator", "delta_squared"}),
+    ],
+    ids=["corner", "split"],
+)
+def test_fault_injection_is_detected(monkeypatch, images, violations, suites):
+    # corrupt the corner or the split operator by dropping one term in every
+    # parity; the identity suite must fail and name a generator.  The counts
+    # and parts are pinned, so a split of D^2(x) that moves a violation from
+    # one part to another fails here
+    monkeypatch.setattr(checks, images, _dropping_one_term(getattr(checks, images)))
     report = identity_suite(SMALL, list(iter_generators(SMALL)))
     assert not report["passed"]
+    assert len(report["violations"]) == violations
+    assert {v["suite"] for v in report["violations"]} == suites
     v = report["violations"][0]
-    assert v["suite"] in ("bridge_squared", "anticommutator")
     assert "generator" in v and "spec" in v
+
+
+def test_identity_suite_fails_at_every_offset(monkeypatch):
+    # plant one class with one boundary in every D^2(x): its boundary count
+    # minus x's is 0 on one-boundary generators (delta squared) and negative
+    # on the others, outside the offsets 0 and 2 of the two squares, where
+    # it is the anticommutator's; no nonzero D^2(x) passes
+    gens = list(iter_generators(SMALL))
+    counts = [len(boundaries(x.graph)) for _, x in gens]
+    assert min(counts) == 1 and max(counts) >= 4
+    planted = gens[counts.index(1)][1]
+    real = checks.apply_linear
+    monkeypatch.setattr(checks, "apply_linear", lambda op, s: {**real(op, s), planted: 1})
+    report = identity_suite(SMALL, gens)
+    assert [v["suite"] for v in report["violations"]] == [
+        "delta_squared" if b == 1 else "anticommutator" for b in counts
+    ]
+    assert [v["generator"] for v in report["violations"]] == [x.content_hash() for _, x in gens]
 
 
 def test_images_do_not_depend_on_parity_scope():
@@ -175,17 +209,25 @@ def test_images_have_nonzero_int_coefficients():
     assert n_terms > 100
 
 
-def test_memoized_images_hold_one_object_per_class():
-    # the two operators of one identity suite share a table of classes:
-    # equal classes in any image, of either operator, are one object
-    classes = {}
-    ops = [checks._memoized(images, (EVEN, ODD), classes) for images in (delta_images, bridge_images)]
-    seen = {}
-    for _, x in iter_generators(SMALL):
-        for op in ops:
-            for image in (op(x), *(op(c) for c in op(x))):
-                assert all(seen.setdefault(c, c) is c for c in image)
-    assert len(seen) > 100 and seen.keys() <= classes.keys()
+def test_memoized_images_hold_one_object_per_class(monkeypatch):
+    # the identity suite memoizes one operator, D = delta + the corner
+    # operator, and equal classes in any of its images are one object
+    ops, real = [], checks._memoized
+
+    def recorded(images_of, parities):
+        ops.append(real(images_of, parities))
+        return ops[-1]
+
+    monkeypatch.setattr(checks, "_memoized", recorded)
+    gens = list(iter_generators(SMALL))
+    identity_suite(SMALL, gens)
+    [op] = ops
+    seen, offsets = {}, set()
+    for _, x in gens:
+        offsets |= {len(boundaries(c.graph)) - len(boundaries(x.graph)) for c in op(x)}
+        for image in (op(x), *(op(c) for c in op(x))):
+            assert all(seen.setdefault(c, c) is c for c in image)
+    assert len(seen) > 100 and offsets == {0, 1}
 
 
 def _no_odd_items(builder):
@@ -244,6 +286,7 @@ def test_one_canonical_pass_serves_both_parities(monkeypatch):
     assert even_signs == {EVEN} and odd_signs == {ODD}
     assert even > 0 and odd > 0
     assert both <= 0.55 * (even + odd)
+    assert both == 2240
 
 
 def _counting_walks(monkeypatch):

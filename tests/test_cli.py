@@ -332,10 +332,19 @@ def test_export_graph_missing_file(capsys, tmp_path):
 @pytest.mark.parametrize("fmt", ["json", "dot"])
 @pytest.mark.parametrize(
     "payload",
-    [{"sigma0": [0, 1], "sigma1": [0, 1]}, {"sigma1": [1, 0]}, [0, 1], "{"],
-    ids=["fixed-point", "no-sigma0", "not-an-object", "not-json"],
+    [
+        {"sigma0": [0, 1], "sigma1": [0, 1]},
+        {"sigma1": [1, 0]},
+        [0, 1],
+        "{",
+        {"sigma0": [True, False], "sigma1": [1, 0]},
+        {"sigma0": [0, 1], "sigma1": [True, False]},
+    ],
+    ids=["fixed-point", "no-sigma0", "not-an-object", "not-json", "bool-sigma0", "bool-sigma1"],
 )
 def test_export_graph_invalid_file(capsys, tmp_path, payload, fmt):
+    # JSON true and false are not half-edge labels, though Python's bool
+    # is an int
     target = tmp_path / "bad.json"
     target.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     code, out, err = run(capsys, "export", "--what", "graph", "--graph", str(target), "--format", fmt)
@@ -531,6 +540,17 @@ def test_basis_export_hash_digest(capsys, d):
     assert code == 0
     assert '"hash": ' in out
     assert hashlib.sha256(out.encode()).hexdigest() == BASIS_HASH_DIGESTS[d]
+
+
+def test_check_payload_at_the_benchmark_bounds(capsys):
+    # the benchmark's `check` workload, against the digest it gates on
+    # (perfbench/run.py's argv, perfbench/digests.json's entry)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "perfbench", "digests.json")) as f:
+        expected = json.load(f)["check"]
+    code, out, _ = run(capsys, "check", "--format", "json", "--e-max-ge3", "4", "--e-max-oracle", "3")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == expected
 
 
 @pytest.mark.parametrize("error", [DifferentialIdentityError, AssemblyError])
