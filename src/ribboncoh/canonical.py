@@ -47,7 +47,7 @@ quotient is an automorphism of the canonical graph.
 from __future__ import annotations
 
 from bisect import bisect
-from dataclasses import dataclass
+from collections import namedtuple
 
 # Every digest of the package (content hashes, cache names and headers)
 # comes from these two.  They are the interpreter's built-in SHA code:
@@ -220,15 +220,11 @@ def word_sign(word, parity: int, maps) -> int:
     return first
 
 
-@dataclass(frozen=True, slots=True)
-class OrientedClass:
+class OrientedClass(namedtuple("OrientedClass", "sigma0 sigma1 parity zero_flag")):
     """Canonical isomorphism-class representative with its reference
     orientation implied; zero_flag marks sign-reversing symmetry."""
 
-    sigma0: tuple
-    sigma1: tuple
-    parity: int
-    zero_flag: bool
+    __slots__ = ()
 
     @property
     def graph(self) -> RibbonGraph:

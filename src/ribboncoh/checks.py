@@ -10,22 +10,12 @@ lock a thread pool only added overhead.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from fractions import Fraction
+from collections import namedtuple
 import random
 
 from .canonical import EVEN, ODD
 from .complexes import ComplexSpec, build
-from .diff import (
-    apply_linear,
-    bridge,
-    bridge_images,
-    bridge_terms,
-    delta,
-    delta_images,
-    delta_terms,
-    summed,
-)
+from .diff import apply_linear, bridge, bridge_terms, d_images, delta, delta_terms, summed
 from .enumeration import BRUTE_FORCE_DART_LIMIT, EnumSpec, _split_by_zero, cells, enumerate_bruteforce
 from .linalg import (
     CERTIFICATION_PRIMES,
@@ -41,37 +31,33 @@ from .linalg import (
 from .ribbon import boundaries, genus, is_connected, validate, vertices
 
 
-@dataclass(frozen=True)
-class CheckBounds:
+class CheckBounds(namedtuple("CheckBounds", "g_max e_max_full e_max_ge3 e_max_le2 e_max_oracle parities")):
     """Scope of the verification sweep.  Separate edge bounds per valence
     sector keep the runtime at desk scale: the class counts grow roughly
     an order of magnitude per extra edge."""
 
-    g_max: int = 2
-    e_max_full: int = 4
-    e_max_ge3: int = 5
-    e_max_le2: int = 8
-    e_max_oracle: int = 4
-    parities: tuple = (EVEN, ODD)
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("g_max", "e_max_full", "e_max_ge3", "e_max_le2", "e_max_oracle"):
-            if getattr(self, name) < 0:
+    def __new__(cls, g_max=2, e_max_full=4, e_max_ge3=5, e_max_le2=8, e_max_oracle=4, parities=(EVEN, ODD)):
+        bounds = (g_max, e_max_full, e_max_ge3, e_max_le2, e_max_oracle)
+        for name, value in zip(cls._fields, bounds):
+            if value < 0:
                 raise ValueError("%s must be non-negative" % name)
-        if 2 * self.e_max_oracle > BRUTE_FORCE_DART_LIMIT:
+        if 2 * e_max_oracle > BRUTE_FORCE_DART_LIMIT:
             raise ValueError(
                 "e_max_oracle is at most %d: the brute-force scan is limited to %d half-edges"
                 % (BRUTE_FORCE_DART_LIMIT // 2, BRUTE_FORCE_DART_LIMIT)
             )
-        p = self.parities
+        p = parities
         if not isinstance(p, tuple) or not p or len(set(p)) < len(p) or not set(p) <= {EVEN, ODD}:
             raise ValueError(
                 "parities must be a non-empty tuple of distinct values from (%d, %d), got %r"
                 % (EVEN, ODD, p)
             )
+        return tuple.__new__(cls, (*bounds, parities))
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def iter_generators(bounds: CheckBounds):
@@ -91,7 +77,7 @@ def iter_generators(bounds: CheckBounds):
 
 
 def _violation(suite: str, spec: EnumSpec, cls, detail: str) -> dict:
-    return {"suite": suite, "spec": asdict(spec), "generator": cls.content_hash(), "detail": detail}
+    return {"suite": suite, "spec": spec._asdict(), "generator": cls.content_hash(), "detail": detail}
 
 
 def _report(suite: str, violations: list, **counts) -> dict:
@@ -121,17 +107,14 @@ def _memoized(images_of, parities):
 
 def identity_suite(bounds: CheckBounds, gens: list) -> dict:
     """D^2 = 0 on every (spec, class) x of gens (``iter_generators``), for
-    D = delta + the corner operator, memoized by canonical pair for this one
-    call; one canonical pass per raw term serves every parity in scope.  A
+    D = delta + the corner operator (``diff.d_images``, read through this
+    module's globals at call time), memoized by canonical pair for this one
+    call; one listing of a class's cycles serves both moves' terms, and one
+    canonical pass per raw term serves every parity in scope.  A
     nonzero D^2(x) is split by each term's boundary count minus x's, which
     relies on the grading that the structural suite checks (delta keeps
     it, the corner operator adds one): offset 0 is delta^2, 2 the corner
     operator squared, and any other offset the anticommutator."""
-
-    def d_images(g, parities):
-        d, b = delta_images(g, parities), bridge_images(g, parities)
-        return {parity: summed([*d[parity].items(), *b[parity].items()]) for parity in parities}
-
     op = _memoized(d_images, bounds.parities)
     details = {
         "delta_squared": "delta(delta(x)) != 0",
@@ -208,7 +191,7 @@ def oracle_suite(bounds: CheckBounds) -> dict:
             detail = "zero-class counts differ: %d vs %d" % (fast_zero, slow_zero)
         else:
             return []
-        return [{"suite": "enumeration_oracle", "spec": asdict(spec), "detail": detail}]
+        return [{"suite": "enumeration_oracle", "spec": spec._asdict(), "detail": detail}]
 
     violations = [v for spec in specs for v in check(spec)]
     return _report("enumeration_oracle", violations, bounds=bounds.to_json(), specs=len(specs))
@@ -216,6 +199,8 @@ def oracle_suite(bounds: CheckBounds) -> dict:
 
 def _dense_fraction_rank(m: SparseIntMatrix) -> int:
     """Independent textbook elimination over Fraction."""
+    from fractions import Fraction  # only this oracle needs it
+
     a = [[Fraction(0)] * m.cols for _ in range(m.rows)]
     for r, c, v in m.entries:
         a[r][c] = Fraction(v)

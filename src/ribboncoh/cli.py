@@ -16,7 +16,6 @@ import sys
 
 from .cache import NO_CACHE, Cache, default_cache_dir
 from .canonical import EVEN, ODD
-from .checks import CheckBounds, run_check
 from .complexes import (
     ComplexSpec,
     build,
@@ -139,7 +138,7 @@ def cmd_enumerate(args) -> int:
         nonzero, zero = enumerate_classes(spec)
     if args.format == "json":
         print(json.dumps({
-            "spec": spec.__dict__,
+            "spec": spec._asdict(),
             "classes": [c.to_json() for c in nonzero],
             "zero_classes": zero,
         }, sort_keys=True, default=str))
@@ -154,6 +153,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from .checks import CheckBounds, run_check  # only check loads the suites
+
     parities = {"even": (EVEN,), "odd": (ODD,), "both": (EVEN, ODD)}[args.parity]
     try:
         bounds = CheckBounds(

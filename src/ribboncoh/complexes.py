@@ -47,7 +47,7 @@ layer below it is enumerated, and is empty when it holds no nonzero class.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .cache import NO_CACHE, Cache
 from .canonical import EVEN, ODD, _canonical_data, word_sign
@@ -59,29 +59,25 @@ KINDS = ("kp", "mw")
 SECTORS = ("full", "ge3", "le2")
 
 
-@dataclass(frozen=True)
-class ComplexSpec:
-    kind: str
-    genus: int
-    d: int = 0
-    sector: str = "full"
-    e_min: int = 1
-    e_max: int = 4
-    boundaries: int | None = None  # kp only, where it is required
+class ComplexSpec(namedtuple("ComplexSpec", "kind genus d sector e_min e_max boundaries")):
+    """boundaries is for kp only, where it is required."""
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
+    __slots__ = ()
+
+    def __new__(cls, kind, genus, d=0, sector="full", e_min=1, e_max=4, boundaries=None):
+        if kind not in KINDS:
             raise ValueError("kind must be one of %s" % (KINDS,))
-        if self.sector not in SECTORS:
+        if sector not in SECTORS:
             raise ValueError("sector must be one of %s" % (SECTORS,))
-        if self.kind == "kp" and (self.boundaries is None or self.boundaries < 1):
+        if kind == "kp" and (boundaries is None or boundaries < 1):
             raise ValueError("kp complexes need a boundary count of at least 1")
-        if self.kind == "mw" and self.boundaries is not None:
+        if kind == "mw" and boundaries is not None:
             raise ValueError("mw complexes sum over every boundary count and take none")
-        if self.kind == "mw" and self.sector == "le2":
+        if kind == "mw" and sector == "le2":
             raise ValueError("the le2 sector is only defined for kp complexes")
-        if self.genus < 0 or self.e_min < 1 or self.e_max < self.e_min:
+        if genus < 0 or e_min < 1 or e_max < e_min:
             raise ValueError("need genus >= 0 and 1 <= e_min <= e_max")
+        return tuple.__new__(cls, (kind, genus, d, sector, e_min, e_max, boundaries))
 
     @property
     def parity(self) -> int:
@@ -225,14 +221,17 @@ def _place(block: dict, rows: dict) -> list:
         raise AssemblyError("image class %s not in codomain basis" % (miss.args[0],)) from None
 
 
-@dataclass
-class ComplexSlice:
-    spec: ComplexSpec  # or gc2.GCSpec: build() reads e_min, e_max, cells,
-                       # possible and chain(), the shared _chain e_min,
-                       # e_max and possible; cohomology() reads degree too
-    cells: dict     # (n, e) -> (nonzero classes, zero count), e_min - 1 <= e <= e_max
-    matrices: dict  # e -> matrix basis[e] -> basis[e+1]
-    bases: dict     # e -> [OrientedClass], e_min <= e <= e_max
+class ComplexSlice(namedtuple("ComplexSlice", "spec cells matrices bases")):
+    """What ``build`` gives:
+
+    * spec: the ComplexSpec, or a gc2.GCSpec (build() reads e_min, e_max,
+      cells, possible and chain(), the shared _chain e_min, e_max and
+      possible; cohomology() reads degree too);
+    * cells: (n, e) -> (nonzero classes, zero count), e_min - 1 <= e <= e_max;
+    * matrices: e -> matrix basis[e] -> basis[e+1];
+    * bases: e -> [OrientedClass], e_min <= e <= e_max."""
+
+    __slots__ = ()
 
 
 def build(spec, cache: Cache = NO_CACHE) -> ComplexSlice:

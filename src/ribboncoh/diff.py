@@ -33,15 +33,16 @@ from which ``complexes`` sums the blocks of every table, and one image
 path: the raw term graphs do not depend on parity, so ``delta_images``
 and ``bridge_images`` give a class's image in every parity asked for from
 one canonical pass per raw term, and ``delta`` and ``bridge`` ask for the
-class's own parity.  An image is a plain dict, class -> nonzero int,
-with one class per target: the raw terms are added up by canonical pair
-first.  The images are oracles only: the check suites apply them
-(``apply_linear``), and compare a built matrix with them.  Every call
-returns a fresh image; the module keeps no state between calls.  A caller
-that applies them to the same class more than once memoizes the images
-itself (``checks.identity_suite``, one entry per canonical pair holding
-D's image, the sum of both images, in every parity in scope, and one
-class object per class and parity).
+class's own parity.  ``d_images`` gives the image of their sum D, both
+builders' terms off one listing of the class's cycles.  An image is a
+plain dict, class -> nonzero int, with one class per target: the raw
+terms are added up by canonical pair first.  The images are oracles
+only: the check suites apply them (``apply_linear``), and compare a built
+matrix with them.  Every call returns a fresh image; the module keeps no
+state between calls.  A caller that applies them to the same class more
+than once memoizes the images itself (``checks.identity_suite``, one
+entry per canonical pair holding D's image in every parity in scope, and
+one class object per class and parity).
 
 ``delta``, ``bridge``, ``project_ge3``, ``apply_linear`` and
 ``linalg.assemble`` have no caller on the build path.  They stay because
@@ -51,7 +52,7 @@ oracles.
 """
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations
 
 from .canonical import ODD, OrientedClass, _canonical_data, word_sign
 from .ribbon import (
@@ -119,19 +120,24 @@ def delta_terms(g: RibbonGraph, min_arc: int = 1, odd: bool = False, max_arc: in
     bivalent vertex when g has none: the ge3 sector's valence floor, applied
     at the cut; max_arc = 1 is the le2 sector's ceiling of two in the same
     way."""
+    return _split_terms(g, edges(g), vertices(g), boundaries(g) if odd else None, min_arc, max_arc)
+
+
+def _split_terms(g: RibbonGraph, es: list, verts: list, bounds, min_arc: int, max_arc):
+    """``delta_terms`` off g's listed cycles: es its edges, verts its
+    vertices, and bounds its boundaries, or None for words with no odd
+    items."""
     x, y = g.n_half_edges, g.n_half_edges + 1
     s1 = g.sigma1
-    es = edges(g) + [(x, y)]
-    verts = vertices(g)
+    es = es + [(x, y)]
     items = [(0, v) for v in verts]
-    if odd:
-        bounds = boundaries(g)
+    if bounds is not None:
         at = {h: len(verts) + i for i, b in enumerate(bounds) for h in b}
         items += [(1, b) for b in bounds]
     for vi, cyc in enumerate(verts):
         for arc_a, arc_b in _cuts(cyc, min_arc, max_arc):
             out = _split_graph(g, arc_a, arc_b)
-            if not (odd and arc_a and arc_b):
+            if bounds is None or not (arc_a and arc_b):
                 yield out, ((), es)
                 continue
             word = items.copy()
@@ -152,18 +158,23 @@ def bridge_terms(g: RibbonGraph, odd: bool = False):
     splits that boundary's walk b at the corners p < q: with their walk
     positions sorted to i < j, one piece is b[i:j] and the other the rest,
     and the piece through 2E+1 starts at p."""
+    return _chord_terms(g, edges(g), vertices(g) if odd else None, boundaries(g))
+
+
+def _chord_terms(g: RibbonGraph, es: list, verts, bounds: list):
+    """``bridge_terms`` off g's listed cycles: es its edges, verts its
+    vertices, or None for words with no odd items, and bounds its
+    boundaries."""
     x, y = g.n_half_edges, g.n_half_edges + 1
-    es = edges(g) + [(x, y)]
-    bounds = boundaries(g)
-    if odd:
-        verts = vertices(g)
+    es = es + [(x, y)]
+    if verts is not None:
         at = {h: i for i, v in enumerate(verts) for h in v}
         items = [(0, v) for v in verts] + [(1, b) for b in bounds]
     for bi, b in enumerate(bounds):
         pos = {h: i for i, h in enumerate(b)}
         for p, q in combinations(sorted(b), 2):
             out = _add_chord(g, p, q)  # distinct corners of one boundary
-            if not odd:
+            if verts is None:
                 yield out, ((), es)
                 continue
             i, j = sorted((pos[p], pos[q]))
@@ -218,6 +229,21 @@ def bridge_images(g: RibbonGraph, parities) -> dict[int, dict]:
     """Corner-connecting differential of g's class in each parity of
     parities, as ``delta_images``."""
     return _images(bridge_terms(g, ODD in parities), parities)
+
+
+def d_images(g: RibbonGraph, parities) -> dict[int, dict]:
+    """The mw differential D = delta + the corner operator of g's class in
+    each parity of parities, as ``delta_images``: ``delta_terms`` and then
+    ``bridge_terms`` off one listing of g's edges, vertices and boundaries,
+    added up in one ``_images`` pass.  The two images never share a class,
+    since a corner join adds a boundary and a split keeps them all."""
+    odd = ODD in parities
+    es, verts, bounds = edges(g), vertices(g), boundaries(g)
+    terms = chain(
+        _split_terms(g, es, verts, bounds if odd else None, 1, None),
+        _chord_terms(g, es, verts if odd else None, bounds),
+    )
+    return _images(terms, parities)
 
 
 def delta(x: OrientedClass, min_arc: int = 1) -> dict:

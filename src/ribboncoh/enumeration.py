@@ -29,7 +29,7 @@ the fast path past the oracle's reach in ``tests/test_enumeration.py``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations, combinations_with_replacement, islice, permutations
 
 from .canonical import EVEN, OrientedClass, _canonical_data, _zero_flag
@@ -38,13 +38,8 @@ from .diff import _add_chord, delta_terms
 from .ribbon import RibbonGraph, boundaries, orbits
 
 
-@dataclass(frozen=True)
-class EnumSpec:
-    genus: int
-    boundaries: int
-    edges: int
-    min_valence: int = 1
-    parity: int = EVEN
+class EnumSpec(namedtuple("EnumSpec", "genus boundaries edges min_valence parity", defaults=(1, EVEN))):
+    __slots__ = ()
 
     @property
     def n_vertices(self) -> int:

@@ -31,7 +31,7 @@ checked only against the tests' own copy of the differential
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import permutations, product
 
 from .canonical import _order_sign, sha1
@@ -94,13 +94,10 @@ def _gc_canonical_data(n_vertices: int, edges) -> tuple[tuple, list[tuple]]:
     return best, perms
 
 
-@dataclass(frozen=True)
-class GCClass:
+class GCClass(namedtuple("GCClass", "n_vertices edges zero_flag")):
     """Canonical multigraph class in the edge-order orientation regime."""
 
-    n_vertices: int
-    edges: tuple
-    zero_flag: bool
+    __slots__ = ()
 
     @property
     def key(self) -> tuple:
@@ -191,26 +188,22 @@ def _cell(n_vertices: int, layer) -> tuple[list[GCClass], int]:
     return nonzero, len(classes) - len(nonzero)
 
 
-@dataclass(frozen=True)
-class GCSpec:
+class GCSpec(namedtuple("GCSpec", "loop_order d e_min e_max min_valence")):
     """Fixed-loop-order slice of the complex, cells indexed by edge count
     (the one cell per edge count is keyed by the loop order)."""
 
-    loop_order: int
-    d: int
-    e_min: int
-    e_max: int
-    min_valence: int = 3
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.min_valence < 2:
-            raise ValueError("gc2 tables need min_valence >= 2, got %d" % self.min_valence)
-        if self.loop_order < 1 or self.e_min < 1 or self.e_max < self.e_min:
+    def __new__(cls, loop_order, d, e_min, e_max, min_valence=3):
+        if min_valence < 2:
+            raise ValueError("gc2 tables need min_valence >= 2, got %d" % min_valence)
+        if loop_order < 1 or e_min < 1 or e_max < e_min:
             raise ValueError("need loop_order >= 1 and 1 <= e_min <= e_max")
-        if self.loop_order > GC_LOOP_ORDER_GUARD:
+        if loop_order > GC_LOOP_ORDER_GUARD:
             raise ValueError(
-                "loop order guard is %d, got %d" % (GC_LOOP_ORDER_GUARD, self.loop_order)
+                "loop order guard is %d, got %d" % (GC_LOOP_ORDER_GUARD, loop_order)
             )
+        return tuple.__new__(cls, (loop_order, d, e_min, e_max, min_valence))
 
     def degree(self, e: int) -> int:
         return 2 * self.d * (e - self.loop_order) + (1 - 2 * self.d) * e

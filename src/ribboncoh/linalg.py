@@ -28,33 +28,35 @@ code with it, as the judge.  No floating point anywhere.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from itertools import groupby
 from math import gcd, isqrt
+from operator import itemgetter
 
 
 class AssemblyError(ValueError):
     """An operator image left the span of the codomain basis."""
 
 
-@dataclass(frozen=True)
-class SparseIntMatrix:
-    rows: int
-    cols: int
-    entries: tuple = field(default_factory=tuple)  # sorted (row, col, value)
+class SparseIntMatrix(namedtuple("SparseIntMatrix", "rows cols entries")):
+    """entries: sorted (row, col, value) triples, no zero value and no
+    repeated (row, col)."""
 
-    def __post_init__(self):
-        if not all(isinstance(n, int) and n >= 0 for n in (self.rows, self.cols)):
+    __slots__ = ()
+
+    def __new__(cls, rows, cols, entries=()):
+        if not all(isinstance(n, int) and n >= 0 for n in (rows, cols)):
             raise ValueError("matrix dimensions must be non-negative integers")
-        for r, c, v in self.entries:
+        for r, c, v in entries:
             if not (isinstance(r, int) and isinstance(c, int) and isinstance(v, int)):
                 raise ValueError("matrix indices and entries must be integers")
-            if not (0 <= r < self.rows and 0 <= c < self.cols):
+            if not (0 <= r < rows and 0 <= c < cols):
                 raise ValueError("entry index out of range")
-        ent = sorted(self.entries)
+        ent = sorted(entries)
         for a, b in zip(ent, ent[1:]):  # sorted, so a repeated (row, col) is adjacent
             if a[0] == b[0] and a[1] == b[1]:
                 raise ValueError("duplicate entry")
-        object.__setattr__(self, "entries", tuple((r, c, v) for r, c, v in ent if v))
+        return tuple.__new__(cls, (rows, cols, tuple((r, c, v) for r, c, v in ent if v)))
 
     @property
     def nnz(self) -> int:
@@ -75,12 +77,15 @@ class SparseIntMatrix:
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
         other_rows = other.row_dicts()
-        acc: dict = {}
-        # accumulate self[r,k] * other[k,c]
-        for r, k, v in self.entries:
-            for c, w in other_rows[k].items():
-                acc[(r, c)] = acc.get((r, c), 0) + v * w
-        ent = tuple((r, c, v) for (r, c), v in acc.items() if v != 0)
+        ent = []
+        # self's entries come sorted by row: sum one row of the product at a
+        # time, so only that row's partial products are held
+        for r, terms in groupby(self.entries, itemgetter(0)):
+            acc: dict = {}
+            for _, k, v in terms:
+                for c, w in other_rows[k].items():
+                    acc[c] = acc.get(c, 0) + v * w
+            ent.extend((r, c, v) for c, v in sorted(acc.items()) if v)
         return SparseIntMatrix(self.rows, other.cols, ent)
 
     def is_zero(self) -> bool:
@@ -227,7 +232,10 @@ def _pivots_modp(m: SparseIntMatrix, p: int) -> list:
     column, the pivot row scaled to 1 at the column), in pivot order.  A
     pivot row holds no earlier pivot's column, so the rows are an echelon
     form.  A loop of its own: ``rank_modp`` checks what it finds."""
-    rows = [{c: v % p for c, v in r.items() if v % p} for r in m.row_dicts()]
+    rows = [{} for _ in range(m.rows)]  # filled from the entries, with no row_dicts() copy
+    for r, c, v in m.entries:
+        if v % p:
+            rows[r][c] = v % p
     holders = [[] for _ in range(m.cols)]  # column -> rows listed as holding it
     by_len = [[] for _ in range(m.cols + 1)]  # length -> rows queued at it
     for i, r in enumerate(rows):
@@ -267,6 +275,8 @@ def _pivots_modp(m: SparseIntMatrix, p: int) -> list:
             if r:
                 by_len[len(r)].append(j)
                 short = min(short, len(r))
+            else:  # most rows cancel: a dict keeps its table when emptied
+                rows[j] = {}
         holders[pc] = []
     return pivots
 

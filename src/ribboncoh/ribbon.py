@@ -17,7 +17,7 @@ check suite validates the builders' raw terms.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 
 class InvalidGraph(ValueError):
@@ -28,12 +28,13 @@ class DisconnectedGraph(ValueError):
     """Raised when an operation requires a connected graph."""
 
 
-@dataclass(frozen=True)
-class RibbonGraph:
+class RibbonGraph(namedtuple("RibbonGraph", "sigma0 sigma1")):
     """Immutable rotation system: permutations stored as image tuples."""
 
-    sigma0: tuple
-    sigma1: tuple
+    __slots__ = ()
+
+    def __new__(cls, sigma0, sigma1):
+        return tuple.__new__(cls, (tuple(sigma0), tuple(sigma1)))
 
     @property
     def n_half_edges(self) -> int:
@@ -42,10 +43,6 @@ class RibbonGraph:
     @property
     def n_edges(self) -> int:
         return len(self.sigma0) // 2
-
-    def __post_init__(self):
-        object.__setattr__(self, "sigma0", tuple(self.sigma0))
-        object.__setattr__(self, "sigma1", tuple(self.sigma1))
 
     def to_json(self) -> dict:
         return {

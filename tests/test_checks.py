@@ -1,6 +1,5 @@
 """Verification suites: clean passes at small bounds, fault injection."""
 from collections import Counter
-from dataclasses import replace
 import hashlib
 import json
 
@@ -22,7 +21,8 @@ from ribboncoh.diff import bridge_images, delta_images
 from ribboncoh.enumeration import LE2_CELLS, EnumSpec, enumerate_classes, le2_classes
 from ribboncoh.ribbon import RibbonGraph, boundaries
 
-SMALL = CheckBounds(g_max=1, e_max_full=3, e_max_ge3=3, e_max_le2=5, e_max_oracle=3)
+SMALL_EDGES = dict(g_max=1, e_max_full=3, e_max_ge3=3, e_max_le2=5, e_max_oracle=3)
+SMALL = CheckBounds(**SMALL_EDGES)
 
 
 def test_bounds_serialization():
@@ -36,12 +36,12 @@ def test_bounds_reject_bad_parities(parities):
     # the identity suite falsely, () would pass it with no generator,
     # and a repeated parity would check every generator twice
     with pytest.raises(ValueError, match="parities"):
-        replace(SMALL, parities=parities)
+        CheckBounds(**SMALL_EDGES, parities=parities)
 
 
 def test_bounds_accept_each_parity_scope():
     for parities in ((EVEN,), (ODD,), (EVEN, ODD), (ODD, EVEN)):
-        assert replace(SMALL, parities=parities).parities == parities
+        assert CheckBounds(**SMALL_EDGES, parities=parities).parities == parities
 
 
 def test_generators_in_scope():
@@ -134,34 +134,38 @@ def test_rank_suite_passes():
     assert rank_suite()["passed"]
 
 
-def _dropping_one_term(real):
-    """real, an images function, with the term of least content hash
-    dropped from every image in every parity."""
+def _dropping_one_term(real, offset):
+    """real, the images function of D = delta + the corner operator, with
+    the term of least content hash among those of the one operator dropped
+    from every image in every parity: the split's terms keep the parent's
+    boundary count (offset 0), the corner join's add one (offset 1)."""
 
     def broken(g, parities):
+        b0 = len(boundaries(g))
         out = {}
         for parity, full in real(g, parities).items():
-            terms = sorted(full.items(), key=lambda t: t[0].content_hash())
-            out[parity] = dict(terms[1:])
+            part = [c for c in full if len(boundaries(c.graph)) - b0 == offset]
+            drop = min(part, key=lambda c: c.content_hash(), default=None)
+            out[parity] = {c: v for c, v in full.items() if c != drop}
         return out
 
     return broken
 
 
 @pytest.mark.parametrize(
-    "images, violations, suites",
+    "offset, violations, suites",
     [
-        ("bridge_images", 46, {"anticommutator", "bridge_squared"}),
-        ("delta_images", 42, {"anticommutator", "delta_squared"}),
+        (1, 46, {"anticommutator", "bridge_squared"}),
+        (0, 42, {"anticommutator", "delta_squared"}),
     ],
     ids=["corner", "split"],
 )
-def test_fault_injection_is_detected(monkeypatch, images, violations, suites):
+def test_fault_injection_is_detected(monkeypatch, offset, violations, suites):
     # corrupt the corner or the split operator by dropping one term in every
     # parity; the identity suite must fail and name a generator.  The counts
     # and parts are pinned, so a split of D^2(x) that moves a violation from
     # one part to another fails here
-    monkeypatch.setattr(checks, images, _dropping_one_term(getattr(checks, images)))
+    monkeypatch.setattr(checks, "d_images", _dropping_one_term(checks.d_images, offset))
     report = identity_suite(SMALL, list(iter_generators(SMALL)))
     assert not report["passed"]
     assert len(report["violations"]) == violations
@@ -247,7 +251,7 @@ def test_structural_suite_lists_no_odd_items(monkeypatch):
     monkeypatch.setattr(checks, "delta_terms", _no_odd_items(diff.delta_terms))
     monkeypatch.setattr(checks, "bridge_terms", _no_odd_items(diff.bridge_terms))
     for parities in ((EVEN,), (ODD,)):
-        bounds = replace(SMALL, parities=parities)
+        bounds = CheckBounds(**SMALL_EDGES, parities=parities)
         assert structural_suite(bounds, list(iter_generators(bounds)))["passed"]
 
 
@@ -268,7 +272,7 @@ def _identity_suite_counting(monkeypatch, parities):
         assert ODD in parities or not word[0], "odd items listed"
         return real_sign(word, parity, maps)
 
-    bounds = replace(SMALL, parities=parities)
+    bounds = CheckBounds(**SMALL_EDGES, parities=parities)
     gens = list(iter_generators(bounds))
     monkeypatch.setattr(diff, "_canonical_data", counted_data)
     monkeypatch.setattr(diff, "word_sign", recorded_sign)

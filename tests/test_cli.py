@@ -93,7 +93,7 @@ def test_check_rejects_oracle_bound_before_any_work(capsys, monkeypatch):
     def no_work(bounds):
         raise AssertionError("run_check must not start")
 
-    monkeypatch.setattr(cli, "run_check", no_work)
+    monkeypatch.setattr(checks, "run_check", no_work)
     code, out, err = run(capsys, "check", "--e-max-oracle", "6")
     assert code == 2
     assert out == ""
@@ -113,7 +113,7 @@ def test_check_rejects_negative_bounds(capsys, monkeypatch, flag, field):
 
     with pytest.raises(ValueError, match="%s must be non-negative" % field):
         CheckBounds(**{field: -1})
-    monkeypatch.setattr(cli, "run_check", no_work)
+    monkeypatch.setattr(checks, "run_check", no_work)
     code, out, err = run(capsys, "check", flag, "-1")
     assert code == 2
     assert out == ""

@@ -11,6 +11,7 @@ from ribboncoh.diff import (
     bridge,
     bridge_images,
     bridge_terms,
+    d_images,
     delta,
     delta_images,
     delta_terms,
@@ -49,7 +50,9 @@ def generators(request):
 def test_images_walk_each_parent_a_fixed_number_of_times(monkeypatch):
     # the builders list a parent's cycles once and build each term's word
     # from them, an odd split's boundary walks included: the images walk a
-    # fixed number of orbits per parent, whatever its term count
+    # fixed number of orbits per parent, whatever its term count.  D's
+    # image lists the parent's edges, vertices and boundaries once for
+    # both moves, in every parity scope
     graphs = [cls.graph for parity in (EVEN, ODD) for cls in small_generators(parity)]
     calls = [0]
     real = ribbon.orbits
@@ -64,14 +67,30 @@ def test_images_walk_each_parent_a_fixed_number_of_times(monkeypatch):
         return calls[0]
 
     monkeypatch.setattr(ribbon, "orbits", counted)
-    fixed = {(images, parity): set() for images in (delta_images, bridge_images) for parity in (EVEN, ODD)}
+    scopes = ((EVEN,), (ODD,), (EVEN, ODD))
+    fixed = {(images, ps): set() for images in (delta_images, bridge_images, d_images) for ps in scopes}
     term_counts = set()
     for g in graphs:
-        for images, parity in fixed:
-            fixed[images, parity].add(walks(images, g, (parity,)))
+        for images, ps in fixed:
+            fixed[images, ps].add(walks(images, g, ps))
         term_counts.add((len(list(delta_terms(g))), len(list(bridge_terms(g)))))
     assert len(term_counts) > 5
     assert all(len(counts) == 1 for counts in fixed.values())
+    assert all(fixed[d_images, ps] == {3} for ps in scopes)
+
+
+def test_d_images_are_the_sum_of_both_images():
+    # D's image is the split image and the corner image side by side: the
+    # two never share a class, in either parity
+    n_terms = 0
+    for g in dict.fromkeys(cls.graph for _, cls in iter_generators(SMALL)):
+        both = d_images(g, (EVEN, ODD))
+        split, corner = delta_images(g, (EVEN, ODD)), bridge_images(g, (EVEN, ODD))
+        for p in (EVEN, ODD):
+            assert not split[p].keys() & corner[p].keys()
+            assert both[p] == {**split[p], **corner[p]}
+            n_terms += len(both[p])
+    assert n_terms > 100
 
 
 def test_odd_split_walks_are_the_terms_boundaries():

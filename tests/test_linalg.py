@@ -49,6 +49,42 @@ def test_matmul_and_transpose():
         b.matmul(a.transpose())
 
 
+def _dense(m):
+    a = [[0] * m.cols for _ in range(m.rows)]
+    for r, c, v in m.entries:
+        a[r][c] = v
+    return a
+
+
+def test_matmul_matches_the_dense_product():
+    # random sparse products, row by row against the textbook product; a
+    # few rows of a cancel against a row dependency of b, some rows are
+    # empty, and some shapes have no rows or no columns
+    rng = random.Random(7)
+    cancelled = 0
+    for trial in range(300):
+        n, k, m = rng.randint(0, 7), rng.randint(0, 7), rng.randint(0, 7)
+        a_ent = {(rng.randrange(n), rng.randrange(k)): rng.randint(-3, 3) for _ in range(rng.randint(0, n * k))}
+        b_ent = {(rng.randrange(k), rng.randrange(m)): rng.randint(-3, 3) for _ in range(rng.randint(0, k * m))}
+        if k >= 2 and n >= 1 and trial % 3 == 0:
+            # b's row 1 is twice its row 0, and a's last row is (2, -1, 0, ...)
+            b_ent = {key: v for key, v in b_ent.items() if key[0] != 1}
+            b_ent.update({(1, c): 2 * v for (r, c), v in list(b_ent.items()) if r == 0})
+            a_ent = {key: v for key, v in a_ent.items() if key[0] != n - 1}
+            a_ent.update({(n - 1, 0): 2, (n - 1, 1): -1})
+        a = SparseIntMatrix(n, k, tuple((r, c, v) for (r, c), v in a_ent.items()))
+        b = SparseIntMatrix(k, m, tuple((r, c, v) for (r, c), v in b_ent.items()))
+        da, db = _dense(a), _dense(b)
+        want = [[sum(da[i][t] * db[t][j] for t in range(k)) for j in range(m)] for i in range(n)]
+        ab = a.matmul(b)
+        assert (ab.rows, ab.cols) == (n, m) and _dense(ab) == want
+        assert list(ab.entries) == sorted(ab.entries)
+        assert all(v != 0 for _, _, v in ab.entries)
+        assert len({(r, c) for r, c, _ in ab.entries}) == ab.nnz
+        cancelled += sum(any(da[i]) and not any(want[i]) for i in range(n))
+    assert cancelled > 20
+
+
 def test_rank_frozen_examples():
     assert rank(SparseIntMatrix(3, 3, ())) == 0
     ident = SparseIntMatrix(3, 3, tuple((i, i, 1) for i in range(3)))

@@ -142,3 +142,19 @@ def test_every_function_has_a_caller():
         if name not in referenced | pinned
     ]
     assert uncalled == []
+
+
+def test_no_module_imports_dataclasses():
+    # dataclasses loads inspect, about 1 MB of resident memory in every
+    # run; the value classes are namedtuple subclasses instead
+    found = []
+    for path in sorted((ROOT / "src" / "ribboncoh").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [(path.name, name) for name in names if name.split(".")[0] == "dataclasses"]
+    assert found == []
