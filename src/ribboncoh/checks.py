@@ -108,27 +108,32 @@ def _memoized(images_of, parities):
 def identity_suite(bounds: CheckBounds, gens: list) -> dict:
     """D^2 = 0 on every (spec, class) x of gens (``iter_generators``), for
     D = delta + the corner operator (``diff.d_images``, read through this
-    module's globals at call time), memoized by canonical pair for this one
-    call; one listing of a class's cycles serves both moves' terms, and one
-    canonical pass per raw term serves every parity in scope.  A
-    nonzero D^2(x) is split by each term's boundary count minus x's, which
-    relies on the grading that the structural suite checks (delta keeps
-    it, the corner operator adds one): offset 0 is delta^2, 2 the corner
-    operator squared, and any other offset the anticommutator."""
-    op = _memoized(d_images, bounds.parities)
+    module's globals at call time), memoized by canonical pair for one
+    genus at a time: D keeps the genus, so no image is read again once its
+    genus is done.  One listing of a class's cycles serves both moves'
+    terms, and one canonical pass per raw term serves every parity in
+    scope.  The violations come in generator order.  A nonzero D^2(x) is
+    split by each term's boundary count minus x's, which relies on the
+    grading that the structural suite checks (delta keeps it, the corner
+    operator adds one): offset 0 is delta^2, 2 the corner operator squared,
+    and any other offset the anticommutator."""
     details = {
         "delta_squared": "delta(delta(x)) != 0",
         "bridge_squared": "corner op squared != 0",
         "anticommutator": "delta and corner op do not anticommute",
     }
 
-    def check(spec, cls):
+    def check(op, spec, cls):
         b0 = len(boundaries(cls.graph))
         offsets = {len(boundaries(c.graph)) - b0 for c in apply_linear(op, op(cls))}
         parts = {{0: "delta_squared", 2: "bridge_squared"}.get(k, "anticommutator") for k in offsets}
         return [_violation(name, spec, cls, detail) for name, detail in details.items() if name in parts]
 
-    violations = [v for spec, cls in gens for v in check(spec, cls)]
+    found = []  # (generator index, violation)
+    for g in sorted({spec.genus for spec, _ in gens}):
+        op = _memoized(d_images, bounds.parities)  # freed when the genus is done
+        found += [(i, v) for i, (spec, cls) in enumerate(gens) if spec.genus == g for v in check(op, spec, cls)]
+    violations = [v for _, v in sorted(found, key=lambda iv: iv[0])]
     return _report("identities", violations, bounds=bounds.to_json(), generators=len(gens))
 
 
@@ -229,42 +234,47 @@ RANK_SUITE_TRIALS = 40
 def rank_suite() -> dict:
     """Sparse fraction-free rank versus dense rational elimination and
     two-prime modular ranks, and the proved rank (``certified_rank``, with
-    no proof a violation) versus all three, on RANK_SUITE_TRIALS seeded random matrices,
+    no proof a violation) versus all three, on RANK_SUITE_TRIALS matrices,
     plus one differential matrix that ``complexes.build`` gives, which must
     also equal the matrix that the oracles ``delta`` and ``bridge``
     assemble on its bases.  That build or the oracle's assembly raising is
-    a violation too; a failed build adds no matrix."""
+    a violation too; a failed build adds no matrix.  Every trial but the
+    last is a seeded random matrix, whose rank at each certification prime
+    must equal its rank over Q.  The last is [[1000003]]: rank 0 mod
+    1,000,003 and 1 mod 2,000,003, so its rank, 1, is proved only at the
+    retry, and a proof that skips its M K = 0 check gives 0."""
     rng = random.Random(RANK_SUITE_SEED)
-    mats = []
-    for _ in range(RANK_SUITE_TRIALS):
+    mats = []  # (matrix, its ranks at CERTIFICATION_PRIMES, or None where each is its rank over Q)
+    for _ in range(RANK_SUITE_TRIALS - 1):
         rows = rng.randint(0, 14)
         cols = rng.randint(0, 14)
         ent = {}
         for _ in range(rng.randint(0, max(rows * cols // 2, 0))):
             ent[(rng.randrange(rows), rng.randrange(cols))] = rng.randint(-20, 20)
-        mats.append(SparseIntMatrix(rows, cols, tuple((r, c, v) for (r, c), v in ent.items())))
+        mats.append((SparseIntMatrix(rows, cols, tuple((r, c, v) for (r, c), v in ent.items())), None))
+    mats.append((SparseIntMatrix(1, 1, ((0, 0, CERTIFICATION_PRIMES[0]),)), (0, 1)))
     # mw (g, d) = (1, 1) ge3 E 4 -> 5, 119x12, odd, with split and corner
     # entries: d^2 = 0 holds with either block's sign flipped, the oracle not;
     # a build that fails is a violation, so the report still prints
     built = []
     try:
         sl = build(ComplexSpec("mw", 1, 1, "ge3", 3, 5))
-        mats.append(sl.matrices[4])
+        mats.append((sl.matrices[4], None))
         both = lambda c: summed([*delta(c, 2).items(), *bridge(c).items()])
         if sl.matrices[4] != assemble(sl.bases[4], sl.bases[5], both):
             built.append({"suite": "rank_oracle", "detail": "built matrix differs from delta + bridge"})
     except (AssemblyError, DifferentialIdentityError) as exc:
         built.append({"suite": "rank_oracle", "detail": "%s: %s" % (type(exc).__name__, exc)})
 
-    def check(m):
+    def check(m, modp):
         r = rank(m)
         out = []
         if r != _dense_fraction_rank(m):
             out.append({"suite": "rank_oracle", "detail": "dense oracle disagrees"})
         if r != rank(m.transpose()):
             out.append({"suite": "rank_oracle", "detail": "transpose rank differs"})
-        for p in CERTIFICATION_PRIMES:
-            if rank_modp(m, p) != r:
+        for p, expected in zip(CERTIFICATION_PRIMES, modp or (r, r)):
+            if rank_modp(m, p) != expected:
                 out.append({"suite": "rank_oracle", "detail": "mod-%d rank differs" % p})
         try:
             if certified_rank(m) != r:
@@ -273,7 +283,7 @@ def rank_suite() -> dict:
             out.append({"suite": "rank_oracle", "detail": "no proof"})
         return out
 
-    violations = [v for m in mats for v in check(m)] + built
+    violations = [v for m, modp in mats for v in check(m, modp)] + built
     return _report("rank_oracle", violations, matrices=len(mats))
 
 

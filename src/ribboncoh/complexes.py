@@ -27,10 +27,13 @@ more.  A ribbon term's coefficient is the sign of its word
 (``canonical.word_sign``), a gc2 term's that of its edge order
 (``gc2._gc_sign``).  mw's corner move is the one block made outside the
 walk: ``_terms_block`` over ``bridge_terms`` of the cell below, which
-``ComplexSpec.chain`` keeps from the chain before.  The first rounds of
-the ribbon chains, their one-vertex cells, come from one walk of
+``ComplexSpec.chain`` keeps from the chain before, placed by the target
+cell's rows as its terms are read, one column at a time, so no canonical
+pair of a corner term outlives it.  The first rounds of the ribbon
+chains, their one-vertex cells, come from one walk of
 ``enumeration._first_rounds``, which grows each from the one before it by
-chords: those between two corners are the corner terms into it, so the
+chords: those between two corners are the corner terms into it, recorded
+per class of the round before with the new round's own keys, so the
 corner block into a first round reuses their canonical data, and nothing
 is canonicalized twice.  No build calls ``linalg.assemble``:
 ``diff.delta`` and ``diff.bridge``, assembled, are the oracles that built
@@ -124,11 +127,13 @@ class ComplexSpec(namedtuple("ComplexSpec", "kind genus d sector e_min e_max bou
         n, ``_chain`` over ``enumeration._cell_maps`` from the n chain's
         first round, which one walk of ``enumeration._first_rounds`` gives
         (no round where counting rules out every cell), each arc capped at
-        ``max_arc`` darts, each term's coefficient its ``word_sign``.  blocks maps n to the
-        vertex split's block from the (n, e - 1) cell, and for mw n - 1 to
-        the corner block from the (n - 1, e - 1) cell that the chain before
-        left: ``_terms_block`` on its classes, which reads the canonical
-        data of its terms into a first round off the walk's chords."""
+        ``max_arc`` darts, each term's coefficient its ``word_sign``.
+        blocks maps n to the vertex split's block from the (n, e - 1) cell,
+        and for mw n - 1 to the corner block from the (n - 1, e - 1) cell
+        that the chain before left, both as (row, col, coeff) triples: the
+        corner block is ``_terms_block`` on that cell's classes and this
+        cell's rows, which reads the canonical data of its terms into a
+        first round off the walk's chords."""
         parity, odd = self.parity, self.parity == ODD
         cell_of = lambda e, layer: _split_by_zero(layer, parity)
         sign = lambda word, maps: word_sign(word, parity, maps)
@@ -147,7 +152,7 @@ class ComplexSpec(namedtuple("ComplexSpec", "kind genus d sector e_min e_max bou
                 blocks = {}
                 source = below.get(e - 1)
                 if self.kind == "mw" and e > self.e_min and source is not None:
-                    blocks[n - 1] = _place(_terms_block(source, parity, chords if e == e0 else None), rows)
+                    blocks[n - 1] = _terms_block(source, parity, rows, chords if e == e0 else None)
                 blocks[n] = split
                 here[e] = cell[0]
                 if chords:  # read by the corner block into the first round only (peak memory)
@@ -196,19 +201,41 @@ def _add(block: dict, j: int, key, coeff: int) -> None:
         per[j] = per.get(j, 0) + coeff
 
 
-def _terms_block(classes, parity: int, known=None) -> dict:
-    """The corner block (``_add``) of the raw terms that ``bridge_terms``
-    gives on classes, column j classes[j], each term's coefficient the
-    ``word_sign`` of its word.  A term's canonical data is known's entry
-    for its raw (sigma0, sigma1) pair when known holds one, else its own
-    ``_canonical_data`` pass."""
-    block: dict = {}
+def _terms_block(classes, parity: int, rows: dict, known=None) -> list:
+    """The corner block of the raw terms that ``bridge_terms`` gives on
+    classes, as (row, col, coeff) triples: column j is classes[j], rows
+    maps a target key to its row, and each term's coefficient is the
+    ``word_sign`` of its word.  Each column's terms are summed by row in a
+    dict of their own as they are read, so no term's canonical pair
+    outlives it.  A term's canonical data is the next of known's entries
+    for its class (``enumeration._chord_round``'s chords) when that entry's
+    first relabeling takes the term onto the entry's key, else its own
+    ``_canonical_data`` pass.  A target outside rows is a hard error (the
+    cell is under-enumerated)."""
+    odd, block = parity == ODD, []
     for j, cls in enumerate(classes):
-        for g, word in bridge_terms(cls.graph, parity == ODD):
-            raw = g.sigma0, g.sigma1
-            key, maps = known[raw] if known and raw in known else _canonical_data(*raw)
-            _add(block, j, key, word_sign(word, parity, maps))
+        recorded = iter(known.get(cls.key, ()) if known else ())
+        per: dict = {}  # row -> coefficient, for column j
+        for g, word in bridge_terms(cls.graph, odd):
+            data = next(recorded, None)
+            if data is None or not _relabels(g, *data):
+                data = _canonical_data(g.sigma0, g.sigma1)
+            coeff = word_sign(word, parity, data[1])
+            if coeff:
+                i = rows.get(data[0])
+                if i is None:
+                    raise _unplaced(data[0])
+                per[i] = per.get(i, 0) + coeff
+        block.extend((i, j, v) for i, v in per.items() if v)
     return block
+
+
+def _relabels(g, key, maps) -> bool:
+    """Whether the relabeling maps[0] takes g onto the canonical pair key.
+    A relabeling is a bijection, so then g is the graph whose pass gave
+    (key, maps)."""
+    (t0, t1), lab = key, maps[0]
+    return [t0[x] for x in lab] == [lab[h] for h in g.sigma0] and [t1[x] for x in lab] == [lab[h] for h in g.sigma1]
 
 
 def _place(block: dict, rows: dict) -> list:
@@ -218,7 +245,12 @@ def _place(block: dict, rows: dict) -> list:
     try:
         return [(rows[key], j, v) for key, per in block.items() for j, v in per.items()]
     except KeyError as miss:
-        raise AssemblyError("image class %s not in codomain basis" % (miss.args[0],)) from None
+        raise _unplaced(miss.args[0]) from None
+
+
+def _unplaced(key) -> AssemblyError:
+    """The error for a target key outside the codomain's rows."""
+    return AssemblyError("image class %s not in codomain basis" % (key,))
 
 
 class ComplexSlice(namedtuple("ComplexSlice", "spec cells matrices bases")):

@@ -8,8 +8,9 @@ Two independent code paths, neither of which keeps state between calls:
   first rounds, the one-vertex maps of each boundary count in turn, from
   the loop one chord at a time, each chord adding a boundary or trading
   two boundaries for a handle; it hands out the canonical data of the
-  chords between two corners with each round, since they are the corner
-  terms into it.  Rounds of vertex splits then add one vertex and one
+  chords between two corners with each round, per class of the round
+  before and holding the new round's own key objects, since they are the
+  corner terms into it.  Rounds of vertex splits then add one vertex and one
   edge each, so a chain yields every edge count in turn, each round a
   whole cell.  Every candidate is canonicalized once and deduplicated by
   its canonical form; the same pass gives its automorphisms and its zero
@@ -75,10 +76,12 @@ def _chord_round(layer, join: bool = False) -> tuple[dict, dict]:
     join, every chord between two corners on different boundaries: they
     merge, and the genus grows by one.  Otherwise every chord inside one
     boundary, a loop in each corner included: it splits the boundary, and
-    the genus stays; chords then maps the raw (sigma0, sigma1) pair of each
-    chord between two distinct corners, ``diff.bridge_terms``'s terms on
-    layer, to its ``_canonical_data``."""
-    out, chords = {}, {}
+    the genus stays; chords then maps each class of layer to the canonical
+    data of its chords between two distinct corners, which are
+    ``diff.bridge_terms``'s terms on it, in that order: one (key, maps) per
+    chord, key the round's own key object and maps the chord's own
+    relabelings.  So no chord's raw pair or fresh key outlives its pass."""
+    out, chords, own = {}, {}, {}  # own: each key of the round -> itself
     for src in layer:
         g = RibbonGraph(*src)
         walks = boundaries(g)
@@ -87,14 +90,17 @@ def _chord_round(layer, join: bool = False) -> tuple[dict, dict]:
             pairs = [(a, b) for a, b in combinations(range(len(src[0])), 2) if walk[a] != walk[b]]
         else:
             pairs = [pq for b in walks for pq in combinations_with_replacement(sorted(b), 2)]
+        terms = []
         for c1, c2 in pairs:
             new = _add_chord(g, c1, c2)
-            raw = new.sigma0, new.sigma1
-            key, maps = data = _canonical_data(*raw)
+            key, maps = _canonical_data(new.sigma0, new.sigma1)
+            key = own.setdefault(key, key)
             if key not in out:
                 out[key] = maps
             if c1 != c2 and not join:
-                chords[raw] = data
+                terms.append((key, maps))
+        if terms:
+            chords[src] = terms
     return out, chords
 
 
@@ -102,14 +108,15 @@ def _first_rounds(genus: int):
     """(n, E, round, chords) for n = 1, 2, ...: round is the first round of
     the (genus, n) chain, the single edge for (0, 1), else the one-vertex
     maps, with E = 2g + n - 1 edges (1 for the single edge), and chords is
-    ``_chord_round``'s for the round grown from the one of n - 1 (empty
-    where the round does not grow from that one).  The rounds grow from the
-    loop, the one-vertex map of (0, 2), one chord at a time: (g, 2) ->
-    (g + 1, 1) by a chord joining the two boundaries, up to the genus, and
-    (g, n) -> (g, n + 1) by a chord inside one.  Each one-vertex map of (g,
-    n) with n >= 2 loses a boundary when an edge between two boundaries is
-    deleted, and one of (g, 1) with g >= 1 becomes a map of (g - 1, 2) when
-    any edge is, so the path misses nothing."""
+    ``_chord_round``'s for the round grown from the one of n - 1, keyed by
+    that round's classes (empty where the round does not grow from that
+    one).  The rounds grow from the loop, the one-vertex map of (0, 2), one
+    chord at a time: (g, 2) -> (g + 1, 1) by a chord joining the two
+    boundaries, up to the genus, and (g, n) -> (g, n + 1) by a chord inside
+    one.  Each one-vertex map of (g, n) with n >= 2 loses a boundary when an
+    edge between two boundaries is deleted, and one of (g, 1) with g >= 1
+    becomes a map of (g - 1, 2) when any edge is, so the path misses
+    nothing."""
     if genus == 0:
         yield 1, 1, _canonical_layer([((0, 1), (1, 0))]), {}
     g, n, layer, chords = 0, 2, _canonical_layer([((1, 0), (1, 0))]), {}

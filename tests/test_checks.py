@@ -2,6 +2,7 @@
 from collections import Counter
 import hashlib
 import json
+import weakref
 
 import pytest
 
@@ -19,7 +20,7 @@ from ribboncoh.checks import (
 )
 from ribboncoh.diff import bridge_images, delta_images
 from ribboncoh.enumeration import LE2_CELLS, EnumSpec, enumerate_classes, le2_classes
-from ribboncoh.ribbon import RibbonGraph, boundaries
+from ribboncoh.ribbon import RibbonGraph, boundaries, genus
 
 SMALL_EDGES = dict(g_max=1, e_max_full=3, e_max_ge3=3, e_max_le2=5, e_max_oracle=3)
 SMALL = CheckBounds(**SMALL_EDGES)
@@ -214,8 +215,8 @@ def test_images_have_nonzero_int_coefficients():
 
 
 def test_memoized_images_hold_one_object_per_class(monkeypatch):
-    # the identity suite memoizes one operator, D = delta + the corner
-    # operator, and equal classes in any of its images are one object
+    # the identity suite memoizes one operator per genus, D = delta + the
+    # corner operator, and equal classes in any of its images are one object
     ops, real = [], checks._memoized
 
     def recorded(images_of, parities):
@@ -225,13 +226,36 @@ def test_memoized_images_hold_one_object_per_class(monkeypatch):
     monkeypatch.setattr(checks, "_memoized", recorded)
     gens = list(iter_generators(SMALL))
     identity_suite(SMALL, gens)
-    [op] = ops
+    assert len(ops) == SMALL.g_max + 1
     seen, offsets = {}, set()
-    for _, x in gens:
+    for spec, x in gens:
+        op = ops[spec.genus]
         offsets |= {len(boundaries(c.graph)) - len(boundaries(x.graph)) for c in op(x)}
         for image in (op(x), *(op(c) for c in op(x))):
             assert all(seen.setdefault(c, c) is c for c in image)
     assert len(seen) > 100 and offsets == {0, 1}
+
+
+def test_identity_memo_lives_for_one_genus(monkeypatch):
+    # D keeps the genus, so the suite frees each genus's memo before it
+    # fills the next one: at every image it computes, only one memo is alive
+    refs, real, images = [], checks._memoized, checks.d_images
+
+    def recorded(images_of, parities):
+        op = real(images_of, parities)
+        refs.append(weakref.ref(op))
+        return op
+
+    def d_images(g, parities):
+        assert [r() is not None for r in refs] == [False] * (len(refs) - 1) + [True]
+        genera.add((len(refs) - 1, genus(g)))
+        return images(g, parities)
+
+    genera = set()
+    monkeypatch.setattr(checks, "_memoized", recorded)
+    monkeypatch.setattr(checks, "d_images", d_images)
+    assert identity_suite(SMALL, list(iter_generators(SMALL)))["passed"]
+    assert genera == {(0, 0), (1, 1)}
 
 
 def _no_odd_items(builder):
@@ -399,8 +423,7 @@ def test_rank_suite_compares_the_built_matrix_with_the_oracle(monkeypatch):
     real = complexes._terms_block
 
     def negated(*args):
-        block = real(*args)
-        return {key: {j: -v for j, v in per.items()} for key, per in block.items()}
+        return [(i, j, -v) for i, j, v in real(*args)]
 
     monkeypatch.setattr(complexes, "_terms_block", negated)
     report = rank_suite()
@@ -417,6 +440,16 @@ def test_rank_suite_reports_a_rank_without_proof(monkeypatch):
     report = rank_suite()
     assert report["matrices"] == RANK_SUITE_TRIALS + 1 and not report["passed"]
     assert report["violations"] == [{"suite": "rank_oracle", "detail": "no proof"}] * report["matrices"]
+
+
+def test_rank_suite_fails_a_proof_that_trusts_the_pivot_count(monkeypatch):
+    # the suite's last trial, [[1000003]], has rank 0 at the first lift
+    # prime and 1 over Q: a "proof" that returns the pivot count mod the
+    # lift prime, with no M K = 0 check, passes every other matrix
+    monkeypatch.setattr(linalg, "_proved_rank", lambda m, p: len(linalg._pivots_modp(m, p)))
+    report = rank_suite()
+    assert report["matrices"] == RANK_SUITE_TRIALS + 1 and not report["passed"]
+    assert report["violations"] == [{"suite": "rank_oracle", "detail": "certified rank differs"}]
 
 
 # SHA-256 of the JSON report at default bounds per parity scope, as

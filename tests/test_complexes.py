@@ -329,6 +329,27 @@ def test_builds_grow_each_first_round_once(spec, passes, chord_rounds, monkeypat
     assert counts == {"passes": passes, "chord_rounds": chord_rounds}
 
 
+def test_corner_terms_out_of_chord_order_get_their_own_pass(monkeypatch):
+    # a first round's chords are recorded per source in bridge_terms's
+    # order, and a term is given a recorded entry only when that entry's
+    # relabeling takes the term onto its key: with each source's terms
+    # reversed, the entries no longer line up, every term that misses its
+    # entry gets its own pass, and the matrices are those of the real order
+    spec = ComplexSpec("mw", 0, 1, "full", 1, 5)
+    passes, data = [0], canonical._canonical_data
+
+    def counted(*args):
+        passes[0] += 1
+        return data(*args)
+
+    monkeypatch.setattr(complexes, "_canonical_data", counted)
+    real = build(spec).matrices
+    in_order, passes[0] = passes[0], 0
+    monkeypatch.setattr(complexes, "bridge_terms", lambda g, odd=False: reversed(list(diff.bridge_terms(g, odd))))
+    assert build(spec).matrices == real
+    assert (in_order, passes[0]) == (649, 657)
+
+
 def _cache_files(path, kind):
     return sorted(p for p in path.iterdir() if p.name.startswith(kind + "-"))
 

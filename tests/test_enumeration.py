@@ -260,23 +260,38 @@ def test_first_rounds_match_the_chord_closure():
 def test_first_round_chords_are_the_corner_terms_of_the_round_before():
     # each first round after the loop grows from the one before by chords,
     # and those between two distinct corners are exactly bridge_terms's on
-    # every class of that round, zero classes included, each with the
-    # canonical data of its own pass
+    # every class of that round, zero classes included, recorded per class
+    # in bridge_terms's order, each with the canonical data of its own pass
     checked = 0
     for genus in range(3):
         before = None
         for n, e, layer, chords in _first_rounds(genus):
             if n >= 2 and (genus, n) != (0, 2):
                 assert e == 2 * genus + n - 1
-                raws = [(t.sigma0, t.sigma1) for src in before
-                        for t, _ in diff.bridge_terms(RibbonGraph(*src))]
-                assert len(raws) == len(set(raws)) == len(chords)
-                assert all(chords[raw] == enumeration._canonical_data(*raw) for raw in raws)
-                checked += len(raws)
+                assert set(chords) <= set(before)
+                for src in before:
+                    raws = [(t.sigma0, t.sigma1) for t, _ in diff.bridge_terms(RibbonGraph(*src))]
+                    recorded = chords.get(src, [])
+                    assert len(raws) == len(set(raws)) == len(recorded)
+                    assert all(data == enumeration._canonical_data(*raw) for raw, data in zip(raws, recorded))
+                    checked += len(raws)
             if n == 7 - 2 * genus:
                 break
             before = layer
     assert checked == 2461  # every first round with E <= 6
+
+
+def test_first_round_chords_hold_their_rounds_own_keys():
+    # a recorded chord keeps the key object of the round it grew, not the
+    # fresh key of its own pass, so no chord adds a canonical pair
+    checked = 0
+    for genus in range(3):
+        for n, e, layer, chords in islice(_first_rounds(genus), 7 - 2 * genus):
+            own = {key: key for key in layer}
+            for terms in chords.values():
+                assert all(key is own[key] for key, _ in terms)
+                checked += len(terms)
+    assert checked == 2461
 
 
 def test_empty_arc_cut_lists_no_odd_items(monkeypatch):
