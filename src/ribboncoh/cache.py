@@ -20,6 +20,11 @@ a basis {"parity", "zero_classes", "classes"} with its nonzero classes as
 its payload.  An entry whose header does not match, or whose document
 does not rebuild into valid graphs or a valid matrix, is a miss and gets
 recomputed.  Writes are atomic (temp file then rename).
+
+An entry is written in pieces of at most PIECE list items, each hashed as
+it goes, and its header line, of one width for its kind, is rewritten at
+the end with the digest: the file holds the same bytes as the header line
+and the whole compact JSON text would, and no copy of that text is held.
 """
 from __future__ import annotations
 
@@ -89,13 +94,24 @@ class Cache:
         return os.path.join(self.root, "%s-%s.json" % (kind, h))
 
     def _store(self, kind: str, spec, at, doc) -> None:
+        """Write ``_header(kind, body) + "\n" + body``, body the compact
+        JSON of doc, in ``_pieces``: the header line, of one width for its
+        kind, goes first with a placeholder digest and is rewritten once
+        every piece has been written and hashed, so no copy of the whole
+        body is ever held."""
         if not self.enabled:
             return
-        body = json.dumps(doc, separators=(",", ":"))
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w") as f:
-                f.write(_header(kind, body) + "\n" + body)
+            with os.fdopen(fd, "wb") as f:
+                f.write((HEADER % (kind, "0" * 64) + "\n").encode())
+                h = sha256()
+                for piece in _pieces(doc):
+                    data = piece.encode()
+                    h.update(data)
+                    f.write(data)
+                f.seek(0)
+                f.write((HEADER % (kind, h.hexdigest())).encode())
             os.replace(tmp, self._path(kind, spec, at))
         finally:
             if os.path.exists(tmp):  # only when the write failed
@@ -154,8 +170,42 @@ class Cache:
         return payload if isinstance(payload, dict) else None
 
 
+HEADER = "# ribboncoh %s sha256=%s"  # kind, the SHA-256 of the body: 64 hex digits
+
+
 def _header(kind: str, body: str) -> str:
-    return "# ribboncoh %s sha256=%s" % (kind, sha256(body.encode()).hexdigest())
+    return HEADER % (kind, sha256(body.encode()).hexdigest())
+
+
+PIECE = 32  # the most items of a long list that one piece holds
+
+
+def _dumps(doc) -> str:
+    return json.dumps(doc, separators=(",", ":"))
+
+
+def _pieces(doc):
+    """``_dumps(doc)`` in pieces, which join to it exactly: a list longer
+    than PIECE goes PIECE items at a time, and a dict or a shorter list
+    goes as the text before its last value, that value's own pieces and
+    its closing bracket; anything else is one piece.  So a basis's classes
+    and a matrix's entries never stand in one string."""
+    if isinstance(doc, (list, tuple)) and len(doc) > PIECE:
+        yield "["
+        for k in range(0, len(doc), PIECE):
+            yield ("," if k else "") + _dumps(doc[k:k + PIECE])[1:-1]
+        yield "]"
+    elif isinstance(doc, (list, tuple)) and doc:
+        yield _dumps(doc[:-1])[:-1] + ("," if len(doc) > 1 else "")
+        yield from _pieces(doc[-1])
+        yield "]"
+    elif isinstance(doc, dict) and doc:
+        *head, (key, last) = doc.items()
+        yield _dumps(dict(head))[:-1] + ("," if head else "") + _dumps({key: None})[1:-5]
+        yield from _pieces(last)
+        yield "}"
+    else:
+        yield _dumps(doc)
 
 
 NO_CACHE = Cache(None)

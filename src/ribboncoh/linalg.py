@@ -16,18 +16,21 @@ by the gcd of its entries; ``rank_modp`` works modulo a prime.  The two
 keep separate loops on purpose: ``rank_modp`` is the oracle of ``rank``,
 and a fault in one shared loop would pass both.
 
-``certified_rank`` proves a rank from one elimination modulo a lift prime,
-by the same rule in a loop of its own (``_pivots_modp``), which keeps its
-echelon rows.  Its kernel vectors, lifted to the rationals by rational
-reconstruction (Wang 1981; Dixon, Numer. Math. 1982) and checked to
-satisfy M K = 0 over the integers, bound the rank from above.  The pivot
-count, a rank mod p, never exceeds the rational rank; the pivot minor, of
-full rank under ``rank_modp`` at the minor prime, guards that lower bound
-against a fault of ``_pivots_modp``, with ``rank_modp``, which shares no
-code with it, as the judge.  No floating point anywhere.
+``certified_rank`` proves a rank from one elimination modulo a lift prime
+(``_pivots_modp``), by another rule: rows are reduced one at a time, in
+order of their length, by the pivots found before them, so it holds its
+echelon rows and one working row, not every row.  Its kernel vectors,
+lifted to the rationals by rational reconstruction (Wang 1981; Dixon,
+Numer. Math. 1982) and checked to satisfy M K = 0 over the integers,
+bound the rank from above.  The pivot count, a rank mod p, never exceeds
+the rational rank; the pivot minor, of full rank under ``rank_modp`` at
+the minor prime, guards that lower bound against a fault of
+``_pivots_modp``, with ``rank_modp``, which shares no code and no
+elimination with it, as the judge.  No floating point anywhere.
 """
 from __future__ import annotations
 
+from bisect import insort
 from collections import namedtuple
 from itertools import groupby
 from math import gcd, isqrt
@@ -228,56 +231,60 @@ RETRY_PRIME = 2**61 - 1  # the second lift prime: a Mersenne prime, too large to
 
 
 def _pivots_modp(m: SparseIntMatrix, p: int) -> list:
-    """``rank_modp``'s elimination, recording each pivot as (original row,
-    column, the pivot row scaled to 1 at the column), in pivot order.  A
-    pivot row holds no earlier pivot's column, so the rows are an echelon
-    form.  A loop of its own: ``rank_modp`` checks what it finds."""
-    rows = [{} for _ in range(m.rows)]  # filled from the entries, with no row_dicts() copy
-    for r, c, v in m.entries:
-        if v % p:
-            rows[r][c] = v % p
-    holders = [[] for _ in range(m.cols)]  # column -> rows listed as holding it
-    by_len = [[] for _ in range(m.cols + 1)]  # length -> rows queued at it
-    for i, r in enumerate(rows):
-        for c in r:
-            holders[c].append(i)
-        by_len[len(r)].append(i)
+    """An echelon form of m mod p, one row at a time: each pivot as
+    (original row, column, the row reduced and scaled to 1 at the column),
+    in pivot order.  Rows are taken by their length in m, the smaller
+    index among equals, and each is read from the entries when its turn
+    comes.  It is reduced by the pivots found so far in pivot order (a
+    later pivot's column that an update brings in is queued too), and a
+    row that survives becomes the next pivot, at the column of its own
+    that the fewest rows of m hold, the smallest among equals.  So no
+    pivot row holds an earlier pivot's column, and only the pivot rows and
+    the working row are held, never every row.  A loop of its own, with
+    no rule shared with ``rank_modp``, which checks what it finds."""
+    start = memoryview(bytearray(4 * (m.rows + 1))).cast("I")  # row -> its first entry
+    held = [0] * m.cols  # column -> rows of m that hold it
+    for r, c, _ in m.entries:
+        start[r + 1] += 1
+        held[c] += 1
+    place = [0] * (m.cols + 2)  # row length -> its rows' first place in the order
+    for r in range(m.rows):
+        place[start[r + 1] + 1] += 1
+        start[r + 1] += start[r]
+    for n in range(1, m.cols + 1):
+        place[n] += place[n - 1]
+    order = memoryview(bytearray(4 * m.rows)).cast("I")  # 4 bytes a row, no int object
+    for r in range(m.rows):
+        n = start[r + 1] - start[r]
+        order[place[n]] = r
+        place[n] += 1
     pivots = []
-    short = 1
-    while short <= m.cols:
-        if not by_len[short]:
-            short += 1
-            continue
-        i = by_len[short].pop()
-        pivot_row = rows[i]
-        if len(pivot_row) != short:  # queued at a length it has since left
-            continue
-        rows[i] = {}
-        pc = min(pivot_row, key=lambda c: (len(holders[c]), c))
-        pv_inv = pow(pivot_row[pc], p - 2, p)
-        pivot = {c: v * pv_inv % p for c, v in pivot_row.items()}
-        pivots.append((i, pc, pivot))
-        for j in holders[pc]:
-            r = rows[j]
-            w = r.get(pc)
-            if w is None:  # a row that has lost the column, or the pivot row
+    at_col = {}  # pivot column -> its pivot's index
+    for i in order[place[0]:]:  # place[0] is past the rows of no entry, which are no pivots
+        row = {c: v % p for _, c, v in m.entries[start[i]:start[i + 1]] if v % p}
+        queue = sorted(at_col[c] for c in row if c in at_col)
+        while queue:
+            _, pc, pivot = pivots[queue.pop(0)]
+            w = row.get(pc)
+            if w is None:  # cancelled by an earlier pivot, or queued twice
                 continue
             for c, v in pivot.items():
-                if c not in r:
-                    r[c] = -v * w % p
-                    holders[c].append(j)
-                else:
-                    nv = (r[c] - v * w) % p
+                if c in row:
+                    nv = (row[c] - v * w) % p
                     if nv:
-                        r[c] = nv
+                        row[c] = nv
                     else:
-                        del r[c]
-            if r:
-                by_len[len(r)].append(j)
-                short = min(short, len(r))
-            else:  # most rows cancel: a dict keeps its table when emptied
-                rows[j] = {}
-        holders[pc] = []
+                        del row[c]
+                else:
+                    row[c] = -v * w % p
+                    k = at_col.get(c)
+                    if k is not None:  # a later pivot's column, brought in
+                        insort(queue, k)
+        if row:
+            pc = min(row, key=lambda c: (held[c], c))
+            pv_inv = pow(row[pc], p - 2, p)
+            at_col[pc] = len(pivots)
+            pivots.append((i, pc, {c: v * pv_inv % p for c, v in row.items()}))
     return pivots
 
 

@@ -1,12 +1,18 @@
 """On-disk cache: round trips, what each kind of entry is keyed by,
-source-digest keys, corruption handling, disabled mode."""
+source-digest keys, corruption handling, disabled mode, and the bytes and
+memory of a write in pieces."""
 import hashlib
 import json
+import os
+import random
+import tempfile
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ribboncoh import cache as cache_module
-from ribboncoh.cache import NO_CACHE, Cache, default_cache_dir, spec_hash
+from ribboncoh.cache import NO_CACHE, PIECE, Cache, default_cache_dir, spec_hash
 from ribboncoh.complexes import ComplexSpec
 from ribboncoh.enumeration import EnumSpec, enumerate_classes
 from ribboncoh.linalg import SparseIntMatrix
@@ -263,3 +269,84 @@ def test_table_without_payload_is_a_miss(tmp_path):
     for doc in ([], None, 1):
         _rewrite(path, "table", doc)
         assert cache.load_table(SPEC, False) is None
+
+
+def _whole_entry(kind, doc) -> bytes:
+    """An entry as one string, the header line and the compact JSON body:
+    the bytes that ``_store`` writes in pieces."""
+    body = json.dumps(doc, separators=(",", ":"))
+    return ("# ribboncoh %s sha256=%s\n%s" % (kind, hashlib.sha256(body.encode()).hexdigest(), body)).encode()
+
+
+def _stored(kind, doc) -> bytes:
+    at = {"basis": (2, 3), "matrix": 2, "table": False}[kind]
+    with tempfile.TemporaryDirectory() as root:
+        Cache(root)._store(kind, SPEC, at, doc)
+        (name,) = os.listdir(root)
+        with open(os.path.join(root, name), "rb") as f:
+            return f.read()
+
+
+def _pairs(n, seed=0):
+    """n [sigma0, sigma1] pairs of random permutations of 14 half-edges,
+    the size of a class at E=7."""
+    rng = random.Random(seed)
+    return [[rng.sample(range(14), 14), rng.sample(range(14), 14)] for _ in range(n)]
+
+
+def test_entries_are_written_in_pieces_with_the_same_bytes(tmp_path):
+    cache = Cache(str(tmp_path))
+    classes, zero = _classes()
+    cache.store_basis(SPEC, 2, 3, classes, zero)
+    doc = {"parity": 0, "zero_classes": zero, "classes": [[c.sigma0, c.sigma1] for c in classes]}
+    assert _entry(tmp_path, "basis").read_bytes() == _whole_entry("basis", doc)
+    m = SparseIntMatrix(600, 300, tuple((r, r % 300, r - 299) for r in range(600) if r != 299))
+    cache.store_matrix(SPEC, 2, m)
+    assert _entry(tmp_path, "matrix").read_bytes() == _whole_entry("matrix", [m.rows, m.cols, m.entries])
+    payload = {"rows": [{"E": e, "h": e % 2, "certified": True} for e in range(2, 8)], "calc1": None}
+    cache.store_table(SPEC, False, payload)
+    assert _entry(tmp_path, "table").read_bytes() == _whole_entry("table", payload)
+
+
+@pytest.mark.parametrize("doc", [
+    [], {}, [[]], {"classes": []}, [3, 0, []],
+    list(range(PIECE - 1)), list(range(PIECE)), list(range(PIECE + 1)),
+    list(range(255)), list(range(256)), list(range(257)), list(range(1000)),
+    {"parity": 1, "zero_classes": 4, "classes": _pairs(513)},
+    [7407, 946, [[r, r % 946, -1] for r in range(1000)]],
+    {"a": {"b": [list(range(300)), {"c": [[1.5, None, "\u00e9"]] * 257}], "d": {}}, "e": [True]},
+], ids=["empty-list", "empty-dict", "list-of-empty", "empty-classes", "empty-matrix",
+        "PIECE-1", "PIECE", "PIECE+1", "255", "256", "257", "1000", "basis-513", "matrix-1000", "nested-dict"])
+def test_store_writes_the_whole_entry_form(doc):
+    assert _stored("table", doc) == _whole_entry("table", doc)
+
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4)
+    | st.lists(st.integers(), min_size=30, max_size=300),  # long lists, cut into pieces
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_json)
+def test_store_writes_the_whole_entry_form_of_any_document(doc):
+    assert _stored("basis", doc) == _whole_entry("basis", doc)
+
+
+def test_storing_a_basis_holds_no_copy_of_its_body(tmp_path):
+    # the document is built before tracing starts, so what is traced is
+    # the write alone: one string per body held three copies of it, and
+    # json's encoder holds one string object per number while it runs
+    cache = Cache(str(tmp_path))
+    doc = {"parity": 0, "zero_classes": 0, "classes": _pairs(5000)}
+    body = len(json.dumps(doc, separators=(",", ":")))
+    tracemalloc.start()
+    try:
+        cache._store("basis", SPEC, (4, 7), doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert body > 300_000
+    assert peak < body / 4, (peak, body)

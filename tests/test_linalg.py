@@ -1,5 +1,6 @@
 """Exact linear algebra: rank oracles, modular certification, assembly."""
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,7 @@ from ribboncoh.linalg import (
     AssemblyError,
     RankProofError,
     SparseIntMatrix,
+    _pivots_modp,
     _proved_rank,
     assemble,
     certified_rank,
@@ -314,3 +316,83 @@ def test_rank_matches_dense_oracle(m):
     assert r == rank(m.transpose())
     assert all(rank_modp(m, p) <= r for p in CERTIFICATION_PRIMES)
     assert certified_rank(m) == r
+
+
+def _echelon_ok(m, p):
+    """True when _pivots_modp's pivots keep their contract: rows of m, in
+    pivot order, each scaled to 1 at its column and holding no earlier
+    pivot's column, as many as the rank mod p."""
+    pivots = _pivots_modp(m, p)
+    seen = set()
+    for i, pc, row in pivots:
+        if not (0 <= i < m.rows and row.get(pc) == 1 and not seen & row.keys()):
+            return False
+        seen.add(pc)
+    return len({i for i, _, _ in pivots}) == len(pivots) == rank_modp(m, p)
+
+
+def test_pivots_are_an_echelon_form():
+    p = CERTIFICATION_PRIMES[0]
+    mats = _sparse_test_matrices()
+    assert all(_echelon_ok(m, p) and _echelon_ok(m.transpose(), p) for m in mats)
+    assert all(_echelon_ok(m, 3) for m in mats)  # a small prime, whose updates cancel more
+    block = build(ComplexSpec("mw", 0, sector="ge3", e_min=5, e_max=6)).matrices[5]
+    assert _echelon_ok(block, p) and _echelon_ok(block.transpose(), p)
+
+
+def _tall_low_rank(rows, cols, rank_, seed):
+    """A rows x cols matrix of rank at most rank_: each row is one or two
+    of rank_ sparse base rows, times small multipliers."""
+    rng = random.Random(seed)
+    base = [{c: rng.choice((-2, -1, 1, 2)) for c in rng.sample(range(cols), 3)} for _ in range(rank_)]
+    ent = []
+    for r in range(rows):
+        row: dict = {}
+        for b in rng.sample(base, rng.randint(1, 2)):
+            a = rng.choice((-1, 1, 3))
+            for c, v in b.items():
+                row[c] = row.get(c, 0) + a * v
+        ent.extend((r, c, v) for c, v in row.items() if v)
+    return SparseIntMatrix(rows, cols, ent)
+
+
+def test_elimination_holds_its_pivot_rows_not_every_row():
+    # a row dict alone costs more than 24 bytes (an empty one is 64), so
+    # an elimination that held every row would pass the bound many times
+    m = _tall_low_rank(4000, 40, 12, 7)
+    p = CERTIFICATION_PRIMES[0]
+    tracemalloc.start()
+    try:
+        pivots = _pivots_modp(m, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < len(pivots) == rank(m) <= 12
+    assert peak < 24 * m.rows, peak
+
+
+@st.composite
+def shaped_matrices(draw):
+    """A tall, a wide or a cancelling matrix, the last a product A B
+    through a narrow middle, whose entries cancel as they are eliminated."""
+    shape = draw(st.sampled_from(("tall", "wide", "cancelling")))
+    entry = st.integers(-3, 3)
+    if shape == "cancelling":
+        rows, mid, cols = draw(st.integers(1, 12)), draw(st.integers(1, 4)), draw(st.integers(1, 12))
+        a = draw(st.lists(st.lists(entry, min_size=mid, max_size=mid), min_size=rows, max_size=rows))
+        b = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=mid, max_size=mid))
+        dense = [[sum(x * y for x, y in zip(r, col)) for col in zip(*b)] for r in a]
+    else:
+        long, short = draw(st.integers(8, 24)), draw(st.integers(1, 5))
+        rows, cols = (long, short) if shape == "tall" else (short, long)
+        dense = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    return SparseIntMatrix(rows, cols, tuple(
+        (r, c, v) for r, row in enumerate(dense) for c, v in enumerate(row) if v
+    ))
+
+
+@settings(max_examples=120, deadline=None)
+@given(shaped_matrices())
+def test_certified_rank_matches_the_dense_fraction_rank(m):
+    assert certified_rank(m) == _dense_fraction_rank(m)
+    assert _echelon_ok(m, CERTIFICATION_PRIMES[0])
