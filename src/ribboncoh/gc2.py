@@ -20,14 +20,14 @@ differential term have valence at least 2, so at floor 1 the operator
 lacks every term that makes a univalent vertex.  ``GCSpec`` refuses floor
 1; only ``_rounds`` takes it, for the enumeration tests.
 
-What checks the sign rule: ``complexes.build``'s D_{E+1}·D_E = 0 check
-never meets two composable nonzero gc2 blocks in any table that the tests
-or CI build.  At floor 2, E up to 9, loop order 2 has nonzero blocks from
-E=5 and E=8 only, loop order 3 from E=8 only and loop order 4 none (at
-floor 3 neither); past the guard, loop order 5 at floor 3, E 5..12, has
-one (from E=10).  So d² = 0 holds trivially there, and ``_gc_sign`` is
-checked only against the tests' own copy of the differential
-(``_split_image`` in tests/test_gc2.py), composed on two E=8 generators.
+What checks the sign rule: ``complexes.build``'s D_{E+1}·D_E = 0 check,
+where two nonzero blocks compose.  Up to E=9 no table has two: at floor
+2, loop order 2 has nonzero blocks from E=5 and E=8 only, loop order 3
+from E=8 only.  Loop order 3 at floor 2, E 3..10, adds the block from
+E=9 (34x18) to the one from E=8 (18x4); the acceptance tier builds that
+slice, and a ``_splits`` that swaps two edges of an odd moved part makes
+that build raise.  The tests' own copy of the differential (``_split_image`` in
+tests/test_gc2.py) also checks ``_gc_sign`` on two E=8 generators.
 """
 from __future__ import annotations
 

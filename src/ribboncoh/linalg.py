@@ -1,32 +1,27 @@
-"""Exact sparse linear algebra over arbitrary-precision integers.
+"""Exact linear algebra over arbitrary-precision integers: sparse
+matrices, their ranks and the proof of a rank.
 
-Both ranks eliminate by the same rule.  The pivot row is a shortest
-remaining row; its pivot column is the one of its columns listed with the
-fewest rows, the smallest index among equals (Markowitz's heuristic: few
-rows to update, little fill-in).  Each column keeps a list of the rows that
-hold it, and a pivot visits only the rows on its column's list.  A row
-that gains a column through fill-in is appended to that column's list; a
-row that loses one by cancellation stays listed and is skipped when met.
-Rows are queued by length, so the shortest row is found without a scan; a
-row queued at a length it has since left is skipped the same way.
+Three eliminations, no two of which share code, so that a fault in one
+cannot pass the check that another makes of it:
+- ``rank``, over the rationals: textbook dense elimination over
+  Fraction.  No table calls it; it is the rank suite's oracle.
+- ``rank_modp``, modulo a prime: sparse Markowitz elimination.  The pivot
+  row is a shortest remaining row, its pivot column the one of its
+  columns that the fewest rows hold, the smallest among equals.  Each
+  column lists the rows that hold it, and a pivot visits only those.  A
+  row that gains a column by fill-in joins that column's list; one that
+  has lost the column, or is queued at a length it has left, is skipped.
+- ``_pivots_modp``, modulo a lift prime: rows are reduced one at a time,
+  in order of length, by the pivots found before them, so only the
+  echelon rows and one working row are held.
 
-``rank`` works over the integers, clearing the column by the cross
-multiples that the gcd of the two entries leaves and dividing each new row
-by the gcd of its entries; ``rank_modp`` works modulo a prime.  The two
-keep separate loops on purpose: ``rank_modp`` is the oracle of ``rank``,
-and a fault in one shared loop would pass both.
-
-``certified_rank`` proves a rank from one elimination modulo a lift prime
-(``_pivots_modp``), by another rule: rows are reduced one at a time, in
-order of their length, by the pivots found before them, so it holds its
-echelon rows and one working row, not every row.  Its kernel vectors,
-lifted to the rationals by rational reconstruction (Wang 1981; Dixon,
-Numer. Math. 1982) and checked to satisfy M K = 0 over the integers,
-bound the rank from above.  The pivot count, a rank mod p, never exceeds
-the rational rank; the pivot minor, of full rank under ``rank_modp`` at
-the minor prime, guards that lower bound against a fault of
-``_pivots_modp``, with ``rank_modp``, which shares no code and no
-elimination with it, as the judge.  No floating point anywhere.
+``certified_rank`` proves a rank from ``_pivots_modp``.  Its kernel
+vectors, lifted to the rationals by rational reconstruction (Wang 1981;
+Dixon, Numer. Math. 1982) and checked to satisfy M K = 0 over the
+integers, bound the rank from above.  The pivot count, a rank mod p,
+never exceeds the rational rank; the pivot minor, of full rank under
+``rank_modp`` at the minor prime, guards that lower bound against a fault
+of ``_pivots_modp``.  No floating point anywhere.
 """
 from __future__ import annotations
 
@@ -118,57 +113,27 @@ def assemble(domain_basis, codomain_basis, operator) -> SparseIntMatrix:
 
 
 def rank(m: SparseIntMatrix) -> int:
-    """Exact rank over the rationals, fraction-free elimination: the rank
-    suite's oracle, here while the benchmark tracer wraps it (ROADMAP item 1)."""
-    rows = m.row_dicts()
-    holders = [[] for _ in range(m.cols)]  # column -> rows listed as holding it
-    by_len = [[] for _ in range(m.cols + 1)]  # length -> rows queued at it
-    for i, r in enumerate(rows):
-        for c in r:
-            holders[c].append(i)
-        by_len[len(r)].append(i)
+    """Exact rank over the rationals by textbook dense elimination over
+    Fraction: the rank suite's oracle, here while the benchmark tracer
+    wraps it (ROADMAP item 1)."""
+    from fractions import Fraction  # only this oracle needs it
+
+    a = [[Fraction(0)] * m.cols for _ in range(m.rows)]
+    for r, c, v in m.entries:
+        a[r][c] = Fraction(v)
     rnk = 0
-    short = 1
-    while short <= m.cols:
-        if not by_len[short]:
-            short += 1
+    for c in range(m.cols):
+        piv = next((r for r in range(rnk, m.rows) if a[r][c] != 0), None)
+        if piv is None:
             continue
-        i = by_len[short].pop()
-        pivot_row = rows[i]
-        if len(pivot_row) != short:  # queued at a length it has since left
-            continue
-        rows[i] = {}
+        a[rnk], a[piv] = a[piv], a[rnk]
+        pv = a[rnk][c]
+        for r in range(m.rows):
+            if r != rnk and a[r][c] != 0:
+                f = a[r][c] / pv
+                for cc in range(c, m.cols):
+                    a[r][cc] -= f * a[rnk][cc]
         rnk += 1
-        pc = min(pivot_row, key=lambda c: (len(holders[c]), c))
-        pv = pivot_row[pc]
-        for j in holders[pc]:
-            r = rows[j]
-            w = r.get(pc)
-            if w is None:  # a row that has lost the column, or the pivot row
-                continue
-            g = gcd(pv, w)
-            a, b = pv // g, w // g
-            if a != 1:
-                for c in r:
-                    r[c] *= a
-            for c, v in pivot_row.items():
-                if c not in r:
-                    r[c] = -b * v
-                    holders[c].append(j)
-                else:
-                    nv = r[c] - b * v
-                    if nv:
-                        r[c] = nv
-                    else:
-                        del r[c]
-            if r:
-                content = gcd(*r.values())
-                if content != 1:
-                    for c in r:
-                        r[c] //= content
-                by_len[len(r)].append(j)
-                short = min(short, len(r))
-        holders[pc] = []
     return rnk
 
 

@@ -452,6 +452,31 @@ def test_rank_suite_fails_a_proof_that_trusts_the_pivot_count(monkeypatch):
     assert report["violations"] == [{"suite": "rank_oracle", "detail": "certified rank differs"}]
 
 
+RANK_DETAILS = {
+    "T": "transpose rank differs",
+    "P": "mod-1000003 rank differs",
+    "Q": "mod-2000003 rank differs",
+    "C": "certified rank differs",
+}
+
+
+@pytest.mark.parametrize("name, fault, details", [
+    # one low mod 2,000,003 on every nonzero matrix: 31 of the 41
+    ("rank_modp", lambda real: lambda m, p: real(m, p) - (p == 2000003 and m.nnz > 0), "Q" * 31),
+    # one high on the 13 wide matrices: each of them and each tall one
+    # differs from its transpose, and a wide one from its modular and
+    # proved ranks
+    ("rank", lambda real: lambda m: real(m) + (m.rows < m.cols),
+     "TTTTPQCTTTTPQCTTTTTTPQCTTTPQCTTTPQCTPQCTTPQCTTPQCTTTPQCTTPQCTPQCTTTPQCTPQCTT"),
+], ids=("rank_modp", "rank"))
+def test_rank_suite_names_each_oracle_that_disagrees(monkeypatch, name, fault, details):
+    # the suite's violations come in matrix order, one per failed check
+    monkeypatch.setattr(checks, name, fault(getattr(checks, name)))
+    report = rank_suite()
+    assert report["matrices"] == RANK_SUITE_TRIALS + 1 and not report["passed"]
+    assert report["violations"] == [{"suite": "rank_oracle", "detail": RANK_DETAILS[c]} for c in details]
+
+
 # SHA-256 of the JSON report at default bounds per parity scope, as
 # `check --format json --parity both|even|odd` prints it
 DEFAULT_BOUNDS_DIGESTS = {

@@ -473,6 +473,31 @@ def test_signed_matrices_digest_at_floor_two():
     assert _matrices_digest(sl) == "bcba74c147af6e1a10819c41636c34f14a02c0d07fd2f54c6c94e54a166907e2"
 
 
+@pytest.mark.acceptance
+def test_d_squared_meets_two_nonzero_blocks_at_floor_two():
+    # at loop order 3, floor 2, E 3..10 the blocks from E=8 (18x4, 13
+    # entries) and E=9 (34x18, 50 entries) compose, so build's own
+    # D_{E+1} D_E = 0 check tests the sign rule; h = 1 only at E=6, the
+    # wheel with three spokes (K4)
+    sl = build(GCSpec(3, 0, 3, 10, 2))
+    assert [(e, m.rows, m.cols, m.nnz) for e, m in sorted(sl.matrices.items()) if m.nnz] == [
+        (8, 18, 4, 13), (9, 34, 18, 50),
+    ]
+    rows = [(r["edges"], r["dim"], r["zero_classes"], r["rank_in"], r["rank_out"], r["h"], r["status"])
+            for r in cohomology(sl)]
+    assert rows == [
+        (3, 0, 0, 0, 0, 0, "certified"),
+        (4, 0, 1, 0, 0, 0, "certified"),
+        (5, 0, 3, 0, 0, 0, "certified"),
+        (6, 1, 11, 0, 0, 1, "certified"),
+        (7, 0, 27, 0, 0, 0, "certified"),
+        (8, 4, 61, 0, 4, 0, "certified"),
+        (9, 18, 111, 4, 14, 0, "certified"),
+        (10, 34, 211, 14, None, None, "truncated"),
+    ]
+    assert sl.bases[6][0].edges == K4_EDGES
+
+
 def test_tables_need_a_valence_floor_of_two():
     # the split never makes a univalent vertex, so at floor 1 d o d != 0;
     # the first table raised DifferentialIdentityError at E 5->7
