@@ -25,6 +25,9 @@ An entry is written in pieces of at most PIECE list items, each hashed as
 it goes, and its header line, of one width for its kind, is rewritten at
 the end with the digest: the file holds the same bytes as the header line
 and the whole compact JSON text would, and no copy of that text is held.
+A basis's [sigma0, sigma1] pairs and a matrix's (row, col, value) entries
+are made from the classes and the matrix's arrays as they are written,
+PIECE at a time, so no list of them is held either.
 """
 from __future__ import annotations
 
@@ -32,6 +35,8 @@ import glob
 import json
 import os
 import tempfile
+from collections.abc import Iterator
+from itertools import islice
 
 from .canonical import EVEN, ODD, OrientedClass, sha1, sha256
 from .linalg import SparseIntMatrix
@@ -132,7 +137,7 @@ class Cache:
     def store_basis(self, spec, n: int, e: int, classes, zero_count: int) -> None:
         """classes are the nonzero classes of the (n, e) cell of spec."""
         if self.enabled:
-            pairs = [[cls.sigma0, cls.sigma1] for cls in classes]
+            pairs = ([cls.sigma0, cls.sigma1] for cls in classes)  # made as they are written
             doc = {"parity": spec.parity, "zero_classes": zero_count, "classes": pairs}
             self._store("basis", spec, (n, e), doc)
 
@@ -153,7 +158,7 @@ class Cache:
         return classes, zero_count
 
     def store_matrix(self, spec, e: int, m: SparseIntMatrix) -> None:
-        self._store("matrix", spec, e, [m.rows, m.cols, m.entries])
+        self._store("matrix", spec, e, [m.rows, m.cols, m.triples()])
 
     def load_matrix(self, spec, e: int):
         try:
@@ -186,14 +191,17 @@ def _dumps(doc) -> str:
 
 def _pieces(doc):
     """``_dumps(doc)`` in pieces, which join to it exactly: a list longer
-    than PIECE goes PIECE items at a time, and a dict or a shorter list
-    goes as the text before its last value, that value's own pieces and
-    its closing bracket; anything else is one piece.  So a basis's classes
-    and a matrix's entries never stand in one string."""
-    if isinstance(doc, (list, tuple)) and len(doc) > PIECE:
+    than PIECE, or an iterator, which stands for the list of what it
+    gives, goes PIECE items at a time, and a dict or a shorter list goes
+    as the text before its last value, that value's own pieces and its
+    closing bracket; anything else is one piece.  So a basis's classes and
+    a matrix's entries never stand in one string, nor, given as
+    iterators, in one list."""
+    if isinstance(doc, Iterator) or isinstance(doc, (list, tuple)) and len(doc) > PIECE:
+        items = iter(doc)
         yield "["
-        for k in range(0, len(doc), PIECE):
-            yield ("," if k else "") + _dumps(doc[k:k + PIECE])[1:-1]
+        for k, chunk in enumerate(iter(lambda: list(islice(items, PIECE)), [])):
+            yield ("," if k else "") + _dumps(chunk)[1:-1]
         yield "]"
     elif isinstance(doc, (list, tuple)) and doc:
         yield _dumps(doc[:-1])[:-1] + ("," if len(doc) > 1 else "")

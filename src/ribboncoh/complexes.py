@@ -27,10 +27,13 @@ more.  A ribbon term's coefficient is the sign of its word
 (``canonical.word_sign``), a gc2 term's that of its edge order
 (``gc2._gc_sign``).  mw's corner move is the one block made outside the
 walk: ``_terms_block`` over ``bridge_terms`` of the cell below, which
-``ComplexSpec.chain`` keeps from the chain before, placed by the target
-cell's rows as its terms are read, one column at a time, so no canonical
-pair of a corner term outlives it.  The first rounds of the ribbon
-chains, their one-vertex cells, come from one walk of
+``ComplexSpec.chain`` keeps from the chain before, each term summed into
+the target cell's row as it is read, so no canonical pair of a corner
+term outlives it.  Every block is row-keyed, row -> {column:
+coefficient}, and ``_walk`` merges a cell's blocks one row at a time into
+the matrices' arrays, so no build holds a tuple per matrix entry.  The
+first rounds of the ribbon chains, their one-vertex cells, come from one
+walk of
 ``enumeration._first_rounds``, which grows each from the one before it by
 chords: those between two corners are the corner terms into it, recorded
 per class of the round before with the new round's own keys, so the
@@ -56,7 +59,14 @@ from .cache import NO_CACHE, Cache
 from .canonical import EVEN, ODD, _canonical_data, word_sign
 from .diff import bridge_terms
 from .enumeration import LE2_CELLS, EnumSpec, _cell_maps, _first_rounds, _split_by_zero
-from .linalg import AssemblyError, DifferentialIdentityError, SparseIntMatrix, certified_rank
+from .linalg import (
+    AssemblyError,
+    DifferentialIdentityError,
+    SparseIntMatrix,
+    append_row,
+    certified_rank,
+    empty_csr,
+)
 
 KINDS = ("kp", "mw")
 SECTORS = ("full", "ge3", "le2")
@@ -130,7 +140,8 @@ class ComplexSpec(namedtuple("ComplexSpec", "kind genus d sector e_min e_max bou
         ``max_arc`` darts, each term's coefficient its ``word_sign``.
         blocks maps n to the vertex split's block from the (n, e - 1) cell,
         and for mw n - 1 to the corner block from the (n - 1, e - 1) cell
-        that the chain before left, both as (row, col, coeff) triples: the
+        that the chain before left, both row-keyed, row -> {column:
+        coefficient}, columns local to the source cell: the
         corner block is ``_terms_block`` on that cell's classes and this
         cell's rows, which reads the canonical data of its terms into a
         first round off the walk's chords."""
@@ -165,11 +176,12 @@ def _chain(spec, n: int, rounds, cell_of, sign):
     """(e, (nonzero, zero), rows, split) for e from e_min - 1 to e_max,
     from one walk of rounds(visit): the (n, e) cell's nonzero classes and
     zero-class count, rows mapping each nonzero class's ``key`` to its row,
-    and the vertex split's block into it from the (n, e - 1) cell as (row,
-    col, coeff) triples, empty for e <= e_min.  rounds(visit) is a
-    generator shaped like ``enumeration._cell_maps``: it yields (E, layer)
-    for E up from its first round and, while it grows a layer, calls
-    visit(source, term, key, data) on the split terms of the one before.
+    and the vertex split's block into it from the (n, e - 1) cell, row ->
+    {column: coefficient} (``_place``), empty for e <= e_min.
+    rounds(visit) is a generator shaped like ``enumeration._cell_maps``:
+    it yields (E, layer) for E up from its first round and, while it grows
+    a layer, calls visit(source, term, key, data) on the split terms of
+    the one before.
     cell_of(e, layer) reads a cell off its round, sign(term, data) a
     term's coefficient.  A cell below the first round, or one that
     counting rules out, is empty."""
@@ -194,28 +206,27 @@ def _chain(spec, n: int, rounds, cell_of, sign):
 
 
 def _add(block: dict, j: int, key, coeff: int) -> None:
-    """Add coeff at (target key, column j) of block, target key ->
-    {column: coefficient}."""
+    """Add coeff at (key, column j) of block, key -> {column:
+    coefficient}, key a target key or a row."""
     if coeff:
         per = block.setdefault(key, {})
         per[j] = per.get(j, 0) + coeff
 
 
-def _terms_block(classes, parity: int, rows: dict, known=None) -> list:
+def _terms_block(classes, parity: int, rows: dict, known=None) -> dict:
     """The corner block of the raw terms that ``bridge_terms`` gives on
-    classes, as (row, col, coeff) triples: column j is classes[j], rows
+    classes, row -> {column: coefficient}: column j is classes[j], rows
     maps a target key to its row, and each term's coefficient is the
-    ``word_sign`` of its word.  Each column's terms are summed by row in a
-    dict of their own as they are read, so no term's canonical pair
-    outlives it.  A term's canonical data is the next of known's entries
-    for its class (``enumeration._chord_round``'s chords) when that entry's
-    first relabeling takes the term onto the entry's key, else its own
+    ``word_sign`` of its word.  Each term is summed into its row as it is
+    read, so no term's canonical pair outlives it.  A term's canonical
+    data is the next of known's entries for its class
+    (``enumeration._chord_round``'s chords) when that entry's first
+    relabeling takes the term onto the entry's key, else its own
     ``_canonical_data`` pass.  A target outside rows is a hard error (the
     cell is under-enumerated)."""
-    odd, block = parity == ODD, []
+    odd, block = parity == ODD, {}
     for j, cls in enumerate(classes):
         recorded = iter(known.get(cls.key, ()) if known else ())
-        per: dict = {}  # row -> coefficient, for column j
         for g, word in bridge_terms(cls.graph, odd):
             data = next(recorded, None)
             if data is None or not _relabels(g, *data):
@@ -225,8 +236,7 @@ def _terms_block(classes, parity: int, rows: dict, known=None) -> list:
                 i = rows.get(data[0])
                 if i is None:
                     raise _unplaced(data[0])
-                per[i] = per.get(i, 0) + coeff
-        block.extend((i, j, v) for i, v in per.items() if v)
+                _add(block, j, i, coeff)
     return block
 
 
@@ -238,12 +248,12 @@ def _relabels(g, key, maps) -> bool:
     return [t0[x] for x in lab] == [lab[h] for h in g.sigma0] and [t1[x] for x in lab] == [lab[h] for h in g.sigma1]
 
 
-def _place(block: dict, rows: dict) -> list:
-    """block as (row, col, coeff) triples, rows mapping a target key to
-    its row.  A target outside rows is a hard error (the cell is
-    under-enumerated)."""
+def _place(block: dict, rows: dict) -> dict:
+    """block, target key -> {column: coefficient}, keyed by row instead,
+    rows mapping a target key to its row; each column dict is kept.  A
+    target outside rows is a hard error (the cell is under-enumerated)."""
     try:
-        return [(rows[key], j, v) for key, per in block.items() for j, v in per.items()]
+        return {rows[key]: per for key, per in block.items()}
     except KeyError as miss:
         raise _unplaced(miss.args[0]) from None
 
@@ -326,22 +336,29 @@ def _load(spec, cache: Cache):
 def _walk(spec):
     """(cells, matrices): (n, e) -> (nonzero classes, zero count) for every
     cell from e_min - 1 to e_max, and e -> the differential's block from
-    E=e, from one walk of ``spec.chain()``, its blocks placed by cell
-    offset."""
-    cells, ids = {}, {}  # ids: (n, e) -> the cell's rows in bases[e]
+    E=e, from one walk of ``spec.chain()``.  The cells of a layer come in
+    row order, so a cell's blocks are merged one row at a time, at their
+    source cells' column offsets, straight into its matrix's arrays
+    (``linalg.append_row``).  A block's rows are popped as they are read
+    and each block is cleared, so none outlives its merge, whichever chain
+    frame still names it."""
+    cells, offset = {}, {}  # offset: (n, e) -> the cell's first row in bases[e]
     placed: dict = {}  # e -> classes of bases[e] in the cells walked so far
-    entries: dict = {e: [] for e in range(spec.e_min, spec.e_max)}
+    csr = {e: empty_csr() for e in range(spec.e_min, spec.e_max)}
     for n, e, cell, blocks in spec.chain():
         cells[(n, e)] = cell
-        start = placed.get(e, 0)
-        rows = ids[(n, e)] = list(range(start, start + len(cell[0])))  # one int object per class
-        placed[e] = start + len(rows)
-        for m, block in blocks.items():
-            if block:  # a source cell outside spec.cells(e - 1) is empty
-                cols = ids[(m, e - 1)]
-                entries[e - 1].extend((rows[r], cols[c], v) for r, c, v in block)
-    matrices = {  # each entry list is freed once its matrix is built (peak memory)
-        e: SparseIntMatrix(placed.get(e + 1, 0), placed.get(e, 0), tuple(entries.pop(e)))
+        start = offset[(n, e)] = placed.get(e, 0)
+        placed[e] = start + len(cell[0])
+        if e - 1 in csr:  # the cell's rows are rows of the block from E=e - 1
+            # a source cell outside spec.cells(e - 1) has an empty block
+            parts = [(offset[(m, e - 1)], block) for m, block in blocks.items() if block]
+            for r in range(len(cell[0])):
+                row = ((at + c, v) for at, block in parts for c, v in block.pop(r, {}).items())
+                append_row(csr[e - 1], sorted(row))
+        for block in blocks.values():
+            block.clear()
+    matrices = {
+        e: SparseIntMatrix.from_csr(placed.get(e + 1, 0), placed.get(e, 0), *csr[e])
         for e in range(spec.e_min, spec.e_max)
     }
     return cells, matrices

@@ -221,7 +221,7 @@ class GCSpec(namedtuple("GCSpec", "loop_order d e_min e_max min_valence")):
         """(n, e, (nonzero, zero), blocks) for e from e_min - 1 to e_max, n
         the loop order, as ``complexes.ComplexSpec.chain``:
         ``complexes._chain`` over ``_rounds``, each split's coefficient its
-        ``_gc_sign``."""
+        ``_gc_sign``; blocks maps n to the row-keyed split block."""
         n = self.loop_order
         for e, cell, _rows, split in _chain(self, n, lambda visit: _rounds(n, self.min_valence, visit),
                                             lambda e, layer: _cell(e - n + 1, layer), _gc_sign):

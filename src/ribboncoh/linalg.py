@@ -1,6 +1,14 @@
 """Exact linear algebra over arbitrary-precision integers: sparse
 matrices, their ranks and the proof of a rank.
 
+A ``SparseIntMatrix`` keeps its entries in compressed sparse row form:
+row pointers and column indices in ``array`` storage, 4 bytes each, and
+the values in a list of Python ints, so precision is arbitrary and a
+small value is a shared object.  No tuple per entry is held: a build
+fills the arrays row by row (``append_row``) and hands them to
+``SparseIntMatrix.from_csr``, and every reader below, ``rank`` aside,
+reads them a row at a time.
+
 Three eliminations, no two of which share code, so that a fault in one
 cannot pass the check that another makes of it:
 - ``rank``, over the rationals: textbook dense elimination over
@@ -25,74 +33,171 @@ of ``_pivots_modp``.  No floating point anywhere.
 """
 from __future__ import annotations
 
+from array import array
 from bisect import insort
 from collections import namedtuple
-from itertools import groupby
 from math import gcd, isqrt
-from operator import itemgetter
 
 
 class AssemblyError(ValueError):
     """An operator image left the span of the codomain basis."""
 
 
-class SparseIntMatrix(namedtuple("SparseIntMatrix", "rows cols entries")):
-    """entries: sorted (row, col, value) triples, no zero value and no
-    repeated (row, col)."""
+INDEX = "I"  # the typecode of a matrix's index arrays: 4 bytes an index, no int object
+
+
+class SparseIntMatrix(namedtuple("SparseIntMatrix", "rows cols indptr indices values")):
+    """A rows x cols integer matrix in compressed sparse row form: row r
+    holds the columns indices[indptr[r]:indptr[r + 1]], strictly
+    increasing, with the nonzero values at the same places.  indptr and
+    indices are arrays of typecode INDEX, so an index is 4 bytes and a
+    matrix takes no entry at an index of 2**32 or more (OverflowError);
+    values is a list of ints of any size, small ones shared, so a value
+    is one 8-byte slot.  No tuple per entry is held.
+
+    SparseIntMatrix(rows, cols, entries) takes (row, col, value) triples
+    in any order; ``from_csr`` takes the three sequences as they are."""
 
     __slots__ = ()
 
     def __new__(cls, rows, cols, entries=()):
-        if not all(isinstance(n, int) and n >= 0 for n in (rows, cols)):
-            raise ValueError("matrix dimensions must be non-negative integers")
-        for r, c, v in entries:
+        _check_shape(rows, cols)
+        ent = []
+        for e in entries:
+            r, c, v = e
             if not (isinstance(r, int) and isinstance(c, int) and isinstance(v, int)):
                 raise ValueError("matrix indices and entries must be integers")
             if not (0 <= r < rows and 0 <= c < cols):
                 raise ValueError("entry index out of range")
-        ent = sorted(entries)
-        for a, b in zip(ent, ent[1:]):  # sorted, so a repeated (row, col) is adjacent
-            if a[0] == b[0] and a[1] == b[1]:
+            ent.append(e)
+        ent.sort()
+        indptr, indices, values = empty_csr()
+        last = None
+        for r, c, v in ent:
+            if (r, c) == last:  # sorted, so a repeated (row, col) is adjacent
                 raise ValueError("duplicate entry")
-        return tuple.__new__(cls, (rows, cols, tuple((r, c, v) for r, c, v in ent if v)))
+            last = r, c
+            if v:
+                while len(indptr) <= r:  # rows up to r start here
+                    indptr.append(len(values))
+                indices.append(c)
+                values.append(v)
+        indptr.extend([len(values)] * (rows + 1 - len(indptr)))
+        return tuple.__new__(cls, (rows, cols, indptr, indices, values))
+
+    @classmethod
+    def from_csr(cls, rows, cols, indptr, indices, values) -> "SparseIntMatrix":
+        """The matrix of the three sequences, kept as they are, not sorted
+        or copied, once one pass has checked them: rows + 1 row pointers
+        from 0 to the entry count, each row's columns strictly increasing
+        and below cols, and every value a nonzero int."""
+        _check_shape(rows, cols)
+        if len(indptr) != rows + 1 or indptr[0] != 0 or not indptr[rows] == len(indices) == len(values):
+            raise ValueError("row pointers do not match the entries")
+        for r in range(rows):
+            a, b = indptr[r], indptr[r + 1]
+            if a > b:
+                raise ValueError("row pointers do not match the entries")
+            last = -1
+            for k in range(a, b):
+                if indices[k] <= last:
+                    raise ValueError("columns of a row are not strictly increasing")
+                last = indices[k]
+            if last >= cols:
+                raise ValueError("entry index out of range")
+        for v in values:
+            if not isinstance(v, int):
+                raise ValueError("matrix indices and entries must be integers")
+            if not v:
+                raise ValueError("zero entry")
+        return tuple.__new__(cls, (rows, cols, indptr, indices, values))
 
     @property
     def nnz(self) -> int:
-        return len(self.entries)
+        return len(self.values)
+
+    def row_items(self, r: int):
+        """(col, value) for each entry of row r, in column order."""
+        a, b = self.indptr[r], self.indptr[r + 1]
+        return zip(self.indices[a:b], self.values[a:b])
+
+    def triples(self):
+        """(row, col, value) for each entry, in (row, col) order, each
+        made as it is read."""
+        for r in range(self.rows):
+            for c, v in self.row_items(r):
+                yield r, c, v
+
+    @property
+    def entries(self) -> tuple:
+        """Every (row, col, value) triple, in (row, col) order: a tuple
+        made on each read, which the matrix does not hold."""
+        return tuple(self.triples())
 
     def row_dicts(self) -> list[dict]:
-        rows = [dict() for _ in range(self.rows)]
-        for r, c, v in self.entries:
-            rows[r][c] = v
-        return rows
+        return [dict(self.row_items(r)) for r in range(self.rows)]
 
     def transpose(self) -> "SparseIntMatrix":
-        return SparseIntMatrix(
-            self.cols, self.rows, tuple((c, r, v) for r, c, v in self.entries)
-        )
+        """The transpose, by a counting sort of the entries on their
+        columns: the rows are read in order, so each column of the
+        transpose comes out sorted."""
+        indptr = array(INDEX, [0]) * (self.cols + 1)
+        for c in self.indices:
+            indptr[c + 1] += 1
+        for c in range(self.cols):
+            indptr[c + 1] += indptr[c]
+        fill = array(INDEX, indptr)  # column -> its next free place
+        indices, values = array(INDEX, [0]) * self.nnz, [0] * self.nnz
+        for r, c, v in self.triples():
+            k = fill[c]
+            indices[k], values[k] = r, v
+            fill[c] = k + 1
+        return SparseIntMatrix.from_csr(self.cols, self.rows, indptr, indices, values)
 
     def matmul(self, other: "SparseIntMatrix") -> "SparseIntMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
         other_rows = other.row_dicts()
-        ent = []
-        # self's entries come sorted by row: sum one row of the product at a
-        # time, so only that row's partial products are held
-        for r, terms in groupby(self.entries, itemgetter(0)):
+        csr = empty_csr()
+        # sum one row of the product at a time, so only that row's partial
+        # products are held
+        for r in range(self.rows):
             acc: dict = {}
-            for _, k, v in terms:
+            for k, v in self.row_items(r):
                 for c, w in other_rows[k].items():
                     acc[c] = acc.get(c, 0) + v * w
-            ent.extend((r, c, v) for c, v in sorted(acc.items()) if v)
-        return SparseIntMatrix(self.rows, other.cols, ent)
+            append_row(csr, sorted(acc.items()))
+        return SparseIntMatrix.from_csr(self.rows, other.cols, *csr)
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not self.values
 
     def to_triplet_text(self) -> str:
         lines = ["%d %d %d" % (self.rows, self.cols, self.nnz)]
-        lines.extend("%d %d %d" % e for e in self.entries)
+        lines.extend("%d %d %d" % e for e in self.triples())
         return "\n".join(lines) + "\n"
+
+
+def empty_csr() -> tuple:
+    """(indptr, indices, values) of a matrix with no row yet: ``append_row``
+    fills it and ``SparseIntMatrix.from_csr`` takes it."""
+    return array(INDEX, [0]), array(INDEX), []
+
+
+def append_row(csr, items) -> None:
+    """Append to csr, from ``empty_csr``, the row of (column, value)
+    items, given in column order; zero values are left out."""
+    indptr, indices, values = csr
+    for c, v in items:
+        if v:
+            indices.append(c)
+            values.append(v)
+    indptr.append(len(values))
+
+
+def _check_shape(rows, cols) -> None:
+    if not all(isinstance(n, int) and n >= 0 for n in (rows, cols)):
+        raise ValueError("matrix dimensions must be non-negative integers")
 
 
 def assemble(domain_basis, codomain_basis, operator) -> SparseIntMatrix:
@@ -119,7 +224,7 @@ def rank(m: SparseIntMatrix) -> int:
     from fractions import Fraction  # only this oracle needs it
 
     a = [[Fraction(0)] * m.cols for _ in range(m.rows)]
-    for r, c, v in m.entries:
+    for r, c, v in m.entries:  # beside a dense table, a tuple per entry is nothing
         a[r][c] = Fraction(v)
     rnk = 0
     for c in range(m.cols):
@@ -199,7 +304,7 @@ def _pivots_modp(m: SparseIntMatrix, p: int) -> list:
     """An echelon form of m mod p, one row at a time: each pivot as
     (original row, column, the row reduced and scaled to 1 at the column),
     in pivot order.  Rows are taken by their length in m, the smaller
-    index among equals, and each is read from the entries when its turn
+    index among equals, and each is read from m's arrays when its turn
     comes.  It is reduced by the pivots found so far in pivot order (a
     later pivot's column that an update brings in is queued too), and a
     row that survives becomes the next pivot, at the column of its own
@@ -207,26 +312,24 @@ def _pivots_modp(m: SparseIntMatrix, p: int) -> list:
     pivot row holds an earlier pivot's column, and only the pivot rows and
     the working row are held, never every row.  A loop of its own, with
     no rule shared with ``rank_modp``, which checks what it finds."""
-    start = memoryview(bytearray(4 * (m.rows + 1))).cast("I")  # row -> its first entry
     held = [0] * m.cols  # column -> rows of m that hold it
-    for r, c, _ in m.entries:
-        start[r + 1] += 1
+    for c in m.indices:
         held[c] += 1
+    length = lambda r: m.indptr[r + 1] - m.indptr[r]
     place = [0] * (m.cols + 2)  # row length -> its rows' first place in the order
     for r in range(m.rows):
-        place[start[r + 1] + 1] += 1
-        start[r + 1] += start[r]
+        place[length(r) + 1] += 1
     for n in range(1, m.cols + 1):
         place[n] += place[n - 1]
-    order = memoryview(bytearray(4 * m.rows)).cast("I")  # 4 bytes a row, no int object
+    order = array(INDEX, [0]) * m.rows  # 4 bytes a row, no int object
     for r in range(m.rows):
-        n = start[r + 1] - start[r]
+        n = length(r)
         order[place[n]] = r
         place[n] += 1
     pivots = []
     at_col = {}  # pivot column -> its pivot's index
     for i in order[place[0]:]:  # place[0] is past the rows of no entry, which are no pivots
-        row = {c: v % p for _, c, v in m.entries[start[i]:start[i + 1]] if v % p}
+        row = {c: v % p for c, v in m.row_items(i) if v % p}
         queue = sorted(at_col[c] for c in row if c in at_col)
         while queue:
             _, pc, pivot = pivots[queue.pop(0)]
@@ -318,22 +421,18 @@ def _proved_rank(m: SparseIntMatrix, p: int):
         for c, (n, d) in lifted:  # the vector cleared of denominators
             by_col.setdefault(c, []).append((k, n * (scale // d)))
     del vectors
-    image: dict = {}  # row r of M K, vector -> entry
-    row = 0
-    for r, c, v in m.entries:  # sorted by row
-        if r != row:
-            if any(image.values()):
-                return None
-            image, row = {}, r
-        for k, x in by_col.get(c, ()):
-            image[k] = image.get(k, 0) + v * x
-    if any(image.values()):
-        return None
-    minor = tuple(
-        (at_row[r], at_col[c], v) for r, c, v in m.entries if r in at_row and c in at_col
-    )
+    for r in range(m.rows):
+        image: dict = {}  # row r of M K, vector -> entry
+        for c, v in m.row_items(r):
+            for k, x in by_col.get(c, ()):
+                image[k] = image.get(k, 0) + v * x
+        if any(image.values()):
+            return None
+    minor = empty_csr()
+    for i in at_row:  # the pivot rows, in pivot order
+        append_row(minor, sorted((at_col[c], v) for c, v in m.row_items(i) if c in at_col))
     r = len(at_row)
-    return r if rank_modp(SparseIntMatrix(r, r, minor), CERTIFICATION_PRIMES[1]) == r else None
+    return r if rank_modp(SparseIntMatrix.from_csr(r, r, *minor), CERTIFICATION_PRIMES[1]) == r else None
 
 
 class RankProofError(ArithmeticError):

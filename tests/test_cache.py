@@ -1,6 +1,7 @@
 """On-disk cache: round trips, what each kind of entry is keyed by,
 source-digest keys, corruption handling, disabled mode, and the bytes and
 memory of a write in pieces."""
+from collections import namedtuple
 import hashlib
 import json
 import os
@@ -350,3 +351,24 @@ def test_storing_a_basis_holds_no_copy_of_its_body(tmp_path):
         tracemalloc.stop()
     assert body > 300_000
     assert peak < body / 4, (peak, body)
+
+
+Pair = namedtuple("Pair", "sigma0 sigma1")  # what store_basis reads of a class
+
+
+def test_storing_a_basis_holds_no_list_of_its_pairs(tmp_path):
+    # store_basis makes each class's [sigma0, sigma1] as it is written,
+    # PIECE at a time; a list of every pair held 1.3 times the body
+    pairs = _pairs(5000)
+    classes = [Pair(s0, s1) for s0, s1 in pairs]
+    body = len(json.dumps({"parity": 0, "zero_classes": 0, "classes": pairs}, separators=(",", ":")))
+    cache = Cache(str(tmp_path))
+    tracemalloc.start()
+    try:
+        cache.store_basis(SPEC, 4, 7, classes, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < body / 4, (peak, body)
+    assert _entry(tmp_path, "basis").read_bytes() == _whole_entry(
+        "basis", {"parity": SPEC.parity, "zero_classes": 0, "classes": pairs})

@@ -423,7 +423,7 @@ def test_rank_suite_compares_the_built_matrix_with_the_oracle(monkeypatch):
     real = complexes._terms_block
 
     def negated(*args):
-        return [(i, j, -v) for i, j, v in real(*args)]
+        return {i: {j: -v for j, v in per.items()} for i, per in real(*args).items()}
 
     monkeypatch.setattr(complexes, "_terms_block", negated)
     report = rank_suite()

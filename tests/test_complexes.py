@@ -2,6 +2,7 @@
 from itertools import islice
 import runpy
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -127,6 +128,21 @@ def test_mw_operator_uses_the_corner_move():
             for e, m in sl.matrices.items()
             for r, c, _ in m.entries
         )
+
+
+@pytest.mark.acceptance
+def test_walk_holds_no_tuple_per_entry():
+    # the mw-g1 benchmark table's walk: its blocks go into the matrices'
+    # arrays one row at a time and are cleared once read (9.2 MB when it
+    # kept a (row, col, coeff) tuple per entry)
+    tracemalloc.start()
+    try:
+        cells, matrices = complexes._walk(ComplexSpec("mw", 1, 0, "ge3", 2, 7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(m.nnz for m in matrices.values()) > 20_000
+    assert peak < 7.5 * 2**20, peak
 
 
 def test_build_detects_broken_operator(monkeypatch):

@@ -1,10 +1,12 @@
 """Exact linear algebra: rank oracles, modular certification, assembly."""
+from array import array
 import random
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ribboncoh.cache import Cache
 from ribboncoh.canonical import EVEN
 from ribboncoh.complexes import ComplexSpec, build
 from ribboncoh.diff import delta
@@ -38,6 +40,54 @@ def test_matrix_validation():
             SparseIntMatrix(2, 2, (entry,))  # indices and entries are ints
     m = SparseIntMatrix(2, 2, ((0, 0, 0), (1, 1, 3)))
     assert m.nnz == 1  # explicit zeros dropped
+
+
+def test_matrix_from_arrays_is_checked():
+    # from_csr keeps its sequences as they are, once one pass has found
+    # each row's columns strictly increasing and in range and every value
+    # a nonzero int
+    m = SparseIntMatrix.from_csr(2, 3, array("I", [0, 2, 3]), array("I", [0, 2, 1]), [1, -2, 5])
+    assert m == SparseIntMatrix(2, 3, ((1, 1, 5), (0, 2, -2), (0, 0, 1)))
+    assert m.entries == ((0, 0, 1), (0, 2, -2), (1, 1, 5))
+    for indptr, indices, values in (
+        ([0, 2, 3], [2, 0, 1], [1, 1, 1]),  # columns out of order
+        ([0, 2, 3], [0, 0, 1], [1, 1, 1]),  # a repeated column
+        ([0, 2, 3], [0, 3, 1], [1, 1, 1]),  # out of range
+        ([0, 2, 3], [0, 2, 1], [1, 0, 1]),  # an explicit zero
+        ([0, 2, 3], [0, 2, 1], [1, 1.0, 1]),  # not an int
+        ([0, 2], [0, 2], [1, 1]),  # too few row pointers
+        ([0, 2, 1], [0, 2, 1], [1, 1, 1]),  # pointers that fall
+        ([0, 2, 3], [0, 2, 1], [1, 1]),  # fewer values than columns
+    ):
+        with pytest.raises(ValueError):
+            SparseIntMatrix.from_csr(2, 3, array("I", indptr), array("I", indices), values)
+
+
+def test_matrix_holds_no_tuple_per_entry():
+    # 4 bytes of column index and an 8-byte value slot an entry, small
+    # values shared; a tuple per entry alone is 64 bytes
+    n = 30_000
+    tracemalloc.start()
+    try:
+        m = SparseIntMatrix(3000, 1000, tuple((r // 10, (r * 7) % 1000, r % 5 - 2 or 3) for r in range(n)))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert m.nnz == n
+    assert held < 32 * n, held
+
+
+def test_a_huge_entry_survives_products_transposes_and_the_cache(tmp_path):
+    # values stay Python ints, of any size
+    big = 2**70
+    m = SparseIntMatrix(2, 3, ((0, 1, big), (1, 0, -3), (1, 2, 1)))
+    assert m.transpose().entries == ((0, 1, -3), (1, 0, big), (2, 1, 1))
+    assert m.transpose().transpose() == m
+    assert m.matmul(m.transpose()).entries == ((0, 0, big * big), (1, 1, 10))
+    cache = Cache(str(tmp_path))
+    spec = ComplexSpec("mw", 1, 0, "ge3", 2, 7)
+    cache.store_matrix(spec, 2, m)
+    assert cache.load_matrix(spec, 2) == m
 
 
 def test_matmul_and_transpose():

@@ -29,6 +29,7 @@ TABLES = (  # cohomology --emit json
 )
 MATRICES = (  # export --what matrix
     "--kind mw -g 1 --sector ge3 -E 2..6",
+    "--kind mw -g 1 --sector ge3 -E 2..7",
     "--kind mw -g 0 --sector full -E 1..5",
 )
 INVOCATIONS = tuple(
