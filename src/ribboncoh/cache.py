@@ -28,6 +28,14 @@ and the whole compact JSON text would, and no copy of that text is held.
 A basis's [sigma0, sigma1] pairs and a matrix's (row, col, value) entries
 are made from the classes and the matrix's arrays as they are written,
 PIECE at a time, so no list of them is held either.
+
+A load reads an entry CHUNK bytes at a time, hashing each chunk as it is
+read, and decodes the body one JSON value at a time (``_Scanner``) in the
+layout that the writer gives it: a matrix's entries, in row order, go
+straight into its arrays, and a basis's pairs into its classes' keys, so
+no load holds the entry's text or a list per entry.  The header is
+checked once the body has been read to its end; a mismatch, or any other
+layout, is a miss, and what was read is dropped.
 """
 from __future__ import annotations
 
@@ -39,7 +47,7 @@ from collections.abc import Iterator
 from itertools import islice
 
 from .canonical import EVEN, ODD, OrientedClass, sha1, sha256
-from .linalg import SparseIntMatrix
+from .linalg import SparseIntMatrix, empty_csr
 from .ribbon import RibbonGraph, check_valid
 
 ENV_CACHE_DIR = "RIBBONCOH_CACHE_DIR"
@@ -99,11 +107,11 @@ class Cache:
         return os.path.join(self.root, "%s-%s.json" % (kind, h))
 
     def _store(self, kind: str, spec, at, doc) -> None:
-        """Write ``_header(kind, body) + "\n" + body``, body the compact
-        JSON of doc, in ``_pieces``: the header line, of one width for its
-        kind, goes first with a placeholder digest and is rewritten once
-        every piece has been written and hashed, so no copy of the whole
-        body is ever held."""
+        """Write the HEADER line of kind and the body's SHA-256, then body,
+        the compact JSON of doc, in ``_pieces``: the header line, of one
+        width for its kind, goes first with a placeholder digest and is
+        rewritten once every piece has been written and hashed, so no copy
+        of the whole body is ever held."""
         if not self.enabled:
             return
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
@@ -122,17 +130,9 @@ class Cache:
             if os.path.exists(tmp):  # only when the write failed
                 os.unlink(tmp)
 
-    def _load(self, kind: str, spec, at):
-        """The document of an entry whose header names its kind and the
-        SHA-256 of its body; None on any mismatch."""
-        if not self.enabled:
-            return None
-        try:
-            with open(self._path(kind, spec, at)) as f:
-                head, _, body = f.read().partition("\n")
-            return json.loads(body) if head == _header(kind, body) else None
-        except (OSError, ValueError):  # undecodable bytes or JSON
-            return None
+    def _scan(self, kind: str, spec, at) -> "_Scanner":
+        """A scanner over the body of the entry (``_chunks``)."""
+        return _Scanner(_chunks(self._path(kind, spec, at), kind))
 
     def store_basis(self, spec, n: int, e: int, classes, zero_count: int) -> None:
         """classes are the nonzero classes of the (n, e) cell of spec."""
@@ -142,18 +142,27 @@ class Cache:
             self._store("basis", spec, (n, e), doc)
 
     def load_basis(self, spec, n: int, e: int):
-        """(classes, zero_count) of the (n, e) cell, or None on a miss."""
-        doc = self._load("basis", spec, (n, e))
+        """(classes, zero_count) of the (n, e) cell, or None on a miss.
+        Each class is checked as a graph and keyed as it is read."""
+        if not self.enabled:
+            return None
         try:
-            parity, zero_count = doc["parity"], doc["zero_classes"]
+            body = self._scan("basis", spec, (n, e))
+            body.expect('{"parity":')
+            parity = body.value()
+            body.expect(',"zero_classes":')
+            zero_count = body.value()
             if parity not in (EVEN, ODD) or not isinstance(zero_count, int):
                 return None
+            body.expect(',"classes":[')
             classes = []
-            for s0, s1 in doc["classes"]:
+            for s0, s1 in body.items():
                 g = RibbonGraph(s0, s1)
                 check_valid(g)
-                classes.append(OrientedClass(g.sigma0, g.sigma1, parity, False))
-        except (KeyError, ValueError, TypeError):
+                classes.append(OrientedClass(bytes(g.sigma0 + g.sigma1), parity, False))
+            body.expect("}")
+            body.end()
+        except (OSError, ValueError, TypeError):
             return None
         return classes, zero_count
 
@@ -161,25 +170,136 @@ class Cache:
         self._store("matrix", spec, e, [m.rows, m.cols, m.triples()])
 
     def load_matrix(self, spec, e: int):
+        """The block from E=e, or None on a miss.  Its (row, col, value)
+        entries, in row order, are read one at a time into the arrays that
+        ``SparseIntMatrix.from_csr`` checks and keeps."""
+        if not self.enabled:
+            return None
         try:
-            rows, cols, entries = self._load("matrix", spec, e)
-            return SparseIntMatrix(rows, cols, entries)
-        except (ValueError, TypeError):
+            body = self._scan("matrix", spec, e)
+            body.expect("[")
+            rows = body.value()
+            body.expect(",")
+            cols = body.value()
+            body.expect(",[")
+            indptr, indices, values = csr = empty_csr()
+            for r, c, v in body.items():
+                if type(r) is not int or not len(indptr) - 1 <= r < rows:
+                    raise ValueError("entries out of row order")
+                while len(indptr) <= r:  # rows up to r start here
+                    indptr.append(len(values))
+                indices.append(c)
+                values.append(v)
+            body.expect("]")
+            body.end()
+            indptr.extend([len(values)] * (rows + 1 - len(indptr)))
+            return SparseIntMatrix.from_csr(rows, cols, *csr)
+        except (OSError, ValueError, TypeError, OverflowError):
             return None
 
     def store_table(self, spec, calc1: bool, payload: dict) -> None:
         self._store("table", spec, calc1, payload)
 
     def load_table(self, spec, calc1: bool):
-        payload = self._load("table", spec, calc1)
+        if not self.enabled:
+            return None
+        try:
+            body = self._scan("table", spec, calc1)
+            payload = body.value()
+            body.end()
+        except (OSError, ValueError):
+            return None
         return payload if isinstance(payload, dict) else None
 
 
 HEADER = "# ribboncoh %s sha256=%s"  # kind, the SHA-256 of the body: 64 hex digits
+CHUNK = 1 << 16  # the most bytes of an entry that a load reads at once
 
 
-def _header(kind: str, body: str) -> str:
-    return HEADER % (kind, sha256(body.encode()).hexdigest())
+def _chunks(path: str, kind: str):
+    """The body of the entry at path as text, CHUNK bytes at a time, each
+    hashed as it is read; OSError if it cannot be read.  At the end,
+    ValueError unless the header line is HEADER of kind and the body.  The
+    writer's JSON is ASCII, so no character spans two chunks."""
+    with open(path, "rb") as f:
+        head = f.readline()
+        h = sha256()
+        for data in iter(lambda: f.read(CHUNK), b""):
+            h.update(data)
+            yield data.decode("ascii")
+    if head != (HEADER % (kind, h.hexdigest()) + "\n").encode():
+        raise ValueError("the header does not match the body")
+
+
+_DECODER = json.JSONDecoder()
+
+
+class _Scanner:
+    """A JSON body read off its text chunks one value or one literal at a
+    time, holding only the text not yet read of the chunks read so far.
+    Any mismatch raises ValueError."""
+
+    def __init__(self, chunks):
+        self.chunks, self.text, self.at = chunks, "", 0
+
+    def _more(self) -> bool:
+        """Append the next chunk to the text not yet read; False at the end."""
+        chunk = next(self.chunks, None)
+        if chunk is None:
+            return False
+        self.text = self.text[self.at:] + chunk
+        self.at = 0
+        return True
+
+    def _peek(self) -> str:
+        """The next character, "" at the end."""
+        while self.at == len(self.text):
+            if not self._more():
+                return ""
+        return self.text[self.at]
+
+    def expect(self, literal: str) -> None:
+        """Read past literal, which must come next."""
+        while len(self.text) - self.at < len(literal) and self._more():
+            pass
+        if not self.text.startswith(literal, self.at):
+            raise ValueError("expected %r" % literal)
+        self.at += len(literal)
+
+    def value(self):
+        """The JSON value that starts here.  One that does not parse, or
+        that reaches the end of the text, is read again with the next
+        chunk, since it may run on into it."""
+        while True:
+            try:
+                value, end = _DECODER.raw_decode(self.text, self.at)
+            except ValueError:
+                end = None
+            if end is not None and end < len(self.text) or not self._more():
+                if end is None:
+                    raise ValueError("malformed value")
+                self.at = end
+                return value
+
+    def items(self):
+        """The items of the list whose "[" was just read, one at a time,
+        then its "]"."""
+        if self._peek() == "]":
+            self.at += 1
+            return
+        while True:
+            yield self.value()
+            sep = self._peek()
+            self.at += 1
+            if sep == "]":
+                return
+            if sep != ",":
+                raise ValueError("malformed list")
+
+    def end(self) -> None:
+        """Check that the body ends here, and so its header (``_chunks``)."""
+        if self._peek():
+            raise ValueError("text after the document")
 
 
 PIECE = 32  # the most items of a long list that one piece holds

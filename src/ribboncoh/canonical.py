@@ -4,7 +4,13 @@ Canonical form: for every root half-edge we relabel by a deterministic
 traversal (scan discovered half-edges in label order, discovering first the
 sigma0-image then the sigma1-partner) and keep the lexicographically
 smallest relabeled pair of permutation arrays.  The traversal is rigid, so
-the roots realising the minimum give exactly the automorphism group.
+the roots realising the minimum give exactly the automorphism group.  The
+canonical key is one ``bytes`` object, t0 then t1 with one byte a dart
+(so at most 256 darts; a larger graph raises InvalidGraph): it is all
+that a class (``OrientedClass``), a round or a row index holds of a
+graph, and ``graph_of`` reads the graph back.  The pass itself compares
+and returns its relabelings as lists, which index faster than ``bytes``;
+a round stores them as ``bytes``.
 
 Each graph is canonicalized in one pass and nothing is memoized.  The
 pass first reads each root's head, the first two entries of its walk's
@@ -65,6 +71,7 @@ except ImportError:  # an interpreter built without them
 from .ribbon import (
     RibbonGraph,
     DisconnectedGraph,
+    InvalidGraph,
     boundaries,
     edges,
     vertices,
@@ -75,29 +82,28 @@ EVEN, ODD = 0, 1
 
 def _traverse(s0: tuple, s1: tuple, root: int, best):
     """Walk from root once: label the half-edges in discovery order and
-    compare the walk's key against best = (k0, k1), the running best key.
-    Returns (c, lab, order): c is -1 / 0 / +1 as the key is smaller than /
-    equal to / larger than best, lab the labels old -> new and order the
-    half-edges in label order.  The first loop compares each t0 entry as it
-    is written and returns (1, None, None) at the first larger one; at the
-    first smaller one it breaks, and the second loop labels the rest
-    without comparing.  With best None only the second loop runs, and c is
-    -1."""
+    compare the walk's key against best, the running best key, t0 then t1
+    in one sequence of 2n entries.  Returns (c, lab, order): c is -1 / 0 /
+    +1 as the key is smaller than / equal to / larger than best, lab the
+    labels old -> new and order the half-edges in label order.  The first
+    loop compares each t0 entry as it is written and returns (1, None,
+    None) at the first larger one; at the first smaller one it breaks, and
+    the second loop labels the rest without comparing.  With best None only
+    the second loop runs, and c is -1."""
     n = len(s0)
     lab = [-1] * n
     lab[root] = 0
     order = [root]
     if best is not None:
-        k0, k1 = best
-        c = 0  # t1 against k1, read only while t0 ties
+        c = 0  # t1 against best's second half, read only while t0 ties
         for i, h in enumerate(order):
             x = s0[h]
             v = lab[x]
             if v < 0:
                 v = lab[x] = len(order)
                 order.append(x)
-            if v != k0[i]:
-                if v > k0[i]:
+            if v != best[i]:
+                if v > best[i]:
                     return 1, None, None
                 break
             x = s1[h]
@@ -105,8 +111,8 @@ def _traverse(s0: tuple, s1: tuple, root: int, best):
             if v < 0:
                 v = lab[x] = len(order)
                 order.append(x)
-            if c == 0 and v != k1[i]:
-                c = -1 if v < k1[i] else 1
+            if c == 0 and v != best[n + i]:
+                c = -1 if v < best[n + i] else 1
         else:
             if len(order) < n:
                 raise DisconnectedGraph("canonical form requires a connected graph")
@@ -131,7 +137,8 @@ def _traverse(s0: tuple, s1: tuple, root: int, best):
 def is_minimal_form(s0: tuple, s1: tuple) -> bool:
     """True iff (s0, s1), assumed in traversal normal form from root 0,
     is its own canonical form: no other root's walk gives a smaller key."""
-    return all(_traverse(s0, s1, r, (s0, s1))[0] >= 0 for r in range(1, len(s0)))
+    key = s0 + s1
+    return all(_traverse(s0, s1, r, key)[0] >= 0 for r in range(1, len(s0)))
 
 
 def _least_head_roots(s0: tuple, s1: tuple) -> list:
@@ -160,20 +167,34 @@ def _least_head_roots(s0: tuple, s1: tuple) -> list:
 
 
 def _canonical_data(s0: tuple, s1: tuple):
-    """(canonical (t0,t1), list of relabelings old->canonical achieving it),
+    """(canonical key, list of relabelings old->canonical achieving it),
     from one walk per root with the least head (``_least_head_roots``), in
     root order.  A root with a larger head can never tie the best, so the
-    key and the relabelings are those of a walk from every root.  The key
-    is built only for a new best, off the walk's own order."""
+    key and the relabelings are those of a walk from every root.  The best
+    is a list, t0 then t1, built only for a new best, off the walk's own
+    order; the key is ``bytes`` of it, made once at the end, so a graph of
+    more than 256 darts raises InvalidGraph.  The relabelings stay lists:
+    ``word_sign`` reads them at once, and a list indexes faster than
+    ``bytes``."""
     best = maps = None
     for root in _least_head_roots(s0, s1):
         c, lab, order = _traverse(s0, s1, root, best)
         if c == 0:
             maps.append(lab)
         elif c < 0:
-            best = (tuple([lab[s0[h]] for h in order]), tuple([lab[s1[h]] for h in order]))
+            best = [lab[s0[h]] for h in order]
+            best += [lab[s1[h]] for h in order]
             maps = [lab]
-    return best, maps
+    try:
+        return bytes(best), maps
+    except ValueError:
+        raise InvalidGraph("a canonical key holds one byte a dart, so at most 256 darts, not %d" % len(s0)) from None
+
+
+def graph_of(key: bytes) -> RibbonGraph:
+    """The graph of a canonical key: sigma0 then sigma1, one byte a dart."""
+    n = len(key) // 2
+    return RibbonGraph(key[:n], key[n:])
 
 
 def _order_sign(keys) -> int:
@@ -220,20 +241,26 @@ def word_sign(word, parity: int, maps) -> int:
     return first
 
 
-class OrientedClass(namedtuple("OrientedClass", "sigma0 sigma1 parity zero_flag")):
+class OrientedClass(namedtuple("OrientedClass", "key parity zero_flag")):
     """Canonical isomorphism-class representative with its reference
-    orientation implied; zero_flag marks sign-reversing symmetry."""
+    orientation implied; zero_flag marks sign-reversing symmetry.  key is
+    the canonical key, one ``bytes`` object, sigma0 then sigma1 with one
+    byte a dart: it keys the class's rows and columns, and it is all the
+    class holds of its graph.  sigma0 and sigma1 read it back as tuples."""
 
     __slots__ = ()
 
     @property
-    def graph(self) -> RibbonGraph:
-        return RibbonGraph(self.sigma0, self.sigma1)
+    def sigma0(self) -> tuple:
+        return tuple(self.key[: len(self.key) // 2])
 
     @property
-    def key(self) -> tuple:
-        """The canonical pair, which keys the class's rows and columns."""
-        return self.sigma0, self.sigma1
+    def sigma1(self) -> tuple:
+        return tuple(self.key[len(self.key) // 2 :])
+
+    @property
+    def graph(self) -> RibbonGraph:
+        return graph_of(self.key)
 
     def content_hash(self) -> str:
         payload = "%s|%s|%d|%d" % (self.sigma0, self.sigma1, self.parity, self.zero_flag)
@@ -241,7 +268,7 @@ class OrientedClass(namedtuple("OrientedClass", "sigma0 sigma1 parity zero_flag"
 
     def to_json(self) -> dict:
         return {
-            "h": len(self.sigma0),
+            "h": len(self.key) // 2,
             "sigma0": list(self.sigma0),
             "sigma1": list(self.sigma1),
             "parity": self.parity,
@@ -269,9 +296,9 @@ def to_oriented_class(g: RibbonGraph, parity: int) -> tuple[OrientedClass, int]:
     as +1) when the class is zero.  g is not validated: it comes from a
     builder or was checked on entry.
     """
-    (t0, t1), maps = _canonical_data(g.sigma0, g.sigma1)
+    key, maps = _canonical_data(g.sigma0, g.sigma1)
     sign = word_sign(reference_word(g, parity), parity, maps)
-    return OrientedClass(t0, t1, parity, sign == 0), sign or 1
+    return OrientedClass(key, parity, sign == 0), sign or 1
 
 
 def class_of(g: RibbonGraph, parity: int) -> OrientedClass:

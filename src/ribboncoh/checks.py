@@ -89,13 +89,13 @@ def _report(suite: str, violations: list, **counts) -> dict:
 def _memoized(images_of, parities):
     """images_of(graph, parities) as an operator on classes, memoized for
     as long as the returned function lives: the first class of a canonical
-    pair met in any parity fills its images in every parity in scope, and
+    key met in any parity fills its images in every parity in scope, and
     each class of a stored image is held once, as one object per class and
     parity, however many images it is in."""
     memo, classes = {}, {}
 
     def image(cls):
-        key = (cls.sigma0, cls.sigma1)
+        key = cls.key
         if key not in memo:
             memo[key] = {
                 parity: {classes.setdefault(c, c): v for c, v in terms.items()}
@@ -109,7 +109,7 @@ def _memoized(images_of, parities):
 def identity_suite(bounds: CheckBounds, gens: list) -> dict:
     """D^2 = 0 on every (spec, class) x of gens (``iter_generators``), for
     D = delta + the corner operator (``diff.d_images``, read through this
-    module's globals at call time), memoized by canonical pair for one
+    module's globals at call time), memoized by canonical key for one
     genus at a time: D keeps the genus, so no image is read again once its
     genus is done.  One listing of a class's cycles serves both moves'
     terms, and one canonical pass per raw term serves every parity in

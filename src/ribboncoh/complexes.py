@@ -28,7 +28,7 @@ more.  A ribbon term's coefficient is the sign of its word
 (``gc2._gc_sign``).  mw's corner move is the one block made outside the
 walk: ``_terms_block`` over ``bridge_terms`` of the cell below, which
 ``ComplexSpec.chain`` keeps from the chain before, each term summed into
-the target cell's row as it is read, so no canonical pair of a corner
+the target cell's row as it is read, so no canonical key of a corner
 term outlives it.  Every block is row-keyed, row -> {column:
 coefficient}, and ``_walk`` merges a cell's blocks one row at a time into
 the matrices' arrays, so no build holds a tuple per matrix entry.  The
@@ -56,7 +56,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .cache import NO_CACHE, Cache
-from .canonical import EVEN, ODD, _canonical_data, word_sign
+from .canonical import EVEN, ODD, _canonical_data, graph_of, word_sign
 from .diff import bridge_terms
 from .enumeration import LE2_CELLS, EnumSpec, _cell_maps, _first_rounds, _split_by_zero
 from .linalg import (
@@ -218,7 +218,7 @@ def _terms_block(classes, parity: int, rows: dict, known=None) -> dict:
     classes, row -> {column: coefficient}: column j is classes[j], rows
     maps a target key to its row, and each term's coefficient is the
     ``word_sign`` of its word.  Each term is summed into its row as it is
-    read, so no term's canonical pair outlives it.  A term's canonical
+    read, so no term's canonical key outlives it.  A term's canonical
     data is the next of known's entries for its class
     (``enumeration._chord_round``'s chords) when that entry's first
     relabeling takes the term onto the entry's key, else its own
@@ -241,11 +241,11 @@ def _terms_block(classes, parity: int, rows: dict, known=None) -> dict:
 
 
 def _relabels(g, key, maps) -> bool:
-    """Whether the relabeling maps[0] takes g onto the canonical pair key.
-    A relabeling is a bijection, so then g is the graph whose pass gave
-    (key, maps)."""
-    (t0, t1), lab = key, maps[0]
-    return [t0[x] for x in lab] == [lab[h] for h in g.sigma0] and [t1[x] for x in lab] == [lab[h] for h in g.sigma1]
+    """Whether the relabeling maps[0] takes g onto the canonical key, t0
+    then t1.  A relabeling is a bijection, so then g is the graph whose
+    pass gave (key, maps)."""
+    lab, n = maps[0], len(g.sigma0)
+    return [key[x] for x in lab] == [lab[h] for h in g.sigma0] and [key[n + x] for x in lab] == [lab[h] for h in g.sigma1]
 
 
 def _place(block: dict, rows: dict) -> dict:
@@ -259,7 +259,10 @@ def _place(block: dict, rows: dict) -> dict:
 
 
 def _unplaced(key) -> AssemblyError:
-    """The error for a target key outside the codomain's rows."""
+    """The error for a target key outside the codomain's rows, a ribbon
+    key shown as its (sigma0, sigma1) pair."""
+    if isinstance(key, bytes):
+        key = tuple(graph_of(key))
     return AssemblyError("image class %s not in codomain basis" % (key,))
 
 

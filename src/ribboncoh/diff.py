@@ -36,12 +36,12 @@ one canonical pass per raw term, and ``delta`` and ``bridge`` ask for the
 class's own parity.  ``d_images`` gives the image of their sum D, both
 builders' terms off one listing of the class's cycles.  An image is a
 plain dict, class -> nonzero int, with one class per target: the raw
-terms are added up by canonical pair first.  The images are oracles
+terms are added up by canonical key first.  The images are oracles
 only: the check suites apply them (``apply_linear``), and compare a built
 matrix with them.  Every call returns a fresh image; the module keeps no
 state between calls.  A caller that applies them to the same class more
 than once memoizes the images itself (``checks.identity_suite``, one
-entry per canonical pair holding D's image in every parity in scope, and
+entry per canonical key holding D's image in every parity in scope, and
 one class object per class and parity).
 
 ``delta``, ``bridge``, ``project_ge3``, ``apply_linear`` and
@@ -199,7 +199,7 @@ def summed(terms) -> dict:
 
 def _images(raw_terms, parities) -> dict[int, dict]:
     """Canonicalize each raw (graph, word) term once and add it in every
-    parity of parities with its ``word_sign``, by canonical pair; each
+    parity of parities with its ``word_sign``, by canonical key; each
     nonzero target becomes one class.  raw_terms carry odd items when ODD
     is in parities."""
     out = {parity: {} for parity in parities}
@@ -211,7 +211,7 @@ def _images(raw_terms, parities) -> dict[int, dict]:
                 acc = out[parity]
                 acc[key] = acc.get(key, 0) + coeff
     return {
-        parity: {OrientedClass(t0, t1, parity, False): c for (t0, t1), c in acc.items() if c}
+        parity: {OrientedClass(key, parity, False): c for key, c in acc.items() if c}
         for parity, acc in out.items()
     }
 

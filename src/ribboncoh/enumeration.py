@@ -33,7 +33,7 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import combinations, combinations_with_replacement, islice, permutations
 
-from .canonical import EVEN, OrientedClass, _canonical_data, _zero_flag
+from .canonical import EVEN, OrientedClass, _canonical_data, _zero_flag, graph_of
 from .canonical import is_minimal_form  # noqa: F401  (perfbench/tracer.py reads this name)
 from .diff import _add_chord, delta_terms
 from .ribbon import RibbonGraph, boundaries, orbits
@@ -58,15 +58,15 @@ class EnumSpec(namedtuple("EnumSpec", "genus boundaries edges min_valence parity
 
 
 def _canonical_layer(raw_pairs) -> dict:
-    """Canonical pair -> optimal relabelings, one entry per isomorphism
-    class among the raw (sigma0, sigma1) pairs.  The relabelings come from
-    the one ``_canonical_data`` call that first met the class, so their
-    number is |Aut| and they give the zero flag."""
+    """Canonical key -> optimal relabelings, each ``bytes``, one entry per
+    isomorphism class among the raw (sigma0, sigma1) pairs.  The
+    relabelings come from the one ``_canonical_data`` call that first met
+    the class, so their number is |Aut| and they give the zero flag."""
     layer = {}
     for raw in raw_pairs:
         key, maps = _canonical_data(*raw)
         if key not in layer:
-            layer[key] = maps
+            layer[key] = [bytes(lab) for lab in maps]
     return layer
 
 
@@ -80,14 +80,15 @@ def _chord_round(layer, join: bool = False) -> tuple[dict, dict]:
     data of its chords between two distinct corners, which are
     ``diff.bridge_terms``'s terms on it, in that order: one (key, maps) per
     chord, key the round's own key object and maps the chord's own
-    relabelings.  So no chord's raw pair or fresh key outlives its pass."""
+    relabelings, as ``bytes``.  So no chord's raw pair or fresh key
+    outlives its pass."""
     out, chords, own = {}, {}, {}  # own: each key of the round -> itself
     for src in layer:
-        g = RibbonGraph(*src)
+        g = graph_of(src)
         walks = boundaries(g)
         if join:
             walk = {h: i for i, b in enumerate(walks) for h in b}
-            pairs = [(a, b) for a, b in combinations(range(len(src[0])), 2) if walk[a] != walk[b]]
+            pairs = [(a, b) for a, b in combinations(range(g.n_half_edges), 2) if walk[a] != walk[b]]
         else:
             pairs = [pq for b in walks for pq in combinations_with_replacement(sorted(b), 2)]
         terms = []
@@ -95,6 +96,7 @@ def _chord_round(layer, join: bool = False) -> tuple[dict, dict]:
             new = _add_chord(g, c1, c2)
             key, maps = _canonical_data(new.sigma0, new.sigma1)
             key = own.setdefault(key, key)
+            maps = [bytes(lab) for lab in maps]
             if key not in out:
                 out[key] = maps
             if c1 != c2 and not join:
@@ -133,9 +135,9 @@ def _cell_maps(e: int, layer: dict, min_valence: int, visit=None, odd: bool = Fa
     floor min_valence, from its first round layer at e edges (as
     ``_first_rounds`` yields it), as a generator that never ends: it
     yields (E, round) for E = e, e + 1, ..., where round maps canonical
-    pair -> optimal relabelings for every isomorphism class of the (genus,
-    n_boundaries, E) cell, zero classes included, whenever that cell is
-    consistent.
+    key -> optimal relabelings, as ``bytes``, for every isomorphism class
+    of the (genus, n_boundaries, E) cell, zero classes included, whenever
+    that cell is consistent.
 
     Each round after the first splits every class of the one before into
     two vertices joined by a new edge, both arcs of at least min_valence -
@@ -152,9 +154,10 @@ def _cell_maps(e: int, layer: dict, min_valence: int, visit=None, odd: bool = Fa
 
     visit, when given, is called as visit(source, word, key, maps) on
     every split term that is one of ``delta``'s terms (both arcs
-    non-empty): the canonical pair it was split from, the term's
+    non-empty): the canonical key it was split from, the term's
     orientation word (from ``diff.delta_terms``, with odd items only when
-    odd is true), and the term's canonical pair and relabelings.  Only the
+    odd is true), and the term's canonical key and relabelings, the lists
+    of its own pass.  Only the
     keys of a round are held while the next one is split, so a consumer
     that reads a round's relabelings reads them before it asks for the
     next round."""
@@ -164,10 +167,10 @@ def _cell_maps(e: int, layer: dict, min_valence: int, visit=None, odd: bool = Fa
         sources, layer = tuple(layer), {}
         x = 2 * e  # the new dart, a vertex of its own after an empty-arc cut
         for src in sources:
-            for term, word in delta_terms(RibbonGraph(*src), min_arc, odd, max_arc):
+            for term, word in delta_terms(graph_of(src), min_arc, odd, max_arc):
                 key, maps = _canonical_data(term.sigma0, term.sigma1)
                 if key not in layer:
-                    layer[key] = maps
+                    layer[key] = [bytes(lab) for lab in maps]
                 if visit is not None and term.sigma0[x] != x:
                     visit(src, word, key, maps)
         e += 1
@@ -175,16 +178,16 @@ def _cell_maps(e: int, layer: dict, min_valence: int, visit=None, odd: bool = Fa
 
 def _split_by_zero(cell: dict, parity: int):
     """Nonzero classes sorted by content hash, and the zero-class count, of
-    a canonical pair -> optimal relabelings mapping.  A class with one
+    a canonical key -> optimal relabelings mapping.  A class with one
     optimal relabeling has no automorphism but the identity, so it is not
     zero."""
     nonzero = []
     zero = 0
-    for (t0, t1), maps in cell.items():
-        if len(maps) > 1 and _zero_flag(RibbonGraph(t0, t1), parity, maps):
+    for key, maps in cell.items():
+        if len(maps) > 1 and _zero_flag(graph_of(key), parity, maps):
             zero += 1
         else:
-            nonzero.append(OrientedClass(t0, t1, parity, False))
+            nonzero.append(OrientedClass(key, parity, False))
     nonzero.sort(key=lambda c: c.content_hash())
     return nonzero, zero
 

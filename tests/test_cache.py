@@ -35,7 +35,7 @@ def _entry(tmp_path, kind):
 def _rewrite(path, kind, doc, body=None):
     """Replace an entry's document, with a header that matches it, so that
     only the document's own checks can reject it."""
-    body = json.dumps(doc) if body is None else body
+    body = json.dumps(doc, separators=(",", ":")) if body is None else body
     digest = hashlib.sha256(body.encode()).hexdigest()
     path.write_text("# ribboncoh %s sha256=%s\n%s" % (kind, digest, body))
 
@@ -372,3 +372,41 @@ def test_storing_a_basis_holds_no_list_of_its_pairs(tmp_path):
     assert peak < body / 4, (peak, body)
     assert _entry(tmp_path, "basis").read_bytes() == _whole_entry(
         "basis", {"parity": SPEC.parity, "zero_classes": 0, "classes": pairs})
+
+
+def test_loading_a_matrix_holds_little_more_than_the_matrix(tmp_path):
+    # 30,000 entries in a 7407 x 946 block, the shape of mw-g1's E=6 block:
+    # a load reads them one at a time into the matrix's arrays (one list
+    # per entry from the whole text peaked at 12 times the matrix)
+    rng = random.Random(3)
+    cells = sorted(rng.sample(range(7407 * 946), 30_000))
+    m = SparseIntMatrix(7407, 946, [(k // 946, k % 946, rng.choice((-1, 1, 2))) for k in cells])
+    cache = Cache(str(tmp_path))
+    cache.store_matrix(SPEC, 2, m)
+    tracemalloc.start()
+    try:
+        loaded = cache.load_matrix(SPEC, 2)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded == m
+    assert peak < 2 * held, (peak, held)
+
+
+def test_a_load_reads_entries_across_chunks(tmp_path, monkeypatch):
+    # with 7-byte chunks every value and literal of a small entry runs
+    # across a chunk boundary
+    monkeypatch.setattr(cache_module, "CHUNK", 7)
+    cache = Cache(str(tmp_path))
+    classes, zero = _classes()
+    m = SparseIntMatrix(30, 20, ((r, (7 * r) % 20, 1000 * r - 12345) for r in range(30)))
+    payload = {"rows": [{"E": e, "h": e % 2} for e in range(2, 8)], "calc1": [1]}
+    cache.store_basis(SPEC, 2, 3, classes, zero)
+    cache.store_matrix(SPEC, 2, m)
+    cache.store_table(SPEC, False, payload)
+    assert cache.load_basis(SPEC, 2, 3) == (classes, zero)
+    assert cache.load_matrix(SPEC, 2) == m
+    assert cache.load_table(SPEC, False) == payload
+    path = _entry(tmp_path, "matrix")
+    path.write_bytes(path.read_bytes() + b" ")  # a byte past the document breaks the hash
+    assert cache.load_matrix(SPEC, 2) is None

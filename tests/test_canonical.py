@@ -3,6 +3,7 @@ from collections import deque, namedtuple
 from itertools import chain, combinations, islice, permutations, takewhile
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ribboncoh.canonical import (
@@ -13,6 +14,7 @@ from ribboncoh.canonical import (
     _order_sign,
     _zero_flag,
     class_of,
+    graph_of,
     is_minimal_form,
     reference_word,
     to_oriented_class,
@@ -21,7 +23,7 @@ from ribboncoh.canonical import (
 from ribboncoh.checks import CheckBounds, iter_generators
 from ribboncoh.diff import _add_chord, _cuts, bridge_terms, delta_terms
 from ribboncoh.enumeration import EnumSpec, _cell_maps, _first_rounds
-from ribboncoh.ribbon import RibbonGraph, boundaries, edges, is_connected, vertices
+from ribboncoh.ribbon import InvalidGraph, RibbonGraph, boundaries, edges, is_connected, vertices
 
 
 def perm_sign(perm: list[int]) -> int:
@@ -82,7 +84,7 @@ def brute_automorphisms(g):
 def canonical(g):
     """g's canonical graph and its optimal relabelings old->canonical."""
     best, maps = _canonical_data(g.sigma0, g.sigma1)
-    return RibbonGraph(*best), maps
+    return graph_of(best), maps
 
 
 def automorphisms(g):
@@ -161,10 +163,10 @@ def _small_classes():
         for e, layer in takewhile(lambda r: r[0] <= 3, _cell_maps(e0, first, mv))
     }
     return [
-        RibbonGraph(*pair)
+        graph_of(key)
         for (e, mv, genus, n), layer in sorted(rounds.items())
         if EnumSpec(genus, n, e, mv).is_consistent()[0]
-        for pair in layer
+        for key in layer
     ]
 
 
@@ -208,7 +210,7 @@ def test_early_abort_scan_matches_full_scan():
             best, maps = _canonical_data(h.sigma0, h.sigma1)
             full = [_full_relabel(h, r) for r in range(n)]
             key = min(k for k, _ in full)
-            assert best == key
+            assert best == bytes(key[0] + key[1])  # t0 then t1, one byte a dart
             assert maps == [lab for k, lab in full if k == key]
 
 
@@ -233,12 +235,12 @@ def _full_sector_maps(e_max):
     """Every map of the full sector with E <= e_max, zero classes
     included: loops, univalent and bivalent vertices all occur."""
     return [
-        RibbonGraph(*pair)
+        graph_of(key)
         for genus in range(e_max // 2 + 1)
         for n, e0, first, _ in islice(_first_rounds(genus), e_max + 1 - 2 * genus)
         for e, layer in takewhile(lambda r: r[0] <= e_max, _cell_maps(e0, first, 1))
         if EnumSpec(genus, n, e, 1).is_consistent()[0]
-        for pair in layer
+        for key in layer
     ]
 
 
@@ -555,3 +557,20 @@ def test_canonical_conjugation_invariance(g, shift):
 def test_minimal_form_matches_canonical(g):
     canon, _ = canonical(g)
     assert is_minimal_form(canon.sigma0, canon.sigma1)
+
+
+def _one_vertex_map(n_edges):
+    """One vertex with n_edges loops, each joining two neighbouring darts."""
+    n = 2 * n_edges
+    return RibbonGraph([(h + 1) % n for h in range(n)], [h ^ 1 for h in range(n)])
+
+
+def test_a_key_holds_at_most_256_darts():
+    # a key is one byte a dart, sigma0 then sigma1
+    key, maps = _canonical_data(*_one_vertex_map(128))
+    assert type(key) is bytes and len(key) == 512 and len(maps) == 128
+    assert graph_of(key) == canonical(_one_vertex_map(128))[0]
+    with pytest.raises(InvalidGraph, match="at most 256 darts"):
+        _canonical_data(*_one_vertex_map(129))
+    with pytest.raises(InvalidGraph):
+        class_of(_one_vertex_map(129), ODD)

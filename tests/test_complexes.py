@@ -142,7 +142,38 @@ def test_walk_holds_no_tuple_per_entry():
     finally:
         tracemalloc.stop()
     assert max(m.nnz for m in matrices.values()) > 20_000
-    assert peak < 7.5 * 2**20, peak
+    assert peak < 5.5 * 2**20, peak
+
+
+@pytest.mark.acceptance
+def test_warm_walk_from_the_cache_peaks_below_the_cold_walk(tmp_path):
+    # the mw-g1 benchmark table built cold into a cache, then again from
+    # it: a warm build reads each basis class and each matrix entry as it
+    # is decoded, so it holds little more than what it returns (loading
+    # every entry whole, it peaked at 8.0 MB against 6.8 MB cold)
+    spec, cache = ComplexSpec("mw", 1, 0, "ge3", 2, 7), Cache(str(tmp_path))
+    peaks = []
+    for _ in range(2):
+        tracemalloc.start()
+        try:
+            sl = build(spec, cache)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert [len(sl.bases[e]) for e in (6, 7)] == [946, 7407]
+    cold, warm = peaks
+    assert warm < cold, peaks
+
+
+def test_unplaced_target_shows_its_pair():
+    # a ribbon key is one bytes object, but the error still shows the
+    # class as its (sigma0, sigma1) pair, and a gc2 key as its edge tuple
+    with pytest.raises(linalg.AssemblyError) as err:
+        complexes._place({bytes((1, 0, 1, 0)): {0: 1}}, {})
+    assert str(err.value) == "image class ((1, 0), (1, 0)) not in codomain basis"
+    with pytest.raises(linalg.AssemblyError) as err:
+        complexes._place({((0, 1), (0, 1)): {0: 1}}, {})
+    assert str(err.value) == "image class ((0, 1), (0, 1)) not in codomain basis"
 
 
 def test_build_detects_broken_operator(monkeypatch):

@@ -3,11 +3,12 @@ counts, low-valence sector."""
 from fractions import Fraction
 from itertools import islice
 from math import factorial
+import tracemalloc
 
 import pytest
 
 from ribboncoh import diff, enumeration
-from ribboncoh.canonical import EVEN, ODD, class_of
+from ribboncoh.canonical import EVEN, ODD, class_of, graph_of
 from ribboncoh.enumeration import (
     LE2_CELLS,
     EnumSpec,
@@ -203,7 +204,7 @@ def _rooted_map_counts(g_max: int, e_max: int) -> dict:
 
 def _round(genus: int, n: int, e: int, mv: int) -> dict:
     """The round at e edges of the (genus, n) chain at floor mv: canonical
-    pair -> optimal relabelings for every class of the cell."""
+    key -> optimal relabelings for every class of the cell."""
     for edges, layer in _cell_maps(*_first_round(genus, n), mv):
         if edges >= e:
             assert edges == e, (genus, n, e)
@@ -218,14 +219,14 @@ def _chord_moves(layer, genus: int, n_boundaries: int):
     adds a handle.  So along the moves neither the genus nor genus +
     boundaries ever falls, and a map past either target bound is
     dropped."""
-    for s0, s1 in layer:
-        g = RibbonGraph(s0, s1)
+    for key in layer:
+        g = graph_of(key)
         walks = boundaries(g)
         walk = {h: i for i, b in enumerate(walks) for h in b}
         n = len(walks)
         g_here = (g.n_edges + 1 - n) // 2
-        for c1 in range(len(s0)):
-            for c2 in range(c1, len(s0)):
+        for c1 in range(g.n_half_edges):
+            for c2 in range(c1, g.n_half_edges):
                 if c1 == c2 or walk[c1] == walk[c2]:
                     g_new, n_new = g_here, n + 1
                 else:
@@ -257,6 +258,13 @@ def test_first_rounds_match_the_chord_closure():
     assert len(sizes) == 17 and max(sizes) == 4758
 
 
+def _stored_data(s0, s1):
+    """The canonical data of (s0, s1) as a round stores it: its key and its
+    relabelings as ``bytes``."""
+    key, maps = enumeration._canonical_data(s0, s1)
+    return key, [bytes(lab) for lab in maps]
+
+
 def test_first_round_chords_are_the_corner_terms_of_the_round_before():
     # each first round after the loop grows from the one before by chords,
     # and those between two distinct corners are exactly bridge_terms's on
@@ -270,10 +278,10 @@ def test_first_round_chords_are_the_corner_terms_of_the_round_before():
                 assert e == 2 * genus + n - 1
                 assert set(chords) <= set(before)
                 for src in before:
-                    raws = [(t.sigma0, t.sigma1) for t, _ in diff.bridge_terms(RibbonGraph(*src))]
+                    raws = [(t.sigma0, t.sigma1) for t, _ in diff.bridge_terms(graph_of(src))]
                     recorded = chords.get(src, [])
                     assert len(raws) == len(set(raws)) == len(recorded)
-                    assert all(data == enumeration._canonical_data(*raw) for raw, data in zip(raws, recorded))
+                    assert all(data == _stored_data(*raw) for raw, data in zip(raws, recorded))
                     checked += len(raws)
             if n == 7 - 2 * genus:
                 break
@@ -292,6 +300,23 @@ def test_first_round_chords_hold_their_rounds_own_keys():
                 assert all(key is own[key] for key, _ in terms)
                 checked += len(terms)
     assert checked == 2461
+
+
+def test_a_round_holds_one_key_and_bytes_relabelings_per_class():
+    # the (g 1, n 5, E 7) ge3 round, once its walk is closed: each class is
+    # one bytes key with its relabelings as bytes (a pair of int tuples
+    # with list relabelings held 637 B a class)
+    tracemalloc.start()
+    try:
+        walk = cells(1, 3, 7, boundaries=5)
+        layer = next(layer for _, e, layer in walk if e == 7)
+        walk.close()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(layer) == 3732
+    assert all(type(key) is bytes and all(type(lab) is bytes for lab in maps) for key, maps in layer.items())
+    assert held < 300 * len(layer), held / len(layer)
 
 
 def test_empty_arc_cut_lists_no_odd_items(monkeypatch):
@@ -459,7 +484,7 @@ def test_le2_against_generic_enumerator():
         for n in (1, 2, 3):
             e0, first = _first_round(g, n)
             low = {
-                e: [RibbonGraph(*key) for key in layer if max(valences(RibbonGraph(*key))) <= 2]
+                e: [graph_of(key) for key in layer if max(valences(graph_of(key))) <= 2]
                 for e, layer in islice(_cell_maps(e0, first, 1), 7 - e0)  # E = e0..6
             }
             for e in range(1, 11):

@@ -6,22 +6,26 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
 
 import ribboncoh
 from ribboncoh import cache
+from ribboncoh.complexes import ComplexSpec
 from ribboncoh.enumeration import EnumSpec, enumerate_classes
 from ribboncoh.gc2 import GCClass
+from ribboncoh.linalg import SparseIntMatrix
 
 SRC = os.path.dirname(os.path.dirname(ribboncoh.__file__))
 TESTS = os.path.dirname(os.path.abspath(__file__))
+SPEC = ComplexSpec("kp", 1, 0, "ge3", 2, 4, boundaries=2)
 
 
 def _digests_match_hashlib():
     """Compare each digest the package makes with hashlib's on sample
     inputs: ribbon and gc2 content hashes, spec_hash, the source digest
-    and a cache entry header."""
+    and the header of a cache entry, written and read back."""
     ribbon = [c for parity in (0, 1) for c in enumerate_classes(EnumSpec(1, 1, 4, 1, parity))[0]]
     assert len(ribbon) == 14
     for c in ribbon:
@@ -38,10 +42,16 @@ def _digests_match_hashlib():
         with open(os.path.join(os.path.dirname(cache.__file__), name), "rb") as f:
             files.update(("%s %s\n" % (name, hashlib.sha256(f.read()).hexdigest())).encode())
     assert cache._source_digest() == files.hexdigest()
-    body = json.dumps([2, 3, [[0, 1, -1]]])
-    assert cache._header("matrix", body) == (
-        "# ribboncoh matrix sha256=%s" % hashlib.sha256(body.encode()).hexdigest()
-    )
+    m = SparseIntMatrix(2, 3, ((0, 1, -1),))
+    with tempfile.TemporaryDirectory() as root:
+        entries = cache.Cache(root)
+        entries.store_matrix(SPEC, 2, m)
+        assert entries.load_matrix(SPEC, 2) == m
+        (name,) = os.listdir(root)
+        with open(os.path.join(root, name)) as f:
+            head, body = f.read().split("\n")
+    assert body == json.dumps([2, 3, [[0, 1, -1]]], separators=(",", ":"))
+    assert head == "# ribboncoh matrix sha256=%s" % hashlib.sha256(body.encode()).hexdigest()
 
 
 def test_builtin_digests_match_hashlib():
