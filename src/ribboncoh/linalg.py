@@ -19,22 +19,23 @@ cannot pass the check that another makes of it:
   column lists the rows that hold it, and a pivot visits only those.  A
   row that gains a column by fill-in joins that column's list; one that
   has lost the column, or is queued at a length it has left, is skipped.
-- ``_pivots_modp``, modulo a lift prime: rows are reduced one at a time,
-  in order of length, by the pivots found before them, so only the
-  echelon rows and one working row are held.
+- ``_pivots_modp``, modulo a lift prime: Gauss-Jordan elimination, one
+  row at a time in order of length.  A row is reduced by the pivots whose
+  columns it holds, and a new pivot clears its column from the pivot
+  rows before it, so only the reduced echelon rows and one working row
+  are held.
 
 ``certified_rank`` proves a rank from ``_pivots_modp``.  Its kernel
-vectors, lifted to the rationals by rational reconstruction (Wang 1981;
-Dixon, Numer. Math. 1982) and checked to satisfy M K = 0 over the
-integers, bound the rank from above.  The pivot count, a rank mod p,
-never exceeds the rational rank; the pivot minor, of full rank under
-``rank_modp`` at the minor prime, guards that lower bound against a fault
-of ``_pivots_modp``.  No floating point anywhere.
+vectors, read off the reduced rows, lifted to the rationals by rational
+reconstruction (Wang 1981; Dixon, Numer. Math. 1982) and checked to
+satisfy M K = 0 over the integers, bound the rank from above.  The pivot
+count, a rank mod p, never exceeds the rational rank; the pivot minor, of
+full rank under ``rank_modp`` at the minor prime, guards that lower bound
+against a fault of ``_pivots_modp``.  No floating point anywhere.
 """
 from __future__ import annotations
 
 from array import array
-from bisect import insort
 from collections import namedtuple
 from math import gcd, isqrt
 
@@ -301,17 +302,18 @@ RETRY_PRIME = 2**61 - 1  # the second lift prime: a Mersenne prime, too large to
 
 
 def _pivots_modp(m: SparseIntMatrix, p: int) -> list:
-    """An echelon form of m mod p, one row at a time: each pivot as
-    (original row, column, the row reduced and scaled to 1 at the column),
-    in pivot order.  Rows are taken by their length in m, the smaller
-    index among equals, and each is read from m's arrays when its turn
-    comes.  It is reduced by the pivots found so far in pivot order (a
-    later pivot's column that an update brings in is queued too), and a
-    row that survives becomes the next pivot, at the column of its own
-    that the fewest rows of m hold, the smallest among equals.  So no
-    pivot row holds an earlier pivot's column, and only the pivot rows and
-    the working row are held, never every row.  A loop of its own, with
-    no rule shared with ``rank_modp``, which checks what it finds."""
+    """The reduced echelon form of m mod p, one row at a time: each pivot
+    as (original row, column, the row reduced and scaled to 1 at the
+    column), in pivot order, no pivot row holding another pivot's column.
+    Rows are taken by their length in m, the smaller index among equals,
+    and each is read from m's arrays when its turn comes.  Since the pivot
+    rows are reduced, one pass over the pivots whose columns a row holds
+    reduces it.  A row that survives becomes the next pivot, at the column
+    of its own that the fewest rows of m hold, the smallest among equals,
+    and clears that column from the earlier pivot rows that hold it.  Only
+    the pivot rows and the working row are held, never every row.  A loop
+    of its own, with no rule shared with ``rank_modp``, which checks what
+    it finds."""
     held = [0] * m.cols  # column -> rows of m that hold it
     for c in m.indices:
         held[c] += 1
@@ -327,53 +329,39 @@ def _pivots_modp(m: SparseIntMatrix, p: int) -> list:
         order[place[n]] = r
         place[n] += 1
     pivots = []
-    at_col = {}  # pivot column -> its pivot's index
+    at_col = {}  # pivot column -> its reduced row
+    holders = [[] for _ in range(m.cols)]  # free column -> pivot rows listed as holding it
     for i in order[place[0]:]:  # place[0] is past the rows of no entry, which are no pivots
         row = {c: v % p for c, v in m.row_items(i) if v % p}
-        queue = sorted(at_col[c] for c in row if c in at_col)
-        while queue:
-            _, pc, pivot = pivots[queue.pop(0)]
-            w = row.get(pc)
-            if w is None:  # cancelled by an earlier pivot, or queued twice
+        for pc in [c for c in row if c in at_col]:
+            w = row[pc]
+            for c, v in at_col[pc].items():
+                row[c] = (row.get(c, 0) - v * w) % p
+        row = {c: v for c, v in row.items() if v}
+        if not row:
+            continue
+        pc = min(row, key=lambda c: (held[c], c))
+        pv_inv = pow(row[pc], p - 2, p)
+        pivot = at_col[pc] = {c: v * pv_inv % p for c, v in row.items()}
+        for earlier in holders[pc]:
+            w = earlier.get(pc)
+            if w is None:  # cancelled since it was listed, or listed twice
                 continue
             for c, v in pivot.items():
-                if c in row:
-                    nv = (row[c] - v * w) % p
+                if c in earlier:
+                    nv = (earlier[c] - v * w) % p
                     if nv:
-                        row[c] = nv
+                        earlier[c] = nv
                     else:
-                        del row[c]
+                        del earlier[c]
                 else:
-                    row[c] = -v * w % p
-                    k = at_col.get(c)
-                    if k is not None:  # a later pivot's column, brought in
-                        insort(queue, k)
-        if row:
-            pc = min(row, key=lambda c: (held[c], c))
-            pv_inv = pow(row[pc], p - 2, p)
-            at_col[pc] = len(pivots)
-            pivots.append((i, pc, {c: v * pv_inv % p for c, v in row.items()}))
+                    earlier[c] = -v * w % p
+                    holders[c].append(earlier)
+        for c in pivot:
+            holders[c].append(pivot)
+        holders[pc] = None  # no row but the new pivot's holds pc from here on
+        pivots.append((i, pc, pivot))
     return pivots
-
-
-def _kernel_modp(pivots: list, p: int) -> dict:
-    """Pivot column -> {free column f: entry mod p} of the kernel vector
-    that is 1 at f and 0 at every other free column, by back-substitution
-    through the echelon rows of ``_pivots_modp`` in reverse pivot order."""
-    kernel: dict = {}
-    for _, pc, row in reversed(pivots):
-        x: dict = {}
-        for c, v in row.items():
-            if c == pc:
-                continue
-            later = kernel.get(c)  # a later pivot's column, else a free one
-            if later is None:
-                x[c] = (x.get(c, 0) - v) % p
-                continue
-            for f, w in later.items():
-                x[f] = (x.get(f, 0) - v * w) % p
-        kernel[pc] = {f: w for f, w in x.items() if w}
-    return kernel
 
 
 def _lift(a: int, p: int, bound: int):
@@ -391,25 +379,25 @@ def _lift(a: int, p: int, bound: int):
 
 def _proved_rank(m: SparseIntMatrix, p: int):
     """The rational rank of m, proved, or None.  One elimination mod the
-    lift prime p gives r pivots and a kernel vector mod p per free column.
-    Each entry lifts to a rational by ``_lift``; cleared of denominators,
-    the vectors are integral, independent (each is zero at every free
-    column but its own) and must satisfy M K = 0 over Z, which proves
-    rank <= r.  The r x r minor at the pivot rows and columns must have
-    full rank mod the minor prime, which proves rank >= r.  Neither bound
-    rests on p being prime.  None when a lift fails, M K != 0 or the minor
-    is singular."""
+    lift prime p gives r pivots, and the kernel vector mod p of each free
+    column f is read off the reduced rows: 1 at f, minus row c's entry at
+    f at each pivot column c, 0 elsewhere.  Each entry lifts to a rational
+    by ``_lift``; cleared of denominators, the vectors are integral,
+    independent (each is zero at every free column but its own) and must
+    satisfy M K = 0 over Z, which proves rank <= r.  The r x r minor at
+    the pivot rows and columns must have full rank mod the minor prime,
+    which proves rank >= r.  Neither bound rests on p being prime.  None
+    when a lift fails, M K != 0 or the minor is singular."""
     bound = isqrt(p // 2)
     pivots = _pivots_modp(m, p)
-    kernel = _kernel_modp(pivots, p)
-    at_row = {i: k for k, (i, _, _) in enumerate(pivots)}
+    pivot_rows = [i for i, _, _ in pivots]
     at_col = {c: k for k, (_, c, _) in enumerate(pivots)}
-    del pivots  # the echelon rows
     vectors = {f: {f: 1} for f in range(m.cols) if f not in at_col}  # free column -> vector mod p
-    for c, x in kernel.items():
-        for f, w in x.items():
-            vectors[f][c] = w
-    del kernel
+    while pivots:  # each echelon row is dropped once read
+        _, c, row = pivots.pop()
+        for f, w in row.items():
+            if f != c:
+                vectors[f][c] = -w % p
     by_col: dict = {}  # column c -> (k, K[c, k]) for the nonzero entries of K's row c
     for k, vec in enumerate(vectors.values()):
         lifted = [(c, _lift(w, p, bound)) for c, w in vec.items()]
@@ -429,9 +417,9 @@ def _proved_rank(m: SparseIntMatrix, p: int):
         if any(image.values()):
             return None
     minor = empty_csr()
-    for i in at_row:  # the pivot rows, in pivot order
+    for i in pivot_rows:  # in pivot order
         append_row(minor, sorted((at_col[c], v) for c, v in m.row_items(i) if c in at_col))
-    r = len(at_row)
+    r = len(pivot_rows)
     return r if rank_modp(SparseIntMatrix.from_csr(r, r, *minor), CERTIFICATION_PRIMES[1]) == r else None
 
 

@@ -366,15 +366,20 @@ def test_rank_matches_dense_oracle(m):
 
 def _echelon_ok(m, p):
     """True when _pivots_modp's pivots keep their contract: rows of m, in
-    pivot order, each scaled to 1 at its column and holding no earlier
-    pivot's column, as many as the rank mod p."""
+    pivot order, each scaled to 1 at its column and holding no other
+    pivot's column, as many as the rank mod p; and the vector read off
+    them for each free column f, 1 at f and minus row c's entry at f at
+    each pivot column c, satisfies M x = 0 mod p."""
     pivots = _pivots_modp(m, p)
-    seen = set()
+    cols = {pc for _, pc, _ in pivots}
     for i, pc, row in pivots:
-        if not (0 <= i < m.rows and row.get(pc) == 1 and not seen & row.keys()):
+        if not (0 <= i < m.rows and row.get(pc) == 1 and cols & row.keys() == {pc}):
             return False
-        seen.add(pc)
-    return len({i for i, _, _ in pivots}) == len(pivots) == rank_modp(m, p)
+    for f in set(range(m.cols)) - cols:
+        x = {f: 1, **{pc: -row[f] for _, pc, row in pivots if f in row}}
+        if any(sum(v * x.get(c, 0) for c, v in m.row_items(r)) % p for r in range(m.rows)):
+            return False
+    return len({i for i, _, _ in pivots}) == len(pivots) == len(cols) == rank_modp(m, p)
 
 
 def test_pivots_are_an_echelon_form():
